@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,17 +57,13 @@ NOISE_CHUNK = 1024
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """State snapshot after t completed steps (single trial)."""
+    """Snapshot after t steps: per-trial rows in a batch, vectors in a Trajectory."""
 
     t: int
     x_last: np.ndarray
     avg_plain: np.ndarray
     avg_weighted: np.ndarray
-    clip_events: int
-    subopt_plain: Optional[float] = None
-    subopt_weighted: Optional[float] = None
-    subopt_last: Optional[float] = None
-    dist_sq: Optional[float] = None
+    clip_events: object
 
 
 @dataclass(frozen=True)
@@ -81,17 +77,6 @@ class Trajectory:
     avg_weighted: np.ndarray
     clip_events: int
     checkpoints: list
-
-
-@dataclass(frozen=True)
-class BatchCheckpoint:
-    """Row-aligned snapshots after t completed steps (one row per trial)."""
-
-    t: int
-    x_last: np.ndarray
-    avg_plain: np.ndarray
-    avg_weighted: np.ndarray
-    clip_events: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -204,7 +189,7 @@ def _run_kernel(
 
         if t in record_set:
             checkpoints.append(
-                BatchCheckpoint(
+                Checkpoint(
                     t=t,
                     x_last=x.copy(),
                     avg_plain=mean.copy(),
@@ -262,32 +247,16 @@ def _single(
         objective, oracle, schedule, T, x_1, [rng],
         stabilized=stabilized, record_stride=stride,
     )
-    opt = objective.optimum
-    checkpoints = []
-    for cp in batch.checkpoints:
-        kw = {}
-        if opt is not None:
-            vals = eval_F_batch(
-                objective,
-                np.stack([cp.avg_plain[0], cp.avg_weighted[0], cp.x_last[0]]),
-            )
-            diff = cp.x_last[0] - opt.x_star
-            kw = dict(
-                subopt_plain=float(vals[0] - opt.F_star),
-                subopt_weighted=float(vals[1] - opt.F_star),
-                subopt_last=float(vals[2] - opt.F_star),
-                dist_sq=float(np.add.reduce(diff * diff)),
-            )
-        checkpoints.append(
-            Checkpoint(
-                t=cp.t,
-                x_last=cp.x_last[0],
-                avg_plain=cp.avg_plain[0],
-                avg_weighted=cp.avg_weighted[0],
-                clip_events=int(cp.clip_events[0]),
-                **kw,
-            )
+    checkpoints = [
+        Checkpoint(
+            t=cp.t,
+            x_last=cp.x_last[0],
+            avg_plain=cp.avg_plain[0],
+            avg_weighted=cp.avg_weighted[0],
+            clip_events=int(cp.clip_events[0]),
         )
+        for cp in batch.checkpoints
+    ]
     return Trajectory(
         T=T,
         record_stride=stride,

@@ -36,6 +36,7 @@ from .harness import (
     _TAG_CODEBOOK,
     _codebook_for,
     _materialize,
+    _schedule_entry,
     derive_seed,
     parse_config,
     persist,
@@ -124,17 +125,10 @@ def _cmd_run(args) -> int:
 def _cmd_schedule(args) -> int:
     config = _load_config(args.config, args.seed)
     Ts = [args.T] if args.T is not None else config.run["T_grid"]
-    codebook = None
-    if config.problem["kind"] == "hard":
-        codebook = _codebook_for(config)
-    entries = []
-    for T in Ts:
-        setting = _materialize(config, int(T), codebook, 0)
-        entry = {"T": int(T)}
-        entry.update(setting.schedule.constants())
-        if setting.hard_params is not None:
-            entry["hard_params"] = setting.hard_params.to_dict()
-        entries.append(entry)
+    codebook = _codebook_for(config)
+    entries = [
+        _schedule_entry(_materialize(config, int(T), codebook, 0)) for T in Ts
+    ]
     payload = {"config_digest": config.digest(), "schedules": entries}
     lines = []
     for entry in entries:

@@ -377,63 +377,6 @@ def clip_error_mc(
 # symmetric operator norm
 
 
-def _jacobi_eig(A: np.ndarray):
-    """Cyclic Jacobi diagonalization; returns (eigenvalues, eigenvectors)."""
-    d = A.shape[0]
-    B = A.copy()
-    V = np.eye(d)
-    scale = max(float(np.max(np.abs(A))), 1.0)
-    for _ in range(100):
-        off = 0.0
-        for i in range(d - 1):
-            for j in range(i + 1, d):
-                off = max(off, abs(B[i, j]))
-                if abs(B[i, j]) <= 1e-15 * scale:
-                    continue
-                theta = (B[j, j] - B[i, i]) / (2.0 * B[i, j])
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(1.0 + theta * theta)
-                )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot_i = c * B[:, i] - s * B[:, j]
-                rot_j = s * B[:, i] + c * B[:, j]
-                B[:, i], B[:, j] = rot_i, rot_j
-                rot_i = c * B[i, :] - s * B[j, :]
-                rot_j = s * B[i, :] + c * B[j, :]
-                B[i, :], B[j, :] = rot_i, rot_j
-                rot_i = c * V[:, i] - s * V[:, j]
-                rot_j = s * V[:, i] + c * V[:, j]
-                V[:, i], V[:, j] = rot_i, rot_j
-        if off <= 1e-15 * scale:
-            break
-    return np.diag(B).copy(), V
-
-
-def _power_eig_max(A: np.ndarray):
-    """Dominant |eigenvalue| of symmetric A by power iteration on A^2.
-
-    Squaring removes the +/- lambda ambiguity; the start vector is a
-    fixed deterministic ramp so results are reproducible.
-    """
-    d = A.shape[0]
-    v = 1.0 + 1e-3 * np.arange(d)
-    v /= float(row_norms(v))
-    lam = 0.0
-    for _ in range(100_000):
-        w = A @ (A @ v)
-        nw = float(row_norms(w))
-        if nw == 0.0:
-            return 0.0, v
-        v_new = w / nw
-        lam_new = math.sqrt(nw)
-        if abs(lam_new - lam) <= 1e-10 * max(lam_new, 1e-300):
-            return lam_new, v_new
-        v = v_new
-        lam = lam_new
-    return lam, v
-
-
 def _sym_eig_max(A: np.ndarray):
     """(largest |eigenvalue|, a corresponding unit vector) of symmetric A."""
     A = np.asarray(A, dtype=float)
@@ -443,19 +386,15 @@ def _sym_eig_max(A: np.ndarray):
         raise ValueError("operator norm requires a nonempty matrix")
     if float(np.max(np.abs(A - A.T))) > 1e-10:
         raise ValueError("matrix is not symmetric within 1e-10")
-    A = 0.5 * (A + A.T)
-    if A.shape[0] <= 64:
-        vals, vecs = _jacobi_eig(A)
-        k = int(np.argmax(np.abs(vals)))
-        return abs(float(vals[k])), vecs[:, k]
-    return _power_eig_max(A)
+    vals, vecs = np.linalg.eigh(0.5 * (A + A.T))
+    k = int(np.argmax(np.abs(vals)))
+    return abs(float(vals[k])), vecs[:, k]
 
 
 def operator_norm(A: np.ndarray) -> float:
     """Spectral norm of a symmetric matrix.
 
-    Cyclic Jacobi for d <= 64, power iteration on A^2 above that; both
-    paths are deterministic.  Raises if A is not symmetric within 1e-10.
+    Raises if A is not symmetric within 1e-10.
     """
     val, _ = _sym_eig_max(A)
     return val

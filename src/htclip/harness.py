@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import subprocess
 import tempfile
@@ -117,6 +118,15 @@ def _require_keys(section: dict, path: str, allowed: set, required: set):
             raise ValueError(f"missing required config key {path}.{k}")
 
 
+def _as_int(val, path: str) -> int:
+    """An integer config value; integral floats pass, anything else is rejected."""
+    if isinstance(val, float) and val.is_integer():
+        return int(val)
+    if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+        raise ValueError(f"{path} must be an integer, got {val!r}")
+    return int(val)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parsed and validated experiment configuration.
@@ -153,11 +163,11 @@ class ExperimentConfig:
 
 def _parse_T_grid(val, path: str) -> list:
     if isinstance(val, list):
-        Ts = [int(t) for t in val]
+        Ts = [_as_int(t, path) for t in val]
     elif isinstance(val, dict):
         _require_keys(val, path, {"min", "max", "ratio"}, {"min", "max"})
-        lo = int(val["min"])
-        hi = int(val["max"])
+        lo = _as_int(val["min"], f"{path}.min")
+        hi = _as_int(val["max"], f"{path}.max")
         ratio = float(val.get("ratio", 2.0))
         if lo < 1 or hi < lo:
             raise ValueError(f"{path}: need 1 <= min <= max")
@@ -194,7 +204,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     kind = prob["kind"]
     if kind not in ("abs-sum", "euclid-norm", "linear", "hard"):
         raise ValueError(f"problem.kind {kind!r} is not supported")
-    d = int(prob["d"])
+    d = _as_int(prob["d"], "problem.d")
     if d < 1:
         raise ValueError("problem.d must be a positive integer")
     prob["d"] = d
@@ -263,6 +273,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         scales = noi["scales"]
         if isinstance(scales, (int, float)):
             noi["scales"] = float(scales)
+        elif not isinstance(scales, list):
+            raise ValueError("noise.scales must be a number or a list of length problem.d")
         else:
             noi["scales"] = [float(v) for v in scales]
             if len(noi["scales"]) != d:
@@ -339,7 +351,7 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ValueError(
                 f"hardness.regime {hardn['regime']!r} is not one of {HARD_REGIMES}"
             )
-        ds = int(hardn["d_star"])
+        ds = _as_int(hardn["d_star"], "hardness.d_star")
         if not (1 <= ds <= d):
             raise ValueError("hardness.d_star must satisfy 1 <= d_star <= d")
         hardn["d_star"] = ds
@@ -387,10 +399,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         {"T_grid", "trials", "master_seed"},
     )
     run["T_grid"] = _parse_T_grid(run["T_grid"], "run.T_grid")
-    run["trials"] = int(run["trials"])
+    run["trials"] = _as_int(run["trials"], "run.trials")
     if run["trials"] < 1:
         raise ValueError("run.trials must be a positive integer")
-    run["master_seed"] = int(run["master_seed"])
+    run["master_seed"] = _as_int(run["master_seed"], "run.master_seed")
     run["record_stride"] = run.get("record_stride", "geometric:2")
 
     ev = dict(data.get("eval", {}))
@@ -406,6 +418,8 @@ def parse_config(data: dict) -> ExperimentConfig:
             "eval.averaging must be one of designated, plain, weighted, last"
         )
     if "quantile_levels" in ev:
+        if not isinstance(ev["quantile_levels"], list):
+            raise ValueError("eval.quantile_levels must be a list of levels")
         levels = [float(v) for v in ev["quantile_levels"]]
     elif "delta" in sch:
         levels = [1.0 - sch["delta"]]
@@ -483,11 +497,6 @@ def _build_standard_problem(config: ExperimentConfig):
         if mu > 0:
             r = QuadReg(mu, np.zeros(d))
             x_star = -c / mu
-            x_star = np.asarray(
-                x_star
-                if isinstance(domain, AllSpace)
-                else _project_linear(domain, x_star)
-            )
             F_star = float(c @ x_star) + 0.5 * mu * float(x_star @ x_star)
         else:
             if isinstance(domain, AllSpace):
@@ -523,14 +532,6 @@ def _build_standard_problem(config: ExperimentConfig):
     )
 
 
-def _project_linear(domain: Ball, x: np.ndarray) -> np.ndarray:
-    diff = x - domain.center
-    nrm = float(row_norms(diff))
-    if nrm <= domain.radius:
-        return x
-    raise ValueError("linear problem optimum falls outside the ball domain")
-
-
 def _build_oracle(config: ExperimentConfig, objective: CompositeObjective):
     noi = config.noise
     kind = noi["kind"]
@@ -557,6 +558,8 @@ def _build_oracle(config: ExperimentConfig, objective: CompositeObjective):
 
 def _codebook_for(config: ExperimentConfig):
     h = config.hardness
+    if h is None:
+        return None
     if h["codebook"] == "twopoint":
         return two_point_codebook(h["d_star"])
     rng = np.random.default_rng(
@@ -629,6 +632,15 @@ def _materialize(config: ExperimentConfig, T: int, codebook, word_index: int) ->
         stabilized=stabilized,
         hard_params=hp,
     )
+
+
+def _schedule_entry(setting: _Setting) -> dict:
+    """Horizon, resolved schedule constants and hard parameters of a setting."""
+    entry = {"T": setting.T}
+    entry.update(setting.schedule.constants())
+    if setting.hard_params is not None:
+        entry["hard_params"] = setting.hard_params.to_dict()
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -804,9 +816,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
             stacklevel=2,
         )
 
-    codebook = None
-    if config.problem["kind"] == "hard":
-        codebook = _codebook_for(config)
+    codebook = _codebook_for(config)
     cycle = (
         config.hardness is not None and config.hardness["v_mode"] == "cycle"
     )
@@ -895,9 +905,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         "T_values": list(Ts),
         "trials": trials,
         "block_trials": BLOCK_TRIALS,
-        "designated_aggregate": (
-            "weighted" if config.schedule["regime"].startswith("str") else "plain"
-        ),
+        "designated_aggregate": settings[(0, 0)].schedule.averaging,
         "reported_aggregate": config.eval["averaging"],
         "noise_declared": {
             "p": None,
@@ -908,11 +916,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     }
     for ti, T in enumerate(Ts):
         st = settings[(ti, 0)]
-        entry = {"T": T}
-        entry.update(st.schedule.constants())
-        if st.hard_params is not None:
-            entry["hard_params"] = st.hard_params.to_dict()
-        manifest["schedule_constants"].append(entry)
+        manifest["schedule_constants"].append(_schedule_entry(st))
         if ti == 0:
             spec = st.oracle.noise
             manifest["noise_declared"] = {

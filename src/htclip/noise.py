@@ -22,6 +22,7 @@ import numpy as np
 
 from ._util import as_vector, row_norms
 from .problems import CompositeObjective, subgrad_f_batch
+from .schedules import d_eff_of
 
 __all__ = [
     "NoiseSpec",
@@ -75,9 +76,7 @@ class NoiseSpec:
 
     @property
     def d_eff(self) -> float:
-        if self.sigma_l == 0.0:
-            return 0.0
-        return (self.sigma_l / self.sigma_s) ** 2
+        return d_eff_of(self.sigma_s, self.sigma_l)
 
 
 # ---------------------------------------------------------------------------

@@ -230,11 +230,7 @@ class HardCvx:
         return np.add.reduce(wp * np.abs(x - t.y) + wm * np.abs(x + t.y), axis=-1)
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
-        t = self.inst
-        wp = t.M * t.q * (1.0 + t.v * t.theta) / 2.0
-        wm = t.M * t.q * (1.0 - t.v * t.theta) / 2.0
-        x = np.asarray(x, dtype=float)
-        return wp * np.sign(x - t.y) + wm * np.sign(x + t.y)
+        return self.inst.mean_grad(x)
 
 
 @dataclass(frozen=True)
@@ -251,17 +247,14 @@ class HardStr:
     def d(self) -> int:
         return self.inst.d
 
-    def _m(self) -> np.ndarray:
-        t = self.inst
-        return t.M * t.q * t.theta * t.v
-
     def value(self, x: np.ndarray) -> np.ndarray:
+        t = self.inst
         x = np.asarray(x, dtype=float)
-        return -self.inst.mu * np.add.reduce(self._m() * x, axis=-1)
+        return -t.mu * np.add.reduce(t.M * t.q * t.theta * t.v * x, axis=-1)
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        g = -self.inst.mu * self._m()
+        g = self.inst.mean_grad(x)
         return np.broadcast_to(g, x.shape).copy() if x.ndim > 1 else g
 
 

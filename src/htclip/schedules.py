@@ -38,8 +38,7 @@ from typing import Optional
 
 __all__ = [
     "REGIMES",
-    "HpParams",
-    "ExParams",
+    "ClipConstants",
     "ScheduleParams",
     "Schedule",
     "d_eff_of",
@@ -94,24 +93,15 @@ def _check_delta(delta) -> float:
 
 
 @dataclass(frozen=True)
-class HpParams:
-    """High-probability clipping constants (tau_star, varphi_star, psi_star)."""
+class ClipConstants:
+    """Base clipping constants (tau_star, varphi_star, psi_star) of a family."""
 
     tau_star: float
     varphi_star: float
     psi_star: Optional[float]
 
 
-@dataclass(frozen=True)
-class ExParams:
-    """In-expectation clipping constants (tau~_star, varphi~_star, psi~_star)."""
-
-    tau_star: float
-    varphi_star: float
-    psi_star: Optional[float]
-
-
-def hp_params(p: float, sigma_s: float, sigma_l: float, delta: float) -> HpParams:
+def hp_params(p: float, sigma_s: float, sigma_l: float, delta: float) -> ClipConstants:
     """High-probability constants; tau_star = +inf when sigma_l = 0."""
     p = _check_p(p)
     delta = _check_delta(delta)
@@ -120,7 +110,7 @@ def hp_params(p: float, sigma_s: float, sigma_l: float, delta: float) -> HpParam
     if not (0.0 <= ss <= sl):
         raise ValueError("need 0 <= sigma_s <= sigma_l")
     if sl == 0.0:
-        return HpParams(INF, 0.0, None)
+        return ClipConstants(INF, 0.0, None)
     if ss == 0.0:
         raise ValueError("sigma_s = 0 with sigma_l > 0 violates the moment bracket")
     L = math.log(3.0 / delta)
@@ -128,12 +118,12 @@ def hp_params(p: float, sigma_s: float, sigma_l: float, delta: float) -> HpParam
     if p < 2.0:
         cand = min(cand, ss * ss / sl ** (2.0 - p))
     tau_star = cand ** (1.0 / p)
-    deff = (sl / ss) ** 2
+    deff = d_eff_of(ss, sl)
     varphi = max(math.sqrt(deff) * L, deff if p < 2.0 else 0.0)
-    return HpParams(tau_star, varphi, 1.0 + math.log(varphi))
+    return ClipConstants(tau_star, varphi, 1.0 + math.log(varphi))
 
 
-def ex_params(p: float, sigma_s: float, sigma_l: float) -> ExParams:
+def ex_params(p: float, sigma_s: float, sigma_l: float) -> ClipConstants:
     """In-expectation constants; tau~_star = +inf at p = 2 or sigma_l = 0."""
     p = _check_p(p)
     ss = float(sigma_s)
@@ -141,12 +131,12 @@ def ex_params(p: float, sigma_s: float, sigma_l: float) -> ExParams:
     if not (0.0 <= ss <= sl):
         raise ValueError("need 0 <= sigma_s <= sigma_l")
     if sl == 0.0 or p == 2.0:
-        return ExParams(INF, 0.0, None)
+        return ClipConstants(INF, 0.0, None)
     if ss == 0.0:
         raise ValueError("sigma_s = 0 with sigma_l > 0 violates the moment bracket")
     tau_star = ss ** (2.0 / p) / sl ** (2.0 / p - 1.0)
-    deff = (sl / ss) ** 2
-    return ExParams(tau_star, deff, 1.0 + math.log(deff))
+    deff = d_eff_of(ss, sl)
+    return ClipConstants(tau_star, deff, 1.0 + math.log(deff))
 
 
 @dataclass(frozen=True)
@@ -247,12 +237,7 @@ class Schedule:
             raise ValueError("iteration index t must be >= 1")
         if self.regime in ("cvx-hp-T", "cvx-ex-T"):
             return self.tau_const
-        floor = self.params.G / (1.0 - self.params.alpha_clip)
-        if self.params.sigma_l == 0.0:
-            return floor
-        if not math.isfinite(self.tau_star):
-            return INF
-        return max(floor, self.tau_star * t ** (1.0 / self.params.p))
+        return _tau_at(self.params, self.tau_star, t)
 
     def constants(self) -> dict:
         """Resolved constants, JSON-friendly (inf as the string 'inf')."""

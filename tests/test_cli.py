@@ -252,6 +252,23 @@ class TestParsing:
         assert rc == 2
         assert "unknown config key problem.bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, patch, key",
+        [
+            ("problem", {"d": None}, "problem.d"),
+            ("eval", {"quantile_levels": 0.9}, "eval.quantile_levels"),
+            ("noise", {"kind": "additive-gaussian", "scales": "12"}, "noise.scales"),
+            ("run", {"trials": 2.7}, "run.trials"),
+        ],
+    )
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys, section, patch, key):
+        data = _noiseless_config()
+        data.setdefault(section, {}).update(patch)
+        cfg = _write_config(tmp_path, data)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "absent.json")])
         assert rc == 2

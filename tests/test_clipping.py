@@ -145,6 +145,25 @@ class TestOperatorNorm:
         with pytest.raises(ValueError):
             operator_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("d", [1, 12, 64, 65, 200])
+    def test_matches_scipy_eigvalsh(self, rng, d):
+        linalg = pytest.importorskip("scipy.linalg")
+        B = rng.normal(size=(d, d))
+        A = B + B.T
+        want = float(np.max(np.abs(linalg.eigvalsh(A))))
+        assert operator_norm(A) == pytest.approx(want, rel=1e-12)
+
+    def test_near_degenerate_top_pair(self, rng):
+        # top eigenvalues 1 and -0.999999: |lambda| separates by only 1e-6
+        linalg = pytest.importorskip("scipy.linalg")
+        d = 100
+        Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        vals = np.concatenate([[1.0, -0.999999], np.linspace(-0.5, 0.5, d - 2)])
+        A = (Q * vals) @ Q.T
+        A = 0.5 * (A + A.T)
+        want = float(np.max(np.abs(linalg.eigvalsh(A))))
+        assert operator_norm(A) == pytest.approx(want, rel=1e-12)
+
 
 class TestClipErrorExact:
     def test_deterministic_truncation_bias(self):
