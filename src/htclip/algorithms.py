@@ -14,7 +14,13 @@ The single-run and multi-trial entry points share one batched kernel in
 which every per-iterate operation is elementwise along rows, so a
 trial's trajectory is bit-identical no matter how many trials share the
 batch.  Oracle noise is prefetched in fixed chunks of NOISE_CHUNK states
-per trial, which pins each trial's consumption of its own rng stream.
+per trial, which pins each trial's consumption of its own rng stream;
+the chunks are written row by row into one (trials, min(T, NOISE_CHUNK),
+d) buffer allocated once per run.  Iterates are checked for finiteness
+at every chunk boundary and at the end of the run, not at every step: a
+coordinate that turns non-finite stays non-finite under the prox maps
+(they are linear in x, and projection onto a ball maps it to nan), so a
+blow-up anywhere inside a chunk is still reported.
 """
 
 from __future__ import annotations
@@ -131,6 +137,11 @@ def _check_start(objective: CompositeObjective, x_1) -> np.ndarray:
     return x
 
 
+def _check_finite(x: np.ndarray, t: int) -> None:
+    if not np.all(np.isfinite(x)):
+        raise FloatingPointError(f"non-finite iterate by step t={t}")
+
+
 def _run_kernel(
     objective: CompositeObjective,
     oracle: GradOracle,
@@ -152,11 +163,15 @@ def _run_kernel(
     record_set = set(int(t) for t in record)
     checkpoints = []
 
-    buf = None
+    buf = np.empty((n, min(T, NOISE_CHUNK), d))
     pos = NOISE_CHUNK
     for t in range(1, T + 1):
         if pos == NOISE_CHUNK:
-            buf = np.stack([oracle.draw(rng, NOISE_CHUNK) for rng in rngs], axis=0)
+            if t > 1:
+                _check_finite(x, t - 1)
+            m = min(NOISE_CHUNK, T + 1 - t)
+            for i, rng in enumerate(rngs):
+                buf[i, :m] = oracle.draw(rng, NOISE_CHUNK)[:m]
             pos = 0
         xi = buf[:, pos, :]
         pos += 1
@@ -179,8 +194,6 @@ def _run_kernel(
             )
         else:
             x = prox_step(objective.r, objective.domain, x, g, eta_t)
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"non-finite iterate at step t={t}")
 
         mean = mean + (x - mean) / t
         w = weighted_avg_weight(t)
@@ -198,6 +211,7 @@ def _run_kernel(
                 )
             )
 
+    _check_finite(x, T)
     return BatchResult(
         T=T,
         x_last=x,

@@ -81,7 +81,10 @@ def _cmd_run(args) -> int:
     config = _load_config(args.config, args.seed)
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("HTCLIP_THREADS", "1"))
+        raw = os.environ.get("HTCLIP_THREADS", "1")
+        if not raw.strip().isdigit() or int(raw) < 1:
+            raise ValueError(f"HTCLIP_THREADS must be a positive integer, got {raw!r}")
+        threads = int(raw)
     result = run_experiment(config, threads=threads)
     out_dir = args.out or config.output.get("dir") or "htclip-out"
     paths = persist(result, out_dir)
@@ -401,7 +404,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (
+        ValueError, FileNotFoundError, json.JSONDecodeError, FloatingPointError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -182,7 +182,11 @@ def hard_params(
 
 @dataclass(frozen=True)
 class HardInstance:
-    """Concrete instance: per-coordinate arrays plus optimum metadata."""
+    """Concrete instance: per-coordinate arrays plus optimum metadata.
+
+    wp and wm, the cvx family's mean-gradient weights, are derived from
+    the fields on construction, as are the sampling thresholds.
+    """
 
     kind: str
     d: int
@@ -199,6 +203,22 @@ class HardInstance:
     sigma_s: float
     sigma_l: float
 
+    def __post_init__(self):
+        # outcome masses of D_v (xi_i = 0, +1, -1) and the cvx
+        # mean-gradient weights M q (1 +/- v theta) / 2, computed once
+        vt = self.v * self.theta
+        wq = self.M * self.q
+        p0 = 1.0 - self.q
+        pp = (1.0 + vt) * self.q / 2.0
+        pm = (1.0 - vt) * self.q / 2.0
+        for name, value in (
+            ("_masses", (p0, pp, pm)),
+            ("_thresholds", (p0, p0 + pp)),
+            ("wp", wq * (1.0 + vt) / 2.0),
+            ("wm", wq * (1.0 - vt) / 2.0),
+        ):
+            object.__setattr__(self, name, value)
+
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(self.p, self.sigma_s, self.sigma_l)
 
@@ -208,9 +228,8 @@ class HardInstance:
         Threshold order maps [0, 1-q) to 0, then the +1 mass, then -1.
         """
         u = rng.random((n, self.d))
-        p0 = 1.0 - self.q
-        pp = (1.0 + self.v * self.theta) * self.q / 2.0
-        return np.where(u < p0, 0.0, np.where(u < p0 + pp, 1.0, -1.0))
+        lo, hi = self._thresholds
+        return np.where(u < lo, 0.0, np.where(u < hi, 1.0, -1.0))
 
     def grad_rows(self, X: np.ndarray, Xi: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -220,24 +239,20 @@ class HardInstance:
 
     def mean_grad(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        wq = self.M * self.q
         if self.kind == "cvx":
-            wp = wq * (1.0 + self.v * self.theta) / 2.0
-            wm = wq * (1.0 - self.v * self.theta) / 2.0
-            return wp * np.sign(x - self.y) + wm * np.sign(x + self.y)
-        return -self.mu * wq * self.theta * self.v
+            return self.wp * np.sign(x - self.y) + self.wm * np.sign(x + self.y)
+        return -self.mu * (self.M * self.q) * self.theta * self.v
 
     def support(self):
         """Full product support (states, probs); active coordinates only
         contribute three outcomes, inactive ones are pinned at 0."""
         vals, probs = [], []
+        p0, pp, pm = self._masses
         size = 1
         for i in range(self.d):
             if self.q[i] > 0.0:
-                pp = (1.0 + self.v[i] * self.theta[i]) * self.q[i] / 2.0
-                pm = (1.0 - self.v[i] * self.theta[i]) * self.q[i] / 2.0
                 vals.append((0.0, 1.0, -1.0))
-                probs.append((1.0 - self.q[i], pp, pm))
+                probs.append((p0[i], pp[i], pm[i]))
                 size *= 3
             else:
                 vals.append((0.0,))

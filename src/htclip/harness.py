@@ -6,9 +6,14 @@ suboptimality statistics per T, and fits ln error against ln T.
 
 Determinism contract: results are a pure function of the resolved config
 plus master seed.  Trial j at grid index ti consumes exactly the rng
-seeded with derive_seed(master, j, ti); trials are executed in blocks of
-BLOCK_TRIALS consecutive indices, and block results are assembled by
-index, so the thread count never changes any output byte.
+seeded with derive_seed(master, j, ti), and under v_mode "cycle" runs
+codeword (j // BLOCK_TRIALS) % size.  Trials are executed in blocks of
+consecutive indices whose width is set by bytes, not by count: as many
+multiples of BLOCK_TRIALS rows as keep the kernel's noise prefetch
+buffer within NOISE_BUDGET, but only BLOCK_TRIALS rows while codewords
+rotate, so no block mixes codewords.  The kernel is row-wise and block
+results are assembled by index, so neither the block partition nor the
+thread count changes any output byte.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from ._version import __version__ as _pkg_version
 from ._util import as_vector, row_norms
-from .algorithms import run_trials
+from .algorithms import NOISE_CHUNK, run_trials
 from .hardness import (
     HARD_REGIMES,
     gv_codebook,
@@ -66,9 +71,12 @@ __all__ = [
     "persist",
 ]
 
-# trials are partitioned into fixed blocks of this many consecutive
-# indices; the partition is the unit of threading
+# codeword period of v_mode "cycle" and the narrowest block of trials
 BLOCK_TRIALS = 64
+
+# bytes of prefetched noise, (rows, NOISE_CHUNK, d) float64, that sizes a
+# block: the kernel's per-step Python cost is shared by all its rows
+NOISE_BUDGET = 8 << 20
 
 _MASK64 = (1 << 64) - 1
 
@@ -754,6 +762,12 @@ class ExperimentResult:
     assertions_passed: Optional[bool]
 
 
+def _block_width(d: int) -> int:
+    """Rows per block: the most multiples of BLOCK_TRIALS within NOISE_BUDGET."""
+    rows_bytes = BLOCK_TRIALS * NOISE_CHUNK * d * 8
+    return BLOCK_TRIALS * max(1, NOISE_BUDGET // rows_bytes)
+
+
 def _run_block(setting: _Setting, master: int, tag: int, indices, mode: str) -> tuple:
     rngs = [
         np.random.default_rng(derive_seed(master, j, tag)) for j in indices
@@ -821,17 +835,21 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         config.hardness is not None and config.hardness["v_mode"] == "cycle"
     )
 
+    words = codebook.size if cycle else 1
+    # a block must not mix codewords, so rotating ones pin its width
+    width = BLOCK_TRIALS if words > 1 else _block_width(config.problem["d"])
     blocks = [
-        (b0, list(range(b0, min(b0 + BLOCK_TRIALS, trials))))
-        for b0 in range(0, trials, BLOCK_TRIALS)
+        (b0, range(b0, min(b0 + width, trials)))
+        for b0 in range(0, trials, width)
     ]
 
-    # settings per (grid index, codeword); codewords rotate per block
+    # settings per (grid index, codeword); codewords rotate every
+    # BLOCK_TRIALS trial indices
     settings = {}
     tasks = []
     for ti, T in enumerate(Ts):
-        for bi, (b0, idx) in enumerate(blocks):
-            wi = (bi % codebook.size) if (codebook is not None and cycle) else 0
+        for b0, idx in blocks:
+            wi = (b0 // BLOCK_TRIALS) % words
             if (ti, wi) not in settings:
                 settings[(ti, wi)] = _materialize(config, T, codebook, wi)
             tasks.append((ti, b0, wi, idx))

@@ -213,7 +213,8 @@ class HardCvx:
     f_v(x) = sum_i M_i q_i [ (1+v_i theta_i)/2 |x_i - y_i|
                            + (1-v_i theta_i)/2 |x_i + y_i| ].
 
-    The instance payload carries (M, q, theta, v, y); see hardness.
+    The instance payload carries y and the weights wp, wm of the two
+    terms; see hardness.
     """
 
     inst: object
@@ -224,10 +225,8 @@ class HardCvx:
 
     def value(self, x: np.ndarray) -> np.ndarray:
         t = self.inst
-        wp = t.M * t.q * (1.0 + t.v * t.theta) / 2.0
-        wm = t.M * t.q * (1.0 - t.v * t.theta) / 2.0
         x = np.asarray(x, dtype=float)
-        return np.add.reduce(wp * np.abs(x - t.y) + wm * np.abs(x + t.y), axis=-1)
+        return np.add.reduce(t.wp * np.abs(x - t.y) + t.wm * np.abs(x + t.y), axis=-1)
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         return self.inst.mean_grad(x)

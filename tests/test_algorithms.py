@@ -375,6 +375,32 @@ class TestBatching:
                 [np.random.default_rng(0)],
             )
 
+    @pytest.mark.parametrize("T", [700, 1100])
+    @pytest.mark.parametrize("tau", [math.inf, 1.0])
+    def test_blow_up_inside_a_chunk_raises(self, T, tau):
+        # the state drawn for step 500 is infinite; finiteness is checked at
+        # chunk boundaries and at the end, so the blow-up must survive to
+        # one of them (the end of the run for T=700, step 1024 for T=1100)
+        obj, oracle = self._noisy_setup(d=2)
+
+        class Overflowing:
+            objective = obj
+
+            def draw(self, rng, n):
+                states = oracle.draw(rng, n)
+                states[499] = np.inf
+                return states
+
+            def grad_rows(self, X, states):
+                return oracle.grad_rows(X, states)
+
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite iterate"):
+                run_trials(
+                    obj, Overflowing(), _const(0.01, tau), T, np.ones(2),
+                    [np.random.default_rng(s) for s in (1, 2, 3)],
+                )
+
     def test_start_point_outside_domain(self):
         obj = CompositeObjective(
             f=AbsSum(np.ones(2), np.zeros(2)),

@@ -94,6 +94,36 @@ class TestRun:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["x", "0"])
+    def test_threads_env_invalid_names_variable(self, tmp_path, monkeypatch, capsys, value):
+        cfg = _write_config(tmp_path, _noiseless_config())
+        monkeypatch.setenv("HTCLIP_THREADS", value)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: HTCLIP_THREADS must be a positive integer")
+
+    def test_non_finite_iterate_exits_two(self, tmp_path, monkeypatch, capsys):
+        from htclip.noise import GradOracle
+
+        gaussian_draw = GradOracle.draw
+
+        def overflowing_draw(self, rng, n):
+            states = gaussian_draw(self, rng, n)
+            states[10] = np.inf
+            return states
+
+        monkeypatch.setattr(GradOracle, "draw", overflowing_draw)
+        data = _noiseless_config(T_grid=(16,), trials=2)
+        data["noise"] = {"kind": "additive-gaussian", "scales": 0.25}
+        cfg = _write_config(tmp_path, data)
+        with np.errstate(invalid="ignore"):
+            rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite iterate")
+        assert "Traceback" not in err
+
 
 class TestScheduleCommand:
     def _gauss_config(self, tmp_path):

@@ -13,6 +13,7 @@ from htclip import (
     run_experiment,
     summarize,
 )
+from htclip import harness
 from htclip.harness import BLOCK_TRIALS, derive_seed
 
 import oracles
@@ -36,6 +37,19 @@ def _noiseless_raw(T_grid, trials=1, seed=7):
     raw = _gauss_raw(T_grid, trials, seed)
     raw["noise"] = {"kind": "deterministic"}
     return raw
+
+
+def _hard_raw(trials, v_mode="cycle"):
+    return {
+        "problem": {"kind": "hard", "d": 2, "G": 1.0, "D": 1.0},
+        "noise": {"kind": "hard-instance", "p": 1.5, "sigma_s": 0.7072, "sigma_l": 1.0},
+        "schedule": {"regime": "cvx-ex-T"},
+        "hardness": {
+            "regime": "cvx-fano", "d_star": 2, "codebook": "twopoint",
+            "v_mode": v_mode,
+        },
+        "run": {"T_grid": [8], "trials": trials, "master_seed": 5},
+    }
 
 
 class TestDeriveSeed:
@@ -306,24 +320,33 @@ class TestRunExperiment:
         assert res.assertions_passed is False
 
     def test_hard_cycle_codeword_rotation(self):
-        raw = {
-            "problem": {"kind": "hard", "d": 2, "G": 1.0, "D": 1.0},
-            "noise": {"kind": "hard-instance", "p": 1.5, "sigma_s": 0.7072, "sigma_l": 1.0},
-            "schedule": {"regime": "cvx-ex-T"},
-            "hardness": {
-                "regime": "cvx-fano", "d_star": 2, "codebook": "twopoint",
-                "v_mode": "cycle",
-            },
-            "run": {
-                "T_grid": [8], "trials": 2 * BLOCK_TRIALS,
-                "master_seed": 5,
-            },
-        }
+        raw = _hard_raw(trials=2 * BLOCK_TRIALS)
         res = run_experiment(parse_config(raw))
         row = res.per_T[0]
         assert row.codeword_means is not None
         assert sorted(row.codeword_means) == [0, 1]
         assert res.manifest["codebook"]["size"] == 2
+
+    @pytest.mark.parametrize("kind", ["gaussian", "hard-cycle", "hard-first"])
+    def test_block_width_is_outside_the_outputs(self, tmp_path, monkeypatch, kind):
+        if kind == "gaussian":
+            raw = _gauss_raw(T_grid=(16, 32, 64), trials=2 * BLOCK_TRIALS + 2)
+        else:
+            raw = _hard_raw(trials=2 * BLOCK_TRIALS + 9, v_mode=kind.split("-")[1])
+            raw["run"]["T_grid"] = [8, 16, 32]
+        cfg = parse_config(raw)
+        outputs = []
+        for budget in (0, harness.NOISE_BUDGET):
+            # a zero budget forces the narrowest blocks, BLOCK_TRIALS rows
+            monkeypatch.setattr(harness, "NOISE_BUDGET", budget)
+            for threads in (1, 3):
+                out = tmp_path / f"{budget}-{threads}"
+                persist(run_experiment(cfg, threads=threads), str(out))
+                outputs.append(
+                    [(out / name).read_bytes()
+                     for name in ("series.csv", "fit.csv", "manifest.json")]
+                )
+        assert all(o == outputs[0] for o in outputs[1:])
 
     def test_manifest_schedule_constants(self):
         raw = _gauss_raw(T_grid=(16, 32), trials=4)
