@@ -12,171 +12,19 @@ Library layout:
 - cli: the htclip command line front end
 """
 
+from . import algorithms, clipping, hardness, harness, noise, problems, schedules
 from ._version import __version__
-from .problems import (
-    AbsSum,
-    AllSpace,
-    Ball,
-    CompositeObjective,
-    EuclidNorm,
-    HardCvx,
-    HardStr,
-    Linear,
-    Optimum,
-    QuadReg,
-    eval_F,
-    eval_F_batch,
-    eval_f,
-    prox_step,
-    reduce_strongly_convex,
-    stabilized_prox_step,
-)
-from .noise import (
-    GradOracle,
-    NoiseSpec,
-    StableParams,
-    d_eff_lower_bound,
-    directional_bound_independent,
-    estimate_moments,
-    make_oracle,
-    sample_alpha_stable,
-    stable_abs_moment,
-    stable_eps_star,
-)
-from .clipping import (
-    BOUND_NAMES,
-    ClipErrorReport,
-    clip,
-    clip_batch,
-    clip_bounds,
-    clip_error_exact,
-    clip_error_mc,
-    operator_norm,
-)
-from .schedules import (
-    REGIMES,
-    Schedule,
-    ScheduleParams,
-    d_eff_of,
-    ex_params,
-    gamma_t,
-    gamma_t_product,
-    hp_params,
-    make_schedule,
-    weighted_avg_weight,
-)
-from .algorithms import (
-    Checkpoint,
-    Trajectory,
-    average,
-    checkpoint_times,
-    run_clipped_sgd,
-    run_stabilized_clipped_sgd,
-    run_trials,
-    suboptimality_series,
-)
-from .hardness import (
-    HARD_REGIMES,
-    Codebook,
-    HardInstance,
-    HardParams,
-    gv_codebook,
-    hard_params,
-    make_hard_instance,
-    pad_codewords,
-    sample_dv,
-    two_point_codebook,
-)
-from .harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    FitResult,
-    derive_seed,
-    fit_rate,
-    parse_config,
-    persist,
-    run_experiment,
-    summarize,
-)
+from .algorithms import *  # noqa: F401,F403
+from .clipping import *  # noqa: F401,F403
+from .hardness import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .noise import *  # noqa: F401,F403
+from .problems import *  # noqa: F401,F403
+from .schedules import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    # problems
-    "AbsSum",
-    "AllSpace",
-    "Ball",
-    "CompositeObjective",
-    "EuclidNorm",
-    "HardCvx",
-    "HardStr",
-    "Linear",
-    "Optimum",
-    "QuadReg",
-    "eval_F",
-    "eval_F_batch",
-    "eval_f",
-    "prox_step",
-    "reduce_strongly_convex",
-    "stabilized_prox_step",
-    # noise
-    "GradOracle",
-    "NoiseSpec",
-    "StableParams",
-    "d_eff_lower_bound",
-    "directional_bound_independent",
-    "estimate_moments",
-    "make_oracle",
-    "sample_alpha_stable",
-    "stable_abs_moment",
-    "stable_eps_star",
-    # clipping
-    "BOUND_NAMES",
-    "ClipErrorReport",
-    "clip",
-    "clip_batch",
-    "clip_bounds",
-    "clip_error_exact",
-    "clip_error_mc",
-    "operator_norm",
-    # schedules
-    "REGIMES",
-    "Schedule",
-    "ScheduleParams",
-    "d_eff_of",
-    "ex_params",
-    "gamma_t",
-    "gamma_t_product",
-    "hp_params",
-    "make_schedule",
-    "weighted_avg_weight",
-    # algorithms
-    "Checkpoint",
-    "Trajectory",
-    "average",
-    "checkpoint_times",
-    "run_clipped_sgd",
-    "run_stabilized_clipped_sgd",
-    "run_trials",
-    "suboptimality_series",
-    # hardness
-    "HARD_REGIMES",
-    "Codebook",
-    "HardInstance",
-    "HardParams",
-    "gv_codebook",
-    "hard_params",
-    "make_hard_instance",
-    "pad_codewords",
-    "sample_dv",
-    "two_point_codebook",
-    # harness
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FitResult",
-    "derive_seed",
-    "fit_rate",
-    "parse_config",
-    "persist",
-    "run_experiment",
-    "summarize",
+# each public name is listed once, in its module's __all__
+__all__ = ["__version__"] + [
+    name
+    for module in (problems, noise, clipping, schedules, algorithms, hardness, harness)
+    for name in module.__all__
 ]

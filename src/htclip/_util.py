@@ -16,6 +16,29 @@ def row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(a * a, axis=-1))
 
 
+def clip_rows(a: np.ndarray, bound: float) -> tuple:
+    """Scale the rows of a to Euclidean norm at most bound.
+
+    Returns (rows, over), where over marks the rows that were scaled;
+    rows is a itself when none was.  The clipped oracle, clip_batch and
+    ball projection all go through here.  A finite row whose squared
+    norm overflows takes its norm from the row divided by its largest
+    entry, so it lands on norm bound instead of being scaled to zero.
+    """
+    a = np.asarray(a, dtype=float)
+    nrm = row_norms(a)
+    over = nrm > bound
+    if not np.any(over):
+        return a, over
+    if np.any(np.isinf(nrm)):
+        big = np.max(np.abs(a), axis=-1)
+        fix = np.isinf(nrm) & np.isfinite(big)
+        unit = a / np.where(fix, big, 1.0)[..., None]
+        nrm = np.where(fix, big * row_norms(unit), nrm)
+    scale = np.where(over, bound / np.where(over, nrm, 1.0), 1.0)
+    return a * scale[..., None], over
+
+
 def as_vector(x, d: int | None = None) -> np.ndarray:
     """Coerce to a float64 1-D array; optionally check its length."""
     v = np.asarray(x, dtype=float)

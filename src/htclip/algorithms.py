@@ -13,10 +13,14 @@ stabilized variant requires mu = 0 and a nonincreasing step schedule.
 The single-run and multi-trial entry points share one batched kernel in
 which every per-iterate operation is elementwise along rows, so a
 trial's trajectory is bit-identical no matter how many trials share the
-batch.  Oracle noise is prefetched in fixed chunks of NOISE_CHUNK states
-per trial, which pins each trial's consumption of its own rng stream;
-the chunks are written row by row into one (trials, min(T, NOISE_CHUNK),
-d) buffer allocated once per run.  Iterates are checked for finiteness
+batch.  Both return a BatchResult, whose fields are per-trial rows from
+run_trials and vectors from a single run.  The clip is _util.clip_rows,
+the routine clip_batch and ball projection also call; the mask it
+returns counts the clip events.  Oracle noise is prefetched in fixed
+chunks of NOISE_CHUNK states per trial, which pins each trial's
+consumption of its own rng stream; the chunks are written row by row
+into one (trials, min(T, NOISE_CHUNK), d) buffer allocated once per
+run.  Iterates are checked for finiteness
 at every chunk boundary and at the end of the run, not at every step: a
 coordinate that turns non-finite stays non-finite under the prox maps
 (they are linear in x, and projection onto a ball maps it to nan), so a
@@ -26,12 +30,12 @@ blow-up anywhere inside a chunk is still reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from ._util import row_norms
+from ._util import clip_rows, row_norms
 from .noise import GradOracle
 from .problems import (
     CompositeObjective,
@@ -45,7 +49,6 @@ from .schedules import Schedule, weighted_avg_weight
 __all__ = [
     "NOISE_CHUNK",
     "Checkpoint",
-    "Trajectory",
     "BatchResult",
     "checkpoint_times",
     "run_clipped_sgd",
@@ -63,7 +66,7 @@ NOISE_CHUNK = 1024
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Snapshot after t steps: per-trial rows in a batch, vectors in a Trajectory."""
+    """Snapshot after t steps: per-trial rows in a batch, vectors in a single run."""
 
     t: int
     x_last: np.ndarray
@@ -73,25 +76,18 @@ class Checkpoint:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Result of a single run; checkpoints always include t = T."""
-
-    T: int
-    record_stride: object
-    x_last: np.ndarray
-    avg_plain: np.ndarray
-    avg_weighted: np.ndarray
-    clip_events: int
-    checkpoints: list
-
-
-@dataclass(frozen=True)
 class BatchResult:
+    """Result of a run after T steps; checkpoints always include t = T.
+
+    Fields are per-trial rows from run_trials and vectors (clip_events
+    an int) from a single run.
+    """
+
     T: int
     x_last: np.ndarray
     avg_plain: np.ndarray
     avg_weighted: np.ndarray
-    clip_events: np.ndarray
+    clip_events: object
     checkpoints: list = field(default_factory=list)
 
 
@@ -176,14 +172,8 @@ def _run_kernel(
         xi = buf[:, pos, :]
         pos += 1
 
-        g = oracle.grad_rows(x, xi)
-        tau_t = schedule.tau(t)
-        nrm = row_norms(g)
-        over = nrm > tau_t
-        if np.any(over):
-            clip_events += over
-            scale = np.where(over, tau_t / np.where(over, nrm, 1.0), 1.0)
-            g = g * scale[:, None]
+        g, over = clip_rows(oracle.grad_rows(x, xi), schedule.tau(t))
+        clip_events += over
 
         eta_t = schedule.eta(t)
         if stabilized:
@@ -253,32 +243,27 @@ def run_trials(
     )
 
 
+def _first_row(rec):
+    """A BatchResult or Checkpoint with its rows replaced by row 0."""
+    return replace(
+        rec,
+        x_last=rec.x_last[0],
+        avg_plain=rec.avg_plain[0],
+        avg_weighted=rec.avg_weighted[0],
+        clip_events=int(rec.clip_events[0]),
+    )
+
+
 def _single(
     objective, oracle, schedule, T, x_1, rng, stabilized, record_stride
-) -> Trajectory:
+) -> BatchResult:
     stride = record_stride if record_stride is not None else "geometric:2"
     batch = run_trials(
         objective, oracle, schedule, T, x_1, [rng],
         stabilized=stabilized, record_stride=stride,
     )
-    checkpoints = [
-        Checkpoint(
-            t=cp.t,
-            x_last=cp.x_last[0],
-            avg_plain=cp.avg_plain[0],
-            avg_weighted=cp.avg_weighted[0],
-            clip_events=int(cp.clip_events[0]),
-        )
-        for cp in batch.checkpoints
-    ]
-    return Trajectory(
-        T=T,
-        record_stride=stride,
-        x_last=batch.x_last[0],
-        avg_plain=batch.avg_plain[0],
-        avg_weighted=batch.avg_weighted[0],
-        clip_events=int(batch.clip_events[0]),
-        checkpoints=checkpoints,
+    return replace(
+        _first_row(batch), checkpoints=[_first_row(cp) for cp in batch.checkpoints]
     )
 
 
@@ -290,7 +275,7 @@ def run_clipped_sgd(
     x_1,
     rng: np.random.Generator,
     record_stride=None,
-) -> Trajectory:
+) -> BatchResult:
     """Single clipped run; thin wrapper over the batched kernel."""
     return _single(objective, oracle, schedule, T, x_1, rng, False, record_stride)
 
@@ -303,12 +288,12 @@ def run_stabilized_clipped_sgd(
     x_1,
     rng: np.random.Generator,
     record_stride=None,
-) -> Trajectory:
+) -> BatchResult:
     """Single stabilized run (mu = 0, nonincreasing eta enforced per step)."""
     return _single(objective, oracle, schedule, T, x_1, rng, True, record_stride)
 
 
-def average(traj: Trajectory, mode: str) -> np.ndarray:
+def average(traj: BatchResult, mode: str) -> np.ndarray:
     """Final aggregate iterate: mode in {plain, weighted, last}."""
     if mode == "plain":
         return traj.avg_plain
@@ -334,7 +319,7 @@ class SeriesPoint:
     clip_events: int
 
 
-def suboptimality_series(traj: Trajectory, objective: CompositeObjective) -> list:
+def suboptimality_series(traj: BatchResult, objective: CompositeObjective) -> list:
     """Per-checkpoint F(aggregate) - F_star values; needs a known optimum."""
     opt = objective.optimum
     if opt is None:

@@ -24,20 +24,12 @@ import numpy as np
 
 from ._version import __version__
 from .clipping import BOUND_NAMES, clip_error_exact, clip_error_mc
-from .hardness import (
-    HARD_REGIMES,
-    HardParams,
-    gv_codebook,
-    hard_params,
-    make_hard_instance,
-    two_point_codebook,
-)
+from .hardness import HARD_REGIMES, HardParams, hard_params, make_hard_instance
 from .harness import (
-    _TAG_CODEBOOK,
     _codebook_for,
+    _make_codebook,
     _materialize,
     _schedule_entry,
-    derive_seed,
     parse_config,
     persist,
     run_experiment,
@@ -268,12 +260,8 @@ def _cmd_hardness(args) -> int:
         mu=args.mu,
         delta=args.delta,
     )
-    if args.codebook == "twopoint":
-        codebook = two_point_codebook(args.d_star)
-    else:
-        seed = args.seed if args.seed is not None else 0
-        rng = np.random.default_rng(derive_seed(seed, 0, _TAG_CODEBOOK))
-        codebook = gv_codebook(args.d_star, rng)
+    seed = args.seed if args.seed is not None else 0
+    codebook = _make_codebook(args.codebook, args.d_star, seed)
     wi = args.word_index % codebook.size
     v = codebook.words[wi]
     objective, oracle = make_hard_instance(

@@ -28,10 +28,11 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import as_vector, row_norms
+from ._util import as_vector, clip_rows, row_norms
 from .noise import GradOracle, directional_bound_independent
 
 __all__ = [
+    "BOUND_NAMES",
     "clip",
     "clip_batch",
     "clip_bounds",
@@ -63,14 +64,7 @@ def _check_tau(tau: float) -> float:
 
 def clip_batch(G: np.ndarray, tau: float) -> np.ndarray:
     """Clip rows of G to Euclidean norm at most tau (tau = inf passes through)."""
-    tau = _check_tau(tau)
-    G = np.asarray(G, dtype=float)
-    nrm = row_norms(G)
-    over = nrm > tau
-    if not np.any(over):
-        return G
-    scale = np.where(over, tau / np.where(over, nrm, 1.0), 1.0)
-    return G * scale[..., None]
+    return clip_rows(G, _check_tau(tau))[0]
 
 
 def clip(g: np.ndarray, tau: float) -> np.ndarray:

@@ -11,9 +11,11 @@ codeword (j // BLOCK_TRIALS) % size.  Trials are executed in blocks of
 consecutive indices whose width is set by bytes, not by count: as many
 multiples of BLOCK_TRIALS rows as keep the kernel's noise prefetch
 buffer within NOISE_BUDGET, but only BLOCK_TRIALS rows while codewords
-rotate, so no block mixes codewords.  The kernel is row-wise and block
-results are assembled by index, so neither the block partition nor the
-thread count changes any output byte.
+rotate, so no block mixes codewords.  Every block of every horizon goes
+through one ThreadPoolExecutor(max_workers=threads).map, at any thread
+count, and the results are sliced back per horizon in submission order.
+The kernel is row-wise, so neither the block partition nor the thread
+count changes any output byte.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from ._version import __version__ as _pkg_version
 from ._util import as_vector, row_norms
-from .algorithms import NOISE_CHUNK, run_trials
+from .algorithms import NOISE_CHUNK, average, run_trials
 from .hardness import (
     HARD_REGIMES,
     gv_codebook,
@@ -135,6 +137,20 @@ def _as_int(val, path: str) -> int:
     return int(val)
 
 
+def _as_float(val, path: str) -> float:
+    """A real config value; null, strings, booleans and NaN are rejected."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Real) or math.isnan(val):
+        raise ValueError(f"{path} must be a number, got {val!r}")
+    return float(val)
+
+
+def _as_floats(val, path: str) -> list:
+    """A list of real config values, each checked by _as_float."""
+    if not isinstance(val, list):
+        raise ValueError(f"{path} must be a list of numbers, got {val!r}")
+    return [_as_float(v, f"{path}[{i}]") for i, v in enumerate(val)]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parsed and validated experiment configuration.
@@ -176,7 +192,7 @@ def _parse_T_grid(val, path: str) -> list:
         _require_keys(val, path, {"min", "max", "ratio"}, {"min", "max"})
         lo = _as_int(val["min"], f"{path}.min")
         hi = _as_int(val["max"], f"{path}.max")
-        ratio = float(val.get("ratio", 2.0))
+        ratio = _as_float(val.get("ratio", 2.0), f"{path}.ratio")
         if lo < 1 or hi < lo:
             raise ValueError(f"{path}: need 1 <= min <= max")
         if not (ratio > 1.0):
@@ -216,7 +232,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     if d < 1:
         raise ValueError("problem.d must be a positive integer")
     prob["d"] = d
-    prob["mu"] = float(prob.get("mu", 0.0))
+    prob["mu"] = _as_float(prob.get("mu", 0.0), "problem.mu")
     if prob["mu"] < 0:
         raise ValueError("problem.mu must be nonnegative")
     if kind != "linear" and "c" in prob:
@@ -230,8 +246,8 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ValueError("missing required config key problem.domain.radius")
         domain = {
             "kind": "ball",
-            "center": [float(v) for v in domain.get("center", [0.0] * d)],
-            "radius": float(domain["radius"]),
+            "center": _as_floats(domain.get("center", [0.0] * d), "problem.domain.center"),
+            "radius": _as_float(domain["radius"], "problem.domain.radius"),
         }
     prob["domain"] = domain
     x1_mode = prob.get("x1_mode", {"kind": "origin"})
@@ -243,7 +259,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     if x1_mode["kind"] == "offset":
         if "vector" not in x1_mode:
             raise ValueError("missing required config key problem.x1_mode.vector")
-        vec = [float(v) for v in x1_mode["vector"]]
+        vec = _as_floats(x1_mode["vector"], "problem.x1_mode.vector")
         if len(vec) != d:
             raise ValueError("problem.x1_mode.vector must have length problem.d")
         x1_mode = {"kind": "offset", "vector": vec}
@@ -269,9 +285,9 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ValueError("missing required config key noise.stable")
         _require_keys(stable, "noise.stable", {"alpha", "beta", "gamma"}, {"alpha"})
         noi["stable"] = {
-            "alpha": float(stable["alpha"]),
-            "beta": float(stable.get("beta", 0.0)),
-            "gamma": float(stable.get("gamma", 1.0)),
+            "alpha": _as_float(stable["alpha"], "noise.stable.alpha"),
+            "beta": _as_float(stable.get("beta", 0.0), "noise.stable.beta"),
+            "gamma": _as_float(stable.get("gamma", 1.0), "noise.stable.gamma"),
         }
     elif "stable" in noi:
         raise ValueError("noise.stable is only valid for kind additive-stable")
@@ -279,28 +295,28 @@ def parse_config(data: dict) -> ExperimentConfig:
         if "scales" not in noi:
             raise ValueError("missing required config key noise.scales")
         scales = noi["scales"]
-        if isinstance(scales, (int, float)):
-            noi["scales"] = float(scales)
-        elif not isinstance(scales, list):
-            raise ValueError("noise.scales must be a number or a list of length problem.d")
-        else:
-            noi["scales"] = [float(v) for v in scales]
+        if isinstance(scales, list):
+            noi["scales"] = _as_floats(scales, "noise.scales")
             if len(noi["scales"]) != d:
                 raise ValueError("noise.scales must be a scalar or have length problem.d")
+        else:
+            noi["scales"] = _as_float(scales, "noise.scales")
+        if np.any(np.asarray(noi["scales"]) < 0):
+            raise ValueError("noise.scales must be nonnegative")
     elif "scales" in noi:
         raise ValueError("noise.scales is only valid for the additive noise kinds")
     if nkind in ("deterministic", "additive-gaussian"):
         noi.setdefault("p", 2.0)
     if "p" not in noi:
         raise ValueError("missing required config key noise.p")
-    noi["p"] = float(noi["p"])
+    noi["p"] = _as_float(noi["p"], "noise.p")
     if not (1.0 < noi["p"] <= 2.0):
         raise ValueError("noise.p must lie in (1, 2]")
     if ("sigma_s" in noi) != ("sigma_l" in noi):
         raise ValueError("noise.sigma_s and noise.sigma_l must be given together")
     if "sigma_s" in noi:
-        noi["sigma_s"] = float(noi["sigma_s"])
-        noi["sigma_l"] = float(noi["sigma_l"])
+        noi["sigma_s"] = _as_float(noi["sigma_s"], "noise.sigma_s")
+        noi["sigma_l"] = _as_float(noi["sigma_l"], "noise.sigma_l")
         if not (0.0 <= noi["sigma_s"] <= noi["sigma_l"]):
             raise ValueError(
                 "noise: need sigma_s <= sigma_l, the directional moment bound "
@@ -326,11 +342,11 @@ def parse_config(data: dict) -> ExperimentConfig:
             "schedule.regime and problem.mu disagree (regime/mu mismatch): "
             "str-* regimes require mu > 0, cvx regimes mu = 0"
         )
-    sch["alpha_clip"] = float(sch.get("alpha_clip", 0.5))
+    sch["alpha_clip"] = _as_float(sch.get("alpha_clip", 0.5), "schedule.alpha_clip")
     if not (0.0 < sch["alpha_clip"] < 1.0):
         raise ValueError("schedule.alpha_clip must lie in (0, 1)")
     if "delta" in sch:
-        sch["delta"] = float(sch["delta"])
+        sch["delta"] = _as_float(sch["delta"], "schedule.delta")
         if not (0.0 < sch["delta"] < 1.0):
             raise ValueError("schedule.delta must lie in (0, 1)")
     elif "-hp" in regime:
@@ -387,15 +403,15 @@ def parse_config(data: dict) -> ExperimentConfig:
     if kind in ("hard", "abs-sum", "euclid-norm") and "G" not in prob:
         raise ValueError("missing required config key problem.G")
     if "G" in prob:
-        prob["G"] = float(prob["G"])
+        prob["G"] = _as_float(prob["G"], "problem.G")
         if not (prob["G"] > 0):
             raise ValueError("problem.G must be positive")
     if "D" in prob:
-        prob["D"] = float(prob["D"])
+        prob["D"] = _as_float(prob["D"], "problem.D")
         if not (prob["D"] > 0):
             raise ValueError("problem.D must be positive")
     if "c" in prob:
-        prob["c"] = [float(v) for v in prob["c"]]
+        prob["c"] = _as_floats(prob["c"], "problem.c")
         if len(prob["c"]) != d:
             raise ValueError("problem.c must have length problem.d")
 
@@ -426,9 +442,7 @@ def parse_config(data: dict) -> ExperimentConfig:
             "eval.averaging must be one of designated, plain, weighted, last"
         )
     if "quantile_levels" in ev:
-        if not isinstance(ev["quantile_levels"], list):
-            raise ValueError("eval.quantile_levels must be a list of levels")
-        levels = [float(v) for v in ev["quantile_levels"]]
+        levels = _as_floats(ev["quantile_levels"], "eval.quantile_levels")
     elif "delta" in sch:
         levels = [1.0 - sch["delta"]]
     else:
@@ -439,10 +453,10 @@ def parse_config(data: dict) -> ExperimentConfig:
     ev["quantile_levels"] = levels
     ev["fit_drop_smallest"] = bool(ev.get("fit_drop_smallest", True))
     if "assert_slope_range" in ev:
-        lo, hi = (float(v) for v in ev["assert_slope_range"])
-        if not (lo <= hi):
+        bounds = _as_floats(ev["assert_slope_range"], "eval.assert_slope_range")
+        if len(bounds) != 2 or not (bounds[0] <= bounds[1]):
             raise ValueError("eval.assert_slope_range must be [lo, hi] with lo <= hi")
-        ev["assert_slope_range"] = [lo, hi]
+        ev["assert_slope_range"] = bounds
 
     out = dict(data.get("output", {}))
     _require_keys(out, "output", {"dir"}, set())
@@ -564,16 +578,19 @@ def _build_oracle(config: ExperimentConfig, objective: CompositeObjective):
     )
 
 
+def _make_codebook(kind: str, d_star: int, master: int):
+    """The twopoint codebook, or the gv codebook drawn from master's codebook stream."""
+    if kind == "twopoint":
+        return two_point_codebook(d_star)
+    rng = np.random.default_rng(derive_seed(master, 0, _TAG_CODEBOOK))
+    return gv_codebook(d_star, rng)
+
+
 def _codebook_for(config: ExperimentConfig):
     h = config.hardness
     if h is None:
         return None
-    if h["codebook"] == "twopoint":
-        return two_point_codebook(h["d_star"])
-    rng = np.random.default_rng(
-        derive_seed(config.run["master_seed"], 0, _TAG_CODEBOOK)
-    )
-    return gv_codebook(h["d_star"], rng)
+    return _make_codebook(h["codebook"], h["d_star"], config.run["master_seed"])
 
 
 def _materialize(config: ExperimentConfig, T: int, codebook, word_index: int) -> _Setting:
@@ -783,13 +800,7 @@ def _run_block(setting: _Setting, master: int, tag: int, indices, mode: str) -> 
     )
     obj = setting.objective
     opt = obj.optimum
-    if mode == "weighted":
-        agg = batch.avg_weighted
-    elif mode == "last":
-        agg = batch.x_last
-    else:
-        agg = batch.avg_plain
-    subopt = np.maximum(eval_F_batch(obj, agg) - opt.F_star, 0.0)
+    subopt = np.maximum(eval_F_batch(obj, average(batch, mode)) - opt.F_star, 0.0)
     diff = batch.x_last - opt.x_star
     mu_dist2 = obj.mu * np.add.reduce(diff * diff, axis=-1)
     clip_rate = batch.clip_events / float(setting.T)
@@ -838,61 +849,37 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     words = codebook.size if cycle else 1
     # a block must not mix codewords, so rotating ones pin its width
     width = BLOCK_TRIALS if words > 1 else _block_width(config.problem["d"])
-    blocks = [
-        (b0, range(b0, min(b0 + width, trials)))
-        for b0 in range(0, trials, width)
+    blocks = [range(b0, min(b0 + width, trials)) for b0 in range(0, trials, width)]
+
+    # settings[ti][wi] runs codeword wi at grid index ti; block b runs
+    # codeword b % words, since codewords rotate every BLOCK_TRIALS trials
+    settings = [
+        [_materialize(config, T, codebook, wi) for wi in range(min(words, len(blocks)))]
+        for T in Ts
     ]
+    first = settings[0][0]
+    mode = config.eval["averaging"]
+    if mode == "designated":
+        mode = first.schedule.averaging
 
-    # settings per (grid index, codeword); codewords rotate every
-    # BLOCK_TRIALS trial indices
-    settings = {}
-    tasks = []
-    for ti, T in enumerate(Ts):
-        for b0, idx in blocks:
-            wi = (b0 // BLOCK_TRIALS) % words
-            if (ti, wi) not in settings:
-                settings[(ti, wi)] = _materialize(config, T, codebook, wi)
-            tasks.append((ti, b0, wi, idx))
+    jobs = [
+        (row[b % words], master, ti, idx, mode)
+        for ti, row in enumerate(settings)
+        for b, idx in enumerate(blocks)
+    ]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        outs = list(pool.map(lambda job: _run_block(*job), jobs))
 
-    def _mode_for(setting: _Setting) -> str:
-        cfg_mode = config.eval["averaging"]
-        return setting.schedule.averaging if cfg_mode == "designated" else cfg_mode
-
-    results = {}
-    if threads == 1:
-        for ti, b0, wi, idx in tasks:
-            st = settings[(ti, wi)]
-            results[(ti, b0)] = (wi, _run_block(st, master, ti, idx, _mode_for(st)))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {}
-            for ti, b0, wi, idx in tasks:
-                st = settings[(ti, wi)]
-                futs[(ti, b0)] = (
-                    wi,
-                    pool.submit(_run_block, st, master, ti, idx, _mode_for(st)),
-                )
-            for key, (wi, fut) in futs.items():
-                results[key] = (wi, fut.result())
-
+    word = np.arange(trials) // BLOCK_TRIALS % words
     per_T = []
     for ti, T in enumerate(Ts):
-        sub_parts, mu_parts, clip_parts = [], [], []
-        word_groups = {}
-        for b0, _ in blocks:
-            wi, (subopt, mu_dist2, clip_rate) = results[(ti, b0)]
-            sub_parts.append(subopt)
-            mu_parts.append(mu_dist2)
-            clip_parts.append(clip_rate)
-            word_groups.setdefault(wi, []).append(subopt)
-        subopt = np.concatenate(sub_parts)
-        mu_dist2 = np.concatenate(mu_parts)
-        clip_rate = np.concatenate(clip_parts)
+        parts = outs[ti * len(blocks) : (ti + 1) * len(blocks)]
+        subopt, mu_dist2, clip_rate = (np.concatenate(col) for col in zip(*parts))
         codeword_means = None
         if cycle:
             codeword_means = {
-                int(wi): float(np.mean(np.concatenate(parts)))
-                for wi, parts in sorted(word_groups.items())
+                wi: float(np.mean(subopt[word == wi]))
+                for wi in range(len(settings[ti]))
             }
         per_T.append(
             PerTStats(
@@ -914,6 +901,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         lo, hi = config.eval["assert_slope_range"]
         assertions_passed = fit is not None and lo <= fit.slope <= hi
 
+    spec = first.oracle.noise
     manifest = {
         "config": config.to_dict(),
         "config_digest": config.digest(),
@@ -923,26 +911,16 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         "T_values": list(Ts),
         "trials": trials,
         "block_trials": BLOCK_TRIALS,
-        "designated_aggregate": settings[(0, 0)].schedule.averaging,
+        "designated_aggregate": first.schedule.averaging,
         "reported_aggregate": config.eval["averaging"],
         "noise_declared": {
-            "p": None,
-            "sigma_s": None,
-            "sigma_l": None,
+            "p": spec.p,
+            "sigma_s": spec.sigma_s,
+            "sigma_l": spec.sigma_l,
+            "d_eff": spec.d_eff,
         },
-        "schedule_constants": [],
+        "schedule_constants": [_schedule_entry(row[0]) for row in settings],
     }
-    for ti, T in enumerate(Ts):
-        st = settings[(ti, 0)]
-        manifest["schedule_constants"].append(_schedule_entry(st))
-        if ti == 0:
-            spec = st.oracle.noise
-            manifest["noise_declared"] = {
-                "p": spec.p,
-                "sigma_s": spec.sigma_s,
-                "sigma_l": spec.sigma_l,
-                "d_eff": spec.d_eff,
-            }
     if codebook is not None:
         manifest["codebook"] = {
             "kind": config.hardness["codebook"],

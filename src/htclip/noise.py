@@ -56,7 +56,9 @@ class NoiseSpec:
         sl = float(self.sigma_l)
         if not (1.0 < p <= 2.0):
             raise ValueError("moment order p must lie in (1, 2]")
-        if not (0.0 <= ss <= sl) or not np.isfinite(sl):
+        if not np.isfinite(sl):
+            raise ValueError(f"noise sigma_l is not finite ({sl})")
+        if not (0.0 <= ss <= sl):
             raise ValueError(
                 "need 0 <= sigma_s <= sigma_l: the directional moment bound "
                 "cannot exceed the full-norm bound"

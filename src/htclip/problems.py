@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._util import as_vector, row_norms
+from ._util import as_vector, clip_rows, row_norms
 
 __all__ = [
     "AllSpace",
@@ -96,14 +96,8 @@ def project(domain: Domain, x: np.ndarray) -> np.ndarray:
     if isinstance(domain, AllSpace):
         return x
     if isinstance(domain, Ball):
-        diff = x - domain.center
-        nrm = row_norms(diff)
-        outside = nrm > domain.radius
-        if not np.any(outside):
-            return x
-        # scale = 1 inside, radius/||diff|| outside; guard 0/0 via the mask
-        scale = np.where(outside, domain.radius / np.where(outside, nrm, 1.0), 1.0)
-        return domain.center + diff * scale[..., None]
+        diff, outside = clip_rows(x - domain.center, domain.radius)
+        return domain.center + diff if np.any(outside) else x
     raise TypeError(f"unknown domain kind: {type(domain).__name__}")
 
 

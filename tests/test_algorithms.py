@@ -401,6 +401,29 @@ class TestBatching:
                     [np.random.default_rng(s) for s in (1, 2, 3)],
                 )
 
+    def test_overflowing_gradient_is_clipped_not_zeroed(self):
+        # every state is 1e200, so ||g||^2 overflows at each of the 3 steps;
+        # clipped to tau = 1, each step still moves x by eta along -g
+        obj, oracle = self._noisy_setup(d=2)
+
+        class Huge:
+            objective = obj
+
+            def draw(self, rng, n):
+                return np.full((n, 2), 1e200)
+
+            def grad_rows(self, X, states):
+                return states
+
+        with np.errstate(over="ignore"):
+            res = run_trials(
+                obj, Huge(), _const(0.1, 1.0), 3, np.zeros(2),
+                [np.random.default_rng(0)],
+            )
+        assert res.clip_events.tolist() == [3]
+        assert np.all(res.x_last != 0.0)
+        assert res.x_last[0] == pytest.approx(-0.3 * math.sqrt(0.5), rel=1e-14)
+
     def test_start_point_outside_domain(self):
         obj = CompositeObjective(
             f=AbsSum(np.ones(2), np.zeros(2)),

@@ -247,6 +247,27 @@ class TestHardness:
         assert payload["codebook"]["size"] == 2
         assert payload["noise"]["sigma_l"] <= 1.0 + 1e-12
 
+    def test_gv_codebook_matches_a_run_with_the_same_seed(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {
+            "problem": {"kind": "hard", "d": 8, "G": 1.0, "D": 1.0},
+            "noise": {"kind": "hard-instance", "p": 1.5, "sigma_s": 0.5, "sigma_l": 1.0},
+            "schedule": {"regime": "cvx-ex-T"},
+            "hardness": {"regime": "cvx-fano", "d_star": 8, "codebook": "gv"},
+            "run": {"T_grid": [8], "trials": 1, "master_seed": 13},
+        })
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        want = json.loads((out / "manifest.json").read_text())["codebook"]
+        capsys.readouterr()
+        rc = main(
+            ["hardness", "--regime", "cvx-fano", "--d", "8", "--d-star", "8",
+             "--T", "8", "--G", "1", "--D", "1", "--sigma-l", "1", "--p", "1.5",
+             "--codebook", "gv", "--seed", "13", "--json"]
+        )
+        assert rc == 0
+        got = json.loads(capsys.readouterr().out)["codebook"]
+        assert (got["size"], got["min_distance"]) == (want["size"], want["min_distance"])
+
     def test_twopoint_without_delta_fails(self, capsys):
         rc = main(
             ["hardness", "--regime", "cvx-twopoint", "--d", "2",
@@ -289,6 +310,12 @@ class TestParsing:
             ("eval", {"quantile_levels": 0.9}, "eval.quantile_levels"),
             ("noise", {"kind": "additive-gaussian", "scales": "12"}, "noise.scales"),
             ("run", {"trials": 2.7}, "run.trials"),
+            ("problem", {"G": None}, "problem.G"),
+            ("problem", {"kind": "linear", "c": [1.0, None]}, "problem.c"),
+            ("noise", {"kind": "additive-gaussian", "scales": [1.0, None]}, "noise.scales"),
+            ("noise", {"kind": "additive-gaussian", "scales": -1.0}, "noise.scales"),
+            ("noise", {"kind": "additive-gaussian", "scales": float("nan")}, "noise.scales"),
+            ("noise", {"kind": "additive-gaussian", "scales": 1e300}, "sigma_l is not finite"),
         ],
     )
     def test_bad_config_value_names_its_key(self, tmp_path, capsys, section, patch, key):

@@ -73,6 +73,13 @@ class TestClip:
         ref = np.array([oracles.clip_ref(g, 1.1) for g in G])
         assert clip_batch(G, 1.1) == pytest.approx(ref, abs=1e-14)
 
+    def test_overflowing_norm_clips_to_tau(self):
+        # ||g||^2 = 2e400 overflows; the row must land on norm 1, not on 0
+        with np.errstate(over="ignore"):
+            got = clip_batch(np.array([[1e200, 1e200]]), 1.0)
+        assert np.linalg.norm(got[0]) == pytest.approx(1.0, rel=1e-15)
+        assert got[0] == pytest.approx(np.full(2, math.sqrt(0.5)), rel=1e-15)
+
 
 class TestClipBounds:
     def test_worked_example(self):
@@ -132,8 +139,8 @@ class TestOperatorNorm:
             want = float(np.max(np.abs(np.linalg.eigvalsh(A))))
             assert operator_norm(A) == pytest.approx(want, rel=1e-9)
 
-    def test_power_iteration_path(self, rng):
-        # d > 64 takes the power-iteration branch
+    def test_spread_spectrum_d100(self, rng):
+        # d = 100, eigenvalues spread over [1, 10]: the top one is 10
         d = 100
         Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
         vals = np.linspace(1.0, 10.0, d)

@@ -107,6 +107,12 @@ class TestProjection:
         x = np.array([0.2, -0.1])
         assert project(Ball(np.zeros(2), 1.0), x) == pytest.approx(x)
 
+    def test_overflowing_norm_lands_on_sphere(self):
+        # ||x||^2 = 2e400 overflows; the projection must not collapse to 0
+        with np.errstate(over="ignore"):
+            got = project(Ball(np.zeros(2), 1.0), np.array([1e200, 1e200]))
+        assert np.linalg.norm(got) == pytest.approx(1.0, rel=1e-15)
+
     def test_batch_rows(self, rng):
         dom = Ball(np.array([1.0, -1.0]), 0.5)
         X = rng.normal(size=(30, 2), scale=3.0)
