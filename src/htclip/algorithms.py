@@ -238,9 +238,14 @@ def run_trials(
         raise ValueError("stabilized updates require mu = 0")
     x_1 = _check_start(objective, x_1)
     record = checkpoint_times(T, record_stride) if record_stride is not None else [T]
-    return _run_kernel(
-        objective, oracle, schedule, T, x_1, rngs, stabilized, record
-    )
+    # a gradient row whose squared norm overflows is clipped correctly by
+    # clip_rows, so its overflow warning is silenced here, once per block
+    # rather than once per step; an overflow that reaches the iterate
+    # makes it non-finite, which the kernel raises as FloatingPointError
+    with np.errstate(over="ignore"):
+        return _run_kernel(
+            objective, oracle, schedule, T, x_1, rngs, stabilized, record
+        )
 
 
 def _first_row(rec):

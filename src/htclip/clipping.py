@@ -64,7 +64,9 @@ def _check_tau(tau: float) -> float:
 
 def clip_batch(G: np.ndarray, tau: float) -> np.ndarray:
     """Clip rows of G to Euclidean norm at most tau (tau = inf passes through)."""
-    return clip_rows(G, _check_tau(tau))[0]
+    tau = _check_tau(tau)
+    with np.errstate(over="ignore"):  # squared norms clip_rows mends
+        return clip_rows(G, tau)[0]
 
 
 def clip(g: np.ndarray, tau: float) -> np.ndarray:
@@ -217,13 +219,16 @@ def clip_error_exact(
     if supp is None:
         raise ValueError("exact verification requires a finitely supported oracle")
     states, probs = supp
-    if states.shape[0] > EXACT_SUPPORT_CAP:
+    n_states = states.shape[0]
+    if n_states > EXACT_SUPPORT_CAP:
         raise ValueError(
-            f"support size {states.shape[0]} exceeds the enumeration cap "
+            f"support size {n_states} exceeds the enumeration cap "
             f"{EXACT_SUPPORT_CAP}"
         )
-    X = np.broadcast_to(x, states.shape)
-    G = oracle.grad_rows(X, states)
+    # one (n_states, d) array is live at a time outside the transforms
+    # below: states, then G, then the clipped rows centred in place
+    G = oracle.grad_rows(np.broadcast_to(x, states.shape), states)
+    del supp, states
 
     mean = probs @ G
     if float(row_norms(mean - grad_true)) > 1e-8 * (1.0 + fn):
@@ -232,14 +237,18 @@ def clip_error_exact(
     noise = G - grad_true
     p = oracle.noise.p
     sig_l_p = float(probs @ row_norms(noise) ** p)
-    coord_m = probs @ np.abs(noise) ** p
+    np.abs(noise, out=noise)
+    noise **= p
+    coord_m = probs @ noise
+    del noise
     sig_s_p = min(directional_bound_independent(coord_m, p), sig_l_p)
     sigma_l = sig_l_p ** (1.0 / p)
     sigma_s = sig_s_p ** (1.0 / p)
 
-    Gc = clip_batch(G, tau)
-    mean_c = probs @ Gc
-    du = Gc - mean_c
+    du = clip_batch(G, tau)
+    del G
+    mean_c = probs @ du
+    du -= mean_c
     du_norms = row_norms(du)
     du_max = float(np.max(du_norms))
     du_sq = float(probs @ du_norms**2)
@@ -266,7 +275,7 @@ def clip_error_exact(
         measured=measured,
         bounds=bounds,
         margins={},
-        n_samples=int(states.shape[0]),
+        n_samples=int(n_states),
     )
 
 
@@ -285,6 +294,13 @@ def clip_error_mc(
     (whose per-coordinate variances give the bias margin), pass 2
     estimates the centered moments around that estimate.  Bounds use the
     oracle's declared (p, sigma_s, sigma_l).
+
+    Pass 1 streams its draws in chunks.  Pass 2 writes the centred rows
+    d^u into one preallocated n * d * 8-byte buffer: the projection
+    margin needs each row's projection on the top eigenvector of the
+    full covariance, which is known only after the last chunk, so
+    streaming pass 2 would cost a third pass of draws.  n * d is capped
+    at 8e7 (a 640 MB buffer).
     """
     x, grad_true, tau, alpha, fn, chi = _report_inputs(
         oracle, x, grad_true, tau, alpha
@@ -294,7 +310,10 @@ def clip_error_mc(
         raise ValueError("Monte Carlo verification needs at least 10^4 samples")
     d = oracle.d
     if n * d > 80_000_000:
-        raise ValueError("n_samples too large to hold pass-2 draws in memory")
+        raise ValueError(
+            f"n_samples * d = {n * d} exceeds 8e7: pass 2 holds its centred "
+            "draws in one n * d * 8-byte buffer"
+        )
     if rng is None:
         rng = np.random.default_rng(0)
     chunk = 1 << 15
@@ -317,22 +336,23 @@ def clip_error_mc(
     db = float(row_norms(mean_c - grad_true))
     db_margin = math.sqrt(float(np.add.reduce(var_c)) / n)
 
-    # pass 2: centered moments around the pass-1 mean
-    rows = []
-    left = n
-    while left > 0:
-        m = min(chunk, left)
+    # pass 2: centered moments around the pass-1 mean, each chunk written
+    # into its slice of the one (n, d) buffer
+    du = np.empty((n, d))
+    du_norms_sq = np.empty(n)
+    a = 0
+    while a < n:
+        m = min(chunk, n - a)
         G = oracle.grad_rows(
             np.broadcast_to(x, (m, d)), oracle.draw(rng, m)
         )
-        rows.append(clip_batch(G, tau) - mean_c)
-        left -= m
-    du = np.concatenate(rows, axis=0)
-    del rows
-    du_norms_sq = np.add.reduce(du * du, axis=-1)
+        rows = np.subtract(clip_batch(G, tau), mean_c, out=du[a : a + m])
+        du_norms_sq[a : a + m] = np.add.reduce(rows * rows, axis=-1)
+        a += m
     du_max = float(np.sqrt(np.max(du_norms_sq)))
     du_sq = float(np.mean(du_norms_sq))
     du_sq_margin = float(np.std(du_norms_sq, ddof=1)) / math.sqrt(n)
+    del du_norms_sq
     cov = du.T @ du / n
     cov_op, top = _sym_eig_max(cov)
     proj_sq = (du @ top) ** 2

@@ -22,7 +22,6 @@ both are tight for the directional and full-norm moments respectively.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -234,7 +233,14 @@ class HardInstance:
     def grad_rows(self, X: np.ndarray, Xi: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if self.kind == "cvx":
-            return self.M * np.abs(Xi) * np.sign(X - Xi * self.y)
+            # M |xi| sign(x - xi y), formed in the sign array with one
+            # more temporary; multiplication commutes bit for bit
+            s = X - Xi * self.y
+            np.sign(s, out=s)
+            g = np.abs(Xi)
+            g *= self.M
+            s *= g
+            return s
         return -self.mu * self.M * Xi
 
     def mean_grad(self, x: np.ndarray) -> np.ndarray:
@@ -244,27 +250,27 @@ class HardInstance:
         return -self.mu * (self.M * self.q) * self.theta * self.v
 
     def support(self):
-        """Full product support (states, probs); active coordinates only
-        contribute three outcomes, inactive ones are pinned at 0."""
-        vals, probs = [], []
+        """Full product support (states, probs) in itertools.product
+        order (last coordinate fastest); active coordinates take the
+        outcomes 0, +1, -1, inactive ones are pinned at 0."""
+        active = self.q > 0.0
+        size = 3 ** int(np.count_nonzero(active))
+        if size > SUPPORT_CAP:
+            raise ValueError(
+                f"support size exceeds the enumeration cap {SUPPORT_CAP}"
+            )
         p0, pp, pm = self._masses
-        size = 1
-        for i in range(self.d):
-            if self.q[i] > 0.0:
-                vals.append((0.0, 1.0, -1.0))
-                probs.append((p0[i], pp[i], pm[i]))
-                size *= 3
-            else:
-                vals.append((0.0,))
-                probs.append((1.0,))
-            if size > SUPPORT_CAP:
-                raise ValueError(
-                    f"support size exceeds the enumeration cap {SUPPORT_CAP}"
-                )
-        states = np.array(list(itertools.product(*vals)), dtype=float)
+        states = np.zeros((size, self.d))
         w = np.ones(1)
-        for plist in probs:
-            w = (w[:, None] * np.asarray(plist)[None, :]).ravel()
+        inner = size
+        for i in np.flatnonzero(active):
+            # coordinate i repeats each outcome over the inner block of
+            # later active coordinates, and cycles through the outcomes
+            inner //= 3
+            block = states.reshape(-1, 3, inner, self.d)
+            block[:, 1, :, i] = 1.0
+            block[:, 2, :, i] = -1.0
+            w = (w[:, None] * np.array([p0[i], pp[i], pm[i]])[None, :]).ravel()
         return states, w
 
 

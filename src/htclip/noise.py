@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import as_vector, row_norms
+from ._util import as_vector, finite_row_norms, row_norms
 from .problems import CompositeObjective, subgrad_f_batch
 from .schedules import d_eff_of
 
@@ -298,9 +298,7 @@ def make_oracle(
     if kind == "additive-gaussian":
         s = as_vector(scales, objective.d)
         if declared_noise is None:
-            declared_noise = NoiseSpec(
-                2.0, float(np.max(s)), float(math.sqrt(float(np.add.reduce(s * s))))
-            )
+            declared_noise = NoiseSpec(2.0, float(np.max(s)), float(finite_row_norms(s)))
         declared_noise.check_bracket(objective.d)
         return GradOracle(kind, declared_noise, objective, scales=s)
 

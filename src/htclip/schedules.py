@@ -165,6 +165,14 @@ class ScheduleParams:
         sl = float(self.sigma_l)
         if not (0.0 <= ss <= sl) or not math.isfinite(sl):
             raise ValueError("need 0 <= sigma_s <= sigma_l (finite)")
+        try:
+            sl**self.p
+        except OverflowError:
+            # every schedule constant is built from the moment bound sigma_l^p
+            raise ValueError(
+                f"noise sigma_l is not finite to the power p "
+                f"({sl:g} ** {self.p:g} overflows)"
+            ) from None
         G = float(self.G)
         D = float(self.D)
         if not (G > 0.0) or not math.isfinite(G):

@@ -326,6 +326,15 @@ class TestParsing:
         assert rc == 2
         assert key in capsys.readouterr().err
 
+    def test_sigma_l_power_overflow_exits_two(self, tmp_path, capsys):
+        # sigma_l = sqrt(2) 1e200 is finite, sigma_l^2 is not
+        data = _noiseless_config()
+        data["noise"] = {"kind": "additive-gaussian", "scales": 1e200}
+        cfg = _write_config(tmp_path, data)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "sigma_l is not finite to the power p" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "absent.json")])
         assert rc == 2

@@ -1,8 +1,13 @@
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from htclip import (
     AbsSum,
@@ -14,6 +19,8 @@ from htclip import (
     clip_bounds,
     clip_error_exact,
     clip_error_mc,
+    hard_params,
+    make_hard_instance,
     make_oracle,
     operator_norm,
     StableParams,
@@ -79,6 +86,59 @@ class TestClip:
             got = clip_batch(np.array([[1e200, 1e200]]), 1.0)
         assert np.linalg.norm(got[0]) == pytest.approx(1.0, rel=1e-15)
         assert got[0] == pytest.approx(np.full(2, math.sqrt(0.5)), rel=1e-15)
+
+    def test_overflowing_norm_below_tau_unchanged(self):
+        # ||g||^2 overflows but ||g|| = sqrt(2) 1e200 is below tau
+        g = np.array([[1e200, 1e200]])
+        assert np.array_equal(clip_batch(g, 1e300), g)
+
+    def test_overflowing_norm_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = clip_batch(np.array([[1e200, 1e200]]), 1.0)
+        assert np.linalg.norm(got[0]) == pytest.approx(1.0, rel=1e-15)
+
+
+# rows of finite entries up to 1e300 in magnitude, so every true norm is
+# finite (d <= 6) while squared norms may overflow
+_ROWS = arrays(
+    np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)),
+    elements=st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+)
+_TAUS = st.floats(1e-3, 1e3)
+_EPS = np.finfo(float).eps
+# a fixed example sequence, so the suite's verdict does not vary by run
+_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def _unit_rows(G):
+    big = np.max(np.abs(G), axis=1, keepdims=True)
+    U = G / np.where(big > 0.0, big, 1.0)
+    return U / np.where(big > 0.0, np.linalg.norm(U, axis=1, keepdims=True), 1.0)
+
+
+class TestClipProperties:
+    @_PROPERTY
+    @given(G=_ROWS, tau=_TAUS)
+    def test_norm_at_most_tau(self, G, tau):
+        out = clip_batch(G, tau)
+        assert np.all(np.linalg.norm(out, axis=1) <= tau * (1.0 + 4.0 * _EPS))
+
+    @_PROPERTY
+    @given(G=_ROWS, tau=_TAUS)
+    def test_rows_within_tau_unchanged(self, G, tau):
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.add.reduce(G * G, axis=1))
+        out = clip_batch(G, tau)
+        keep = norms <= tau
+        assert np.array_equal(out[keep], G[keep])
+
+    @_PROPERTY
+    @given(G=_ROWS, tau=_TAUS)
+    def test_clipped_rows_keep_direction(self, G, tau):
+        out = clip_batch(G, tau)
+        assert np.allclose(_unit_rows(out), _unit_rows(G), rtol=0.0, atol=1e-12)
+        assert np.all((out == 0.0) | (np.sign(out) == np.sign(G)))
 
 
 class TestClipBounds:
@@ -326,3 +386,42 @@ class TestClipErrorMC:
         assert set(back["passes"]) == set(BOUND_NAMES)
         assert back["method"] == "monte-carlo"
         assert back["n_samples"] == 10_000
+
+
+def _traced_peak(fn):
+    """Peak bytes of traced allocations (numpy arrays included) during fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestVerifierMemory:
+    def test_exact_holds_few_copies_of_the_support(self):
+        d_star = 10
+        params = hard_params(
+            "cvx-fano", d_star=d_star, T=4, G=1.0, D=1.0, sigma_l=2.0, p=1.5
+        )
+        v = np.resize([1.0, -1.0, -1.0], d_star)
+        _, oracle = make_hard_instance("cvx", d_star, d_star, params, v)
+        x = np.linspace(-0.5, 0.5, d_star) * params.y
+        states_bytes = 3**d_star * d_star * 8
+        peak = _traced_peak(lambda: clip_error_exact(oracle, x, 0.5))
+        assert peak <= 4.0 * states_bytes
+
+    def test_mc_pass_two_holds_one_buffer(self):
+        d, n = 8, 1_000_000
+        obj = CompositeObjective(
+            f=EuclidNorm(1.0, np.zeros(d)), r=None, domain=AllSpace(d),
+            lipschitz_G=1.0,
+        )
+        oracle = make_oracle(obj, "additive-gaussian", scales=np.ones(d))
+        peak = _traced_peak(
+            lambda: clip_error_mc(
+                oracle, np.full(d, 0.5), 2.0, n_samples=n,
+                rng=np.random.default_rng(5),
+            )
+        )
+        assert peak <= 1.5 * n * d * 8

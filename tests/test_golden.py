@@ -1,4 +1,5 @@
-"""Golden bytes: pinned sha256 hashes of the files `htclip run` writes.
+"""Golden bytes: pinned sha256 hashes of the files `htclip run` writes
+and of the clipping-error verifiers' reports (at the end of this file).
 
 Each config below is run through the CLI at 1 and 3 threads, and the
 hashes of series.csv, fit.csv and manifest.json (with its git_describe
@@ -8,16 +9,31 @@ str-twopoint), all six schedule regimes, v_mode first and cycle (with a
 gv codebook), a ball domain, and eval.averaging designated, plain and
 last.
 
-Only Gaussian, hard-instance and deterministic noise are used:
-alpha-stable draws go through SIMD-dispatched sin/cos/pow whose bits can
-differ between CPUs (their thread determinism is covered by AC-12).
+The run configs use only Gaussian, hard-instance and deterministic
+noise: alpha-stable draws go through SIMD-dispatched sin/cos/pow whose
+bits can differ between CPUs (their thread determinism is covered by
+AC-12).  One verifier case does use stable noise, because the Monte
+Carlo verifier's main workload is stable noise; see its comment.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from htclip import (
+    AllSpace,
+    CompositeObjective,
+    EuclidNorm,
+    Optimum,
+    StableParams,
+    clip_error_exact,
+    clip_error_mc,
+    hard_params,
+    make_hard_instance,
+    make_oracle,
+)
 from htclip.cli import main
 
 _BALL = {"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 2.0}
@@ -156,3 +172,76 @@ def _run_hashes(tmp_path, name, threads):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_bytes(tmp_path, capsys, name, threads):
     assert _run_hashes(tmp_path, name, threads) == GOLDEN[name]
+
+
+# ---------------------------------------------------------------------------
+# verifier reports
+#
+# sha256 of json.dumps(report.to_dict(), sort_keys=True) for the two
+# clipping-error verifiers.  The exact case enumerates a cvx-fano
+# instance whose last two coordinates are inactive; the Monte Carlo
+# cases run three pass chunks (the last one partial) on stable and on
+# Gaussian noise.  The reports include BLAS products and, for the stable
+# case, the SIMD-dispatched stable sampler, so on a CPU family whose
+# kernels round differently the stable and BLAS-dependent pins can move
+# even though the verifier arithmetic did not.
+
+_MC_N = 70_000
+
+
+def _exact_report(tau):
+    params = hard_params(
+        "cvx-fano", d_star=4, T=4, G=1.0, D=1.0, sigma_l=2.0, p=1.5
+    )
+    _, oracle = make_hard_instance(
+        "cvx", 6, 4, params, np.array([1.0, -1.0, -1.0, 1.0])
+    )
+    x = np.array([0.1, -1.0, 0.3, 1.0, 0.4, -0.7]) * params.y
+    return clip_error_exact(oracle, x, tau)
+
+
+def _mc_report(kind, tau):
+    d = 3
+    obj = CompositeObjective(
+        EuclidNorm(1.0, np.zeros(d)), None, AllSpace(d), 1.0,
+        optimum=Optimum(np.zeros(d), 0.0),
+    )
+    if kind == "stable":
+        oracle = make_oracle(
+            obj, "additive-stable", scales=np.array([1.0, 0.5, 0.25]),
+            stable=StableParams(1.8), p=1.5,
+        )
+    else:
+        oracle = make_oracle(
+            obj, "additive-gaussian", scales=np.array([1.0, 0.5, 0.25])
+        )
+    return clip_error_mc(
+        oracle, np.array([0.3, -0.6, 0.2]), tau, n_samples=_MC_N,
+        rng=np.random.default_rng(21),
+    )
+
+
+VERIFIER_CASES = {
+    "exact-tau-0.05": lambda: _exact_report(0.05),
+    "exact-tau-1": lambda: _exact_report(1.0),
+    "mc-stable-tau-2": lambda: _mc_report("stable", 2.0),
+    "mc-gaussian-tau-1": lambda: _mc_report("gaussian", 1.0),
+}
+
+VERIFIER_GOLDEN = {
+    "exact-tau-0.05":
+        "0d299923a9d69bb1bc0c3425736cf3a843f485590a4f241385aa59ce379d14d9",
+    "exact-tau-1":
+        "9eb091afa1df615eebe0397ea76e4c90a4e20c116425bc28d1ea1a4e4f30e444",
+    "mc-gaussian-tau-1":
+        "0c76cc73b1681441c4cd7308e2b3ff2ee9dcb801a2ee7dde7d0814c4866aab3e",
+    "mc-stable-tau-2":
+        "f8f3dd8c0b18780431f1628375fad9dab28c928f657cd5020f3525bd6706f51d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIER_CASES))
+def test_golden_verifier_report(name):
+    report = VERIFIER_CASES[name]()
+    blob = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == VERIFIER_GOLDEN[name]

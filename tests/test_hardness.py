@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -192,6 +193,30 @@ class TestMakeHardInstance:
         assert np.array_equal(states, ref_states)
         assert probs == pytest.approx(ref_probs, abs=1e-15)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_support_matches_itertools_product(self):
+        # d > d_star: the inactive coordinates contribute one outcome each
+        params = _fano_cvx(d_star=3, T=5)
+        obj, oracle = make_hard_instance(
+            "cvx", 5, 3, params, np.array([1.0, -1.0, 1.0])
+        )
+        inst = oracle.instance
+        vals = []
+        for q, vt in zip(inst.q, inst.v * inst.theta):
+            if q > 0.0:
+                vals.append(
+                    ((0.0, 1.0 - q), (1.0, (1.0 + vt) * q / 2.0),
+                     (-1.0, (1.0 - vt) * q / 2.0))
+                )
+            else:
+                vals.append(((0.0, 1.0),))
+        rows = list(itertools.product(*vals))
+        ref_states = np.array([[v for v, _ in row] for row in rows])
+        ref_probs = np.array([math.prod(w for _, w in row) for row in rows])
+        states, probs = oracle.support()
+        assert states.shape == (27, 5)
+        assert np.array_equal(states, ref_states)
+        assert probs == pytest.approx(ref_probs, rel=1e-15, abs=0.0)
 
     def test_codeword_padding(self):
         params = _fano_cvx(d_star=2, T=10)

@@ -157,6 +157,18 @@ class TestMakeOracle:
         assert oracle.noise.sigma_s == pytest.approx(4.0)
         assert oracle.noise.sigma_l == pytest.approx(5.0)
 
+    def test_gaussian_sigma_l_whose_square_overflows(self):
+        # sum s^2 = 2e400 overflows, sigma_l = sqrt(2) 1e200 does not
+        obj = _flat_objective(2)
+        oracle = make_oracle(obj, "additive-gaussian", scales=np.full(2, 1e200))
+        assert oracle.noise.sigma_l == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+        assert oracle.noise.sigma_s == 1e200
+
+    def test_gaussian_sigma_l_keeps_the_plain_sum(self, rng):
+        s = rng.uniform(0.1, 3.0, 7)
+        oracle = make_oracle(_flat_objective(7), "additive-gaussian", scales=s)
+        assert oracle.noise.sigma_l == math.sqrt(float(np.add.reduce(s * s)))
+
     def test_stable_declared_bounds(self):
         obj = _flat_objective(4)
         oracle = make_oracle(
