@@ -43,8 +43,8 @@ def clip_rows(a: np.ndarray, bound: float) -> tuple:
     ball projection all go through here.  A finite row whose squared
     norm overflows takes its norm from finite_row_norms, so it lands on
     norm bound instead of being scaled to zero.  The squaring still
-    raises numpy's overflow warning: clip_batch silences it per call and
-    run_trials once per block, because np.errstate costs about 1.5 us,
+    raises numpy's overflow warning: clip_batch and project silence it
+    per call, run_trials once per block, as np.errstate costs 1.5 us,
     a few percent of a kernel step, if entered here on every step.
     """
     a = np.asarray(a, dtype=float)

@@ -240,9 +240,10 @@ def run_trials(
     record = checkpoint_times(T, record_stride) if record_stride is not None else [T]
     # a gradient row whose squared norm overflows is clipped correctly by
     # clip_rows, so its overflow warning is silenced here, once per block
-    # rather than once per step; an overflow that reaches the iterate
-    # makes it non-finite, which the kernel raises as FloatingPointError
-    with np.errstate(over="ignore"):
+    # rather than once per step; an overflow or invalid value that reaches
+    # the iterate makes it non-finite, which the kernel raises as
+    # FloatingPointError
+    with np.errstate(over="ignore", invalid="ignore"):
         return _run_kernel(
             objective, oracle, schedule, T, x_1, rngs, stabilized, record
         )

@@ -45,7 +45,7 @@ def _load_config(path: str, seed_override=None):
     with open(path) as fh:
         data = json.load(fh)
     if seed_override is not None:
-        if "run" not in data or not isinstance(data["run"], dict):
+        if not isinstance(data, dict) or not isinstance(data.get("run"), dict):
             raise ValueError("config has no run section to apply --seed to")
         data = dict(data)
         data["run"] = dict(data["run"])

@@ -15,7 +15,12 @@ rotate, so no block mixes codewords.  Every block of every horizon goes
 through one ThreadPoolExecutor(max_workers=threads).map, at any thread
 count, and the results are sliced back per horizon in submission order.
 The kernel is row-wise, so neither the block partition nor the thread
-count changes any output byte.
+count changes any output byte.  Nor does the working directory:
+manifest.json records package_version as its only provenance, so all
+three output files are a function of the config plus seed.
+
+Each config section and key is declared once, in the spec tables above
+parse_config; a bad value raises a ValueError that names its key.
 """
 
 from __future__ import annotations
@@ -25,11 +30,10 @@ import json
 import math
 import numbers
 import os
-import subprocess
 import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -116,20 +120,18 @@ def derive_seed(master: int, trial: int, tag: int) -> int:
 # ---------------------------------------------------------------------------
 # configuration
 
+# Every config key is declared once, in the section tables below, as
+# key -> (parse,) for an optional key that stays absent when not given,
+# or (parse, default) where the default is a value or _REQ for a required
+# key.  parse(value, path) checks one value and returns its resolved form;
+# _section runs it on every given value and every default.  The rules that
+# span keys, and the defaults that depend on a kind, are in parse_config.
 
-def _require_keys(section: dict, path: str, allowed: set, required: set):
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {path!r} must be an object")
-    for k in section:
-        if k not in allowed:
-            raise ValueError(f"unknown config key {path}.{k}")
-    for k in required:
-        if k not in section:
-            raise ValueError(f"missing required config key {path}.{k}")
+_REQ = object()
 
 
-def _as_int(val, path: str) -> int:
-    """An integer config value; integral floats pass, anything else is rejected."""
+def _int(val, path: str) -> int:
+    """An integer; integral floats pass, anything else is rejected."""
     if isinstance(val, float) and val.is_integer():
         return int(val)
     if isinstance(val, bool) or not isinstance(val, numbers.Integral):
@@ -137,18 +139,201 @@ def _as_int(val, path: str) -> int:
     return int(val)
 
 
-def _as_float(val, path: str) -> float:
-    """A real config value; null, strings, booleans and NaN are rejected."""
-    if isinstance(val, bool) or not isinstance(val, numbers.Real) or math.isnan(val):
-        raise ValueError(f"{path} must be a number, got {val!r}")
+def _real(val, path: str) -> float:
+    """A finite real; null, strings, booleans, NaN and +-inf are rejected."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
+        raise ValueError(f"{path} must be a finite number, got {val!r}")
     return float(val)
 
 
-def _as_floats(val, path: str) -> list:
-    """A list of real config values, each checked by _as_float."""
+def _reals(val, path: str) -> list:
+    """A list of finite reals, each entry named by its index."""
     if not isinstance(val, list):
         raise ValueError(f"{path} must be a list of numbers, got {val!r}")
-    return [_as_float(v, f"{path}[{i}]") for i, v in enumerate(val)]
+    return [_real(v, f"{path}[{i}]") for i, v in enumerate(val)]
+
+
+def _text(val, path: str) -> str:
+    if not isinstance(val, str):
+        raise ValueError(f"{path} must be a string, got {val!r}")
+    return val
+
+
+def _flag(val, path: str) -> bool:
+    if not isinstance(val, bool):
+        raise ValueError(f"{path} must be true or false, got {val!r}")
+    return val
+
+
+def _one_of(*choices):
+    def parse(val, path):
+        if not isinstance(val, str) or val not in choices:
+            raise ValueError(f"{path} {val!r} is not one of {', '.join(choices)}")
+        return val
+
+    return parse
+
+
+def _where(parse, ok, need: str):
+    """parse, then require ok(value); need says what ok asks for."""
+
+    def checked(val, path):
+        val = parse(val, path)
+        if not ok(val):
+            raise ValueError(f"{path} {need}")
+        return val
+
+    return checked
+
+
+def _sub(spec: dict):
+    return lambda val, path: _section(val, path, spec)
+
+
+def _section(raw, path: str, spec: dict) -> dict:
+    """The resolved section: an object with only spec's keys, all required
+    ones given, each value and default parsed.  path "" is the whole config."""
+    where = path or "config"
+    if not isinstance(raw, dict):
+        raise ValueError(f"config section {where!r} must be an object")
+    for k in raw:
+        if k not in spec:
+            raise ValueError(f"unknown config key {where}.{k}")
+    out = {}
+    for k, (parse, *default) in spec.items():
+        key = f"{path}.{k}" if path else k
+        if k in raw:
+            out[k] = parse(raw[k], key)
+        elif default and default[0] is _REQ:
+            raise ValueError(f"missing required config key {where}.{k}")
+        elif default:
+            out[k] = parse(default[0], key)
+    return out
+
+
+def _T_grid(val, path: str) -> list:
+    """A list of horizons, or a min/max/ratio object expanded geometrically."""
+    if isinstance(val, dict):
+        g = _section(val, path, _GRID)
+        if g["max"] < g["min"]:
+            raise ValueError(f"{path}: need 1 <= min <= max")
+        Ts = []
+        t = g["min"]
+        while t <= g["max"]:
+            Ts.append(t)
+            t = max(t + 1, int(round(t * g["ratio"])))
+    elif isinstance(val, list):
+        Ts = [_int(t, f"{path}[{i}]") for i, t in enumerate(val)]
+    else:
+        raise ValueError(f"{path} must be a list of horizons or a min/max/ratio object")
+    if not Ts or any(t < 1 for t in Ts) or sorted(set(Ts)) != Ts:
+        raise ValueError(f"{path} must be strictly increasing positive integers")
+    return Ts
+
+
+def _x1_mode(val, path: str) -> dict:
+    # a bare string is shorthand for {"kind": string}
+    return _section({"kind": val} if isinstance(val, str) else val, path, _X1_MODE)
+
+
+_POS_INT = _where(_int, lambda v: v >= 1, "must be a positive integer")
+_POSITIVE = _where(_real, lambda v: v > 0, "must be positive")
+_NONNEG = _where(_real, lambda v: v >= 0, "must be nonnegative")
+_UNIT = _where(_real, lambda v: 0 < v < 1, "must lie in (0, 1)")
+
+_GRID = {
+    "min": (_POS_INT, _REQ),
+    "max": (_POS_INT, _REQ),
+    "ratio": (_where(_real, lambda v: v > 1, "must exceed 1"), 2.0),
+}
+_DOMAIN = {
+    "kind": (_one_of("all-space", "ball"), _REQ),
+    "center": (_reals,),
+    "radius": (_POSITIVE,),
+}
+_X1_MODE = {"kind": (_one_of("origin", "offset"), _REQ), "vector": (_reals,)}
+_PROBLEM = {
+    "kind": (_one_of("abs-sum", "euclid-norm", "linear", "hard"), _REQ),
+    "d": (_POS_INT, _REQ),
+    "G": (_POSITIVE,),
+    "mu": (_NONNEG, 0.0),
+    "D": (_POSITIVE,),
+    "domain": (_sub(_DOMAIN), {"kind": "all-space"}),
+    "x1_mode": (_x1_mode, "origin"),
+    "c": (_reals,),
+}
+_NOISE = {
+    "kind": (
+        _one_of("deterministic", "additive-gaussian", "additive-stable", "hard-instance"),
+        _REQ,
+    ),
+    "p": (_where(_real, lambda v: 1 < v <= 2, "must lie in (1, 2]"),),
+    "sigma_s": (_NONNEG,),
+    "sigma_l": (_NONNEG,),
+    "stable": (
+        _sub({
+            "alpha": (_where(_real, lambda v: 0 < v <= 2, "must lie in (0, 2]"), _REQ),
+            "beta": (_where(_real, lambda v: -1 <= v <= 1, "must lie in [-1, 1]"), 0.0),
+            "gamma": (_NONNEG, 1.0),
+        }),
+    ),
+    "scales": (
+        _where(
+            lambda v, path: (_reals if isinstance(v, list) else _real)(v, path),
+            lambda v: not np.any(np.asarray(v) < 0),
+            "must be nonnegative",
+        ),
+    ),
+}
+_SCHEDULE = {
+    "regime": (_one_of(*REGIMES), _REQ),
+    "delta": (_UNIT,),
+    "alpha_clip": (_UNIT, 0.5),
+    "algorithm": (_one_of("clipped", "stabilized"),),
+}
+_HARDNESS = {
+    "regime": (_one_of(*HARD_REGIMES), _REQ),
+    "d_star": (_POS_INT, _REQ),
+    "codebook": (_one_of("twopoint", "gv"), "twopoint"),
+    "v_mode": (_one_of("first", "cycle"), "first"),
+}
+_RUN = {
+    "T_grid": (_T_grid, _REQ),
+    "trials": (_POS_INT, _REQ),
+    "master_seed": (_int, _REQ),
+    "record_stride": (_text, "geometric:2"),
+}
+_EVAL = {
+    "quantile_levels": (
+        _where(
+            _reals, lambda v: all(0 < lv <= 1 for lv in v), "entries must lie in (0, 1]"
+        ),
+    ),
+    "averaging": (_one_of("designated", "plain", "weighted", "last"), "designated"),
+    "fit_drop_smallest": (_flag, True),
+    "assert_slope_range": (
+        _where(
+            _reals, lambda v: len(v) == 2 and v[0] <= v[1], "must be [lo, hi] with lo <= hi"
+        ),
+    ),
+}
+_CONFIG = {
+    "problem": (_sub(_PROBLEM), _REQ),
+    "noise": (_sub(_NOISE), _REQ),
+    "schedule": (_sub(_SCHEDULE), _REQ),
+    "hardness": (_sub(_HARDNESS),),
+    "run": (_sub(_RUN), _REQ),
+    "eval": (_sub(_EVAL), {}),
+    "output": (_sub({"dir": (_text,)}), {}),
+}
+
+
+def _gate(sec: dict, path: str, key: str, need: bool, allow: bool, what: str = ""):
+    """A presence rule across keys: key is required if need, allowed only if allow."""
+    if need and key not in sec:
+        raise ValueError(f"missing required config key {path}.{key}")
+    if key in sec and not allow:
+        raise ValueError(f"{path}.{key} is only valid for {what}")
 
 
 @dataclass(frozen=True)
@@ -168,307 +353,87 @@ class ExperimentConfig:
     output: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "problem": self.problem,
-            "noise": self.noise,
-            "schedule": self.schedule,
-            "run": self.run,
-            "eval": self.eval,
-            "output": self.output,
-        }
-        if self.hardness is not None:
-            out["hardness"] = self.hardness
-        return out
+        """The resolved sections; hardness only when there is one."""
+        return {k: v for k, v in vars(self).items() if v is not None}
 
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _parse_T_grid(val, path: str) -> list:
-    if isinstance(val, list):
-        Ts = [_as_int(t, path) for t in val]
-    elif isinstance(val, dict):
-        _require_keys(val, path, {"min", "max", "ratio"}, {"min", "max"})
-        lo = _as_int(val["min"], f"{path}.min")
-        hi = _as_int(val["max"], f"{path}.max")
-        ratio = _as_float(val.get("ratio", 2.0), f"{path}.ratio")
-        if lo < 1 or hi < lo:
-            raise ValueError(f"{path}: need 1 <= min <= max")
-        if not (ratio > 1.0):
-            raise ValueError(f"{path}.ratio must exceed 1")
-        Ts = []
-        t = lo
-        while t <= hi:
-            Ts.append(t)
-            t = max(t + 1, int(round(t * ratio)))
-    else:
-        raise ValueError(f"{path} must be a list of horizons or a min/max/ratio object")
-    if not Ts or any(t < 1 for t in Ts) or sorted(set(Ts)) != Ts:
-        raise ValueError(f"{path} must be strictly increasing positive integers")
-    return Ts
-
-
 def parse_config(data: dict) -> ExperimentConfig:
-    """Validate a config mapping strictly; unknown keys are rejected by name."""
-    _require_keys(
-        data,
-        "config",
-        {"problem", "noise", "schedule", "hardness", "run", "eval", "output"},
-        {"problem", "noise", "schedule", "run"},
-    )
+    """Validate a config mapping strictly; a bad key or value raises a
+    ValueError that names it, unknown keys included."""
+    cfg = _section(data, "", _CONFIG)
+    prob, noi, sch, ev = cfg["problem"], cfg["noise"], cfg["schedule"], cfg["eval"]
+    hardn, dom, x1 = cfg.get("hardness"), prob["domain"], prob["x1_mode"]
+    kind, nkind, regime = prob["kind"], noi["kind"], sch["regime"]
+    d, mu, strongly = prob["d"], prob["mu"], regime.startswith("str")
+    hard, linear, ball = kind == "hard", kind == "linear", dom["kind"] == "ball"
+    offset, stable = x1["kind"] == "offset", nkind == "additive-stable"
+    additive = stable or nkind == "additive-gaussian"
 
-    prob = dict(data["problem"])
-    _require_keys(
-        prob,
-        "problem",
-        {"kind", "d", "G", "mu", "D", "domain", "x1_mode", "c"},
-        {"kind", "d"},
-    )
-    kind = prob["kind"]
-    if kind not in ("abs-sum", "euclid-norm", "linear", "hard"):
-        raise ValueError(f"problem.kind {kind!r} is not supported")
-    d = _as_int(prob["d"], "problem.d")
-    if d < 1:
-        raise ValueError("problem.d must be a positive integer")
-    prob["d"] = d
-    prob["mu"] = _as_float(prob.get("mu", 0.0), "problem.mu")
-    if prob["mu"] < 0:
-        raise ValueError("problem.mu must be nonnegative")
-    if kind != "linear" and "c" in prob:
-        raise ValueError("problem.c is only valid for kind linear")
-    domain = prob.get("domain", {"kind": "all-space"})
-    _require_keys(domain, "problem.domain", {"kind", "center", "radius"}, {"kind"})
-    if domain["kind"] not in ("all-space", "ball"):
-        raise ValueError("problem.domain.kind must be all-space or ball")
-    if domain["kind"] == "ball":
-        if "radius" not in domain:
-            raise ValueError("missing required config key problem.domain.radius")
-        domain = {
-            "kind": "ball",
-            "center": _as_floats(domain.get("center", [0.0] * d), "problem.domain.center"),
-            "radius": _as_float(domain["radius"], "problem.domain.radius"),
-        }
-    prob["domain"] = domain
-    x1_mode = prob.get("x1_mode", {"kind": "origin"})
-    if isinstance(x1_mode, str):
-        x1_mode = {"kind": x1_mode}
-    _require_keys(x1_mode, "problem.x1_mode", {"kind", "vector"}, {"kind"})
-    if x1_mode["kind"] not in ("origin", "offset"):
-        raise ValueError("problem.x1_mode.kind must be origin or offset")
-    if x1_mode["kind"] == "offset":
-        if "vector" not in x1_mode:
-            raise ValueError("missing required config key problem.x1_mode.vector")
-        vec = _as_floats(x1_mode["vector"], "problem.x1_mode.vector")
-        if len(vec) != d:
-            raise ValueError("problem.x1_mode.vector must have length problem.d")
-        x1_mode = {"kind": "offset", "vector": vec}
-    else:
-        x1_mode = {"kind": "origin"}
-    prob["x1_mode"] = x1_mode
-
-    noi = dict(data["noise"])
-    _require_keys(
-        noi,
-        "noise",
-        {"kind", "p", "sigma_s", "sigma_l", "stable", "scales"},
-        {"kind"},
-    )
-    nkind = noi["kind"]
-    if nkind not in ("deterministic", "additive-gaussian", "additive-stable", "hard-instance"):
-        raise ValueError(f"noise.kind {nkind!r} is not supported")
-    if (kind == "hard") != (nkind == "hard-instance"):
+    if hard != (nkind == "hard-instance"):
         raise ValueError("noise.kind hard-instance is required exactly for problem.kind hard")
-    if nkind == "additive-stable":
-        stable = noi.get("stable")
-        if stable is None:
-            raise ValueError("missing required config key noise.stable")
-        _require_keys(stable, "noise.stable", {"alpha", "beta", "gamma"}, {"alpha"})
-        noi["stable"] = {
-            "alpha": _as_float(stable["alpha"], "noise.stable.alpha"),
-            "beta": _as_float(stable.get("beta", 0.0), "noise.stable.beta"),
-            "gamma": _as_float(stable.get("gamma", 1.0), "noise.stable.gamma"),
-        }
-    elif "stable" in noi:
-        raise ValueError("noise.stable is only valid for kind additive-stable")
-    if nkind in ("additive-gaussian", "additive-stable"):
-        if "scales" not in noi:
-            raise ValueError("missing required config key noise.scales")
-        scales = noi["scales"]
-        if isinstance(scales, list):
-            noi["scales"] = _as_floats(scales, "noise.scales")
-            if len(noi["scales"]) != d:
-                raise ValueError("noise.scales must be a scalar or have length problem.d")
-        else:
-            noi["scales"] = _as_float(scales, "noise.scales")
-        if np.any(np.asarray(noi["scales"]) < 0):
-            raise ValueError("noise.scales must be nonnegative")
-    elif "scales" in noi:
-        raise ValueError("noise.scales is only valid for the additive noise kinds")
+    _gate(cfg, "config", "hardness", hard, hard, "problem.kind hard")
+    _gate(prob, "problem", "c", linear, linear, "kind linear")
+    _gate(prob, "problem", "G", not linear, True)
+    _gate(prob, "problem", "D", hard, True)
+    _gate(dom, "problem.domain", "radius", ball, ball, "kind ball")
+    _gate(dom, "problem.domain", "center", False, ball, "kind ball")
+    _gate(x1, "problem.x1_mode", "vector", offset, offset, "kind offset")
+    _gate(noi, "noise", "stable", stable, stable, "kind additive-stable")
+    _gate(noi, "noise", "scales", additive, additive, "the additive noise kinds")
     if nkind in ("deterministic", "additive-gaussian"):
         noi.setdefault("p", 2.0)
-    if "p" not in noi:
-        raise ValueError("missing required config key noise.p")
-    noi["p"] = _as_float(noi["p"], "noise.p")
-    if not (1.0 < noi["p"] <= 2.0):
-        raise ValueError("noise.p must lie in (1, 2]")
-    if ("sigma_s" in noi) != ("sigma_l" in noi):
-        raise ValueError("noise.sigma_s and noise.sigma_l must be given together")
-    if "sigma_s" in noi:
-        noi["sigma_s"] = _as_float(noi["sigma_s"], "noise.sigma_s")
-        noi["sigma_l"] = _as_float(noi["sigma_l"], "noise.sigma_l")
-        if not (0.0 <= noi["sigma_s"] <= noi["sigma_l"]):
-            raise ValueError(
-                "noise: need sigma_s <= sigma_l, the directional moment bound "
-                "cannot exceed the full-norm bound"
-            )
-    if (
-        nkind == "additive-stable"
-        and noi["stable"]["alpha"] < 2.0
-        and noi["p"] >= noi["stable"]["alpha"]
+    _gate(noi, "noise", "p", True, True)
+    _gate(noi, "noise", "sigma_s", "sigma_l" in noi, True)
+    _gate(noi, "noise", "sigma_l", hard or "sigma_s" in noi, True)
+    twopoint = hard and hardn["regime"].endswith("twopoint")
+    _gate(sch, "schedule", "delta", "-hp" in regime or twopoint, True)
+    if ball:
+        dom.setdefault("center", [0.0] * d)
+    for path, vec in (
+        ("problem.c", prob.get("c")),
+        ("problem.domain.center", dom.get("center")),
+        ("problem.x1_mode.vector", x1.get("vector")),
+        ("noise.scales", noi.get("scales")),
     ):
-        raise ValueError("noise.p must be below the stability index noise.stable.alpha")
+        if isinstance(vec, list) and len(vec) != d:
+            raise ValueError(f"{path} must have length problem.d = {d}, got {len(vec)}")
 
-    sch = dict(data["schedule"])
-    _require_keys(
-        sch, "schedule", {"regime", "delta", "alpha_clip", "algorithm"}, {"regime"}
-    )
-    regime = sch["regime"]
-    if regime not in REGIMES:
-        raise ValueError(f"schedule.regime {regime!r} is not one of {REGIMES}")
-    strongly = regime.startswith("str")
-    if strongly != (prob["mu"] > 0):
+    if strongly != (mu > 0):
         raise ValueError(
             "schedule.regime and problem.mu disagree (regime/mu mismatch): "
             "str-* regimes require mu > 0, cvx regimes mu = 0"
         )
-    sch["alpha_clip"] = _as_float(sch.get("alpha_clip", 0.5), "schedule.alpha_clip")
-    if not (0.0 < sch["alpha_clip"] < 1.0):
-        raise ValueError("schedule.alpha_clip must lie in (0, 1)")
-    if "delta" in sch:
-        sch["delta"] = _as_float(sch["delta"], "schedule.delta")
-        if not (0.0 < sch["delta"] < 1.0):
-            raise ValueError("schedule.delta must lie in (0, 1)")
-    elif "-hp" in regime:
-        raise ValueError(f"schedule.delta is required for regime {regime}")
-    algorithm = sch.get(
-        "algorithm", "stabilized" if regime.endswith("-anytime") else "clipped"
-    )
-    if algorithm not in ("clipped", "stabilized"):
-        raise ValueError("schedule.algorithm must be clipped or stabilized")
-    if algorithm == "stabilized" and prob["mu"] > 0:
-        raise ValueError("schedule.algorithm stabilized requires mu = 0")
-    sch["algorithm"] = algorithm
-
-    hardn = None
-    if "hardness" in data:
-        if kind != "hard":
-            raise ValueError("config section hardness requires problem.kind hard")
-        hardn = dict(data["hardness"])
-        _require_keys(
-            hardn,
-            "hardness",
-            {"regime", "d_star", "codebook", "v_mode"},
-            {"regime", "d_star"},
+    if "sigma_s" in noi and noi["sigma_s"] > noi["sigma_l"]:
+        raise ValueError(
+            "noise.sigma_s must not exceed noise.sigma_l: the directional "
+            "moment bound cannot exceed the full-norm bound"
         )
-        if hardn["regime"] not in HARD_REGIMES:
-            raise ValueError(
-                f"hardness.regime {hardn['regime']!r} is not one of {HARD_REGIMES}"
-            )
-        ds = _as_int(hardn["d_star"], "hardness.d_star")
-        if not (1 <= ds <= d):
+    if stable and noi["p"] >= noi["stable"]["alpha"] and noi["stable"]["alpha"] < 2.0:
+        raise ValueError("noise.p must be below the stability index noise.stable.alpha")
+    sch.setdefault("algorithm", "stabilized" if regime.endswith("-anytime") else "clipped")
+    if sch["algorithm"] == "stabilized" and mu > 0:
+        raise ValueError("schedule.algorithm stabilized requires mu = 0")
+    ev.setdefault("quantile_levels", [1.0 - sch["delta"]] if "delta" in sch else [0.9])
+    if hard:
+        if hardn["d_star"] > d:
             raise ValueError("hardness.d_star must satisfy 1 <= d_star <= d")
-        hardn["d_star"] = ds
-        hardn["codebook"] = hardn.get("codebook", "twopoint")
-        if hardn["codebook"] not in ("twopoint", "gv"):
-            raise ValueError("hardness.codebook must be twopoint or gv")
-        hardn["v_mode"] = hardn.get("v_mode", "first")
-        if hardn["v_mode"] not in ("first", "cycle"):
-            raise ValueError("hardness.v_mode must be first or cycle")
         if hardn["regime"].startswith("str") != strongly:
             raise ValueError("hardness.regime and schedule.regime families disagree")
-        if hardn["regime"].endswith("twopoint") and "delta" not in sch:
-            raise ValueError("two-point hardness regimes require schedule.delta")
-        if prob["x1_mode"]["kind"] != "origin":
-            raise ValueError("hard problems are constructed around x1 = origin")
-        if "D" not in prob:
-            raise ValueError("missing required config key problem.D (hard construction scale)")
-        if "sigma_l" not in noi:
-            raise ValueError("hard problems require declared noise.sigma_l (noise budget)")
-    elif kind == "hard":
-        raise ValueError("problem.kind hard requires a hardness section")
-
-    if kind == "linear" and "c" not in prob:
-        raise ValueError("missing required config key problem.c")
-    if kind in ("hard", "abs-sum", "euclid-norm") and "G" not in prob:
-        raise ValueError("missing required config key problem.G")
-    if "G" in prob:
-        prob["G"] = _as_float(prob["G"], "problem.G")
-        if not (prob["G"] > 0):
-            raise ValueError("problem.G must be positive")
-    if "D" in prob:
-        prob["D"] = _as_float(prob["D"], "problem.D")
-        if not (prob["D"] > 0):
-            raise ValueError("problem.D must be positive")
-    if "c" in prob:
-        prob["c"] = _as_floats(prob["c"], "problem.c")
-        if len(prob["c"]) != d:
-            raise ValueError("problem.c must have length problem.d")
-
-    run = dict(data["run"])
-    _require_keys(
-        run,
-        "run",
-        {"T_grid", "trials", "master_seed", "record_stride"},
-        {"T_grid", "trials", "master_seed"},
-    )
-    run["T_grid"] = _parse_T_grid(run["T_grid"], "run.T_grid")
-    run["trials"] = _as_int(run["trials"], "run.trials")
-    if run["trials"] < 1:
-        raise ValueError("run.trials must be a positive integer")
-    run["master_seed"] = _as_int(run["master_seed"], "run.master_seed")
-    run["record_stride"] = run.get("record_stride", "geometric:2")
-
-    ev = dict(data.get("eval", {}))
-    _require_keys(
-        ev,
-        "eval",
-        {"quantile_levels", "averaging", "fit_drop_smallest", "assert_slope_range"},
-        set(),
-    )
-    ev["averaging"] = ev.get("averaging", "designated")
-    if ev["averaging"] not in ("designated", "plain", "weighted", "last"):
-        raise ValueError(
-            "eval.averaging must be one of designated, plain, weighted, last"
-        )
-    if "quantile_levels" in ev:
-        levels = _as_floats(ev["quantile_levels"], "eval.quantile_levels")
-    elif "delta" in sch:
-        levels = [1.0 - sch["delta"]]
-    else:
-        levels = [0.9]
-    for lv in levels:
-        if not (0.0 < lv <= 1.0):
-            raise ValueError("eval.quantile_levels entries must lie in (0, 1]")
-    ev["quantile_levels"] = levels
-    ev["fit_drop_smallest"] = bool(ev.get("fit_drop_smallest", True))
-    if "assert_slope_range" in ev:
-        bounds = _as_floats(ev["assert_slope_range"], "eval.assert_slope_range")
-        if len(bounds) != 2 or not (bounds[0] <= bounds[1]):
-            raise ValueError("eval.assert_slope_range must be [lo, hi] with lo <= hi")
-        ev["assert_slope_range"] = bounds
-
-    out = dict(data.get("output", {}))
-    _require_keys(out, "output", {"dir"}, set())
+        if offset:
+            raise ValueError("problem.x1_mode must be origin: hard problems start at 0")
 
     return ExperimentConfig(
         problem=prob,
         noise=noi,
         schedule=sch,
         hardness=hardn,
-        run=run,
+        run=cfg["run"],
         eval=ev,
-        output=out,
+        output=cfg["output"],
     )
 
 
@@ -526,10 +491,9 @@ def _build_standard_problem(config: ExperimentConfig):
                     "linear problem with mu = 0 needs a ball domain to be bounded"
                 )
             r = None
-            nc = float(row_norms(c))
-            if nc == 0.0:
+            if G == 0.0:
                 raise ValueError("problem.c must be nonzero")
-            x_star = domain.center - domain.radius * c / nc
+            x_star = domain.center - domain.radius * c / G
             F_star = float(c @ x_star)
     else:
         G = prob["G"]
@@ -562,12 +526,7 @@ def _build_oracle(config: ExperimentConfig, objective: CompositeObjective):
         declared = NoiseSpec(noi["p"], noi["sigma_s"], noi["sigma_l"])
     if kind == "deterministic":
         return make_oracle(objective, kind, declared_noise=declared)
-    scale = noi["scales"]
-    scales = (
-        np.full(objective.d, float(scale))
-        if isinstance(scale, float)
-        else as_vector(scale, objective.d)
-    )
+    scales = np.full(objective.d, noi["scales"], dtype=float)
     if kind == "additive-gaussian":
         return make_oracle(objective, kind, scales=scales, declared_noise=declared)
     st = noi["stable"]
@@ -807,21 +766,6 @@ def _run_block(setting: _Setting, master: int, tag: int, indices, mode: str) -> 
     return subopt, mu_dist2, clip_rate
 
 
-def _git_describe() -> Optional[str]:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except Exception:
-        return None
-    if out.returncode != 0:
-        return None
-    return out.stdout.strip() or None
-
-
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run the full T sweep; deterministic given the config, for any threads."""
     threads = int(threads)
@@ -906,7 +850,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         "config": config.to_dict(),
         "config_digest": config.digest(),
         "package_version": _pkg_version,
-        "git_describe": _git_describe(),
         "master_seed": master,
         "T_values": list(Ts),
         "trials": trials,
@@ -932,14 +875,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
             "v_mode": config.hardness["v_mode"],
         }
     if fit is not None:
-        manifest["fit"] = {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "slope_stderr": fit.slope_stderr,
-            "r2": fit.r2,
-            "n_points": fit.n_points,
-            "dropped_smallest": fit.dropped_smallest,
-        }
+        manifest["fit"] = asdict(fit)
     if assertions_passed is not None:
         manifest["assertions_passed"] = assertions_passed
 

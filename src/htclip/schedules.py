@@ -177,6 +177,16 @@ class ScheduleParams:
         D = float(self.D)
         if not (G > 0.0) or not math.isfinite(G):
             raise ValueError("Lipschitz constant G must be a positive finite real")
+        try:
+            Gp = G**self.p
+        except OverflowError:
+            Gp = math.inf
+        if not (0.0 < Gp < math.inf):
+            # the schedules divide by G^p
+            raise ValueError(
+                f"Lipschitz constant G ** p must be a positive finite real, "
+                f"got {G:g} ** {self.p:g} = {Gp:g}"
+            )
         if not (D > 0.0) or not math.isfinite(D):
             raise ValueError("distance bound D must be a positive finite real")
         mu = float(self.mu)

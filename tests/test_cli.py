@@ -117,8 +117,7 @@ class TestRun:
         data = _noiseless_config(T_grid=(16,), trials=2)
         data["noise"] = {"kind": "additive-gaussian", "scales": 0.25}
         cfg = _write_config(tmp_path, data)
-        with np.errstate(invalid="ignore"):
-            rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite iterate")
@@ -316,11 +315,27 @@ class TestParsing:
             ("noise", {"kind": "additive-gaussian", "scales": -1.0}, "noise.scales"),
             ("noise", {"kind": "additive-gaussian", "scales": float("nan")}, "noise.scales"),
             ("noise", {"kind": "additive-gaussian", "scales": 1e300}, "sigma_l is not finite"),
+            ("problem", {"G": 1e-200}, "G ** p must be a positive finite real"),
+            ("problem", {"G": 1e200}, "G ** p must be a positive finite real"),
+            ("run", [1], "config section 'run' must be an object"),
+            ("output", {"dir": 5}, "output.dir"),
+            ("run", {"T_grid": {"min": 16, "max": 64, "ratio": float("inf")}},
+             "run.T_grid.ratio"),
+            ("problem", {"G": float("inf")}, "problem.G"),
+            ("eval", {"fit_drop_smallest": "false"}, "eval.fit_drop_smallest"),
+            ("problem", {"domain": {"kind": "ball", "radius": 0.0}}, "problem.domain.radius"),
+            ("problem", {"domain": {"kind": "ball", "radius": 2.0, "center": [0.0]}},
+             "problem.domain.center"),
+            ("problem", {"domain": {"kind": "all-space", "radius": 2.0}},
+             "problem.domain.radius"),
         ],
     )
     def test_bad_config_value_names_its_key(self, tmp_path, capsys, section, patch, key):
         data = _noiseless_config()
-        data.setdefault(section, {}).update(patch)
+        if isinstance(patch, dict):
+            data.setdefault(section, {}).update(patch)
+        else:
+            data[section] = patch
         cfg = _write_config(tmp_path, data)
         rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2

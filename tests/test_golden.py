@@ -2,12 +2,11 @@
 and of the clipping-error verifiers' reports (at the end of this file).
 
 Each config below is run through the CLI at 1 and 3 threads, and the
-hashes of series.csv, fit.csv and manifest.json (with its git_describe
-field dropped) must match the pinned values exactly.  Together the
-configs cover the four problem kinds (hard with cvx-fano and
-str-twopoint), all six schedule regimes, v_mode first and cycle (with a
-gv codebook), a ball domain, and eval.averaging designated, plain and
-last.
+hashes of series.csv, fit.csv and manifest.json must match the pinned
+values exactly.  Together the configs cover the four problem kinds
+(hard with cvx-fano and str-twopoint), all six schedule regimes, v_mode
+first and cycle (with a gv codebook), a ball domain, and eval.averaging
+designated, plain and last.
 
 The run configs use only Gaussian, hard-instance and deterministic
 noise: alpha-stable draws go through SIMD-dispatched sin/cos/pow whose
@@ -18,6 +17,7 @@ Carlo verifier's main workload is stable noise; see its comment.
 
 import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -155,16 +155,10 @@ def _run_hashes(tmp_path, name, threads):
     rc = main(["run", "--config", str(cfg), "--out", str(out),
                "--threads", str(threads)])
     assert rc == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest.pop("git_describe")
-    blobs = {
-        "series.csv": (out / "series.csv").read_bytes(),
-        "fit.csv": (out / "fit.csv").read_bytes(),
-        "manifest.json": (
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        ).encode(),
+    return {
+        k: hashlib.sha256((out / k).read_bytes()).hexdigest()
+        for k in ("series.csv", "fit.csv", "manifest.json")
     }
-    return {k: hashlib.sha256(v).hexdigest() for k, v in blobs.items()}
 
 
 @pytest.mark.filterwarnings("ignore:trials=.*below 10/delta")
@@ -172,6 +166,21 @@ def _run_hashes(tmp_path, name, threads):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_bytes(tmp_path, capsys, name, threads):
     assert _run_hashes(tmp_path, name, threads) == GOLDEN[name]
+
+
+def test_manifest_is_independent_of_the_working_directory(
+    tmp_path, capsys, monkeypatch
+):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIGS["euclid-norm-cvx-ex-anytime-ball-plain"]))
+    manifests = []
+    for cwd in (pathlib.Path(__file__).resolve().parents[1], tmp_path):
+        monkeypatch.chdir(cwd)
+        out = tmp_path / f"out-{len(manifests)}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        manifests.append((out / "manifest.json").read_bytes())
+    assert "git_describe" not in json.loads(manifests[0])
+    assert manifests[0] == manifests[1]
 
 
 # ---------------------------------------------------------------------------

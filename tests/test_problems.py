@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,8 +109,10 @@ class TestProjection:
         assert project(Ball(np.zeros(2), 1.0), x) == pytest.approx(x)
 
     def test_overflowing_norm_lands_on_sphere(self):
-        # ||x||^2 = 2e400 overflows; the projection must not collapse to 0
-        with np.errstate(over="ignore"):
+        # ||x||^2 = 2e400 overflows; the projection must not collapse to 0,
+        # and the overflow it mends raises no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = project(Ball(np.zeros(2), 1.0), np.array([1e200, 1e200]))
         assert np.linalg.norm(got) == pytest.approx(1.0, rel=1e-15)
 
