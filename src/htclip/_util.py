@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# a norm below this has a subnormal (or zero) square
+_SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))
+
 
 def row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm along the last axis.
@@ -17,26 +20,29 @@ def row_norms(a: np.ndarray) -> np.ndarray:
 
 
 def finite_row_norms(a: np.ndarray) -> np.ndarray:
-    """row_norms for rows whose squared norm may overflow.
+    """row_norms for rows whose squared norm may overflow or underflow.
 
-    Rows with a finite squared norm take row_norms's arithmetic.  A
-    finite row whose squared norm overflows takes its norm as
+    Rows whose squared norm is a normal float take row_norms's
+    arithmetic.  A finite nonzero row whose squared norm overflows, or
+    falls below the smallest normal float, takes its norm as
     max|entry| * ||row / max|entry|||, so no overflow warning is raised
-    for a norm that is mended here.
+    for a norm that is mended here and a tiny row keeps its norm.
     """
     a = np.asarray(a, dtype=float)
     with np.errstate(over="ignore"):
         nrm = row_norms(a)
-    if np.any(np.isinf(nrm)):
+    off = np.isinf(nrm) | (nrm < _SQRT_TINY)
+    if np.any(off):
         big = np.max(np.abs(a), axis=-1)
-        fix = np.isinf(nrm) & np.isfinite(big)
+        fix = off & np.isfinite(big) & (big > 0)
         unit = a / np.where(fix, big, 1.0)[..., None]
         nrm = np.where(fix, big * row_norms(unit), nrm)
     return nrm
 
 
 def clip_rows(a: np.ndarray, bound: float) -> tuple:
-    """Scale the rows of a to Euclidean norm at most bound.
+    """Scale the rows of a to Euclidean norm at most bound, a float or
+    one bound per row.
 
     Returns (rows, over), where over marks the rows that were scaled;
     rows is a itself when none was.  The clipped oracle, clip_batch and
@@ -44,13 +50,13 @@ def clip_rows(a: np.ndarray, bound: float) -> tuple:
     norm overflows takes its norm from finite_row_norms, so it lands on
     norm bound instead of being scaled to zero.  The squaring still
     raises numpy's overflow warning: clip_batch and project silence it
-    per call, run_trials once per block, as np.errstate costs 1.5 us,
+    per call, run_trials once per batch, as np.errstate costs 1.5 us,
     a few percent of a kernel step, if entered here on every step.
     """
     a = np.asarray(a, dtype=float)
     nrm = row_norms(a)
     over = nrm > bound
-    if not np.any(over):
+    if not over.any():
         return a, over
     if np.any(np.isinf(nrm)):
         nrm = finite_row_norms(a)

@@ -56,6 +56,9 @@ HARD_REGIMES = ("cvx-fano", "cvx-twopoint", "str-fano", "str-twopoint")
 
 SUPPORT_CAP = 2_000_000
 
+# int8 constants that keep the state codes' arithmetic in int8
+_ONE, _TWO = np.int8(1), np.int8(2)
+
 
 @dataclass(frozen=True)
 class HardParams:
@@ -222,22 +225,32 @@ class HardInstance:
         return NoiseSpec(self.p, self.sigma_s, self.sigma_l)
 
     def sample_xi(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n rows of xi from D_v (one uniform per coordinate).
+        """Draw n rows of xi from D_v (one uniform per coordinate), as
+        int8 outcome codes 0, +1 and -1.
 
         Threshold order maps [0, 1-q) to 0, then the +1 mass, then -1.
         """
         u = rng.random((n, self.d))
         lo, hi = self._thresholds
-        return np.where(u < lo, 0.0, np.where(u < hi, 1.0, -1.0))
+        # +1 below hi and -1 from hi on, then 0 below lo
+        xi = (u < hi).view(np.int8) * _TWO - _ONE
+        xi *= (u >= lo).view(np.int8)
+        return xi
 
     def grad_rows(self, X: np.ndarray, Xi: np.ndarray) -> np.ndarray:
+        """Gradient rows at X for states Xi, int8 codes or floats.
+
+        Every product with a state is exact (its entries are 0 and +-1),
+        so both state types give the same bits.  M and y may hold one row
+        per row of X instead of one value per coordinate.
+        """
         X = np.asarray(X, dtype=float)
         if self.kind == "cvx":
             # M |xi| sign(x - xi y), formed in the sign array with one
             # more temporary; multiplication commutes bit for bit
             s = X - Xi * self.y
             np.sign(s, out=s)
-            g = np.abs(Xi)
+            g = np.abs(Xi, dtype=float)
             g *= self.M
             s *= g
             return s
@@ -277,7 +290,8 @@ class HardInstance:
 def sample_dv(
     instance: HardInstance, rng: np.random.Generator, n: Optional[int] = None
 ) -> np.ndarray:
-    """Draw from D_v: a single state vector, or an (n, d) batch when n given."""
+    """Draw from D_v: a single state vector, or an (n, d) batch when n
+    given, as int8 codes 0, +1 and -1."""
     if n is None:
         return instance.sample_xi(rng, 1)[0]
     return instance.sample_xi(rng, n)

@@ -7,17 +7,20 @@ suboptimality statistics per T, and fits ln error against ln T.
 Determinism contract: results are a pure function of the resolved config
 plus master seed.  Trial j at grid index ti consumes exactly the rng
 seeded with derive_seed(master, j, ti), and under v_mode "cycle" runs
-codeword (j // BLOCK_TRIALS) % size.  Trials are executed in blocks of
-consecutive indices whose width is set by bytes, not by count: as many
+codeword (j // BLOCK_TRIALS) % size.  Every (ti, j) pair is one row;
+the rows are listed longest horizon first and cut into shards of
+consecutive rows whose width is set by bytes, not by count: as many
 multiples of BLOCK_TRIALS rows as keep the kernel's noise prefetch
-buffer within NOISE_BUDGET, but only BLOCK_TRIALS rows while codewords
-rotate, so no block mixes codewords.  Every block of every horizon goes
-through one ThreadPoolExecutor(max_workers=threads).map, at any thread
-count, and the results are sliced back per horizon in submission order.
-The kernel is row-wise, so neither the block partition nor the thread
-count changes any output byte.  Nor does the working directory:
-manifest.json records package_version as its only provenance, so all
-three output files are a function of the config plus seed.
+buffer, in the oracle's state dtype, within NOISE_BUDGET.  A shard is
+one run_trials call, which runs one step loop to the shard's longest
+horizon with each row's own oracle, schedule and horizon, so a shard
+may mix horizons and codewords.  Every shard goes through one
+ThreadPoolExecutor(max_workers=threads).map, at any thread count, and
+the rows are put back per horizon in submission order.  The kernel is
+row-wise, so neither the shard partition nor the thread count changes
+any output byte.  Nor does the working directory: manifest.json records
+package_version as its only provenance, so all three output files are a
+function of the config plus seed.
 
 Each config section and key is declared once, in the spec tables above
 parse_config; a bad value raises a ValueError that names its key.
@@ -39,8 +42,8 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__ as _pkg_version
-from ._util import as_vector, row_norms
-from .algorithms import NOISE_CHUNK, average, run_trials
+from ._util import row_norms
+from .algorithms import NOISE_CHUNK, _check_start, average, run_trials
 from .hardness import (
     HARD_REGIMES,
     gv_codebook,
@@ -77,11 +80,11 @@ __all__ = [
     "persist",
 ]
 
-# codeword period of v_mode "cycle" and the narrowest block of trials
+# codeword period of v_mode "cycle" and the narrowest shard of rows
 BLOCK_TRIALS = 64
 
-# bytes of prefetched noise, (rows, NOISE_CHUNK, d) float64, that sizes a
-# block: the kernel's per-step Python cost is shared by all its rows
+# bytes of prefetched noise, NOISE_CHUNK states of d entries a row, that
+# size a shard: the kernel's per-step Python cost is shared by all its rows
 NOISE_BUDGET = 8 << 20
 
 _MASK64 = (1 << 64) - 1
@@ -129,6 +132,15 @@ def derive_seed(master: int, trial: int, tag: int) -> int:
 
 _REQ = object()
 
+# Caps on the size keys.  Each keeps a run's integers in range and its
+# memory bounded: a trial prefetches NOISE_CHUNK * problem.d noise
+# entries, derive_seed takes trial indices below 2^32 and grid indices
+# below 2^16, and results are kept for every (horizon, trial) row.
+MAX_D = 1 << 12  # problem.d and hardness.d_star
+MAX_TRIALS = 1 << 20  # run.trials
+MAX_T = 1 << 30  # each horizon in run.T_grid
+MAX_HORIZONS = 1 << 10  # entries of run.T_grid
+
 
 def _int(val, path: str) -> int:
     """An integer; integral floats pass, anything else is rejected."""
@@ -140,10 +152,15 @@ def _int(val, path: str) -> int:
 
 
 def _real(val, path: str) -> float:
-    """A finite real; null, strings, booleans, NaN and +-inf are rejected."""
-    if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
-        raise ValueError(f"{path} must be a finite number, got {val!r}")
-    return float(val)
+    """A finite real; null, strings, booleans, NaN, +-inf and integers
+    beyond the float range are rejected."""
+    if not isinstance(val, bool) and isinstance(val, numbers.Real):
+        try:
+            if math.isfinite(val):
+                return float(val)
+        except OverflowError:
+            pass
+    raise ValueError(f"{path} must be a finite number, got {val!r}")
 
 
 def _reals(val, path: str) -> list:
@@ -219,15 +236,21 @@ def _T_grid(val, path: str) -> list:
             raise ValueError(f"{path}: need 1 <= min <= max")
         Ts = []
         t = g["min"]
-        while t <= g["max"]:
+        while t <= g["max"] and len(Ts) <= MAX_HORIZONS:
             Ts.append(t)
-            t = max(t + 1, int(round(t * g["ratio"])))
+            # past MAX_T the grid ends either way; the cap keeps a huge
+            # ratio from overflowing the int conversion
+            t = max(t + 1, int(round(min(t * g["ratio"], MAX_T + 1.0))))
     elif isinstance(val, list):
         Ts = [_int(t, f"{path}[{i}]") for i, t in enumerate(val)]
     else:
         raise ValueError(f"{path} must be a list of horizons or a min/max/ratio object")
     if not Ts or any(t < 1 for t in Ts) or sorted(set(Ts)) != Ts:
         raise ValueError(f"{path} must be strictly increasing positive integers")
+    if len(Ts) > MAX_HORIZONS or Ts[-1] > MAX_T:
+        raise ValueError(
+            f"{path} must hold at most {MAX_HORIZONS} horizons of at most {MAX_T}"
+        )
     return Ts
 
 
@@ -236,14 +259,18 @@ def _x1_mode(val, path: str) -> dict:
     return _section({"kind": val} if isinstance(val, str) else val, path, _X1_MODE)
 
 
-_POS_INT = _where(_int, lambda v: v >= 1, "must be a positive integer")
+def _count(cap: int):
+    """A positive integer of at most cap."""
+    return _where(_int, lambda v: 1 <= v <= cap, f"must be an integer in [1, {cap}]")
+
+
 _POSITIVE = _where(_real, lambda v: v > 0, "must be positive")
 _NONNEG = _where(_real, lambda v: v >= 0, "must be nonnegative")
 _UNIT = _where(_real, lambda v: 0 < v < 1, "must lie in (0, 1)")
 
 _GRID = {
-    "min": (_POS_INT, _REQ),
-    "max": (_POS_INT, _REQ),
+    "min": (_count(MAX_T), _REQ),
+    "max": (_count(MAX_T), _REQ),
     "ratio": (_where(_real, lambda v: v > 1, "must exceed 1"), 2.0),
 }
 _DOMAIN = {
@@ -254,7 +281,7 @@ _DOMAIN = {
 _X1_MODE = {"kind": (_one_of("origin", "offset"), _REQ), "vector": (_reals,)}
 _PROBLEM = {
     "kind": (_one_of("abs-sum", "euclid-norm", "linear", "hard"), _REQ),
-    "d": (_POS_INT, _REQ),
+    "d": (_count(MAX_D), _REQ),
     "G": (_POSITIVE,),
     "mu": (_NONNEG, 0.0),
     "D": (_POSITIVE,),
@@ -293,13 +320,13 @@ _SCHEDULE = {
 }
 _HARDNESS = {
     "regime": (_one_of(*HARD_REGIMES), _REQ),
-    "d_star": (_POS_INT, _REQ),
+    "d_star": (_count(MAX_D), _REQ),
     "codebook": (_one_of("twopoint", "gv"), "twopoint"),
     "v_mode": (_one_of("first", "cycle"), "first"),
 }
 _RUN = {
     "T_grid": (_T_grid, _REQ),
-    "trials": (_POS_INT, _REQ),
+    "trials": (_count(MAX_TRIALS), _REQ),
     "master_seed": (_int, _REQ),
     "record_stride": (_text, "geometric:2"),
 }
@@ -461,11 +488,11 @@ def _build_domain(prob: dict):
     return Ball(np.array(dom["center"], dtype=float), dom["radius"])
 
 
-def _resolve_x1(prob: dict) -> np.ndarray:
+def _resolve_x1(prob: dict, objective: CompositeObjective) -> np.ndarray:
     mode = prob["x1_mode"]
     if mode["kind"] == "origin":
-        return np.zeros(prob["d"])
-    return as_vector(mode["vector"], prob["d"])
+        return _check_start(objective, np.zeros(prob["d"]), "problem.x1_mode origin")
+    return _check_start(objective, mode["vector"], "problem.x1_mode.vector")
 
 
 def _build_standard_problem(config: ExperimentConfig):
@@ -580,7 +607,7 @@ def _materialize(config: ExperimentConfig, T: int, codebook, word_index: int) ->
     else:
         objective = _build_standard_problem(config)
         oracle = _build_oracle(config, objective)
-        x1 = _resolve_x1(prob)
+        x1 = _resolve_x1(prob, objective)
         computed_D = float(row_norms(x1 - objective.optimum.x_star))
         if "D" in prob:
             D = prob["D"]
@@ -738,31 +765,42 @@ class ExperimentResult:
     assertions_passed: Optional[bool]
 
 
-def _block_width(d: int) -> int:
-    """Rows per block: the most multiples of BLOCK_TRIALS within NOISE_BUDGET."""
-    rows_bytes = BLOCK_TRIALS * NOISE_CHUNK * d * 8
+def _shard_width(d: int, itemsize: int) -> int:
+    """Rows per shard: the most multiples of BLOCK_TRIALS whose noise
+    prefetch buffer, NOISE_CHUNK states of d entries a row, fits NOISE_BUDGET."""
+    rows_bytes = BLOCK_TRIALS * NOISE_CHUNK * d * itemsize
     return BLOCK_TRIALS * max(1, NOISE_BUDGET // rows_bytes)
 
 
-def _run_block(setting: _Setting, master: int, tag: int, indices, mode: str) -> tuple:
-    rngs = [
-        np.random.default_rng(derive_seed(master, j, tag)) for j in indices
-    ]
+def _run_shard(rows: list, master: int, mode: str, shared: bool) -> tuple:
+    """Run one shard; rows are (grid index, trial, setting), longest horizon
+    first.  shared: every row runs the first row's oracle."""
+    settings = [s for _, _, s in rows]
+    first = settings[0]
+    rngs = [np.random.default_rng(derive_seed(master, j, ti)) for ti, j, _ in rows]
+    horizons = [s.T for s in settings]
     batch = run_trials(
-        setting.objective,
-        setting.oracle,
-        setting.schedule,
-        setting.T,
-        setting.x1,
+        first.objective,
+        first.oracle if shared else [s.oracle for s in settings],
+        [s.schedule for s in settings],
+        first.T,
+        first.x1,
         rngs,
-        stabilized=setting.stabilized,
+        stabilized=first.stabilized,
+        horizons=horizons,
     )
-    obj = setting.objective
-    opt = obj.optimum
-    subopt = np.maximum(eval_F_batch(obj, average(batch, mode)) - opt.F_star, 0.0)
-    diff = batch.x_last - opt.x_star
-    mu_dist2 = obj.mu * np.add.reduce(diff * diff, axis=-1)
-    clip_rate = batch.clip_events / float(setting.T)
+    agg = average(batch, mode)
+    subopt = np.empty(len(rows))
+    mu_dist2 = np.empty(len(rows))
+    # each run of rows with one setting is evaluated on its own objective
+    cuts = [i for i in range(1, len(rows)) if settings[i] is not settings[i - 1]]
+    for a, b in zip([0, *cuts], [*cuts, len(rows)]):
+        obj = settings[a].objective
+        opt = obj.optimum
+        subopt[a:b] = np.maximum(eval_F_batch(obj, agg[a:b]) - opt.F_star, 0.0)
+        diff = batch.x_last[a:b] - opt.x_star
+        mu_dist2[a:b] = obj.mu * np.add.reduce(diff * diff, axis=-1)
+    clip_rate = batch.clip_events / np.array(horizons, dtype=float)
     return subopt, mu_dist2, clip_rate
 
 
@@ -790,47 +828,52 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         config.hardness is not None and config.hardness["v_mode"] == "cycle"
     )
 
+    # codewords rotate every BLOCK_TRIALS trials; settings[ti][wi] runs
+    # codeword wi at grid index ti
     words = codebook.size if cycle else 1
-    # a block must not mix codewords, so rotating ones pin its width
-    width = BLOCK_TRIALS if words > 1 else _block_width(config.problem["d"])
-    blocks = [range(b0, min(b0 + width, trials)) for b0 in range(0, trials, width)]
-
-    # settings[ti][wi] runs codeword wi at grid index ti; block b runs
-    # codeword b % words, since codewords rotate every BLOCK_TRIALS trials
+    used = min(words, math.ceil(trials / BLOCK_TRIALS))
+    word = np.arange(trials) // BLOCK_TRIALS % words
     settings = [
-        [_materialize(config, T, codebook, wi) for wi in range(min(words, len(blocks)))]
-        for T in Ts
+        [_materialize(config, T, codebook, wi) for wi in range(used)] for T in Ts
     ]
     first = settings[0][0]
     mode = config.eval["averaging"]
     if mode == "designated":
         mode = first.schedule.averaging
 
-    jobs = [
-        (row[b % words], master, ti, idx, mode)
-        for ti, row in enumerate(settings)
-        for b, idx in enumerate(blocks)
-    ]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        outs = list(pool.map(lambda job: _run_block(*job), jobs))
+    # row r is trial r % trials at grid index len(Ts) - 1 - r // trials, so
+    # the rows run longest horizon first; a standard problem does not
+    # depend on T, so its rows share one oracle
+    def run_shard(rows: range) -> tuple:
+        at = [(len(Ts) - 1 - r // trials, r % trials) for r in rows]
+        return _run_shard(
+            [(ti, j, settings[ti][word[j]]) for ti, j in at], master, mode, shared
+        )
 
-    word = np.arange(trials) // BLOCK_TRIALS % words
+    shared = config.problem["kind"] != "hard"
+    width = _shard_width(config.problem["d"], first.oracle.state_dtype.itemsize)
+    n_rows = len(Ts) * trials
+    shards = [range(a, min(a + width, n_rows)) for a in range(0, n_rows, width)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        outs = list(pool.map(run_shard, shards))
+    subopts, mu_dist2s, clip_rates = (
+        np.concatenate(col).reshape(len(Ts), trials)[::-1] for col in zip(*outs)
+    )
+
     per_T = []
     for ti, T in enumerate(Ts):
-        parts = outs[ti * len(blocks) : (ti + 1) * len(blocks)]
-        subopt, mu_dist2, clip_rate = (np.concatenate(col) for col in zip(*parts))
+        subopt = subopts[ti]
         codeword_means = None
         if cycle:
             codeword_means = {
-                wi: float(np.mean(subopt[word == wi]))
-                for wi in range(len(settings[ti]))
+                wi: float(np.mean(subopt[word == wi])) for wi in range(used)
             }
         per_T.append(
             PerTStats(
                 T=T,
                 stats=summarize(subopt, levels),
-                mu_dist2_mean=float(np.mean(mu_dist2)),
-                clip_rate=float(np.mean(clip_rate)),
+                mu_dist2_mean=float(np.mean(mu_dist2s[ti])),
+                clip_rate=float(np.mean(clip_rates[ti])),
                 codeword_means=codeword_means,
             )
         )

@@ -232,8 +232,13 @@ class GradOracle:
     def d(self) -> int:
         return self.objective.d
 
+    @property
+    def state_dtype(self) -> np.dtype:
+        """dtype of drawn states: int8 outcome codes for hard instances."""
+        return np.dtype(np.int8 if self.kind == "hard-instance" else float)
+
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n oracle noise states as an (n, d) array."""
+        """Draw n oracle noise states as an (n, d) array of state_dtype."""
         if self.kind == "deterministic":
             return np.zeros((n, self.d))
         if self.kind == "additive-gaussian":

@@ -99,7 +99,7 @@ def project(domain: Domain, x: np.ndarray) -> np.ndarray:
 
 def _project(domain: Domain, x: np.ndarray) -> np.ndarray:
     # the prox steps' projection: run_trials silences the overflow
-    # warning once per block, as np.errstate costs about 1.5 us per entry
+    # warning once per batch, as np.errstate costs about 1.5 us per entry
     x = np.asarray(x, dtype=float)
     if isinstance(domain, AllSpace):
         return x
@@ -361,22 +361,18 @@ def subgrad_f_batch(obj: CompositeObjective, X: np.ndarray) -> np.ndarray:
 # proximal steps
 
 
-def prox_step(
-    r: Optional[QuadReg],
-    domain: Domain,
-    x_t: np.ndarray,
-    g: np.ndarray,
-    eta: float,
-) -> np.ndarray:
-    """argmin_{x in X} r(x) + <g, x> + ||x - x_t||^2 / (2 eta).
+def _all(cond) -> bool:
+    """cond, a bool or an array of them, holds everywhere."""
+    return cond if isinstance(cond, bool) else bool(cond.all())
 
-    Closed form: the unconstrained minimizer is
-    (x_t/eta + mu c - g) / (1/eta + mu), projected onto X.  Accepts
-    batched rows for x_t and g.
-    """
-    eta = float(eta)
-    if not (eta > 0):
-        raise ValueError("step size eta must be positive")
+
+def _step(eta):
+    """A step size: a float, or an array of per-row steps such as an (n, d) tile."""
+    return eta if isinstance(eta, np.ndarray) else float(eta)
+
+
+def _prox_point(r: Optional[QuadReg], x_t, g, eta) -> np.ndarray:
+    """prox_step's unconstrained minimizer (x_t/eta + mu c - g) / (1/eta + mu)."""
     x_t = np.asarray(x_t, dtype=float)
     g = np.asarray(g, dtype=float)
     a = x_t / eta - g
@@ -385,8 +381,27 @@ def prox_step(
     else:
         mu = r.mu
         a = a + mu * r.center
-    c = a / (1.0 / eta + mu)
-    return _project(domain, c)
+    return a / (1.0 / eta + mu)
+
+
+def prox_step(
+    r: Optional[QuadReg],
+    domain: Domain,
+    x_t: np.ndarray,
+    g: np.ndarray,
+    eta,
+) -> np.ndarray:
+    """argmin_{x in X} r(x) + <g, x> + ||x - x_t||^2 / (2 eta).
+
+    Closed form: the unconstrained minimizer is
+    (x_t/eta + mu c - g) / (1/eta + mu), projected onto X.  Accepts
+    batched rows for x_t and g, and per-row steps for eta (an array that
+    broadcasts against the rows).
+    """
+    eta = _step(eta)
+    if not _all(eta > 0):
+        raise ValueError("step size eta must be positive")
+    return _project(domain, _prox_point(r, x_t, g, eta))
 
 
 def stabilized_prox_step(
@@ -395,8 +410,8 @@ def stabilized_prox_step(
     x_t: np.ndarray,
     x_1: np.ndarray,
     g: np.ndarray,
-    eta_t: float,
-    eta_next: float,
+    eta_t,
+    eta_next,
 ) -> np.ndarray:
     """Proximal step with an anchor term pulling toward the start point.
 
@@ -405,14 +420,17 @@ def stabilized_prox_step(
 
     requiring 0 < eta_next <= eta_t.  With eta_next == eta_t the anchor
     weight vanishes and the update reduces to prox_step exactly (same
-    code path, bit for bit).
+    code path, bit for bit).  eta_t and eta_next may be per-row arrays,
+    as in prox_step; a row whose anchor weight vanishes then takes
+    prox_step's arithmetic exactly.
     """
-    eta_t = float(eta_t)
-    eta_next = float(eta_next)
-    if not (eta_next > 0) or eta_next > eta_t:
+    eta_t = _step(eta_t)
+    eta_next = _step(eta_next)
+    if not _all(eta_next > 0) or not _all(eta_next <= eta_t):
         raise ValueError("stabilized step requires 0 < eta_next <= eta_t")
     s = (eta_t / eta_next - 1.0) / eta_t
-    if s == 0.0:
+    plain = s == 0.0
+    if _all(plain):
         return prox_step(r, domain, x_t, g, eta_t)
     x_t = np.asarray(x_t, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -423,6 +441,8 @@ def stabilized_prox_step(
         mu = r.mu
         a = a + mu * r.center
     c = a / (1.0 / eta_t + s + mu)
+    if not isinstance(plain, bool) and plain.any():
+        c = np.where(plain, _prox_point(r, x_t, g, eta_t), c)
     return _project(domain, c)
 
 

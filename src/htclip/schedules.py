@@ -33,6 +33,7 @@ min.  Products like varphi_star psi_star are 0 when varphi_star = 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,6 +61,9 @@ REGIMES = (
 )
 
 INF = math.inf
+
+# the smallest normal float
+_TINY = sys.float_info.min
 
 
 def d_eff_of(sigma_s: float, sigma_l: float) -> float:
@@ -173,6 +177,12 @@ class ScheduleParams:
                 f"noise sigma_l is not finite to the power p "
                 f"({sl:g} ** {self.p:g} overflows)"
             ) from None
+        if ss > 0.0 and ss * ss < _TINY:
+            # the clipping constants divide by powers of sigma_s
+            raise ValueError(
+                f"noise sigma_s = {ss:g} is too small: its square underflows "
+                f"below {_TINY:g}"
+            )
         G = float(self.G)
         D = float(self.D)
         if not (G > 0.0) or not math.isfinite(G):

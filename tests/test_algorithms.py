@@ -14,6 +14,8 @@ from htclip import (
     ScheduleParams,
     average,
     checkpoint_times,
+    hard_params,
+    make_hard_instance,
     make_oracle,
     make_schedule,
     run_clipped_sgd,
@@ -436,6 +438,81 @@ class TestBatching:
             run_trials(
                 obj, oracle, _const(0.1), 2, np.array([3.0, 0.0]),
                 [np.random.default_rng(0)],
+            )
+
+
+class TestMixedBatch:
+    """A batch whose trials differ in oracle, schedule and horizon matches
+    one run per group of alike trials, bit for bit."""
+
+    @staticmethod
+    def _rngs(seeds):
+        return [np.random.default_rng(s) for s in seeds]
+
+    def _check(self, objective, groups, stabilized):
+        # groups: (oracle, schedule, horizon, seeds), longest horizon first
+        rows = [(o, s, T, seed) for o, s, T, seeds in groups for seed in seeds]
+        batch = run_trials(
+            objective, [r[0] for r in rows], [r[1] for r in rows], rows[0][2],
+            np.zeros(objective.d), self._rngs(r[3] for r in rows),
+            stabilized=stabilized, horizons=[r[2] for r in rows],
+        )
+        a = 0
+        for oracle, sched, T, seeds in groups:
+            ref = run_trials(
+                oracle.objective, oracle, sched, T, np.zeros(objective.d),
+                self._rngs(seeds), stabilized=stabilized,
+            )
+            b = a + len(seeds)
+            assert np.array_equal(batch.x_last[a:b], ref.x_last)
+            assert np.array_equal(batch.avg_plain[a:b], ref.avg_plain)
+            assert np.array_equal(batch.avg_weighted[a:b], ref.avg_weighted)
+            assert np.array_equal(batch.clip_events[a:b], ref.clip_events)
+            a = b
+
+    def test_hard_instances_of_several_horizons_and_codewords(self):
+        groups = []
+        for T, v in ((1100, [1, -1, 1]), (1100, [-1, 1, 1]), (700, [1, 1, -1]),
+                     (5, [1, -1, 1])):
+            params = hard_params(
+                "cvx-fano", d_star=3, T=T, G=1.0, D=1.0, sigma_l=1.0, p=1.5
+            )
+            _, oracle = make_hard_instance("cvx", 4, 3, params, np.array(v, float))
+            sched = _const(0.05 * (1.0 + T / 1000.0), tau=0.8)
+            groups.append((oracle, sched, T, [len(groups) * 10 + i for i in range(3)]))
+        self._check(groups[0][0].objective, groups, stabilized=False)
+
+    def test_stabilized_rows_with_and_without_an_anchor(self):
+        # at one step, rows of the constant schedule have no anchor weight
+        # (eta_next == eta_t) while the others have one
+        obj = CompositeObjective(
+            f=EuclidNorm(1.0, np.zeros(2)), r=None, domain=Ball(np.zeros(2), 2.0),
+            lipschitz_G=1.0,
+        )
+        oracle = make_oracle(obj, "additive-gaussian", scales=np.full(2, 0.5))
+        groups = [
+            (oracle, _const(0.1, tau=1.0), 1100, [1, 2]),
+            (oracle, StubSchedule(lambda t: 0.5 / math.sqrt(t), lambda t: 1.2), 1030, [3]),
+            (oracle, StubSchedule(lambda t: min(0.2, 1.0 / t), lambda t: 0.9), 20, [4, 5]),
+        ]
+        self._check(obj, groups, stabilized=True)
+
+    def test_rejects_bad_rows(self):
+        obj = _abs_objective()
+        oracle = make_oracle(obj, "deterministic")
+        other = make_oracle(obj, "additive-gaussian", scales=np.ones(1))
+        rngs = self._rngs([1, 2])
+        x1 = np.zeros(1)
+        with pytest.raises(ValueError, match="one oracle per trial"):
+            run_trials(obj, [oracle], _const(0.1), 3, x1, rngs)
+        with pytest.raises(ValueError, match="nonincreasing"):
+            run_trials(obj, oracle, _const(0.1), 3, x1, rngs, horizons=[2, 3])
+        with pytest.raises(ValueError, match="hard instances"):
+            run_trials(obj, [oracle, other], _const(0.1), 3, x1, rngs)
+        with pytest.raises(ValueError, match="checkpoints"):
+            run_trials(
+                obj, oracle, _const(0.1), 3, x1, rngs, horizons=[3, 2],
+                record_stride=1,
             )
 
 

@@ -328,6 +328,17 @@ class TestParsing:
              "problem.domain.center"),
             ("problem", {"domain": {"kind": "all-space", "radius": 2.0}},
              "problem.domain.radius"),
+            ("problem", {"d": 1e300, "x1_mode": "origin"}, "problem.d"),
+            ("hardness", {"regime": "cvx-fano", "d_star": 10**400}, "hardness.d_star"),
+            ("run", {"trials": 1e300}, "run.trials"),
+            ("run", {"T_grid": {"min": 16, "max": 1e300}}, "run.T_grid.max"),
+            ("run", {"T_grid": [16, 1e300]}, "run.T_grid"),
+            ("run", {"T_grid": {"min": 1, "max": 2**30, "ratio": 1.0000001}},
+             "run.T_grid"),
+            ("problem", {"domain": {"kind": "ball", "radius": 0.5}},
+             "problem.x1_mode.vector"),
+            ("noise", {"kind": "additive-gaussian", "scales": 1e-300},
+             "noise sigma_s = 1e-300 is too small"),
         ],
     )
     def test_bad_config_value_names_its_key(self, tmp_path, capsys, section, patch, key):

@@ -94,6 +94,28 @@ CONFIGS = {
         "hardness": {"regime": "str-twopoint", "d_star": 3},
         "run": {"T_grid": [8, 16, 32, 64], "trials": 70, "master_seed": 16},
     },
+    # one shard runs every (horizon, trial) row of each config below: the
+    # first mixes horizons and codewords, the second horizons on one
+    # stabilized schedule, and both cross a noise chunk boundary
+    "hard-cvx-fano-cvx-hp-T-gv-cycle-mixed-horizons": {
+        "problem": {"kind": "hard", "d": 6, "G": 1.0, "D": 1.0},
+        "noise": {"kind": "hard-instance", "p": 1.6, "sigma_s": 0.5,
+                  "sigma_l": 1.0},
+        "schedule": {"regime": "cvx-hp-T", "delta": 0.1},
+        "hardness": {"regime": "cvx-fano", "d_star": 6, "codebook": "gv",
+                     "v_mode": "cycle"},
+        "run": {"T_grid": [16, 256, 1500], "trials": 100, "master_seed": 17},
+    },
+    "euclid-norm-cvx-ex-anytime-stabilized-ball-weighted": {
+        "problem": {
+            "kind": "euclid-norm", "d": 3, "G": 1.0, "domain": _BALL,
+            "x1_mode": {"kind": "offset", "vector": [0.5, -1.0, 0.8]},
+        },
+        "noise": {"kind": "additive-gaussian", "scales": [0.4, 0.8, 0.2]},
+        "schedule": {"regime": "cvx-ex-anytime", "algorithm": "stabilized"},
+        "run": {"T_grid": [16, 100, 400, 1100], "trials": 70, "master_seed": 18},
+        "eval": {"averaging": "weighted", "quantile_levels": [0.5, 0.95]},
+    },
 }
 
 GOLDEN = {
@@ -144,6 +166,22 @@ GOLDEN = {
             "1bf1843c7c52d5448a64db7798e0e95469e9a7f801f7e0076e6fea8c9986cc59",
         "manifest.json":
             "7b86fb64746bf30ec651a9f2282b487af5d77534a5fe137e5ceabc65d9b906b8",
+    },
+    "hard-cvx-fano-cvx-hp-T-gv-cycle-mixed-horizons": {
+        "series.csv":
+            "acef7b9ae0db89a5d0415dc67a3b9a9ab1d265008470e4f2ef2cd3db3820a3d6",
+        "fit.csv":
+            "553da1708ffb04111bdbdb6dbcfea5582af1188e2cb9f1d6aab1b6964b7aada5",
+        "manifest.json":
+            "214acdb74f33dba7ca6c8d42146dba43b117e86bfe9debb6217ea70f0d79e014",
+    },
+    "euclid-norm-cvx-ex-anytime-stabilized-ball-weighted": {
+        "series.csv":
+            "35b6d1c8a1e44a8a3fac8cfed8431fa3c6b4088d14aef2085787073ae0489f49",
+        "fit.csv":
+            "462a1bdddbc46d9f64004e3079862fbba22e0d7af01e2e2d5457538bd52d7358",
+        "manifest.json":
+            "472bc239c03855719060fff12a7c4693e5250920b094a164c969fdf56cea3050",
     },
 }
 

@@ -2,9 +2,12 @@ import copy
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htclip import (
     fit_rate,
@@ -17,6 +20,7 @@ from htclip import harness
 from htclip.harness import BLOCK_TRIALS, derive_seed
 
 import oracles
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 def _gauss_raw(T_grid=(16, 32, 64), trials=8, seed=123):
@@ -327,13 +331,34 @@ class TestRunExperiment:
         assert sorted(row.codeword_means) == [0, 1]
         assert res.manifest["codebook"]["size"] == 2
 
-    @pytest.mark.parametrize("kind", ["gaussian", "hard-cycle", "hard-first"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["gaussian", "hard-cycle", "hard-first", "hard-str-cycle", "str-gaussian",
+         "stabilized-anytime", "stabilized-T"],
+    )
     def test_block_width_is_outside_the_outputs(self, tmp_path, monkeypatch, kind):
         if kind == "gaussian":
             raw = _gauss_raw(T_grid=(16, 32, 64), trials=2 * BLOCK_TRIALS + 2)
-        else:
-            raw = _hard_raw(trials=2 * BLOCK_TRIALS + 9, v_mode=kind.split("-")[1])
+        elif kind.startswith("hard"):
+            raw = _hard_raw(trials=2 * BLOCK_TRIALS + 9, v_mode=kind.split("-")[-1])
             raw["run"]["T_grid"] = [8, 16, 32]
+            if "str" in kind:
+                raw["problem"]["mu"] = 0.5
+                raw["schedule"] = {"regime": "str-ex"}
+                raw["hardness"]["regime"] = "str-fano"
+        elif kind == "str-gaussian":
+            raw = _gauss_raw(T_grid=(16, 32, 64), trials=2 * BLOCK_TRIALS + 2)
+            raw["problem"]["mu"] = 0.5
+            raw["schedule"] = {"regime": "str-hp", "delta": 0.1}
+        else:
+            # stabilized steps on a ball: one schedule for every horizon
+            # (anytime), or one per horizon with a constant step (known T)
+            raw = _gauss_raw(T_grid=(16, 32, 64), trials=2 * BLOCK_TRIALS + 2)
+            raw["problem"]["domain"] = {"kind": "ball", "radius": 1.5}
+            raw["schedule"] = (
+                {"regime": "cvx-ex-anytime"} if kind == "stabilized-anytime"
+                else {"regime": "cvx-ex-T", "algorithm": "stabilized"}
+            )
         cfg = parse_config(raw)
         outputs = []
         for budget in (0, harness.NOISE_BUDGET):
@@ -420,3 +445,48 @@ class TestPersist:
         with pytest.raises(ValueError):
             persist(broken, str(target))
         assert not target.exists() or not any(target.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# parse_config fuzz: a golden config with one value replaced
+
+
+def _paths(node, path=()):
+    """Every key path into a config, sections and list entries included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, path + (key,))
+
+
+_REPLACEMENTS = st.one_of(
+    st.sampled_from([
+        10**400, -(10**400), 2**63, 1e300, 1e308, -1e300, float("inf"), float("-inf"),
+        float("nan"), None, True, 0, -1, 0.5, "", "12", "cycle", [], [1.0, None],
+        {}, {"kind": "ball"}, {"min": 1, "max": 10**12, "ratio": 1e308},
+    ]),
+    st.integers(-(10**12), 10**12),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.lists(st.floats(-10.0, 10.0), max_size=4),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(sorted(GOLDEN_CONFIGS)),
+       value=_REPLACEMENTS)
+def test_parse_config_rejects_a_bad_value_by_its_key(data, name, value):
+    raw = copy.deepcopy(GOLDEN_CONFIGS[name])
+    path = data.draw(st.sampled_from(list(_paths(raw))))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        parse_config(raw)
+    except ValueError as exc:
+        # every message names a config section or a key inside one
+        assert re.search(
+            r"\b(config|problem|noise|schedule|hardness|run|eval|output)\b", str(exc)
+        ), str(exc)

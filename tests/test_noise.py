@@ -164,6 +164,13 @@ class TestMakeOracle:
         assert oracle.noise.sigma_l == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
         assert oracle.noise.sigma_s == 1e200
 
+    def test_gaussian_sigma_l_whose_square_underflows(self):
+        # sum s^2 = 2e-600 underflows to 0, sigma_l = sqrt(2) 1e-300 does not
+        obj = _flat_objective(2)
+        oracle = make_oracle(obj, "additive-gaussian", scales=np.full(2, 1e-300))
+        assert oracle.noise.sigma_l == pytest.approx(math.sqrt(2.0) * 1e-300, rel=1e-15)
+        assert oracle.noise.sigma_s == 1e-300
+
     def test_gaussian_sigma_l_keeps_the_plain_sum(self, rng):
         s = rng.uniform(0.1, 3.0, 7)
         oracle = make_oracle(_flat_objective(7), "additive-gaussian", scales=s)
