@@ -26,14 +26,17 @@ eta_t and tau_t come from its own schedule, and hard-instance rows of
 different horizons or codewords map gradients with per-row M and y.
 
 Oracle noise is prefetched in fixed chunks of NOISE_CHUNK states per
-trial, which pins each trial's consumption of its own rng stream; the
-chunks are written row by row into one (min(T, NOISE_CHUNK), trials, d)
-buffer of the oracle's state dtype, allocated once per run, so a step
-reads its states as one contiguous block.  Iterates are checked for
-finiteness at every chunk boundary and at each horizon, not at every
-step: a coordinate that turns non-finite stays non-finite under the
-prox maps (they are linear in x, and projection onto a ball maps it to
-nan), so a blow-up anywhere inside a chunk is still reported.
+trial, which pins each trial's consumption of its own rng stream.  Only
+the states a row runs are made: a chunk drawn at step t draws the random
+numbers of all NOISE_CHUNK states but makes only the first
+min(horizon + 1 - t, NOISE_CHUNK) of them (for alpha-stable noise, by a
+transform split across cores), straight into one (min(T, NOISE_CHUNK),
+trials, d) buffer of the oracle's state dtype, allocated once per run,
+so a step reads its states as one contiguous block.  Iterates are
+checked for finiteness at every chunk boundary and at each horizon, not
+at every step: a coordinate that turns non-finite stays non-finite under
+the prox maps (they are linear in x, and projection onto a ball maps it
+to nan), so a blow-up anywhere inside a chunk is still reported.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import clip_rows, row_norms
-from .noise import GradOracle
+from ._util import clip_rows, finite_row_norms
+from .noise import GradOracle, _busy_core
 from .problems import (
     CompositeObjective,
     eval_F_batch,
@@ -139,7 +142,8 @@ def _check_start(objective: CompositeObjective, x_1, name: str = "x_1") -> np.nd
     if x.shape != (objective.d,):
         raise ValueError(f"{name} must be a vector of dimension {objective.d}")
     proj = project(objective.domain, x)
-    if float(row_norms(proj - x)) > 1e-12 * (1.0 + float(row_norms(x))):
+    gap = float(finite_row_norms(proj - x))
+    if gap > 1e-12 * (1.0 + float(finite_row_norms(x))):
         raise ValueError(f"{name} lies outside the domain")
     return x
 
@@ -289,7 +293,7 @@ def _run_kernel(
     steps = _Steps(schedules, horizons, d, stabilized)
     record_set = set(int(t) for t in record)
 
-    buf = None  # allocated at the first draw, in the states' dtype
+    buf = np.empty((min(NOISE_CHUNK, T), n, d), dtype=oracles[0].state_dtype)
     pos = NOISE_CHUNK
     for t in range(1, T + 1):
         if pos == NOISE_CHUNK:
@@ -297,10 +301,9 @@ def _run_kernel(
                 _check_finite(x, t - 1)
             m = min(NOISE_CHUNK, T + 1 - t)
             for i in range(k):
-                states = oracles[i].draw(rngs[i], NOISE_CHUNK)
-                if buf is None:
-                    buf = np.empty((m, n, d), dtype=states.dtype)
-                buf[:m, i] = states[:m]
+                # a row reads no state past its own horizon
+                used = min(m, horizons[i] + 1 - t)
+                oracles[i].draw(rngs[i], NOISE_CHUNK, out=buf[:used, i])
             steps.fill(t, m)
             pos = 0
         xi = buf[pos, :k]
@@ -401,7 +404,7 @@ def run_trials(
     # rather than once per step; an overflow or invalid value that reaches
     # the iterate makes it non-finite, which the kernel raises as
     # FloatingPointError
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _busy_core():
         return _run_kernel(
             objective, oracles, schedules, horizons, x_1, rngs, stabilized, record
         )

@@ -56,6 +56,11 @@ HARD_REGIMES = ("cvx-fano", "cvx-twopoint", "str-fano", "str-twopoint")
 
 SUPPORT_CAP = 2_000_000
 
+# the largest d_star a gv codebook is built for: its ceil(exp(48 / 8)) =
+# 404 words take about 0.35 s to pick, and each 8 more multiply the words
+# by e and the O(words^2) scan by about 7 (2.4 s at d_star = 56)
+GV_MAX_D_STAR = 48
+
 # int8 constants that keep the state codes' arithmetic in int8
 _ONE, _TWO = np.int8(1), np.int8(2)
 
@@ -420,14 +425,21 @@ def gv_codebook(
 ) -> Codebook:
     """Randomized greedy codebook with pairwise distance >= d_star / 4.
 
-    Aims for ceil(exp(d_star / 8)) codewords (the packing guarantee);
-    gives up after max_consecutive_rejects straight rejections and flags
-    the shortfall instead of failing.
+    Aims for ceil(exp(d_star / 8)) codewords (the packing guarantee),
+    which needs d_star <= GV_MAX_D_STAR; gives up after
+    max_consecutive_rejects straight rejections and flags the shortfall
+    instead of failing.
     """
     d_star = int(d_star)
     if d_star < 1:
         raise ValueError("d_star must be a positive integer")
     if target_size is None:
+        if d_star > GV_MAX_D_STAR:
+            raise ValueError(
+                f"d_star = {d_star} is above {GV_MAX_D_STAR}, the largest a gv "
+                "codebook is built for: its ceil(exp(d_star / 8)) words are "
+                "picked by a scan quadratic in their number"
+            )
         target_size = int(math.ceil(math.exp(d_star / 8.0)))
     need = d_star / 4.0
     kept = []

@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__ as _pkg_version
-from ._util import row_norms
+from ._util import finite_row_norms
 from .algorithms import NOISE_CHUNK, _check_start, average, run_trials
 from .hardness import (
     HARD_REGIMES,
@@ -504,7 +504,7 @@ def _build_standard_problem(config: ExperimentConfig):
     kind = prob["kind"]
     if kind == "linear":
         c = np.array(prob["c"], dtype=float)
-        G = float(row_norms(c))
+        G = float(finite_row_norms(c))
         if "G" in prob and abs(prob["G"] - G) > 1e-9 * (1.0 + G):
             raise ValueError("problem.G disagrees with ||c|| for kind linear")
         f = Linear(c)
@@ -533,7 +533,8 @@ def _build_standard_problem(config: ExperimentConfig):
         x_star = np.zeros(d)
         F_star = 0.0
     if isinstance(domain, Ball):
-        if float(row_norms(x_star - domain.center)) > domain.radius * (1 + 1e-12):
+        gap = float(finite_row_norms(x_star - domain.center))
+        if gap > domain.radius * (1 + 1e-12):
             raise ValueError("problem domain does not contain the optimum")
     return CompositeObjective(
         f=f,
@@ -569,7 +570,10 @@ def _make_codebook(kind: str, d_star: int, master: int):
     if kind == "twopoint":
         return two_point_codebook(d_star)
     rng = np.random.default_rng(derive_seed(master, 0, _TAG_CODEBOOK))
-    return gv_codebook(d_star, rng)
+    try:
+        return gv_codebook(d_star, rng)
+    except ValueError as exc:
+        raise ValueError(f"hardness.d_star: {exc}") from None
 
 
 def _codebook_for(config: ExperimentConfig):
@@ -608,7 +612,7 @@ def _materialize(config: ExperimentConfig, T: int, codebook, word_index: int) ->
         objective = _build_standard_problem(config)
         oracle = _build_oracle(config, objective)
         x1 = _resolve_x1(prob, objective)
-        computed_D = float(row_norms(x1 - objective.optimum.x_star))
+        computed_D = float(finite_row_norms(x1 - objective.optimum.x_star))
         if "D" in prob:
             D = prob["D"]
             if abs(D - computed_D) > 1e-9 * (1.0 + computed_D):

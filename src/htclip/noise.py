@@ -10,11 +10,27 @@ with p in (1, 2].  Validity forces 0 <= sigma_s <= sigma_l, and in
 dimension d also sigma_l <= sqrt(pi d / 2) sigma_s (unless both are 0).
 The effective dimension d_eff = sigma_l^2 / sigma_s^2 measures how far
 the noise is from being aligned with a single direction.
+
+Heavy-tailed noise is alpha-stable, drawn by the Chambers-Mallows-Stuck
+(CMS) transform of one uniform angle and one exponential per variate.
+GradOracle.draw(rng, n, out=m_rows) draws the random numbers of all n
+states, so an rng stream advances by the same amount whatever part of a
+draw is used, but makes only the first m states, into out.  The CMS
+transform runs in place on the drawn arrays, and a large one is cut into
+row blocks, one per core that no other running kernel keeps busy, which
+the caller and a lazily started module thread pool transform at once.
+The transform is elementwise, so its bits are the same for any cut and
+any core count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -109,7 +125,7 @@ class StableParams:
 
 
 def sample_alpha_stable(
-    params: StableParams, rng: np.random.Generator, size=None
+    params: StableParams, rng: np.random.Generator, size=None, out=None
 ) -> np.ndarray:
     """Draw S_alpha(beta, gamma) variates via the CMS transform.
 
@@ -117,38 +133,196 @@ def sample_alpha_stable(
     regardless of the parameter branch, so stream alignment is stable.
     At alpha = 2 the output is exactly N(0, 2 gamma^2) and beta is
     irrelevant.
+
+    With out, an array of shape (m,) + size[1:] with m <= size[0], every
+    variate of size is still drawn from rng, but only the first m along
+    axis 0 are transformed, into out, which is returned.  The transform
+    runs in place on the drawn arrays, and a transform of many variates
+    is cut into row blocks transformed on every core (see _split); being
+    elementwise, its result is the same for any cut.
+    """
+    phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
+    w = rng.standard_exponential(size)
+    if size is None:
+        if out is not None:
+            raise ValueError("out needs an array size")
+        phi, w = np.array([phi]), np.array([w])
+        _cms(params, phi, w, phi)
+        return phi[0]
+    if out is None:
+        out = phi
+    elif out.dtype != phi.dtype or out.shape[1:] != phi.shape[1:] or len(out) > len(phi):
+        raise ValueError(
+            f"out must be a float array of shape (m,) + {phi.shape[1:]} with "
+            f"m <= {len(phi)}, got {out.dtype} {out.shape}"
+        )
+    _split(
+        lambda a, b: _cms(params, phi[a:b], w[a:b], out[a:b]),
+        len(out),
+        math.prod(phi.shape[1:]),
+    )
+    return out
+
+
+def _cms(params: StableParams, phi: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """Write the CMS variates of angles phi and exponentials w into out.
+
+    phi and w are overwritten; out may be phi.  Each branch evaluates the
+    textbook expression (in the comment) in the same order of operations
+    as a one-line numpy expression would, so the bits are the same.
     """
     alpha = params.alpha
     beta = params.beta
     gamma = params.gamma
-    phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
-    w = rng.standard_exponential(size)
     if alpha == 2.0:
-        x = 2.0 * np.sqrt(w) * np.sin(phi)
-        return gamma * x
+        # 2 sqrt(w) sin(phi)
+        np.sqrt(w, out=w)
+        w *= 2.0
+        w *= np.sin(phi, out=phi)
+        np.multiply(w, gamma, out=out)
+        return
     if beta == 0.0:
-        x = (np.sin(alpha * phi) / np.cos(phi) ** (1.0 / alpha)) * (
-            np.cos((1.0 - alpha) * phi) / w
-        ) ** ((1.0 - alpha) / alpha)
-        return gamma * x
+        # sin(alpha phi) / cos(phi)^(1/alpha)
+        #     * (cos((1 - alpha) phi) / w)^((1 - alpha) / alpha)
+        c = np.multiply(phi, 1.0 - alpha)
+        np.cos(c, out=c)
+        np.divide(c, w, out=w)
+        w **= (1.0 - alpha) / alpha
+        np.cos(phi, out=c)
+        c **= 1.0 / alpha
+        phi *= alpha
+        np.sin(phi, out=phi)
+        phi /= c
+        phi *= w
+        np.multiply(phi, gamma, out=out)
+        return
     if alpha == 1.0:
+        # ((pi/2 + beta phi) tan(phi)
+        #     - beta log(pi/2 w cos(phi) / (pi/2 + beta phi))) / (pi/2)
         half_pi = math.pi / 2.0
-        x = (
-            (half_pi + beta * phi) * np.tan(phi)
-            - beta * np.log((half_pi * w * np.cos(phi)) / (half_pi + beta * phi))
-        ) / half_pi
-        shift = 0.0 if gamma == 0.0 else beta * (2.0 / math.pi) * gamma * math.log(gamma)
-        return gamma * x + shift
+        a = np.multiply(phi, beta)
+        a += half_pi
+        w *= half_pi
+        w *= np.cos(phi)
+        w /= a
+        np.log(w, out=w)
+        w *= beta
+        np.tan(phi, out=phi)
+        phi *= a
+        phi -= w
+        phi /= half_pi
+        np.multiply(phi, gamma, out=out)
+        out += 0.0 if gamma == 0.0 else beta * (2.0 / math.pi) * gamma * math.log(gamma)
+        return
+    # s0 sin(alpha (phi + b0)) / cos(phi)^(1/alpha)
+    #     * (cos(phi - alpha (phi + b0)) / w)^((1 - alpha) / alpha)
     t = math.tan(math.pi * alpha / 2.0)
     b0 = math.atan(beta * t) / alpha
     s0 = (1.0 + (beta * t) ** 2) ** (1.0 / (2.0 * alpha))
-    x = (
-        s0
-        * np.sin(alpha * (phi + b0))
-        / np.cos(phi) ** (1.0 / alpha)
-        * (np.cos(phi - alpha * (phi + b0)) / w) ** ((1.0 - alpha) / alpha)
-    )
-    return gamma * x
+    q = np.add(phi, b0)
+    q *= alpha
+    c = np.subtract(phi, q)
+    np.cos(c, out=c)
+    np.divide(c, w, out=w)
+    w **= (1.0 - alpha) / alpha
+    np.sin(q, out=q)
+    q *= s0
+    np.cos(phi, out=phi)
+    phi **= 1.0 / alpha
+    q /= phi
+    q *= w
+    np.multiply(q, gamma, out=out)
+
+
+# A transform of n elements is cut into at most n // _SPLIT_MIN blocks, so
+# a block has at least _SPLIT_MIN elements: about half a millisecond of
+# work, against some tens of microseconds to hand a block to a thread.
+_SPLIT_MIN = 1 << 13
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_pid: Optional[int] = None
+_pool_lock = threading.Lock()
+_busy = 0  # threads inside _busy_core
+
+
+@contextlib.contextmanager
+def _busy_core():
+    """Count the calling thread as keeping a core busy while the block
+    runs (a run_trials kernel does, between its draws), so that a split
+    transform leaves that core to it."""
+    global _busy
+    with _pool_lock:
+        _busy += 1
+    try:
+        yield
+    finally:
+        with _pool_lock:
+            _busy -= 1
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The module's transform threads, made at first use in each process
+    (a forked child does not inherit the parent's threads)."""
+    global _pool, _pool_pid
+    with _pool_lock:
+        if _pool_pid != os.getpid():
+            _pool = ThreadPoolExecutor(
+                max(_cores() - 1, 1), thread_name_prefix="htclip-cms"
+            )
+            _pool_pid = os.getpid()
+        return _pool
+
+
+def _split(transform, rows: int, row_size: int) -> None:
+    """Run transform(a, b) on row blocks [a, b) that cover range(rows).
+
+    Rows hold row_size elements each.  With enough elements the rows are
+    cut into one block per core not kept busy by another thread (see
+    _busy_core), which the caller and the module's threads claim one at
+    a time; a thread runs its blocks under the caller's numpy error
+    state.  The caller claims until no block is left, so it never waits
+    on a thread that has not started.  Every block starts at an element
+    offset that is a multiple of 8, so SIMD loops see the same vector
+    lanes and tail as in one pass.
+    """
+    # a busy caller is one of the _busy threads; an idle caller beside
+    # busy ones takes one core too many, a rare and small oversubscription
+    blocks = min(_cores() - max(_busy - 1, 0), rows * row_size // _SPLIT_MIN)
+    if blocks < 2:
+        transform(0, rows)
+        return
+    step = 8 // math.gcd(row_size, 8)
+    per = -(-rows // (blocks * step)) * step
+    cuts = list(range(0, rows, per)) + [rows]
+    claim = itertools.count()  # next() on it is atomic under the GIL
+
+    def work():
+        i = next(claim)
+        while i + 1 < len(cuts):
+            transform(cuts[i], cuts[i + 1])
+            i = next(claim)
+
+    errors = np.geterr()
+
+    def work_in_thread():
+        with np.errstate(**errors):
+            work()
+
+    pool = _executor()
+    futures = [pool.submit(work_in_thread) for _ in range(len(cuts) - 2)]
+    try:
+        work()
+    finally:
+        for f in futures:
+            if not f.cancel():
+                f.result()
 
 
 def stable_abs_moment(p: float, alpha: float, gamma: float = 1.0) -> float:
@@ -237,15 +411,32 @@ class GradOracle:
         """dtype of drawn states: int8 outcome codes for hard instances."""
         return np.dtype(np.int8 if self.kind == "hard-instance" else float)
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n oracle noise states as an (n, d) array of state_dtype."""
-        if self.kind == "deterministic":
-            return np.zeros((n, self.d))
-        if self.kind == "additive-gaussian":
-            return rng.standard_normal((n, self.d)) * self.scales
+    def draw(
+        self, rng: np.random.Generator, n: int, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Draw n oracle noise states as an (n, d) array of state_dtype.
+
+        With out, an (m, d) array of state_dtype with m <= n, the random
+        numbers of all n states are still drawn from rng, but only the
+        first m states are made, into out, which is returned.
+        """
         if self.kind == "additive-stable":
-            return sample_alpha_stable(self.stable, rng, (n, self.d)) * self.scales
-        return self.instance.sample_xi(rng, n)
+            states = sample_alpha_stable(self.stable, rng, (n, self.d), out=out)
+            states *= self.scales
+            return states
+        if self.kind == "additive-gaussian":
+            z = rng.standard_normal((n, self.d))
+            if out is None:
+                out = z
+            return np.multiply(z[: len(out)], self.scales, out=out)
+        if self.kind == "deterministic":
+            states = np.zeros((n, self.d))
+        else:
+            states = self.instance.sample_xi(rng, n)
+        if out is None:
+            return states
+        out[...] = states[: len(out)]
+        return out
 
     def grad_rows(self, X: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Map positions and drawn states to stochastic subgradient rows."""

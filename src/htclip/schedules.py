@@ -318,6 +318,29 @@ def _critical_T(params: ScheduleParams, varphi_star: float) -> Optional[float]:
     return varphi_star * (params.G / params.sigma_l) ** params.p / a**params.p
 
 
+def _lambda_star(params: ScheduleParams, ts: float, L2: float = 0.0) -> Optional[float]:
+    """The anytime step cap lambda_star at tau_star = ts, None when ts is
+    infinite; L2 is log(3/delta)^2 for the hp family, 0 for ex."""
+    if not math.isfinite(ts):
+        return None
+    p = params.p
+    ss, sl = params.sigma_s, params.sigma_l
+    try:
+        a = sl**p / ts**p
+        b = ss**2 * sl ** (2.0 * p - 2.0) / ts ** (2.0 * p)
+    except (OverflowError, ZeroDivisionError):
+        a = b = INF
+    if not math.isfinite(a + b):
+        # tau_star^(2p) underflows to 0 for sigma_s far below 1, or a
+        # power overflows for sigma_s far above it
+        raise ValueError(
+            f"noise sigma_s = {ss:g} is out of range for an anytime schedule: "
+            f"at tau_star = {ts:g}, sigma_l^p / tau_star^p + sigma_s^2 "
+            "sigma_l^(2p-2) / tau_star^(2p) is not a finite float"
+        )
+    return params.D / math.sqrt(L2 + a + b)
+
+
 def make_schedule(regime: str, params: ScheduleParams) -> Schedule:
     """Resolve all constants for the given regime.
 
@@ -398,13 +421,7 @@ def make_schedule(regime: str, params: ScheduleParams) -> Schedule:
     if regime == "cvx-hp-anytime":
         phi_psi = base.varphi_star * base.psi_star if base.varphi_star > 0.0 else 0.0
         gamma_star = (D / G) / (phi_psi + L)
-        if math.isfinite(base.tau_star):
-            ts = base.tau_star
-            lam = D / math.sqrt(
-                L * L + sl**p / ts**p + ss**2 * sl ** (2.0 * p - 2.0) / ts ** (2.0 * p)
-            )
-        else:
-            lam = None
+        lam = _lambda_star(params, base.tau_star, L * L)
         return Schedule(
             **common, eta_star=eta_star, gamma_star=gamma_star, lambda_star=lam
         )
@@ -414,13 +431,7 @@ def make_schedule(regime: str, params: ScheduleParams) -> Schedule:
         gamma_star = (D / G) / (base.varphi_star * base.psi_star)
     else:
         gamma_star = INF
-    if math.isfinite(base.tau_star):
-        ts = base.tau_star
-        lam = D / math.sqrt(
-            sl**p / ts**p + ss**2 * sl ** (2.0 * p - 2.0) / ts ** (2.0 * p)
-        )
-    else:
-        lam = None
+    lam = _lambda_star(params, base.tau_star)
     return Schedule(
         **common, eta_star=eta_star, gamma_star=gamma_star, lambda_star=lam
     )

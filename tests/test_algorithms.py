@@ -387,11 +387,12 @@ class TestBatching:
 
         class Overflowing:
             objective = obj
+            state_dtype = oracle.state_dtype
 
-            def draw(self, rng, n):
-                states = oracle.draw(rng, n)
-                states[499] = np.inf
-                return states
+            def draw(self, rng, n, out):
+                oracle.draw(rng, n, out=out)
+                out[499:500] = np.inf
+                return out
 
             def grad_rows(self, X, states):
                 return oracle.grad_rows(X, states)
@@ -410,9 +411,11 @@ class TestBatching:
 
         class Huge:
             objective = obj
+            state_dtype = oracle.state_dtype
 
-            def draw(self, rng, n):
-                return np.full((n, 2), 1e200)
+            def draw(self, rng, n, out):
+                out[...] = 1e200
+                return out
 
             def grad_rows(self, X, states):
                 return states

@@ -1,11 +1,24 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
+import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htclip import hard_params
 from htclip.cli import main
 from htclip.clipping import BOUND_NAMES
+from htclip.hardness import GV_MAX_D_STAR
+
+from test_golden import CONFIGS as GOLDEN_CONFIGS
+from test_harness import _paths
 
 
 def _write_config(tmp_path, data, name="config.json"):
@@ -108,8 +121,8 @@ class TestRun:
 
         gaussian_draw = GradOracle.draw
 
-        def overflowing_draw(self, rng, n):
-            states = gaussian_draw(self, rng, n)
+        def overflowing_draw(self, rng, n, out=None):
+            states = gaussian_draw(self, rng, n, out=out)
             states[10] = np.inf
             return states
 
@@ -267,6 +280,27 @@ class TestHardness:
         got = json.loads(capsys.readouterr().out)["codebook"]
         assert (got["size"], got["min_distance"]) == (want["size"], want["min_distance"])
 
+    def test_gv_codebook_above_its_d_star_cap_exits_two_at_once(self, tmp_path, capsys):
+        d_star = GV_MAX_D_STAR + 1
+        cfg = _write_config(tmp_path, {
+            "problem": {"kind": "hard", "d": d_star, "G": 1.0, "D": 1.0},
+            "noise": {"kind": "hard-instance", "p": 1.5, "sigma_s": 0.5, "sigma_l": 1.0},
+            "schedule": {"regime": "cvx-ex-T"},
+            "hardness": {"regime": "cvx-fano", "d_star": d_star, "codebook": "gv"},
+            "run": {"T_grid": [8], "trials": 1, "master_seed": 13},
+        })
+        for argv in (
+            ["run", "--config", cfg, "--out", str(tmp_path / "out")],
+            ["hardness", "--regime", "cvx-fano", "--d", str(d_star),
+             "--d-star", str(d_star), "--T", "8", "--G", "1", "--D", "1",
+             "--sigma-l", "1", "--p", "1.5", "--codebook", "gv"],
+        ):
+            start = time.perf_counter()
+            rc = main(argv)
+            assert time.perf_counter() - start < 1.0
+            assert rc == 2
+            assert "error: hardness.d_star" in capsys.readouterr().err
+
     def test_twopoint_without_delta_fails(self, capsys):
         rc = main(
             ["hardness", "--regime", "cvx-twopoint", "--d", "2",
@@ -339,11 +373,28 @@ class TestParsing:
              "problem.x1_mode.vector"),
             ("noise", {"kind": "additive-gaussian", "scales": 1e-300},
              "noise sigma_s = 1e-300 is too small"),
+            # section None: patch holds the updates of several sections
+            (None, {
+                "problem": {"kind": "linear", "c": [0.6, 0.8],
+                            "domain": {"kind": "ball", "radius": 2.0}},
+                "noise": {"kind": "additive-gaussian", "scales": 1e-100},
+                "schedule": {"regime": "cvx-hp-anytime", "delta": 0.1},
+                "run": {"trials": 100},
+            }, "noise sigma_s = 1e-100 is out of range"),
+            (None, {
+                "problem": {"kind": "hard", "d": 64, "D": 1.0, "x1_mode": "origin"},
+                "noise": {"kind": "hard-instance", "p": 1.5, "sigma_s": 0.5,
+                          "sigma_l": 1.0},
+                "hardness": {"regime": "cvx-fano", "d_star": 49, "codebook": "gv"},
+            }, "hardness.d_star"),
         ],
     )
     def test_bad_config_value_names_its_key(self, tmp_path, capsys, section, patch, key):
         data = _noiseless_config()
-        if isinstance(patch, dict):
+        if section is None:
+            for name, updates in patch.items():
+                data.setdefault(name, {}).update(updates)
+        elif isinstance(patch, dict):
             data.setdefault(section, {}).update(patch)
         else:
             data[section] = patch
@@ -372,3 +423,66 @@ class TestParsing:
         rc = main(["run", "--config", str(bad)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# main() fuzz: a small run config with one value replaced
+
+
+def _small(cfg):
+    cfg = copy.deepcopy(cfg)
+    cfg["run"]["T_grid"] = [8, 16, 32]
+    cfg["run"]["trials"] = min(cfg["run"]["trials"], 3)
+    return cfg
+
+
+_RUN_BASES = {name: _small(cfg) for name, cfg in GOLDEN_CONFIGS.items()}
+_RUN_BASES["euclid-norm-cvx-ex-anytime-stable-ball"] = {
+    "problem": {
+        "kind": "euclid-norm", "d": 3, "G": 1.0,
+        "domain": {"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 2.0},
+        "x1_mode": {"kind": "offset", "vector": [0.5, -1.0, 0.8]},
+    },
+    "noise": {"kind": "additive-stable", "p": 1.2, "scales": [0.4, 0.8, 0.2],
+              "stable": {"alpha": 1.5, "beta": 0.0, "gamma": 1.0}},
+    "schedule": {"regime": "cvx-ex-anytime"},
+    "run": {"T_grid": [8, 16, 32], "trials": 3, "master_seed": 19},
+}
+
+# replacements that keep a valid config small: counts and sizes stay
+# below 40, so every accepted config runs in milliseconds
+_SMALL_REPLACEMENTS = st.one_of(
+    st.sampled_from([
+        10**400, 1e300, -1e300, 1e100, 1e-100, 1e-300, float("inf"),
+        float("-inf"), float("nan"), None, True, 0, -1, 0.5, "", "12", "gv",
+        "cycle", "origin", "cvx-hp-anytime", "str-ex", [], [1.0, None],
+        [2, 4, 8], {}, {"kind": "ball"}, {"min": 2, "max": 16},
+    ]),
+    st.integers(-3, 40),
+    st.floats(-10.0, 10.0),
+    st.lists(st.floats(-3.0, 3.0), max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(sorted(_RUN_BASES)), value=_SMALL_REPLACEMENTS)
+def test_run_exits_0_1_or_2_and_never_raises(data, name, value):
+    raw = copy.deepcopy(_RUN_BASES[name])
+    path = data.draw(st.sampled_from(list(_paths(raw))))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "config.json")
+        with open(cfg, "w") as fh:
+            json.dump(raw, fh)
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            # the small trial counts trip the quantile-stability warning
+            warnings.simplefilter("ignore", UserWarning)
+            rc = main(["run", "--config", cfg, "--out", os.path.join(tmp, "out")])
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.getvalue().startswith("error: "), err.getvalue()

@@ -15,6 +15,7 @@ from htclip import (
     sample_dv,
     two_point_codebook,
 )
+from htclip.hardness import GV_MAX_D_STAR
 
 import oracles
 
@@ -359,6 +360,13 @@ class TestCodebooks:
         )
         assert book.shortfall
         assert book.size < 100
+
+    def test_gv_default_target_stops_at_its_d_star_cap(self):
+        with pytest.raises(ValueError, match=f"d_star = {GV_MAX_D_STAR + 1} is above"):
+            gv_codebook(GV_MAX_D_STAR + 1, np.random.default_rng(0))
+        # an explicit target is the caller's own bound
+        book = gv_codebook(GV_MAX_D_STAR + 1, np.random.default_rng(0), target_size=3)
+        assert book.size == 3
 
     def test_two_point(self):
         book = two_point_codebook(3)

@@ -1,18 +1,27 @@
+import contextlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from htclip import noise
 from htclip import (
     AbsSum,
     AllSpace,
     CompositeObjective,
     NoiseSpec,
+    ScheduleParams,
     StableParams,
     d_eff_lower_bound,
     directional_bound_independent,
     estimate_moments,
     make_oracle,
+    make_schedule,
+    run_trials,
     sample_alpha_stable,
     stable_abs_moment,
     stable_eps_star,
@@ -96,6 +105,299 @@ class TestStableSampler:
         rng = np.random.default_rng(11)
         x = sample_alpha_stable(StableParams(1.2, 0.0, 1.0), rng, 200_000)
         assert np.max(np.abs(x)) > 1e3
+
+
+def _cms_reference(params, rng, size):
+    """The CMS transform as one numpy expression per branch: the bits the
+    in-place, prefix-only, split transform must reproduce."""
+    alpha, beta, gamma = params.alpha, params.beta, params.gamma
+    phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
+    w = rng.standard_exponential(size)
+    if alpha == 2.0:
+        return gamma * (2.0 * np.sqrt(w) * np.sin(phi))
+    if beta == 0.0:
+        x = (np.sin(alpha * phi) / np.cos(phi) ** (1.0 / alpha)) * (
+            np.cos((1.0 - alpha) * phi) / w
+        ) ** ((1.0 - alpha) / alpha)
+        return gamma * x
+    if alpha == 1.0:
+        half_pi = math.pi / 2.0
+        x = (
+            (half_pi + beta * phi) * np.tan(phi)
+            - beta * np.log((half_pi * w * np.cos(phi)) / (half_pi + beta * phi))
+        ) / half_pi
+        shift = 0.0 if gamma == 0.0 else beta * (2.0 / math.pi) * gamma * math.log(gamma)
+        return gamma * x + shift
+    t = math.tan(math.pi * alpha / 2.0)
+    b0 = math.atan(beta * t) / alpha
+    s0 = (1.0 + (beta * t) ** 2) ** (1.0 / (2.0 * alpha))
+    x = (
+        s0
+        * np.sin(alpha * (phi + b0))
+        / np.cos(phi) ** (1.0 / alpha)
+        * (np.cos(phi - alpha * (phi + b0)) / w) ** ((1.0 - alpha) / alpha)
+    )
+    return gamma * x
+
+
+# one StableParams per branch of the transform: alpha = 2, beta = 0,
+# alpha = 1 and the general case
+_BRANCHES = [
+    StableParams(2.0, 0.3, 1.7),
+    StableParams(1.5, 0.0, 0.8),
+    StableParams(1.0, -0.6, 1.3),
+    StableParams(1.3, 0.5, 2.0),
+]
+
+
+class TestStableSplit:
+    """The transform gives the same bits for any block cut and core count."""
+
+    # rows of 3 elements just below and above the split threshold of
+    # 2 * _SPLIT_MIN elements, and a large chunk
+    ROWS = [
+        2 * noise._SPLIT_MIN // 3 - 1,
+        2 * noise._SPLIT_MIN // 3 + 1,
+        4 * noise._SPLIT_MIN // 3 + 7,
+    ]
+
+    @pytest.mark.parametrize("params", _BRANCHES)
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
+    def test_bits_match_the_reference_for_any_core_count(
+        self, monkeypatch, params, rows, cores
+    ):
+        monkeypatch.setattr(noise, "_cores", lambda: cores)
+        rng_full = np.random.default_rng(rows)
+        want = _cms_reference(params, rng_full, (rows, 3))
+        got = sample_alpha_stable(params, np.random.default_rng(rows), (rows, 3))
+        assert np.array_equal(got, want)
+        # a prefix, into a strided out, has the first rows' bits and
+        # advances the stream as a full draw does
+        m = rows // 2 + 1
+        buf = np.zeros((rows, 2, 3))
+        rng = np.random.default_rng(rows)
+        sample_alpha_stable(params, rng, (rows, 3), out=buf[:m, 1])
+        assert np.array_equal(buf[:m, 1], want[:m])
+        assert not np.any(buf[m:]) and not np.any(buf[:, 0])
+        assert np.array_equal(rng.random(4), rng_full.random(4))
+
+    @pytest.mark.parametrize("params", _BRANCHES)
+    def test_a_scalar_draw_is_the_first_entry_of_an_array_draw(self, params):
+        for seed in range(200):
+            one = sample_alpha_stable(params, np.random.default_rng(seed))
+            assert isinstance(one, np.float64)
+            assert one == sample_alpha_stable(params, np.random.default_rng(seed), 1)[0]
+
+    def test_blocks_are_cut_at_multiples_of_8_elements(self, monkeypatch):
+        monkeypatch.setattr(noise, "_cores", lambda: 4)
+        cuts = []
+        rows = 4 * noise._SPLIT_MIN // 3 + 7
+        noise._split(lambda a, b: cuts.append((a, b)), rows, 3)
+        assert len(cuts) == 4
+        assert sorted(cuts)[0][0] == 0 and sorted(cuts)[-1][1] == rows
+        assert all(a * 3 % 8 == 0 for a, _ in cuts)
+        assert sum(b - a for a, b in cuts) == rows
+
+    def test_cores_kept_busy_by_other_threads_get_no_block(self, monkeypatch):
+        monkeypatch.setattr(noise, "_cores", lambda: 3)
+
+        def blocks():
+            cuts = []
+            noise._split(lambda a, b: cuts.append(a), 4 * noise._SPLIT_MIN, 1)
+            return len(cuts)
+
+        assert blocks() == 3
+        with noise._busy_core():  # the caller's own kernel
+            assert blocks() == 3
+            with noise._busy_core(), noise._busy_core():  # two more kernels
+                assert blocks() == 1
+        assert noise._busy == 0
+
+    def test_a_run_trials_kernel_counts_as_busy(self):
+        obj = _flat_objective(2)
+        oracle = make_oracle(obj, "additive-gaussian", scales=np.ones(2))
+        seen = []
+
+        class Watched:
+            objective = obj
+            state_dtype = oracle.state_dtype
+
+            def draw(self, rng, n, out):
+                seen.append(noise._busy)
+                return oracle.draw(rng, n, out=out)
+
+            def grad_rows(self, X, states):
+                return oracle.grad_rows(X, states)
+
+        run_trials(
+            obj, Watched(), make_schedule("cvx-ex-T", ScheduleParams(
+                p=2.0, sigma_s=1.0, sigma_l=1.5, G=1.0, D=1.0, T_known=4,
+            )), 4, np.zeros(2), [np.random.default_rng(0)],
+        )
+        assert seen == [1] and noise._busy == 0
+
+    def test_concurrent_callers_get_their_own_bits(self, monkeypatch):
+        # more callers than cores, each splitting into more blocks than
+        # there are module threads, with thread switches as often as the
+        # interpreter allows: a block lost or run twice changes the bits
+        monkeypatch.setattr(noise, "_cores", lambda: 4)
+        params = _BRANCHES[3]
+        size = (4 * noise._SPLIT_MIN // 3 + 5, 3)
+        want = [_cms_reference(params, np.random.default_rng(s), size) for s in range(6)]
+        got = [None] * 6
+
+        def caller(s):
+            # three callers count as busy, so every caller still splits
+            # into 4 - (3 - 1) = 2 blocks or more
+            with noise._busy_core() if s % 2 else contextlib.nullcontext():
+                got[s] = sample_alpha_stable(params, np.random.default_rng(s), size)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(s,)) for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert noise._busy == 0
+
+    @pytest.mark.parametrize("params", _BRANCHES)
+    def test_any_element_offset_gives_the_same_bits(self, params):
+        # cuts at element offsets that are not multiples of 8 still give
+        # the bits of one pass on this machine's numpy
+        n = 301
+        want = _cms_reference(params, np.random.default_rng(5), n)
+        rng = np.random.default_rng(5)
+        phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
+        w = rng.standard_exponential(n)
+        got = np.empty(n)
+        cuts = [0, 1, 6, 13, 37, 64, 201, n]
+        for a, b in zip(cuts, cuts[1:]):
+            noise._cms(params, phi[a:b], w[a:b], got[a:b])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("invalid", ["raise", "ignore"])
+    def test_every_block_runs_under_the_caller_error_state(self, monkeypatch, invalid):
+        # two blocks meet at a barrier, so one runs on a module thread; it
+        # alone takes square roots of negatives, which under the default
+        # error state would warn (an error in this test suite)
+        monkeypatch.setattr(noise, "_cores", lambda: 2)
+        x = np.random.default_rng(0).uniform(0.0, 1.0, 4 * noise._SPLIT_MIN)
+        out = np.empty_like(x)
+        caller = threading.get_ident()
+        barrier = threading.Barrier(2, timeout=10)
+
+        def root(a, b):
+            barrier.wait()
+            np.sqrt(x[a:b] - (threading.get_ident() != caller), out=out[a:b])
+
+        with np.errstate(invalid=invalid):
+            if invalid == "raise":
+                with pytest.raises(FloatingPointError):
+                    noise._split(root, len(x), 1)
+            else:
+                noise._split(root, len(x), 1)
+                assert np.isnan(out).sum() == len(x) // 2
+
+    def test_a_caller_runs_blocks_the_busy_threads_have_not_claimed(self, monkeypatch):
+        # with every module thread held, a split still completes on the
+        # caller alone
+        monkeypatch.setattr(noise, "_cores", lambda: 4)
+        release = threading.Event()
+        pool = noise._executor()
+        held = [pool.submit(release.wait, 10) for _ in range(pool._max_workers)]
+        try:
+            done = []
+            rows = 4 * noise._SPLIT_MIN
+            noise._split(
+                lambda a, b: done.append((b - a, threading.get_ident())), rows, 1
+            )
+            assert len(done) == 4 and sum(n for n, _ in done) == rows
+            assert {who for _, who in done} == {threading.get_ident()}
+        finally:
+            release.set()
+            for f in held:
+                f.result(timeout=10)
+
+
+def _oracles(d):
+    obj = _flat_objective(d)
+    _, hard = _dv_instance(d, q=0.4, theta=0.3, M=1.2, y=0.9)
+    return {
+        "deterministic": make_oracle(obj, "deterministic"),
+        "additive-gaussian": make_oracle(
+            obj, "additive-gaussian", scales=np.linspace(0.5, 1.0, d)
+        ),
+        "additive-stable": make_oracle(
+            obj, "additive-stable", scales=np.linspace(0.5, 1.0, d),
+            stable=StableParams(1.5), p=1.2,
+        ),
+        "hard-instance": hard,
+    }
+
+
+@pytest.mark.parametrize(
+    "kind", ["deterministic", "additive-gaussian", "additive-stable", "hard-instance"]
+)
+@pytest.mark.parametrize("n, m", [(1024, 1024), (1024, 257), (4096, 4095), (9, 0)])
+def test_draw_into_a_prefix_matches_the_first_rows_of_a_full_draw(kind, n, m):
+    oracle = _oracles(3)[kind]
+    full_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+    full = oracle.draw(full_rng, n)
+    # a strided view, like the kernel's time-major buffer
+    buf = np.full((m, 2, 3), 7, dtype=oracle.state_dtype)
+    out = buf[:, 1]
+    assert oracle.draw(rng, n, out=out) is out
+    assert full.dtype == oracle.state_dtype
+    assert np.array_equal(buf[:, 1], full[:m])
+    assert np.all(buf[:, 0] == 7)
+    assert np.array_equal(rng.random(4), full_rng.random(4))
+
+
+def test_draw_rejects_a_prefix_longer_than_the_draw():
+    oracle = _oracles(2)["additive-stable"]
+    with pytest.raises(ValueError, match="out must be"):
+        oracle.draw(np.random.default_rng(0), 4, out=np.empty((5, 2)))
+
+
+# sample sizes of the property tests below; with N draws an empirical CDF
+# value has standard error at most 0.5 / sqrt(N) = 0.0035, and a
+# difference of two of them 0.005, so 0.025 is five standard errors
+_N = 20_000
+_CDF_TOL = 0.025
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.6, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_stable_draws_are_symmetric_at_beta_zero(alpha, seed):
+    x = sample_alpha_stable(StableParams(alpha, 0.0, 1.0), np.random.default_rng(seed), _N)
+    for level in (0.25, 0.5, 0.75, 0.9):
+        t = np.quantile(np.abs(x), level)
+        # P(X > t) = P(X < -t)
+        assert abs(np.mean(x > t) - np.mean(x < -t)) <= _CDF_TOL
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(0.6, 2.0),
+    n=st.sampled_from([2, 3, 5, 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stable_sums_scale_as_n_to_the_one_over_alpha(alpha, n, seed):
+    # X_1 + ... + X_n has the law of n^(1/alpha) X for strictly stable X
+    params = StableParams(alpha, 0.0, 1.0)
+    rng = np.random.default_rng(seed)
+    sums = sample_alpha_stable(params, rng, (_N, n)).sum(axis=1) / n ** (1.0 / alpha)
+    single = sample_alpha_stable(params, rng, _N)
+    for level in (0.1, 0.25, 0.5, 0.75, 0.9):
+        q = np.quantile(single, level)
+        assert abs(np.mean(sums <= q) - level) <= _CDF_TOL
 
 
 class TestStableAbsMoment:
