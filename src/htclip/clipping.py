@@ -22,6 +22,7 @@ support) or by Monte Carlo with standard-error margins.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -29,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from ._util import as_vector, clip_rows, row_norms
-from .noise import GradOracle, directional_bound_independent
+from .noise import GradOracle, _draw_ahead, directional_bound_independent
 
 __all__ = [
     "BOUND_NAMES",
@@ -227,7 +228,7 @@ def clip_error_exact(
         )
     # one (n_states, d) array is live at a time outside the transforms
     # below: states, then G, then the clipped rows centred in place
-    G = oracle.grad_rows(np.broadcast_to(x, states.shape), states)
+    G = oracle.grad_rows(x[None, :], states)
     del supp, states
 
     mean = probs @ G
@@ -301,6 +302,14 @@ def clip_error_mc(
     full covariance, which is known only after the last chunk, so
     streaming pass 2 would cost a third pass of draws.  n * d is capped
     at 8e7 (a 640 MB buffer).
+
+    The chunks come from noise._draw_ahead, which draws stable and
+    Gaussian chunks one ahead on the sampler threads while this thread
+    clips and sums the one before; the sums stay here, in chunk order,
+    so the report has the bytes of inline draws.  The draws hold three
+    (chunk, d) buffers at most (two states, one exponential scratch);
+    the squared norms of d^u are taken once the draws are done, so that
+    their n * 8 bytes are not live beside those buffers.
     """
     x, grad_true, tau, alpha, fn, chi = _report_inputs(
         oracle, x, grad_true, tau, alpha
@@ -317,38 +326,33 @@ def clip_error_mc(
     if rng is None:
         rng = np.random.default_rng(0)
     chunk = 1 << 15
+    starts = range(0, n, chunk)
+    sizes = [min(chunk, n - a) for a in starts]
+    x_row = x[None, :]
+    with contextlib.closing(_draw_ahead(oracle, rng, sizes + sizes)) as draws:
+        # pass 1: mean of the clipped oracle, with per-coordinate variances
+        s1 = np.zeros(d)
+        s1_sq = np.zeros(d)
+        for _, states in zip(sizes, draws):
+            Gc = clip_batch(oracle.grad_rows(x_row, states), tau)
+            s1 += np.add.reduce(Gc, axis=0)
+            s1_sq += np.add.reduce(Gc * Gc, axis=0)
+        mean_c = s1 / n
+        var_c = np.maximum(s1_sq / n - mean_c**2, 0.0)
+        db = float(row_norms(mean_c - grad_true))
+        db_margin = math.sqrt(float(np.add.reduce(var_c)) / n)
 
-    # pass 1: mean of the clipped oracle, with per-coordinate variances
-    s1 = np.zeros(d)
-    s1_sq = np.zeros(d)
-    left = n
-    while left > 0:
-        m = min(chunk, left)
-        G = oracle.grad_rows(
-            np.broadcast_to(x, (m, d)), oracle.draw(rng, m)
-        )
-        Gc = clip_batch(G, tau)
-        s1 += np.add.reduce(Gc, axis=0)
-        s1_sq += np.add.reduce(Gc * Gc, axis=0)
-        left -= m
-    mean_c = s1 / n
-    var_c = np.maximum(s1_sq / n - mean_c**2, 0.0)
-    db = float(row_norms(mean_c - grad_true))
-    db_margin = math.sqrt(float(np.add.reduce(var_c)) / n)
-
-    # pass 2: centered moments around the pass-1 mean, each chunk written
-    # into its slice of the one (n, d) buffer
-    du = np.empty((n, d))
+        # pass 2: centered moments around the pass-1 mean, each chunk
+        # written into its slice of the one (n, d) buffer
+        du = np.empty((n, d))
+        for a, states in zip(starts, draws):
+            G = oracle.grad_rows(x_row, states)
+            np.subtract(clip_batch(G, tau), mean_c, out=du[a : a + len(states)])
+    # squared row norms after the last draw, in the same row slices
     du_norms_sq = np.empty(n)
-    a = 0
-    while a < n:
-        m = min(chunk, n - a)
-        G = oracle.grad_rows(
-            np.broadcast_to(x, (m, d)), oracle.draw(rng, m)
-        )
-        rows = np.subtract(clip_batch(G, tau), mean_c, out=du[a : a + m])
+    for a, m in zip(starts, sizes):
+        rows = du[a : a + m]
         du_norms_sq[a : a + m] = np.add.reduce(rows * rows, axis=-1)
-        a += m
     du_max = float(np.sqrt(np.max(du_norms_sq)))
     du_sq = float(np.mean(du_norms_sq))
     du_sq_margin = float(np.std(du_norms_sq, ddof=1)) / math.sqrt(n)

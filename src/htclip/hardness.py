@@ -229,13 +229,17 @@ class HardInstance:
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(self.p, self.sigma_s, self.sigma_l)
 
-    def sample_xi(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample_xi(
+        self, rng: np.random.Generator, n: int, m: Optional[int] = None
+    ) -> np.ndarray:
         """Draw n rows of xi from D_v (one uniform per coordinate), as
         int8 outcome codes 0, +1 and -1.
 
         Threshold order maps [0, 1-q) to 0, then the +1 mass, then -1.
+        With m <= n, the uniforms of all n rows are still drawn from rng,
+        but only the first m rows are made and returned.
         """
-        u = rng.random((n, self.d))
+        u = rng.random((n, self.d))[:m]
         lo, hi = self._thresholds
         # +1 below hi and -1 from hi on, then 0 below lo
         xi = (u < hi).view(np.int8) * _TWO - _ONE

@@ -21,6 +21,17 @@ row blocks, one per core that no other running kernel keeps busy, which
 the caller and a lazily started module thread pool transform at once.
 The transform is elementwise, so its bits are the same for any cut and
 any core count.
+
+The Monte Carlo verifiers (clipping.clip_error_mc, estimate_moments)
+read their chunks from _draw_ahead, which overlaps the draws with the
+caller's work: while the caller clips and sums chunk k, a module thread
+fills chunk k + 1's uniforms and exponentials (or normals) and then
+transforms its row blocks, and the caller joins in on the blocks left
+when it asks for that chunk.  The caller allocates the memory of the
+draws in flight, two state buffers used in turn and one exponential
+scratch, so no chunk is allocated on a module thread (glibc would keep
+a malloc arena for it).  Only numpy and the untraced _cms run on the
+module threads; GradOracle.draw and sample_alpha_stable run on callers.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ import itertools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Optional
 
@@ -280,17 +291,66 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
+class _Blocks:
+    """Row blocks [a, b) of at least one row each that cover range(rows),
+    cut into at most `blocks` blocks, each starting at an element offset
+    that is a multiple of 8, so SIMD loops see the same vector lanes and
+    tail as in one pass.  Any thread may claim the next block that no
+    thread has started: next() on an itertools.count is atomic under the
+    GIL, so every block runs exactly once.
+    """
+
+    def __init__(self, transform, rows: int, row_size: int, blocks: int):
+        step = 8 // math.gcd(row_size, 8)
+        per = -(-rows // (blocks * step)) * step
+        self.cuts = list(range(0, rows, per)) + [rows]
+        self.transform = transform
+        self._claim = itertools.count()
+
+    def work(self) -> None:
+        """Run blocks until none is left unclaimed."""
+        i = next(self._claim)
+        while i + 1 < len(self.cuts):
+            self.transform(self.cuts[i], self.cuts[i + 1])
+            i = next(self._claim)
+
+    def drop(self) -> None:
+        """Claim every block no thread has started, without running it."""
+        while next(self._claim) + 1 < len(self.cuts):
+            pass
+
+    def submit(self, threads: int) -> list:
+        """Have up to `threads` module threads claim blocks too, under the
+        calling thread's numpy error state; returns their futures."""
+        errors = np.geterr()
+
+        def work_in_thread():
+            with np.errstate(**errors):
+                self.work()
+
+        pool = _executor()
+        return [pool.submit(work_in_thread) for _ in range(threads)]
+
+
+def _join(futures) -> None:
+    """Cancel the futures no thread has started and wait for the others;
+    then raise the first error any of them raised."""
+    for f in futures:
+        f.cancel()
+    wait(futures)
+    for f in futures:
+        if not f.cancelled():
+            f.result()
+
+
 def _split(transform, rows: int, row_size: int) -> None:
     """Run transform(a, b) on row blocks [a, b) that cover range(rows).
 
     Rows hold row_size elements each.  With enough elements the rows are
     cut into one block per core not kept busy by another thread (see
     _busy_core), which the caller and the module's threads claim one at
-    a time; a thread runs its blocks under the caller's numpy error
-    state.  The caller claims until no block is left, so it never waits
-    on a thread that has not started.  Every block starts at an element
-    offset that is a multiple of 8, so SIMD loops see the same vector
-    lanes and tail as in one pass.
+    a time (see _Blocks).  The caller claims until no block is left, so
+    it never waits on a thread that has not started.
     """
     # a busy caller is one of the _busy threads; an idle caller beside
     # busy ones takes one core too many, a rare and small oversubscription
@@ -298,31 +358,139 @@ def _split(transform, rows: int, row_size: int) -> None:
     if blocks < 2:
         transform(0, rows)
         return
-    step = 8 // math.gcd(row_size, 8)
-    per = -(-rows // (blocks * step)) * step
-    cuts = list(range(0, rows, per)) + [rows]
-    claim = itertools.count()  # next() on it is atomic under the GIL
-
-    def work():
-        i = next(claim)
-        while i + 1 < len(cuts):
-            transform(cuts[i], cuts[i + 1])
-            i = next(claim)
-
-    errors = np.geterr()
-
-    def work_in_thread():
-        with np.errstate(**errors):
-            work()
-
-    pool = _executor()
-    futures = [pool.submit(work_in_thread) for _ in range(len(cuts) - 2)]
+    work = _Blocks(transform, rows, row_size, blocks)
+    futures = work.submit(len(work.cuts) - 2)
     try:
-        work()
+        work.work()
     finally:
-        for f in futures:
-            if not f.cancel():
-                f.result()
+        _join(futures)
+
+
+# A chunk drawn ahead is cut into blocks of about _AHEAD_BLOCK elements
+# (a few milliseconds of transform each), fine enough that a caller that
+# asks for the chunk mid-transform rarely waits long on a started block.
+_AHEAD_BLOCK = 4 * _SPLIT_MIN
+
+
+class _Ahead:
+    """One chunk of an oracle's states, drawn into out on the module
+    threads while the caller works on something else.
+
+    A module thread draws the chunk's random numbers, into out and, for
+    stable noise, into the exponential scratch, and then hands the
+    chunk's row blocks (the CMS transform and the scales) to the module
+    threads.  result() has the caller claim every block no thread has
+    started, waits for the rest and returns out; cancel() drops the
+    unclaimed blocks and waits for the rest.  Either way no thread
+    writes into out or scratch, or uses rng, once it returns.  Only
+    numpy and the untraced _cms run on the module threads.
+    """
+
+    def __init__(self, oracle: GradOracle, rng, out: np.ndarray, scratch):
+        m, d = out.shape
+        scales = oracle.scales
+        if oracle.kind == "additive-stable":
+            w = scratch[:m]
+
+            def fill():
+                # bit for bit rng.uniform(-pi/2, pi/2, (m, d)) and
+                # rng.standard_exponential((m, d)), in the same stream
+                rng.random(out=out)
+                np.multiply(out, math.pi, out=out)
+                np.add(out, -math.pi / 2.0, out=out)
+                rng.standard_exponential(out=w)
+
+            def transform(a, b):
+                _cms(oracle.stable, out[a:b], w[a:b], out[a:b])
+                out[a:b] *= scales
+
+        else:
+
+            def fill():
+                rng.standard_normal(out=out)
+
+            def transform(a, b):
+                out[a:b] *= scales
+
+        self.out = out
+        self._fill = fill
+        self.blocks = _Blocks(transform, m, d, max(m * d // _AHEAD_BLOCK, 1))
+        threads = min(_cores() - 1 - _busy, len(self.blocks.cuts) - 1)
+        errors = np.geterr()
+
+        def start():
+            with np.errstate(**errors):
+                fill()
+                return self.blocks.submit(threads)
+
+        self._start = _executor().submit(start)
+
+    def result(self) -> np.ndarray:
+        workers = []
+        try:
+            if self._start.cancel():
+                self._fill()  # no module thread has started the chunk
+            else:
+                workers = self._start.result()
+            self.blocks.work()
+        except BaseException:
+            self.blocks.drop()
+            raise
+        finally:
+            _join(workers)
+        return self.out
+
+    def cancel(self) -> None:
+        self.blocks.drop()
+        if not self._start.cancel():
+            try:
+                _join(self._start.result())
+            except Exception:
+                pass  # the caller stopped reading chunks before this one
+
+
+def _draw_ahead(oracle: GradOracle, rng: np.random.Generator, sizes):
+    """Yield oracle.draw(rng, m) for each m in sizes, in order, with the
+    same bits and leaving rng where those draws would.
+
+    Stable and Gaussian chunks are drawn one ahead: while the caller
+    works on chunk k, the module threads draw chunk k + 1 (see _Ahead),
+    which takes the draws' random-number fills and most of the CMS
+    transform off the caller.  The caller allocates the chunks'
+    memory: two (max(sizes), d) state buffers used in turn and, for
+    stable noise, one exponential scratch.  A yielded array is valid
+    until the caller asks for the next chunk (its buffer then receives
+    the chunk after that), and rng must not be used elsewhere until the
+    generator is exhausted or closed; close it (contextlib.closing) so
+    that a caller that stops early, or raises, waits for the chunk in
+    flight.  Other oracle kinds, and a
+    process with no idle core beside the caller (see _busy_core), draw
+    each chunk on the caller when it is asked for.
+    """
+    sizes = list(sizes)
+    if (
+        oracle.kind not in ("additive-stable", "additive-gaussian")
+        or not sizes
+        or _cores() - _busy < 2
+    ):
+        for m in sizes:
+            yield oracle.draw(rng, m)
+        return
+    shape = (max(sizes), oracle.d)
+    bufs = (np.empty(shape), np.empty(shape))
+    scratch = np.empty(shape) if oracle.kind == "additive-stable" else None
+    ahead = _Ahead(oracle, rng, bufs[0][: sizes[0]], scratch)
+    try:
+        for k in range(len(sizes)):
+            current, ahead = ahead, None
+            states = current.result()
+            if k + 1 < len(sizes):
+                buf = bufs[(k + 1) % 2][: sizes[k + 1]]
+                ahead = _Ahead(oracle, rng, buf, scratch)
+            yield states
+    finally:
+        if ahead is not None:
+            ahead.cancel()
 
 
 def stable_abs_moment(p: float, alpha: float, gamma: float = 1.0) -> float:
@@ -429,13 +597,14 @@ class GradOracle:
             if out is None:
                 out = z
             return np.multiply(z[: len(out)], self.scales, out=out)
+        m = n if out is None else len(out)
         if self.kind == "deterministic":
-            states = np.zeros((n, self.d))
+            states = np.zeros((m, self.d))
         else:
-            states = self.instance.sample_xi(rng, n)
+            states = self.instance.sample_xi(rng, n, m)
         if out is None:
             return states
-        out[...] = states[: len(out)]
+        out[...] = states
         return out
 
     def grad_rows(self, X: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -574,30 +743,25 @@ def estimate_moments(
         if supp is None:
             raise ValueError("exact moment computation requires finite support")
         states, probs = supp
-        G = oracle.grad_rows(np.broadcast_to(x, states.shape), states)
-        noise = G - grad_true
+        noise = oracle.grad_rows(x[None, :], states) - grad_true
         sig_l_p = float(probs @ row_norms(noise) ** p)
         proj = np.abs(noise @ dirs.T) ** p
         sig_s_p = float(np.max(probs @ proj))
         return sig_s_p, sig_l_p
 
-    chunk = 1 << 14
-    remaining = int(n_samples)
-    if remaining < 1:
+    n = int(n_samples)
+    if n < 1:
         raise ValueError("n_samples must be positive")
+    chunk = 1 << 14
     tot_l = 0.0
     tot_dir = np.zeros(dirs.shape[0])
-    seen = 0
-    while remaining > 0:
-        m = min(chunk, remaining)
-        states = oracle.draw(rng, m)
-        G = oracle.grad_rows(np.broadcast_to(x, (m, d)), states)
-        noise = G - grad_true
-        tot_l += float(np.add.reduce(row_norms(noise) ** p))
-        tot_dir += np.add.reduce(np.abs(noise @ dirs.T) ** p, axis=0)
-        seen += m
-        remaining -= m
-    return float(np.max(tot_dir) / seen), tot_l / seen
+    sizes = [min(chunk, n - a) for a in range(0, n, chunk)]
+    with contextlib.closing(_draw_ahead(oracle, rng, sizes)) as draws:
+        for states in draws:
+            noise = oracle.grad_rows(x[None, :], states) - grad_true
+            tot_l += float(np.add.reduce(row_norms(noise) ** p))
+            tot_dir += np.add.reduce(np.abs(noise @ dirs.T) ** p, axis=0)
+    return float(np.max(tot_dir) / n), tot_l / n
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -19,12 +20,14 @@ from htclip import (
     clip_bounds,
     clip_error_exact,
     clip_error_mc,
+    estimate_moments,
     hard_params,
     make_hard_instance,
     make_oracle,
     operator_norm,
     StableParams,
 )
+from htclip import clipping, noise
 from htclip.clipping import BOUND_NAMES
 
 import oracles
@@ -386,6 +389,101 @@ class TestClipErrorMC:
         assert set(back["passes"]) == set(BOUND_NAMES)
         assert back["method"] == "monte-carlo"
         assert back["n_samples"] == 10_000
+
+
+def _inline_draws(oracle, rng, sizes):
+    # the chunks drawn one by one on the caller, as before the draw-ahead
+    return (oracle.draw(rng, m) for m in sizes)
+
+
+def _mc_oracles(d=3):
+    obj = CompositeObjective(
+        f=EuclidNorm(1.0, np.zeros(d)), r=None, domain=AllSpace(d), lipschitz_G=1.0,
+    )
+    scales = np.linspace(1.0, 0.25, d)
+    _, hard = _dv_instance(d, q=0.4, theta=0.3, M=1.2, y=0.9)
+    return {
+        "stable": make_oracle(
+            obj, "additive-stable", scales=scales, stable=StableParams(1.8), p=1.5,
+        ),
+        "gaussian": make_oracle(obj, "additive-gaussian", scales=scales),
+        "hard": hard,
+    }
+
+
+class TestDrawAheadReports:
+    """The verifiers read their chunks through noise._draw_ahead; their
+    reports have the bytes of chunks drawn inline, on any core count."""
+
+    N = 3 * (1 << 15) + 123  # not a multiple of clip_error_mc's chunk
+
+    @pytest.mark.parametrize("kind", ["stable", "gaussian", "hard"])
+    def test_mc_report_matches_inline_draws(self, monkeypatch, kind):
+        oracle = _mc_oracles()[kind]
+        x = np.array([0.3, -0.6, 0.2])
+
+        def report():
+            r = clip_error_mc(oracle, x, 1.5, n_samples=self.N,
+                              rng=np.random.default_rng(8))
+            return json.dumps(r.to_dict(), sort_keys=True)
+
+        with monkeypatch.context() as m:
+            m.setattr(clipping, "_draw_ahead", _inline_draws)
+            want = report()
+        for cores in (1, 2, 3, 4):
+            monkeypatch.setattr(noise, "_cores", lambda: cores)
+            assert report() == want
+
+    @pytest.mark.parametrize("kind", ["stable", "gaussian", "hard"])
+    def test_estimated_moments_match_inline_draws(self, monkeypatch, kind):
+        oracle = _mc_oracles()[kind]
+        x = np.array([0.3, -0.6, 0.2])
+
+        def moments():
+            return estimate_moments(oracle, x, 1.5, n_samples=40_001,
+                                    rng=np.random.default_rng(8))
+
+        with monkeypatch.context() as m:
+            m.setattr(noise, "_draw_ahead", _inline_draws)
+            want = moments()
+        for cores in (1, 2, 3, 4):
+            monkeypatch.setattr(noise, "_cores", lambda: cores)
+            assert moments() == want
+
+    def test_an_error_in_the_loop_leaves_no_draw_running(self, monkeypatch):
+        monkeypatch.setattr(noise, "_cores", lambda: 2)
+        oracle = _mc_oracles()["stable"]
+        x = np.array([0.3, -0.6, 0.2])
+        want = clip_error_mc(oracle, x, 1.5, n_samples=self.N,
+                             rng=np.random.default_rng(8)).to_dict()
+        cms = noise._cms
+        ends = []
+
+        def slow_cms(params, phi, w, out):
+            time.sleep(0.005)
+            cms(params, phi, w, out)
+            ends.append(time.perf_counter())
+
+        calls = []
+
+        def failing_clip(G, tau):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyError("the caller's loop")
+            return clip_batch(G, tau)
+
+        with monkeypatch.context() as m:
+            m.setattr(noise, "_cms", slow_cms)
+            m.setattr(clipping, "clip_batch", failing_clip)
+            with pytest.raises(KeyError):
+                clip_error_mc(oracle, x, 1.5, n_samples=self.N,
+                              rng=np.random.default_rng(8))
+            caught = time.perf_counter()
+            time.sleep(0.1)
+        assert ends and max(ends) <= caught
+        again = clip_error_mc(oracle, x, 1.5, n_samples=self.N,
+                              rng=np.random.default_rng(8))
+        assert again.to_dict() == want
 
 
 def _traced_peak(fn):

@@ -1,7 +1,9 @@
 import contextlib
+import itertools
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -358,6 +360,180 @@ def test_draw_into_a_prefix_matches_the_first_rows_of_a_full_draw(kind, n, m):
     assert np.array_equal(buf[:, 1], full[:m])
     assert np.all(buf[:, 0] == 7)
     assert np.array_equal(rng.random(4), full_rng.random(4))
+
+
+class TestDrawAhead:
+    """noise._draw_ahead yields oracle.draw's bits, chunk by chunk, with
+    the next chunk drawn on the module threads."""
+
+    # chunks of 3 coordinates: several blocks, a one-row chunk and a
+    # chunk larger than the first, which sizes the buffers
+    SIZES = [4 * noise._AHEAD_BLOCK // 3 + 5, 1, 2 * noise._AHEAD_BLOCK // 3, 17_000]
+
+    def test_buffer_fills_match_sized_draws(self):
+        # the fills _Ahead makes against the draws oracle.draw makes
+        n = (1000, 7)
+        for seed in range(5):
+            want, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            phi = np.empty(n)
+            rng.random(out=phi)
+            np.multiply(phi, math.pi, out=phi)
+            np.add(phi, -math.pi / 2.0, out=phi)
+            assert np.array_equal(phi, want.uniform(-math.pi / 2.0, math.pi / 2.0, n))
+            w = np.empty(n)
+            rng.standard_exponential(out=w)
+            assert np.array_equal(w, want.standard_exponential(n))
+            z = np.empty(n)
+            rng.standard_normal(out=z)
+            assert np.array_equal(z, want.standard_normal(n))
+            assert np.array_equal(rng.random(5), want.random(5))
+
+    @pytest.mark.parametrize(
+        "kind", ["deterministic", "additive-gaussian", "additive-stable", "hard-instance"]
+    )
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
+    def test_chunks_match_inline_draws(self, monkeypatch, kind, cores):
+        monkeypatch.setattr(noise, "_cores", lambda: cores)
+        oracle = _oracles(3)[kind]
+        want_rng, rng = np.random.default_rng(2), np.random.default_rng(2)
+        want = [oracle.draw(want_rng, m) for m in self.SIZES]
+        # a chunk's buffer is reused for the chunk after next: copy it
+        got = [states.copy() for states in noise._draw_ahead(oracle, rng, self.SIZES)]
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert all(g.dtype == oracle.state_dtype for g in got)
+        assert np.array_equal(rng.random(4), want_rng.random(4))
+
+    @pytest.mark.parametrize("invalid", ["raise", "ignore"])
+    def test_module_threads_run_under_the_caller_error_state(self, monkeypatch, invalid):
+        # the caller sleeps on each chunk, so a module thread transforms
+        # the next one; only there a square root of -1 is taken, which
+        # under the default error state would warn (an error here)
+        monkeypatch.setattr(noise, "_cores", lambda: 2)
+        caller = threading.get_ident()
+        on_threads = []
+        cms = noise._cms
+
+        def cms_off_caller(params, phi, w, out):
+            cms(params, phi, w, out)
+            if threading.get_ident() != caller:
+                on_threads.append(np.sqrt(np.array([-1.0])))
+
+        monkeypatch.setattr(noise, "_cms", cms_off_caller)
+        oracle = _oracles(3)["additive-stable"]
+
+        def read_all():
+            draws = noise._draw_ahead(oracle, np.random.default_rng(0), self.SIZES)
+            with contextlib.closing(draws):
+                for _ in draws:
+                    time.sleep(0.05)
+
+        with np.errstate(invalid=invalid):
+            if invalid == "raise":
+                with pytest.raises(FloatingPointError):
+                    read_all()
+            else:
+                read_all()
+                assert on_threads and np.all(np.isnan(on_threads))
+
+    def _watch_blocks(self, monkeypatch, fail_at=None):
+        """Count the transform blocks running, and the time each ends;
+        the block numbered fail_at raises instead."""
+        cms = noise._cms
+        calls = itertools.count()
+        lock = threading.Lock()
+        seen = {"running": 0, "started": 0, "ends": []}
+
+        def watched(params, phi, w, out):
+            with lock:
+                seen["running"] += 1
+                seen["started"] += 1
+            try:
+                if next(calls) == fail_at:
+                    raise ValueError("a failing block")
+                time.sleep(0.01)
+                cms(params, phi, w, out)
+            finally:
+                with lock:
+                    seen["running"] -= 1
+                    seen["ends"].append(time.perf_counter())
+
+        monkeypatch.setattr(noise, "_cms", watched)
+        return seen
+
+    def _check_stopped(self, seen, caught):
+        # no block was running when the error reached the caller, and
+        # none ran after
+        time.sleep(0.1)
+        assert seen["running"] == 0
+        assert max(seen["ends"]) <= caught
+
+    def _check_next_call(self, monkeypatch, oracle):
+        monkeypatch.undo()
+        monkeypatch.setattr(noise, "_cores", lambda: 2)
+        want_rng = np.random.default_rng(3)
+        want = [oracle.draw(want_rng, m) for m in self.SIZES]
+        draws = noise._draw_ahead(oracle, np.random.default_rng(3), self.SIZES)
+        got = [states.copy() for states in draws]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_an_error_in_a_transform_block_stops_the_draws(self, monkeypatch):
+        monkeypatch.setattr(noise, "_cores", lambda: 2)
+        oracle = _oracles(3)["additive-stable"]
+        seen = self._watch_blocks(monkeypatch, fail_at=6)
+        draws = noise._draw_ahead(oracle, np.random.default_rng(3), self.SIZES)
+        with pytest.raises(ValueError, match="a failing block"):
+            with contextlib.closing(draws):
+                for _ in draws:
+                    pass
+        self._check_stopped(seen, time.perf_counter())
+        self._check_next_call(monkeypatch, oracle)
+
+    def test_an_error_in_a_fill_stops_the_draws(self, monkeypatch):
+        monkeypatch.setattr(noise, "_cores", lambda: 2)
+        oracle = _oracles(3)["additive-stable"]
+        seen = self._watch_blocks(monkeypatch)
+
+        class FailingRng:
+            # the third chunk's exponentials fail
+            def __init__(self):
+                self.rng = np.random.default_rng(3)
+                self.calls = 0
+
+            def random(self, out):
+                return self.rng.random(out=out)
+
+            def standard_exponential(self, out):
+                self.calls += 1
+                if self.calls == 3:
+                    raise ValueError("a failing fill")
+                return self.rng.standard_exponential(out=out)
+
+        draws = noise._draw_ahead(oracle, FailingRng(), self.SIZES)
+        got = []
+        with pytest.raises(ValueError, match="a failing fill"):
+            with contextlib.closing(draws):
+                for states in draws:
+                    got.append(len(states))
+        self._check_stopped(seen, time.perf_counter())
+        assert got == self.SIZES[:2]
+        self._check_next_call(monkeypatch, oracle)
+
+    def test_an_error_in_the_caller_waits_for_the_draw_in_flight(self, monkeypatch):
+        monkeypatch.setattr(noise, "_cores", lambda: 2)
+        oracle = _oracles(3)["additive-stable"]
+        seen = self._watch_blocks(monkeypatch)
+        draws = noise._draw_ahead(oracle, np.random.default_rng(3), self.SIZES)
+        with pytest.raises(KeyError):
+            with contextlib.closing(draws):
+                next(draws)
+                # raise while a module thread transforms the second chunk
+                started = seen["started"]
+                while seen["started"] == started:
+                    time.sleep(0.001)
+                raise KeyError("the caller's loop")
+        self._check_stopped(seen, time.perf_counter())
+        self._check_next_call(monkeypatch, oracle)
 
 
 def test_draw_rejects_a_prefix_longer_than_the_draw():

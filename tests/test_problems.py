@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
 from htclip import (
     AbsSum,
@@ -195,6 +198,99 @@ class TestStabilizedProxStep:
                 None, AllSpace(1), np.array([0.0]), np.array([0.0]), np.array([0.0]),
                 0.5, 1.0,
             )
+
+
+# ---------------------------------------------------------------------------
+# the prox steps against numeric minimization
+
+
+@st.composite
+def _prox_cases(draw):
+    """A prox problem: a ball or all of R^d, an optional quadratic
+    regularizer, points, a gradient and the steps eta_t >= eta_next."""
+    d = draw(st.integers(1, 4))
+
+    def vector(bound):
+        return np.array(
+            draw(st.lists(st.floats(-bound, bound), min_size=d, max_size=d))
+        )
+
+    if draw(st.booleans()):
+        domain = Ball(vector(3.0), draw(st.floats(0.1, 5.0)))
+    else:
+        domain = AllSpace(d)
+    r = None
+    if draw(st.booleans()):
+        r = QuadReg(draw(st.floats(0.05, 20.0)), vector(5.0))
+    eta_t = draw(st.floats(0.05, 20.0))
+    eta_next = eta_t * draw(st.floats(0.05, 1.0))
+    return domain, r, vector(5.0), vector(5.0), vector(5.0), eta_t, eta_next
+
+
+def _numeric_prox(domain, r, x_t, x_1, g, eta_t, eta_next):
+    """Minimize the stabilized prox objective with SLSQP; returns the
+    objective and the minimizer found, projected onto the domain."""
+    s = (eta_t / eta_next - 1.0) / eta_t
+
+    def F(x):
+        val = g @ x + (x - x_t) @ (x - x_t) / (2.0 * eta_t)
+        val += 0.5 * s * (x - x_1) @ (x - x_1)
+        if r is not None:
+            val += 0.5 * r.mu * (x - r.center) @ (x - r.center)
+        return val
+
+    def dF(x):
+        grad = g + (x - x_t) / eta_t + s * (x - x_1)
+        if r is not None:
+            grad = grad + r.mu * (x - r.center)
+        return grad
+
+    constraints = []
+    x0 = np.zeros_like(x_t)
+    if isinstance(domain, Ball):
+        c, R = domain.center, domain.radius
+        x0 = c.copy()
+        constraints = [{
+            "type": "ineq",
+            "fun": lambda x: R * R - (x - c) @ (x - c),
+            "jac": lambda x: -2.0 * (x - c),
+        }]
+    res = optimize.minimize(
+        F, x0, jac=dF, method="SLSQP", constraints=constraints,
+        options={"ftol": 1e-15, "maxiter": 1000},
+    )
+    # SLSQP may end a hair outside the ball, below the constrained minimum
+    return F, project(domain, res.x)
+
+
+def _assert_minimizes(F, got, ref, domain, eta_t, eta_next, r):
+    if isinstance(domain, Ball):
+        assert np.linalg.norm(got - domain.center) <= domain.radius * (1.0 + 1e-12)
+    scale = 1.0 + abs(F(ref))
+    assert F(got) <= F(ref) + 1e-9 * scale
+    # the objective is kappa-strongly convex, so F(ref) - F(got) bounds
+    # kappa / 2 ||ref - got||^2 for the true minimizer got
+    kappa = 1.0 / eta_next + (r.mu if r is not None else 0.0)
+    gap = max(F(ref) - F(got), 0.0) + 1e-9 * scale
+    assert np.linalg.norm(got - ref) <= math.sqrt(2.0 * gap / kappa) + 1e-6
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_prox_cases())
+def test_prox_step_minimizes_its_objective(case):
+    domain, r, x_t, _, g, eta, _ = case
+    F, ref = _numeric_prox(domain, r, x_t, x_t, g, eta, eta)
+    got = prox_step(r, domain, x_t, g, eta)
+    _assert_minimizes(F, got, ref, domain, eta, eta, r)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_prox_cases())
+def test_stabilized_prox_step_minimizes_its_objective(case):
+    domain, r, x_t, x_1, g, eta_t, eta_next = case
+    F, ref = _numeric_prox(domain, r, x_t, x_1, g, eta_t, eta_next)
+    got = stabilized_prox_step(r, domain, x_t, x_1, g, eta_t, eta_next)
+    _assert_minimizes(F, got, ref, domain, eta_t, eta_next, r)
 
 
 class TestReduceStronglyConvex:
