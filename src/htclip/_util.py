@@ -14,9 +14,25 @@ def row_norms(a: np.ndarray) -> np.ndarray:
     Single implementation used by every module so that batched rows and
     single vectors go through the identical reduction (bit-stable results
     regardless of batch shape).
+
+    The squares are summed in np.add.reduce's order along the last axis.
+    An axis of 2 to 7 entries is summed left to right, column by column:
+    numpy sums an axis that short left to right too, so the bits are the
+    same, but reducing it costs a length-d inner loop per row (12 us
+    against 3.6 us at 1,000 x 4).  From 8 entries on numpy sums with 8
+    interleaved accumulators, whose order differs, so that axis is
+    reduced by np.add.reduce itself.
     """
     a = np.asarray(a, dtype=float)
-    return np.sqrt(np.add.reduce(a * a, axis=-1))
+    d = a.shape[-1] if a.ndim else 0
+    if not 2 <= d < 8:
+        return np.sqrt(np.add.reduce(a * a, axis=-1))
+    sq = a * a
+    s = sq[..., 0] + sq[..., 1]
+    for j in range(2, d):
+        s += sq[..., j]
+    del sq  # freed before the result is allocated, as on the path above
+    return np.sqrt(s)
 
 
 def finite_row_norms(a: np.ndarray) -> np.ndarray:

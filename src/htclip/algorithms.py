@@ -9,6 +9,9 @@ Both methods iterate, from x_1 in the domain,
 for t = 1..T, and report the plain average (1/T) sum x_{t+1}, the
 weighted average with weights (t+4)(t+5), and the last iterate.  The
 stabilized variant requires mu = 0 and a nonincreasing step schedule.
+run_trials keeps both running averages unless its caller names the one
+aggregate it reads (the harness passes its reporting mode); an average
+that is not kept is never updated and is None in the result.
 
 The single-run and multi-trial entry points share one batched kernel in
 which every per-iterate operation is elementwise along rows, so a
@@ -37,6 +40,13 @@ checked for finiteness at every chunk boundary and at each horizon, not
 at every step: a coordinate that turns non-finite stays non-finite under
 the prox maps (they are linear in x, and projection onto a ball maps it
 to nan), so a blow-up anywhere inside a chunk is still reported.
+
+The step sizes are validated where they are made: when a chunk's eta and
+tau values are filled, every eta the chunk will run must be positive,
+or run_trials raises the prox steps' own ValueError.  The kernel then
+takes the prox steps' closed forms without a per-step check;
+problems.prox_step and stabilized_prox_step keep theirs for other
+callers.
 """
 
 from __future__ import annotations
@@ -51,11 +61,16 @@ from ._util import clip_rows, finite_row_norms
 from .noise import GradOracle, _busy_core
 from .problems import (
     CompositeObjective,
+    _project,
+    _prox_point,
+    _stabilized_point,
     eval_F_batch,
     project,
-    prox_step,
-    stabilized_prox_step,
 )
+
+# the kernel calls the closed forms above; the checked steps stay bound
+# here because perfbench/tracing.py wraps them by this module's names
+from .problems import prox_step, stabilized_prox_step  # noqa: F401
 from .schedules import Schedule, weighted_avg_weight
 
 __all__ = [
@@ -108,7 +123,7 @@ def checkpoint_times(T: int, stride) -> list:
     """Recording times in 1..T; always contains T.
 
     stride may be a positive int (arithmetic grid) or "geometric[:R]"
-    with ratio R > 1 (default 2), giving 1, ~R, ~R^2, ..., T.
+    with a finite ratio R > 1 (default 2), giving 1, ~R, ~R^2, ..., T.
     """
     T = int(T)
     if T < 1:
@@ -117,9 +132,15 @@ def checkpoint_times(T: int, stride) -> list:
         name, _, ratio_s = stride.partition(":")
         if name != "geometric":
             raise ValueError(f"unknown record stride {stride!r}")
-        ratio = float(ratio_s) if ratio_s else 2.0
-        if not (ratio > 1.0):
-            raise ValueError("geometric stride ratio must exceed 1")
+        try:
+            ratio = float(ratio_s) if ratio_s else 2.0
+        except ValueError:
+            ratio = math.nan
+        if not (1.0 < ratio < math.inf):
+            raise ValueError(
+                f"record stride {stride!r}: the geometric ratio must be a "
+                "finite number above 1"
+            )
         times = []
         t = 1
         while t < T:
@@ -204,13 +225,24 @@ class _Steps:
         self.stabilized = stabilized
 
     def fill(self, t0: int, width: int) -> None:
-        """Evaluate every schedule for steps t0 .. t0 + width - 1."""
+        """Evaluate every schedule for steps t0 .. t0 + width - 1.
+
+        Raises the prox steps' ValueError if any eta the chunk will run
+        is not positive, so the kernel's steps need no check of their own.
+        """
         extra = int(self.stabilized)
         etas, taus = [], []
         for s, last in zip(self.distinct, self.last):
             ts = range(t0, min(t0 + width, last + 1))
             etas.append([s.eta(t) for t in range(ts.start, ts.stop + extra)])
             taus.append([s.tau(t) for t in ts])
+        # every eta here is some running row's eta_t or, stabilized, its
+        # eta_{t+1}; 0 < min(eta_{t+1}, eta_t) <= eta_t holds iff both are
+        # positive, as nan fails every comparison
+        if not all(e > 0 for row in etas for e in row):
+            if self.stabilized:
+                raise ValueError("stabilized step requires 0 < eta_next <= eta_t")
+            raise ValueError("step size eta must be positive")
         if len(self.distinct) == 1:
             self.eta, self.tau = etas[0], taus[0]
             return
@@ -269,17 +301,19 @@ def _run_kernel(
     rngs: Sequence[np.random.Generator],
     stabilized: bool,
     record: Sequence[int],
+    aggregate: Optional[str],
 ) -> BatchResult:
     n = len(rngs)
     d = objective.d
     T = horizons[0]
+    r, domain = objective.r, objective.domain
     x1 = np.broadcast_to(x_1, (n, d)).copy()
     x = x1.copy()
     out = BatchResult(
         T=T,
         x_last=np.empty((n, d)),
-        avg_plain=np.zeros((n, d)),
-        avg_weighted=np.zeros((n, d)),
+        avg_plain=np.zeros((n, d)) if aggregate in (None, "plain") else None,
+        avg_weighted=np.zeros((n, d)) if aggregate in (None, "weighted") else None,
         clip_events=np.zeros(n, dtype=np.int64),
     )
     # the running rows are a prefix: rows are sorted by horizon, longest
@@ -313,25 +347,26 @@ def _run_kernel(
         g, over = clip_rows(grad.grad_rows(x, xi), tau_t)
         clips += over
 
+        # the steps' etas were checked when the chunk's values were filled
         if stabilized:
-            x = stabilized_prox_step(
-                objective.r, objective.domain, x, x1, g, eta_t, eta_next
-            )
+            x = _project(domain, _stabilized_point(r, x, x1, g, eta_t, eta_next))
         else:
-            x = prox_step(objective.r, objective.domain, x, g, eta_t)
+            x = _project(domain, _prox_point(r, x, g, eta_t))
 
-        mean += (x - mean) / t
-        w = weighted_avg_weight(t)
-        wsum += w
-        wavg += (w / wsum) * (x - wavg)
+        if mean is not None:
+            mean += (x - mean) / t
+        if wavg is not None:
+            w = weighted_avg_weight(t)
+            wsum += w
+            wavg += (w / wsum) * (x - wavg)
 
         if t in record_set:
             out.checkpoints.append(
                 Checkpoint(
                     t=t,
                     x_last=x.copy(),
-                    avg_plain=mean.copy(),
-                    avg_weighted=wavg.copy(),
+                    avg_plain=_copy(mean),
+                    avg_weighted=_copy(wavg),
                     clip_events=clips.copy(),
                 )
             )
@@ -341,10 +376,16 @@ def _run_kernel(
             _check_finite(x[left:], t)
             out.x_last[left:k] = x[left:]
             k = left
-            x, x1, mean, wavg, clips = x[:k], x1[:k], mean[:k], wavg[:k], clips[:k]
+            x, x1, clips = x[:k], x1[:k], clips[:k]
+            mean = None if mean is None else mean[:k]
+            wavg = None if wavg is None else wavg[:k]
             if k:
                 grad = _grad_oracle(oracles, k)
     return out
+
+
+def _copy(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    return None if a is None else a.copy()
 
 
 def run_trials(
@@ -357,6 +398,7 @@ def run_trials(
     stabilized: bool = False,
     record_stride=None,
     horizons: Optional[Sequence[int]] = None,
+    aggregate: Optional[str] = None,
 ) -> BatchResult:
     """Run len(rngs) independent trials in one vectorized batch.
 
@@ -367,6 +409,16 @@ def run_trials(
     regularizer.  horizons, when given, holds each trial's own horizon,
     nonincreasing from T, and each row of the result holds its trial at
     its own horizon; checkpoints need a single horizon.
+
+    aggregate names the one aggregate the caller reads, "plain",
+    "weighted" or "last" (see average); the kernel then skips the
+    running averages no one reads, and they are None in the result and
+    its checkpoints.  The default keeps both averages.  x_last and
+    clip_events are always kept, and every kept field has the bits of
+    the default call.
+
+    Raises ValueError naming the step rule when a schedule gives a
+    non-positive eta, at the start of the noise chunk that would run it.
     """
     T = int(T)
     if T < 1:
@@ -397,6 +449,8 @@ def run_trials(
         )
     if stabilized and objective.mu != 0.0:
         raise ValueError("stabilized updates require mu = 0")
+    if aggregate not in (None, "plain", "weighted", "last"):
+        raise ValueError(f"unknown averaging mode: {aggregate!r}")
     x_1 = _check_start(objective, x_1)
     record = checkpoint_times(T, record_stride) if record_stride is not None else [T]
     # a gradient row whose squared norm overflows is clipped correctly by
@@ -406,7 +460,8 @@ def run_trials(
     # FloatingPointError
     with np.errstate(over="ignore", invalid="ignore"), _busy_core():
         return _run_kernel(
-            objective, oracles, schedules, horizons, x_1, rngs, stabilized, record
+            objective, oracles, schedules, horizons, x_1, rngs, stabilized, record,
+            aggregate,
         )
 
 

@@ -792,6 +792,7 @@ def _run_shard(rows: list, master: int, mode: str, shared: bool) -> tuple:
         rngs,
         stabilized=first.stabilized,
         horizons=horizons,
+        aggregate=mode,
     )
     agg = average(batch, mode)
     subopt = np.empty(len(rows))

@@ -428,10 +428,15 @@ def stabilized_prox_step(
     eta_next = _step(eta_next)
     if not _all(eta_next > 0) or not _all(eta_next <= eta_t):
         raise ValueError("stabilized step requires 0 < eta_next <= eta_t")
+    return _project(domain, _stabilized_point(r, x_t, x_1, g, eta_t, eta_next))
+
+
+def _stabilized_point(r: Optional[QuadReg], x_t, x_1, g, eta_t, eta_next) -> np.ndarray:
+    """stabilized_prox_step's unconstrained minimizer, for checked steps."""
     s = (eta_t / eta_next - 1.0) / eta_t
     plain = s == 0.0
     if _all(plain):
-        return prox_step(r, domain, x_t, g, eta_t)
+        return _prox_point(r, x_t, g, eta_t)
     x_t = np.asarray(x_t, dtype=float)
     g = np.asarray(g, dtype=float)
     a = x_t / eta_t + s * np.asarray(x_1, dtype=float) - g
@@ -443,7 +448,7 @@ def stabilized_prox_step(
     c = a / (1.0 / eta_t + s + mu)
     if not isinstance(plain, bool) and plain.any():
         c = np.where(plain, _prox_point(r, x_t, g, eta_t), c)
-    return _project(domain, c)
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,17 @@ class TestCheckpointTimes:
         with pytest.raises(ValueError):
             checkpoint_times(10, "arithmetic")
 
+    @pytest.mark.parametrize("stride", ["geometric:inf", "geometric:abc"])
+    def test_rejects_a_ratio_that_is_no_finite_number(self, stride):
+        with pytest.raises(ValueError, match=stride):
+            checkpoint_times(10, stride)
+        obj = _abs_objective()
+        with pytest.raises(ValueError, match=stride):
+            run_clipped_sgd(
+                obj, make_oracle(obj, "deterministic"), _const(0.1), 10,
+                np.array([0.5]), np.random.default_rng(0), record_stride=stride,
+            )
+
 
 class TestDeterministicRuns:
     def test_hand_walk_to_minimum(self):
@@ -516,6 +527,103 @@ class TestMixedBatch:
             run_trials(
                 obj, oracle, _const(0.1), 3, x1, rngs, horizons=[3, 2],
                 record_stride=1,
+            )
+
+
+class TestStepChecks:
+    """A non-positive eta is rejected from the kernel's per-chunk check
+    with the prox steps' own messages."""
+
+    @pytest.mark.parametrize("bad_from", [1, 7, 1024, 1025, 1500])
+    @pytest.mark.parametrize("stabilized", [False, True])
+    def test_eta_turning_non_positive_mid_run(self, bad_from, stabilized):
+        obj = _abs_objective()
+        oracle = make_oracle(obj, "additive-gaussian", scales=np.ones(1))
+        eta = lambda t: 0.01 if t < bad_from else -0.01  # noqa: E731
+        message = (
+            "stabilized step requires 0 < eta_next <= eta_t" if stabilized
+            else "step size eta must be positive"
+        )
+        with pytest.raises(ValueError, match=message):
+            run_trials(
+                obj, oracle, StubSchedule(eta, lambda t: 1.0), 2000,
+                np.array([0.5]), [np.random.default_rng(s) for s in (1, 2)],
+                stabilized=stabilized,
+            )
+
+    @pytest.mark.parametrize("stabilized", [False, True])
+    def test_one_row_schedule_turning_non_positive(self, stabilized):
+        # per-row schedules take the (rows, d) tile path; the bad schedule
+        # is the shorter row's, whose last step reads eta up to `reads`
+        obj = _abs_objective()
+        oracle = make_oracle(obj, "additive-gaussian", scales=np.ones(1))
+        reads = 1200 + int(stabilized)
+
+        def rows(bad_from):
+            bad = StubSchedule(
+                lambda t: 0.01 if t < bad_from else math.nan, lambda t: 1.0
+            )
+            return run_trials(
+                obj, oracle, [_const(0.01, 1.0), bad], 2000, np.array([0.5]),
+                [np.random.default_rng(s) for s in (1, 2)],
+                stabilized=stabilized, horizons=[2000, 1200],
+            )
+
+        with pytest.raises(ValueError, match="eta"):
+            rows(reads)
+        # a value no row reads is not checked
+        rows(reads + 1)
+
+
+class TestAggregateChoice:
+    def _runs(self, aggregate, stabilized):
+        rows = []
+        for T, v in ((1100, [1, -1, 1]), (700, [1, 1, -1]), (5, [-1, 1, 1])):
+            params = hard_params(
+                "cvx-fano", d_star=3, T=T, G=1.0, D=1.0, sigma_l=1.0, p=1.5
+            )
+            _, oracle = make_hard_instance("cvx", 4, 3, params, np.array(v, float))
+            sched = StubSchedule(lambda t, T=T: 0.3 / math.sqrt(t + T), lambda t: 0.8)
+            rows += [(oracle, sched, T)] * 2
+        return run_trials(
+            rows[0][0].objective, [r[0] for r in rows], [r[1] for r in rows],
+            rows[0][2], np.zeros(4), [np.random.default_rng(s) for s in range(6)],
+            stabilized=stabilized, horizons=[r[2] for r in rows],
+            aggregate=aggregate,
+        )
+
+    @pytest.mark.parametrize("stabilized", [False, True])
+    @pytest.mark.parametrize("mode", ["plain", "weighted", "last"])
+    def test_kept_fields_equal_the_default_call(self, mode, stabilized):
+        full = self._runs(None, stabilized)
+        one = self._runs(mode, stabilized)
+        assert np.array_equal(one.x_last, full.x_last)
+        assert np.array_equal(one.clip_events, full.clip_events)
+        assert np.array_equal(average(one, mode), average(full, mode))
+        for name in ("avg_plain", "avg_weighted"):
+            if name != f"avg_{mode}":
+                assert getattr(one, name) is None
+
+    def test_checkpoints_drop_the_unkept_average(self):
+        obj = _abs_objective()
+        oracle = make_oracle(obj, "additive-gaussian", scales=np.ones(1))
+        args = (obj, oracle, _const(0.05), 9, np.array([0.5]))
+        full = run_trials(*args, [np.random.default_rng(4)], record_stride=3)
+        one = run_trials(
+            *args, [np.random.default_rng(4)], record_stride=3, aggregate="plain"
+        )
+        assert [cp.t for cp in one.checkpoints] == [3, 6, 9]
+        for a, b in zip(one.checkpoints, full.checkpoints):
+            assert np.array_equal(a.avg_plain, b.avg_plain)
+            assert np.array_equal(a.x_last, b.x_last)
+            assert a.avg_weighted is None
+
+    def test_rejects_an_unknown_aggregate(self):
+        obj = _abs_objective()
+        with pytest.raises(ValueError, match="averaging mode"):
+            run_trials(
+                obj, make_oracle(obj, "deterministic"), _const(0.1), 3,
+                np.zeros(1), [np.random.default_rng(0)], aggregate="median",
             )
 
 

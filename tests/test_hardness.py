@@ -131,6 +131,72 @@ class TestSampleDv:
         assert one.shape == (2,)
 
 
+def _codes_reference(inst, u):
+    """The codes of uniforms u as the three-comparison expression makes them."""
+    lo, hi = inst._thresholds
+    xi = (u < hi).view(np.int8) * np.int8(2) - np.int8(1)
+    xi *= (u >= lo).view(np.int8)
+    return xi
+
+
+def _cvx_instance(d, d_star=4, T=300, v=None):
+    params = _fano_cvx(d_star=d_star, T=T)
+    v = np.ones(d_star) if v is None else np.asarray(v, float)
+    return make_hard_instance("cvx", d, d_star, params, v)[1].instance
+
+
+class _OnThresholds:
+    """An rng whose uniforms sit on, and one ulp beside, each threshold."""
+
+    def __init__(self, inst):
+        lo, hi = inst._thresholds
+        self.cols = np.stack(
+            [lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, 0.0),
+             np.nextafter(lo, 1.0), np.nextafter(hi, 1.0), np.zeros_like(lo)]
+        )
+
+    def random(self, shape):
+        n, d = shape
+        return np.resize(self.cols, (n, d))
+
+
+class TestSampleXiCodes:
+    # d = 4 compares against tiled thresholds, d = 12 against one row
+    @pytest.mark.parametrize("d", [4, 12])
+    @pytest.mark.parametrize("m", [None, 1024, 700, 1])
+    def test_codes_match_reference_expression(self, d, m):
+        inst = _cvx_instance(d, v=[1, -1, 1, -1])
+        for seed in range(40):
+            got = inst.sample_xi(np.random.default_rng(seed), 1024, m)
+            u = np.random.default_rng(seed).random((1024, d))[:m]
+            assert got.dtype == np.int8
+            assert np.array_equal(got, _codes_reference(inst, u))
+
+    @pytest.mark.parametrize("d", [4, 12])
+    def test_uniforms_on_the_thresholds(self, d):
+        inst = _cvx_instance(d, v=[1, -1, -1, 1])
+        stub = _OnThresholds(inst)
+        # the tiles grow with the draw, and a shorter draw reads a prefix
+        for n, m in ((7, 7), (50, 13), (1024, 1024), (50, 13)):
+            got = inst.sample_xi(stub, n, m)
+            want = _codes_reference(inst, stub.random((n, d))[:m])
+            assert np.array_equal(got, want)
+        # a uniform equal to lo is the +1 mass, one equal to hi the -1 mass
+        lo, hi = inst._thresholds
+        codes = inst.sample_xi(stub, 7)
+        assert np.all(codes[0, :4] == np.where(hi[:4] > lo[:4], 1, -1))
+        assert np.all(codes[1, :4] == -1)
+
+    def test_rng_stream_continues_as_after_a_full_draw(self):
+        inst = _cvx_instance(4)
+        for m in (None, 10, 1024):
+            a = np.random.default_rng(3)
+            inst.sample_xi(a, 1024, m)
+            b = np.random.default_rng(3)
+            b.random((1024, 4))
+            assert np.array_equal(a.random(16), b.random(16))
+
+
 def _fano_params_like(inst):
     from htclip import HardParams
 
