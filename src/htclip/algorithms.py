@@ -93,12 +93,15 @@ NOISE_CHUNK = 1024
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Snapshot after t steps: per-trial rows in a batch, vectors in a single run."""
+    """Snapshot after t steps: per-trial rows in a batch, vectors in a single run.
+
+    An average that run_trials was asked not to keep (aggregate=) is None.
+    """
 
     t: int
     x_last: np.ndarray
-    avg_plain: np.ndarray
-    avg_weighted: np.ndarray
+    avg_plain: Optional[np.ndarray]
+    avg_weighted: Optional[np.ndarray]
     clip_events: object
 
 
@@ -108,13 +111,15 @@ class BatchResult:
 
     Fields are per-trial rows from run_trials and vectors (clip_events
     an int) from a single run.  With per-trial horizons, T is the
-    longest and each row holds its trial at its own horizon.
+    longest and each row holds its trial at its own horizon.  An average
+    that run_trials was asked not to keep (aggregate=) is None; the
+    single-run entry points keep both.
     """
 
     T: int
     x_last: np.ndarray
-    avg_plain: np.ndarray
-    avg_weighted: np.ndarray
+    avg_plain: Optional[np.ndarray]
+    avg_weighted: Optional[np.ndarray]
     clip_events: object
     checkpoints: list = field(default_factory=list)
 
@@ -511,7 +516,11 @@ def run_stabilized_clipped_sgd(
     rng: np.random.Generator,
     record_stride=None,
 ) -> BatchResult:
-    """Single stabilized run (mu = 0, nonincreasing eta enforced per step)."""
+    """Single stabilized run (mu = 0).
+
+    Each step uses min(eta_{t+1}, eta_t), and every eta is checked
+    positive once per noise chunk, before the chunk's steps run.
+    """
     return _single(objective, oracle, schedule, T, x_1, rng, True, record_stride)
 
 

@@ -15,6 +15,7 @@ from htclip import (
     sample_dv,
     two_point_codebook,
 )
+from htclip.algorithms import NOISE_CHUNK
 from htclip.hardness import GV_MAX_D_STAR
 
 import oracles
@@ -161,7 +162,6 @@ class _OnThresholds:
 
 
 class TestSampleXiCodes:
-    # d = 4 compares against tiled thresholds, d = 12 against one row
     @pytest.mark.parametrize("d", [4, 12])
     @pytest.mark.parametrize("m", [None, 1024, 700, 1])
     def test_codes_match_reference_expression(self, d, m):
@@ -186,6 +186,18 @@ class TestSampleXiCodes:
         codes = inst.sample_xi(stub, 7)
         assert np.all(codes[0, :4] == np.where(hi[:4] > lo[:4], 1, -1))
         assert np.all(codes[1, :4] == -1)
+
+    @pytest.mark.parametrize("d", [4, 64])
+    def test_long_draws_compare_in_slices_and_keep_the_tiles_bounded(self, d):
+        inst = _cvx_instance(d, v=[1, -1, 1, -1])
+        stub = _OnThresholds(inst)
+        for n in (5, 3 * NOISE_CHUNK + 5, NOISE_CHUNK, 2 * NOISE_CHUNK):
+            got = inst.sample_xi(stub, n)
+            assert np.array_equal(got, _codes_reference(inst, stub.random((n, d))))
+            got = inst.sample_xi(np.random.default_rng(n), n)
+            u = np.random.default_rng(n).random((n, d))
+            assert np.array_equal(got, _codes_reference(inst, u))
+        assert all(t.shape == (NOISE_CHUNK, d) for t in inst._tiles)
 
     def test_rng_stream_continues_as_after_a_full_draw(self):
         inst = _cvx_instance(4)

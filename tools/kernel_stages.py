@@ -44,7 +44,8 @@ import numpy as np
 from htclip import algorithms, harness, noise
 
 WIDTHS = (200, 1000)
-DIMS = (4, 64)
+# d = 8 is the narrowest row that row_norms reduces with np.add.reduce
+DIMS = (4, 8, 64)
 HARD_GRID = [256, 512, 1024, 2048]
 BALL_GRID = [64, 128, 256, 512]
 
