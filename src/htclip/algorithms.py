@@ -51,8 +51,7 @@ callers.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,26 +63,22 @@ from .problems import (
     _project,
     _prox_point,
     _stabilized_point,
-    eval_F_batch,
     project,
 )
 
-# the kernel calls the closed forms above; the checked steps stay bound
-# here because perfbench/tracing.py wraps them by this module's names
-from .problems import prox_step, stabilized_prox_step  # noqa: F401
+# the kernel calls the closed forms above; the checked steps and
+# eval_F_batch stay bound here because perfbench/tracing.py wraps them
+# by this module's names
+from .problems import eval_F_batch, prox_step, stabilized_prox_step  # noqa: F401
 from .schedules import Schedule, weighted_avg_weight
 
 __all__ = [
     "NOISE_CHUNK",
-    "Checkpoint",
     "BatchResult",
-    "checkpoint_times",
     "run_clipped_sgd",
     "run_stabilized_clipped_sgd",
     "run_trials",
     "average",
-    "suboptimality_series",
-    "SeriesPoint",
 ]
 
 # per-trial noise states drawn per prefetch; fixed so streams never depend
@@ -92,22 +87,8 @@ NOISE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
-class Checkpoint:
-    """Snapshot after t steps: per-trial rows in a batch, vectors in a single run.
-
-    An average that run_trials was asked not to keep (aggregate=) is None.
-    """
-
-    t: int
-    x_last: np.ndarray
-    avg_plain: Optional[np.ndarray]
-    avg_weighted: Optional[np.ndarray]
-    clip_events: object
-
-
-@dataclass(frozen=True)
 class BatchResult:
-    """Result of a run after T steps; checkpoints always include t = T.
+    """Result of a run after T steps.
 
     Fields are per-trial rows from run_trials and vectors (clip_events
     an int) from a single run.  With per-trial horizons, T is the
@@ -121,45 +102,6 @@ class BatchResult:
     avg_plain: Optional[np.ndarray]
     avg_weighted: Optional[np.ndarray]
     clip_events: object
-    checkpoints: list = field(default_factory=list)
-
-
-def checkpoint_times(T: int, stride) -> list:
-    """Recording times in 1..T; always contains T.
-
-    stride may be a positive int (arithmetic grid) or "geometric[:R]"
-    with a finite ratio R > 1 (default 2), giving 1, ~R, ~R^2, ..., T.
-    """
-    T = int(T)
-    if T < 1:
-        raise ValueError("horizon T must be a positive integer")
-    if isinstance(stride, str):
-        name, _, ratio_s = stride.partition(":")
-        if name != "geometric":
-            raise ValueError(f"unknown record stride {stride!r}")
-        try:
-            ratio = float(ratio_s) if ratio_s else 2.0
-        except ValueError:
-            ratio = math.nan
-        if not (1.0 < ratio < math.inf):
-            raise ValueError(
-                f"record stride {stride!r}: the geometric ratio must be a "
-                "finite number above 1"
-            )
-        times = []
-        t = 1
-        while t < T:
-            times.append(t)
-            t = max(t + 1, int(math.floor(t * ratio + 1e-9)))
-        times.append(T)
-        return times
-    k = int(stride)
-    if k < 1:
-        raise ValueError("record stride must be a positive integer")
-    times = list(range(k, T + 1, k))
-    if not times or times[-1] != T:
-        times.append(T)
-    return times
 
 
 def _check_start(objective: CompositeObjective, x_1, name: str = "x_1") -> np.ndarray:
@@ -305,7 +247,6 @@ def _run_kernel(
     x_1: np.ndarray,
     rngs: Sequence[np.random.Generator],
     stabilized: bool,
-    record: Sequence[int],
     aggregate: Optional[str],
 ) -> BatchResult:
     n = len(rngs)
@@ -330,7 +271,6 @@ def _run_kernel(
     k = n
     grad = _grad_oracle(oracles, k)
     steps = _Steps(schedules, horizons, d, stabilized)
-    record_set = set(int(t) for t in record)
 
     buf = np.empty((min(NOISE_CHUNK, T), n, d), dtype=oracles[0].state_dtype)
     pos = NOISE_CHUNK
@@ -365,16 +305,6 @@ def _run_kernel(
             wsum += w
             wavg += (w / wsum) * (x - wavg)
 
-        if t in record_set:
-            out.checkpoints.append(
-                Checkpoint(
-                    t=t,
-                    x_last=x.copy(),
-                    avg_plain=_copy(mean),
-                    avg_weighted=_copy(wavg),
-                    clip_events=clips.copy(),
-                )
-            )
         if t in running:
             # the rows whose horizon is t are done
             left = running[t]
@@ -389,10 +319,6 @@ def _run_kernel(
     return out
 
 
-def _copy(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    return None if a is None else a.copy()
-
-
 def run_trials(
     objective: CompositeObjective,
     oracle,
@@ -401,7 +327,6 @@ def run_trials(
     x_1,
     rngs: Sequence[np.random.Generator],
     stabilized: bool = False,
-    record_stride=None,
     horizons: Optional[Sequence[int]] = None,
     aggregate: Optional[str] = None,
 ) -> BatchResult:
@@ -413,14 +338,17 @@ def run_trials(
     hard-instance oracles of objectives that share objective's domain and
     regularizer.  horizons, when given, holds each trial's own horizon,
     nonincreasing from T, and each row of the result holds its trial at
-    its own horizon; checkpoints need a single horizon.
+    its own horizon.  A row's trajectory does not depend on its
+    horizon, so a row of horizon t holds the first t steps of a longer
+    row with the same seed: horizons=range(T, 0, -1) with T generators
+    of one seed gives that seed's iterate and averages after step t in
+    row T - t.
 
     aggregate names the one aggregate the caller reads, "plain",
     "weighted" or "last" (see average); the kernel then skips the
-    running averages no one reads, and they are None in the result and
-    its checkpoints.  The default keeps both averages.  x_last and
-    clip_events are always kept, and every kept field has the bits of
-    the default call.
+    running averages no one reads, and they are None in the result.
+    The default keeps both averages.  x_last and clip_events are always
+    kept, and every kept field has the bits of the default call.
 
     Raises ValueError naming the step rule when a schedule gives a
     non-positive eta, at the start of the noise chunk that would run it.
@@ -438,8 +366,6 @@ def run_trials(
         a < b for a, b in zip(horizons, horizons[1:])
     ):
         raise ValueError("horizons must be positive, nonincreasing from T, one per trial")
-    if record_stride is not None and horizons[-1] != T:
-        raise ValueError("checkpoints need every trial to share the horizon T")
     distinct = list({id(o): o for o in oracles}.values())
     if len(distinct) == 1:
         if oracles[0].objective is not objective:
@@ -457,7 +383,6 @@ def run_trials(
     if aggregate not in (None, "plain", "weighted", "last"):
         raise ValueError(f"unknown averaging mode: {aggregate!r}")
     x_1 = _check_start(objective, x_1)
-    record = checkpoint_times(T, record_stride) if record_stride is not None else [T]
     # a gradient row whose squared norm overflows is clipped correctly by
     # clip_rows, so its overflow warning is silenced here, once per batch
     # rather than once per step; an overflow or invalid value that reaches
@@ -465,32 +390,19 @@ def run_trials(
     # FloatingPointError
     with np.errstate(over="ignore", invalid="ignore"), _busy_core():
         return _run_kernel(
-            objective, oracles, schedules, horizons, x_1, rngs, stabilized, record,
-            aggregate,
+            objective, oracles, schedules, horizons, x_1, rngs, stabilized, aggregate
         )
 
 
-def _first_row(rec):
-    """A BatchResult or Checkpoint with its rows replaced by row 0."""
+def _single(objective, oracle, schedule, T, x_1, rng, stabilized) -> BatchResult:
+    """run_trials on the one generator rng, its row 0 as vectors."""
+    batch = run_trials(objective, oracle, schedule, T, x_1, [rng], stabilized=stabilized)
     return replace(
-        rec,
-        x_last=rec.x_last[0],
-        avg_plain=rec.avg_plain[0],
-        avg_weighted=rec.avg_weighted[0],
-        clip_events=int(rec.clip_events[0]),
-    )
-
-
-def _single(
-    objective, oracle, schedule, T, x_1, rng, stabilized, record_stride
-) -> BatchResult:
-    stride = record_stride if record_stride is not None else "geometric:2"
-    batch = run_trials(
-        objective, oracle, schedule, T, x_1, [rng],
-        stabilized=stabilized, record_stride=stride,
-    )
-    return replace(
-        _first_row(batch), checkpoints=[_first_row(cp) for cp in batch.checkpoints]
+        batch,
+        x_last=batch.x_last[0],
+        avg_plain=batch.avg_plain[0],
+        avg_weighted=batch.avg_weighted[0],
+        clip_events=int(batch.clip_events[0]),
     )
 
 
@@ -501,10 +413,9 @@ def run_clipped_sgd(
     T: int,
     x_1,
     rng: np.random.Generator,
-    record_stride=None,
 ) -> BatchResult:
     """Single clipped run; thin wrapper over the batched kernel."""
-    return _single(objective, oracle, schedule, T, x_1, rng, False, record_stride)
+    return _single(objective, oracle, schedule, T, x_1, rng, False)
 
 
 def run_stabilized_clipped_sgd(
@@ -514,14 +425,13 @@ def run_stabilized_clipped_sgd(
     T: int,
     x_1,
     rng: np.random.Generator,
-    record_stride=None,
 ) -> BatchResult:
     """Single stabilized run (mu = 0).
 
     Each step uses min(eta_{t+1}, eta_t), and every eta is checked
     positive once per noise chunk, before the chunk's steps run.
     """
-    return _single(objective, oracle, schedule, T, x_1, rng, True, record_stride)
+    return _single(objective, oracle, schedule, T, x_1, rng, True)
 
 
 def average(traj: BatchResult, mode: str) -> np.ndarray:
@@ -533,46 +443,3 @@ def average(traj: BatchResult, mode: str) -> np.ndarray:
     if mode == "last":
         return traj.x_last
     raise ValueError(f"unknown averaging mode: {mode!r}")
-
-
-@dataclass(frozen=True)
-class SeriesPoint:
-    """Suboptimality snapshot; raw values keep sign, plain fields clamp at 0."""
-
-    t: int
-    plain: float
-    weighted: float
-    last: float
-    raw_plain: float
-    raw_weighted: float
-    raw_last: float
-    mu_dist_sq: float
-    clip_events: int
-
-
-def suboptimality_series(traj: BatchResult, objective: CompositeObjective) -> list:
-    """Per-checkpoint F(aggregate) - F_star values; needs a known optimum."""
-    opt = objective.optimum
-    if opt is None:
-        raise ValueError("suboptimality requires an objective with a known optimum")
-    out = []
-    for cp in traj.checkpoints:
-        vals = eval_F_batch(
-            objective, np.stack([cp.avg_plain, cp.avg_weighted, cp.x_last])
-        )
-        raw = vals - opt.F_star
-        diff = cp.x_last - opt.x_star
-        out.append(
-            SeriesPoint(
-                t=cp.t,
-                plain=max(float(raw[0]), 0.0),
-                weighted=max(float(raw[1]), 0.0),
-                last=max(float(raw[2]), 0.0),
-                raw_plain=float(raw[0]),
-                raw_weighted=float(raw[1]),
-                raw_last=float(raw[2]),
-                mu_dist_sq=objective.mu * float(np.add.reduce(diff * diff)),
-                clip_events=cp.clip_events,
-            )
-        )
-    return out

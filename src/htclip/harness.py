@@ -328,6 +328,8 @@ _RUN = {
     "T_grid": (_T_grid, _REQ),
     "trials": (_count(MAX_TRIALS), _REQ),
     "master_seed": (_int, _REQ),
+    # recorded in manifest.json and read by nothing; kept because the
+    # pinned manifest bytes hold it, until runs report curves against t
     "record_stride": (_text, "geometric:2"),
 }
 _EVAL = {

@@ -335,9 +335,7 @@ class _Blocks:
 def _join(futures) -> None:
     """Cancel the futures no thread has started and wait for the others;
     then raise the first error any of them raised."""
-    for f in futures:
-        f.cancel()
-    wait(futures)
+    wait([f for f in futures if not f.cancel()])
     for f in futures:
         if not f.cancelled():
             f.result()

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from htclip import (
+    NOISE_CHUNK,
     AbsSum,
     AllSpace,
     Ball,
@@ -11,18 +13,17 @@ from htclip import (
     EuclidNorm,
     Optimum,
     QuadReg,
-    ScheduleParams,
+    StableParams,
     average,
-    checkpoint_times,
     hard_params,
     make_hard_instance,
     make_oracle,
-    make_schedule,
     run_clipped_sgd,
     run_stabilized_clipped_sgd,
     run_trials,
-    suboptimality_series,
+    weighted_avg_weight,
 )
+from htclip._util import clip_rows
 
 import oracles
 
@@ -45,53 +46,31 @@ def _const(eta, tau=math.inf):
     return StubSchedule(lambda t: eta, lambda t: tau)
 
 
-def _abs_objective(optimum=True):
-    opt = Optimum(np.zeros(1), 0.0) if optimum else None
+def _abs_objective():
     return CompositeObjective(
         f=AbsSum(np.array([1.0]), np.array([0.0])),
         r=None,
         domain=AllSpace(1),
         lipschitz_G=1.0,
-        optimum=opt,
+        optimum=Optimum(np.zeros(1), 0.0),
     )
 
 
-class TestCheckpointTimes:
-    def test_arithmetic(self):
-        assert checkpoint_times(10, 3) == [3, 6, 9, 10]
-        assert checkpoint_times(9, 3) == [3, 6, 9]
-        assert checkpoint_times(2, 5) == [2]
-
-    def test_geometric(self):
-        assert checkpoint_times(8, "geometric:2") == [1, 2, 4, 8]
-        assert checkpoint_times(10, "geometric") == [1, 2, 4, 8, 10]
-        assert checkpoint_times(1, "geometric:2") == [1]
-
-    def test_always_ends_at_T(self):
-        for T in (1, 7, 100, 1000):
-            for stride in (1, 7, "geometric:2", "geometric:1.5"):
-                times = checkpoint_times(T, stride)
-                assert times[-1] == T
-                assert all(b > a for a, b in zip(times, times[1:]))
-
-    def test_rejects_bad_stride(self):
-        with pytest.raises(ValueError):
-            checkpoint_times(10, 0)
-        with pytest.raises(ValueError):
-            checkpoint_times(10, "geometric:0.5")
-        with pytest.raises(ValueError):
-            checkpoint_times(10, "arithmetic")
-
-    @pytest.mark.parametrize("stride", ["geometric:inf", "geometric:abc"])
-    def test_rejects_a_ratio_that_is_no_finite_number(self, stride):
-        with pytest.raises(ValueError, match=stride):
-            checkpoint_times(10, stride)
-        obj = _abs_objective()
-        with pytest.raises(ValueError, match=stride):
-            run_clipped_sgd(
-                obj, make_oracle(obj, "deterministic"), _const(0.1), 10,
-                np.array([0.5]), np.random.default_rng(0), record_stride=stride,
-            )
+def _each_step(objective, oracle, schedule, T, x_1, seed=0, **kwargs):
+    """The run after each step t = 1..T in row t - 1: one run_trials call
+    with a row of horizon t per step, every row on one seed."""
+    res = run_trials(
+        objective, oracle, schedule, T, x_1,
+        [np.random.default_rng(seed) for _ in range(T)],
+        horizons=range(T, 0, -1), **kwargs,
+    )
+    return replace(
+        res,
+        x_last=res.x_last[::-1],
+        avg_plain=None if res.avg_plain is None else res.avg_plain[::-1],
+        avg_weighted=None if res.avg_weighted is None else res.avg_weighted[::-1],
+        clip_events=res.clip_events[::-1],
+    )
 
 
 class TestDeterministicRuns:
@@ -99,12 +78,11 @@ class TestDeterministicRuns:
         # |x| from 0.5 with eta = 0.1: 0.4, 0.3, 0.2, 0.1, 0.0
         obj = _abs_objective()
         oracle = make_oracle(obj, "deterministic")
+        steps = _each_step(obj, oracle, _const(0.1), 5, np.array([0.5]))
+        assert steps.x_last[:, 0] == pytest.approx([0.4, 0.3, 0.2, 0.1, 0.0], abs=1e-15)
         traj = run_clipped_sgd(
-            obj, oracle, _const(0.1), 5, np.array([0.5]),
-            np.random.default_rng(0), record_stride=1,
+            obj, oracle, _const(0.1), 5, np.array([0.5]), np.random.default_rng(0)
         )
-        xs = [cp.x_last[0] for cp in traj.checkpoints]
-        assert xs == pytest.approx([0.4, 0.3, 0.2, 0.1, 0.0], abs=1e-15)
         assert traj.avg_plain[0] == pytest.approx(0.2, abs=1e-15)
         assert traj.clip_events == 0
 
@@ -114,12 +92,12 @@ class TestDeterministicRuns:
         oracle = make_oracle(obj, "deterministic")
         traj = run_clipped_sgd(
             obj, oracle, _const(0.1, tau=0.5), 5, np.array([0.5]),
-            np.random.default_rng(0), record_stride=1,
+            np.random.default_rng(0),
         )
         assert traj.x_last[0] == pytest.approx(0.25, abs=1e-15)
         assert traj.clip_events == 5
-        for cp in traj.checkpoints:
-            assert cp.clip_events == cp.t
+        steps = _each_step(obj, oracle, _const(0.1, tau=0.5), 5, np.array([0.5]))
+        assert steps.clip_events.tolist() == [1, 2, 3, 4, 5]
 
     def test_strongly_convex_contraction(self):
         # g = 0, eta_1 = 6/mu: x_2 = (x_1/eta)/(1/eta + mu) = x_1/7
@@ -134,12 +112,9 @@ class TestDeterministicRuns:
         oracle = make_oracle(obj, "deterministic")
         sched = StubSchedule(lambda t: 6.0 / t, lambda t: math.inf)
         traj = run_clipped_sgd(
-            obj, oracle, sched, 1, np.array([1.0]), np.random.default_rng(0),
-            record_stride=1,
+            obj, oracle, sched, 1, np.array([1.0]), np.random.default_rng(0)
         )
         assert traj.x_last[0] == pytest.approx(1.0 / 7.0, rel=1e-14)
-        series = suboptimality_series(traj, obj)
-        assert series[0].mu_dist_sq == pytest.approx(1.0 / 49.0, rel=1e-13)
 
     def test_matches_reference_subgradient_descent(self):
         d = 3
@@ -152,9 +127,7 @@ class TestDeterministicRuns:
         oracle = make_oracle(obj, "deterministic")
         sched = StubSchedule(lambda t: 0.3 / math.sqrt(t), lambda t: math.inf)
         x1 = np.array([2.0, -1.0, 0.5])
-        traj = run_clipped_sgd(
-            obj, oracle, sched, 40, x1, np.random.default_rng(0), record_stride=1
-        )
+        steps = _each_step(obj, oracle, sched, 40, x1)
 
         def subgrad(x):
             diff = x - np.ones(d)
@@ -162,8 +135,9 @@ class TestDeterministicRuns:
             return 2.0 * diff / n if n > 0 else np.zeros(d)
 
         ref = oracles.reference_sgd(x1, subgrad, lambda t: 0.3 / math.sqrt(t), 40)
-        for cp, want in zip(traj.checkpoints, ref):
-            assert cp.x_last == pytest.approx(want, abs=1e-12)
+        assert len(ref) == 40
+        for x, want in zip(steps.x_last, ref):
+            assert x == pytest.approx(want, abs=1e-12)
 
     def test_ball_constrained_stays_inside(self):
         dom = Ball(np.zeros(2), 1.0)
@@ -174,12 +148,8 @@ class TestDeterministicRuns:
             lipschitz_G=3.0 * math.sqrt(2.0),
         )
         oracle = make_oracle(obj, "deterministic")
-        traj = run_clipped_sgd(
-            obj, oracle, _const(0.5), 20, np.zeros(2), np.random.default_rng(0),
-            record_stride=1,
-        )
-        for cp in traj.checkpoints:
-            assert np.linalg.norm(cp.x_last) <= 1.0 + 1e-12
+        steps = _each_step(obj, oracle, _const(0.5), 20, np.zeros(2))
+        assert np.all(np.linalg.norm(steps.x_last, axis=1) <= 1.0 + 1e-12)
 
     def test_projected_matches_reference(self):
         dom = Ball(np.array([0.5, 0.0]), 0.75)
@@ -191,10 +161,7 @@ class TestDeterministicRuns:
         )
         oracle = make_oracle(obj, "deterministic")
         x1 = np.array([0.5, 0.0])
-        traj = run_clipped_sgd(
-            obj, oracle, _const(0.2), 15, x1, np.random.default_rng(0),
-            record_stride=1,
-        )
+        steps = _each_step(obj, oracle, _const(0.2), 15, x1)
 
         def subgrad(x):
             return np.array([2.0, 1.0]) * np.sign(x - np.array([-1.0, 1.5]))
@@ -203,20 +170,18 @@ class TestDeterministicRuns:
             x1, subgrad, lambda t: 0.2, 15,
             project=oracles.project_ball(np.array([0.5, 0.0]), 0.75),
         )
-        for cp, want in zip(traj.checkpoints, ref):
-            assert cp.x_last == pytest.approx(want, abs=1e-12)
+        assert len(ref) == 15
+        for x, want in zip(steps.x_last, ref):
+            assert x == pytest.approx(want, abs=1e-12)
 
 
 class TestAveraging:
     def test_weighted_two_step(self):
         obj = _abs_objective()
         oracle = make_oracle(obj, "deterministic")
-        traj = run_clipped_sgd(
-            obj, oracle, _const(0.1), 2, np.array([0.5]),
-            np.random.default_rng(0), record_stride=1,
-        )
-        x2, x3 = traj.checkpoints[0].x_last[0], traj.checkpoints[1].x_last[0]
-        assert traj.avg_weighted[0] == pytest.approx(
+        steps = _each_step(obj, oracle, _const(0.1), 2, np.array([0.5]))
+        x2, x3 = steps.x_last[:, 0]
+        assert steps.avg_weighted[1, 0] == pytest.approx(
             (30.0 * x2 + 42.0 * x3) / 72.0, rel=1e-14
         )
 
@@ -250,11 +215,10 @@ class TestAveraging:
         )
         oracle = make_oracle(obj, "additive-gaussian", scales=np.full(d, 0.3))
         traj = run_clipped_sgd(
-            obj, oracle, _const(0.05), 30, np.full(d, 0.4),
-            np.random.default_rng(5), record_stride=1,
+            obj, oracle, _const(0.05), 30, np.full(d, 0.4), np.random.default_rng(5)
         )
-        xs = np.stack([cp.x_last for cp in traj.checkpoints])
-        assert traj.avg_plain == pytest.approx(xs.mean(axis=0), abs=1e-13)
+        steps = _each_step(obj, oracle, _const(0.05), 30, np.full(d, 0.4), seed=5)
+        assert traj.avg_plain == pytest.approx(steps.x_last.mean(axis=0), abs=1e-13)
 
 
 class TestStabilized:
@@ -303,9 +267,7 @@ class TestStabilized:
 
         sched = StubSchedule(eta, lambda t: math.inf)
         x1 = np.array([3.0, -4.0])
-        traj = run_stabilized_clipped_sgd(
-            obj, oracle, sched, 6, x1, np.random.default_rng(0), record_stride=1
-        )
+        steps = _each_step(obj, oracle, sched, 6, x1, stabilized=True)
 
         x = x1.copy()
         for t in range(1, 7):
@@ -314,7 +276,7 @@ class TestStabilized:
             et, en = eta(t), min(eta(t + 1), eta(t))
             s = (et / en - 1.0) / et
             x = (x / et + s * x1 - g) / (1.0 / et + s)
-            assert traj.checkpoints[t - 1].x_last == pytest.approx(x, rel=1e-12)
+            assert steps.x_last[t - 1] == pytest.approx(x, rel=1e-12)
 
     def test_rejects_strongly_convex(self):
         obj = CompositeObjective(
@@ -523,11 +485,6 @@ class TestMixedBatch:
             run_trials(obj, oracle, _const(0.1), 3, x1, rngs, horizons=[2, 3])
         with pytest.raises(ValueError, match="hard instances"):
             run_trials(obj, [oracle, other], _const(0.1), 3, x1, rngs)
-        with pytest.raises(ValueError, match="checkpoints"):
-            run_trials(
-                obj, oracle, _const(0.1), 3, x1, rngs, horizons=[3, 2],
-                record_stride=1,
-            )
 
 
 class TestStepChecks:
@@ -604,19 +561,15 @@ class TestAggregateChoice:
             if name != f"avg_{mode}":
                 assert getattr(one, name) is None
 
-    def test_checkpoints_drop_the_unkept_average(self):
+    def test_every_step_drops_the_unkept_average(self):
         obj = _abs_objective()
         oracle = make_oracle(obj, "additive-gaussian", scales=np.ones(1))
         args = (obj, oracle, _const(0.05), 9, np.array([0.5]))
-        full = run_trials(*args, [np.random.default_rng(4)], record_stride=3)
-        one = run_trials(
-            *args, [np.random.default_rng(4)], record_stride=3, aggregate="plain"
-        )
-        assert [cp.t for cp in one.checkpoints] == [3, 6, 9]
-        for a, b in zip(one.checkpoints, full.checkpoints):
-            assert np.array_equal(a.avg_plain, b.avg_plain)
-            assert np.array_equal(a.x_last, b.x_last)
-            assert a.avg_weighted is None
+        full = _each_step(*args, seed=4)
+        one = _each_step(*args, seed=4, aggregate="plain")
+        assert np.array_equal(one.avg_plain, full.avg_plain)
+        assert np.array_equal(one.x_last, full.x_last)
+        assert one.avg_weighted is None
 
     def test_rejects_an_unknown_aggregate(self):
         obj = _abs_objective()
@@ -627,45 +580,76 @@ class TestAggregateChoice:
             )
 
 
-class TestSuboptimalitySeries:
-    def test_clamps_negative_gaps(self):
-        # a deliberately inflated F_star drives raw gaps negative
+class TestPrefix:
+    """A row of horizon t holds the first t steps of a row of horizon T
+    with the same seed, across noise chunk boundaries."""
+
+    class _Recording:
+        """The wrapped oracle, noting row 0's iterate x_t and gradient at
+        each step; row 0 runs the longest horizon."""
+
+        def __init__(self, oracle):
+            self.oracle = oracle
+            self.objective = oracle.objective
+            self.state_dtype = oracle.state_dtype
+            self.xs, self.gs = [], []
+
+        def draw(self, rng, n, out):
+            return self.oracle.draw(rng, n, out=out)
+
+        def grad_rows(self, X, states):
+            G = self.oracle.grad_rows(X, states)
+            self.xs.append(X[0].copy())
+            self.gs.append(G[:1].copy())
+            return G
+
+    @staticmethod
+    def _oracle(kind):
+        if kind == "hard-instance":
+            params = hard_params(
+                "cvx-fano", d_star=3, T=1100, G=1.0, D=1.0, sigma_l=1.0, p=1.5
+            )
+            return make_hard_instance("cvx", 4, 3, params, np.array([1.0, -1.0, 1.0]))[1]
         obj = CompositeObjective(
-            f=AbsSum(np.array([1.0]), np.array([0.0])),
-            r=None,
-            domain=AllSpace(1),
+            f=EuclidNorm(1.0, np.zeros(3)), r=None, domain=Ball(np.zeros(3), 2.0),
             lipschitz_G=1.0,
-            optimum=Optimum(np.zeros(1), 10.0),
         )
-        oracle = make_oracle(obj, "deterministic")
-        traj = run_clipped_sgd(
-            obj, oracle, _const(0.1), 3, np.array([0.5]), np.random.default_rng(0),
-            record_stride=1,
-        )
-        series = suboptimality_series(traj, obj)
-        for pt in series:
-            assert pt.raw_plain < 0
-            assert pt.plain == 0.0
-            assert pt.last == 0.0
+        if kind == "additive-stable":
+            return make_oracle(
+                obj, kind, scales=np.full(3, 0.4), stable=StableParams(1.5), p=1.2
+            )
+        return make_oracle(obj, kind, scales=np.full(3, 0.4))
 
-    def test_requires_optimum(self):
-        obj = _abs_objective(optimum=False)
-        oracle = make_oracle(obj, "deterministic")
-        traj = run_clipped_sgd(
-            obj, oracle, _const(0.1), 2, np.array([0.5]), np.random.default_rng(0)
+    @pytest.mark.parametrize("stabilized", [False, True])
+    @pytest.mark.parametrize(
+        "kind", ["additive-gaussian", "additive-stable", "hard-instance"]
+    )
+    def test_a_row_of_horizon_t_holds_the_first_t_steps(self, kind, stabilized):
+        T = NOISE_CHUNK + 76
+        horizons = [T, T - 1, NOISE_CHUNK + 1, NOISE_CHUNK, NOISE_CHUNK - 1, 700, 2, 1]
+        rec = self._Recording(self._oracle(kind))
+        sched = StubSchedule(lambda t: 0.3 / math.sqrt(t), lambda t: 0.8)
+        res = run_trials(
+            rec.objective, rec, sched, T, np.zeros(rec.objective.d),
+            [np.random.default_rng(7) for _ in horizons],
+            stabilized=stabilized, horizons=horizons,
         )
-        with pytest.raises(ValueError, match="optimum"):
-            suboptimality_series(traj, obj)
-
-    def test_values_match_direct_evaluation(self):
-        obj = _abs_objective()
-        oracle = make_oracle(obj, "deterministic")
-        traj = run_clipped_sgd(
-            obj, oracle, _const(0.1), 4, np.array([0.5]), np.random.default_rng(0),
-            record_stride=2,
-        )
-        series = suboptimality_series(traj, obj)
-        assert [pt.t for pt in series] == [2, 4]
-        for pt, cp in zip(series, traj.checkpoints):
-            assert pt.raw_plain == pytest.approx(abs(cp.avg_plain[0]), rel=1e-14)
-            assert pt.raw_last == pytest.approx(abs(cp.x_last[0]), rel=1e-14)
+        assert len(rec.xs) == T
+        # replay row 0's averages and clip count after each step t
+        after = {}
+        mean, wavg = np.zeros_like(rec.xs[0]), np.zeros_like(rec.xs[0])
+        wsum, clips = 0.0, 0
+        for t, x in enumerate(rec.xs[1:] + [res.x_last[0]], start=1):
+            mean += (x - mean) / t
+            w = weighted_avg_weight(t)
+            wsum += w
+            wavg += (w / wsum) * (x - wavg)
+            clips += int(clip_rows(rec.gs[t - 1], sched.tau(t))[1][0])
+            after[t] = (x, mean.copy(), wavg.copy(), clips)
+        assert 0 < clips < T
+        for i, t in enumerate(horizons):
+            x, m, w, c = after[t]
+            assert np.array_equal(res.x_last[i], x)
+            assert np.array_equal(res.avg_plain[i], m)
+            assert np.array_equal(res.avg_weighted[i], w)
+            assert res.clip_events[i] == c

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htclip import (
+    AbsSum,
+    AllSpace,
+    CompositeObjective,
+    Optimum,
+    QuadReg,
     fit_rate,
+    make_oracle,
     parse_config,
     persist,
     run_experiment,
@@ -20,6 +26,7 @@ from htclip import harness
 from htclip.harness import BLOCK_TRIALS, derive_seed
 
 import oracles
+from test_algorithms import _abs_objective, _const
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
@@ -382,6 +389,53 @@ class TestRunExperiment:
         nd = res.manifest["noise_declared"]
         assert nd["p"] == 2.0
         assert nd["sigma_l"] == pytest.approx(0.25 * math.sqrt(2.0))
+
+
+class TestRunShard:
+    """_run_shard is the one source of each row's clamped suboptimality
+    F(aggregate) - F_star, mu ||x_last - x*||^2 and clip rate."""
+
+    @staticmethod
+    def _run(objective, schedule, horizons, x1, mode):
+        oracle = make_oracle(objective, "deterministic")
+        rows = [
+            (ti, 0, harness._Setting(T, objective, oracle, schedule, x1, False))
+            for ti, T in enumerate(horizons)
+        ]
+        return harness._run_shard(rows, 3, mode, True)
+
+    @pytest.mark.parametrize(
+        "mode, want", [("last", [0.3, 0.4]), ("plain", [0.375, 0.425])]
+    )
+    def test_values_match_direct_evaluation(self, mode, want):
+        # |x| from 0.5 with eta = 0.1 and tau = 0.5, which clips every unit
+        # subgradient: iterates 0.45, 0.4, 0.35, 0.3
+        subopt, mu_dist2, clip_rate = self._run(
+            _abs_objective(), _const(0.1, tau=0.5), [4, 2], np.array([0.5]), mode
+        )
+        assert subopt == pytest.approx(want, rel=1e-14)
+        assert mu_dist2.tolist() == [0.0, 0.0]
+        assert clip_rate.tolist() == [1.0, 1.0]
+
+    def test_mu_dist2_of_the_last_iterate(self):
+        # g = 0, eta_1 = 6/mu: x_2 = x_1/7, so mu ||x_2 - x*||^2 = 2/49
+        obj = CompositeObjective(
+            AbsSum(np.zeros(1), np.zeros(1)), QuadReg(2.0, np.zeros(1)),
+            AllSpace(1), 1.0, mu=2.0, optimum=Optimum(np.zeros(1), 0.0),
+        )
+        subopt, mu_dist2, _ = self._run(obj, _const(3.0), [1], np.array([1.0]), "plain")
+        assert mu_dist2[0] == pytest.approx(2.0 / 49.0, rel=1e-13)
+        assert subopt[0] == pytest.approx(1.0 / 49.0, rel=1e-13)
+
+    def test_clamps_negative_gaps(self):
+        # a deliberately inflated F_star drives raw gaps negative
+        obj = CompositeObjective(
+            AbsSum(np.ones(1), np.zeros(1)), None, AllSpace(1), 1.0,
+            optimum=Optimum(np.zeros(1), 10.0),
+        )
+        for mode in ("plain", "weighted", "last"):
+            subopt, _, _ = self._run(obj, _const(0.1), [3, 1], np.array([0.5]), mode)
+            assert subopt.tolist() == [0.0, 0.0]
 
 
 class TestPersist:

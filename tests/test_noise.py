@@ -322,6 +322,9 @@ class TestStableSplit:
             )
             assert len(done) == 4 and sum(n for n, _ in done) == rows
             assert {who for _, who in done} == {threading.get_ident()}
+            # the split returned while every module thread is still held
+            assert not release.is_set()
+            assert not any(f.done() for f in held)
         finally:
             release.set()
             for f in held:
