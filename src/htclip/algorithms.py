@@ -28,18 +28,20 @@ last iterate, averages and clip count at its own horizon.  Each row's
 eta_t and tau_t come from its own schedule, and hard-instance rows of
 different horizons or codewords map gradients with per-row M and y.
 
-Oracle noise is prefetched in fixed chunks of NOISE_CHUNK states per
-trial, which pins each trial's consumption of its own rng stream.  Only
-the states a row runs are made: a chunk drawn at step t draws the random
-numbers of all NOISE_CHUNK states but makes only the first
-min(horizon + 1 - t, NOISE_CHUNK) of them (for alpha-stable noise, by a
-transform split across cores), straight into one (min(T, NOISE_CHUNK),
-trials, d) buffer of the oracle's state dtype, allocated once per run,
-so a step reads its states as one contiguous block.  Iterates are
-checked for finiteness at every chunk boundary and at each horizon, not
-at every step: a coordinate that turns non-finite stays non-finite under
-the prox maps (they are linear in x, and projection onto a ball maps it
-to nan), so a blow-up anywhere inside a chunk is still reported.
+Oracle noise comes in fixed chunks of NOISE_CHUNK states per trial,
+which pins each trial's consumption of its own rng stream, and a row
+draws a chunk a sub-chunk of _sub_chunk(d) states at a time, into one
+(sub-chunk, trials, d) buffer of the oracle's state dtype, allocated
+once per run, so a step reads its states as one contiguous block.  A
+row draws only the states it runs: none past its horizon.  The rows of
+one oracle draw a sub-chunk in one GradOracle.draw call, which makes
+their alpha-stable states by one CMS transform split across cores, and
+a noise.ChunkStream per row gives each sub-chunk the bits it has in a
+draw of the whole chunk.  Iterates are checked for finiteness at every
+chunk boundary and at each horizon, not at every step: a coordinate
+that turns non-finite stays non-finite under the prox maps (they are
+linear in x, and projection onto a ball maps it to nan), so a blow-up
+anywhere inside a chunk is still reported.
 
 The step sizes are validated where they are made: when a chunk's eta and
 tau values are filled, every eta the chunk will run must be positive,
@@ -57,7 +59,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._util import clip_rows, finite_row_norms
-from .noise import GradOracle, _busy_core
+from .noise import ChunkStream, GradOracle, _busy_core
 from .problems import (
     CompositeObjective,
     _project,
@@ -81,9 +83,21 @@ __all__ = [
     "average",
 ]
 
-# per-trial noise states drawn per prefetch; fixed so streams never depend
-# on T, batch size, or thread count
+# per-trial noise states of a chunk; fixed so streams never depend on T,
+# batch size, or thread count
 NOISE_CHUNK = 1024
+
+# a sub-chunk holds at most this many state entries per row
+_SUB_CHUNK_ENTRIES = 4096
+
+
+def _sub_chunk(d: int) -> int:
+    """States a row draws at a time in dimension d: the largest power of
+    two up to NOISE_CHUNK and _SUB_CHUNK_ENTRIES // d (1,024 at d <= 4,
+    64 at d = 64).  It divides NOISE_CHUNK, so chunks start on sub-chunk
+    edges."""
+    most = min(NOISE_CHUNK, max(_SUB_CHUNK_ENTRIES // d, 1))
+    return 1 << (most.bit_length() - 1)
 
 
 @dataclass(frozen=True)
@@ -239,6 +253,17 @@ def _grad_oracle(oracles: list, k: int):
     return replace(first, instance=replace(first.instance, M=M, y=y))
 
 
+def _draw(oracles: list, streams: list, buf: np.ndarray, used: list) -> None:
+    """Draw the next used[i] states of each running row i into
+    buf[:used[i], i], in one oracle.draw call per run of rows with one
+    oracle and one count (used is nonincreasing)."""
+    a = 0
+    for b in range(1, len(used) + 1):
+        if b == len(used) or used[b] != used[a] or oracles[b] is not oracles[a]:
+            oracles[a].draw(streams[a:b], used[a], out=buf[: used[a], a:b])
+            a = b
+
+
 def _run_kernel(
     objective: CompositeObjective,
     oracles: list,
@@ -272,20 +297,21 @@ def _run_kernel(
     grad = _grad_oracle(oracles, k)
     steps = _Steps(schedules, horizons, d, stabilized)
 
-    buf = np.empty((min(NOISE_CHUNK, T), n, d), dtype=oracles[0].state_dtype)
+    sub = _sub_chunk(d)
+    buf = np.empty((min(sub, T), n, d), dtype=oracles[0].state_dtype)
+    streams = [ChunkStream(rng, NOISE_CHUNK * d) for rng in rngs]
     pos = NOISE_CHUNK
     for t in range(1, T + 1):
         if pos == NOISE_CHUNK:
             if t > 1:
                 _check_finite(x, t - 1)
-            m = min(NOISE_CHUNK, T + 1 - t)
-            for i in range(k):
-                # a row reads no state past its own horizon
-                used = min(m, horizons[i] + 1 - t)
-                oracles[i].draw(rngs[i], NOISE_CHUNK, out=buf[:used, i])
-            steps.fill(t, m)
+            steps.fill(t, min(NOISE_CHUNK, T + 1 - t))
             pos = 0
-        xi = buf[pos, :k]
+        at = pos % sub
+        if at == 0:
+            # a row reads no state past its own horizon
+            _draw(oracles, streams, buf, [min(len(buf), h + 1 - t) for h in horizons[:k]])
+        xi = buf[at, :k]
         eta_t, eta_next, tau_t = steps.at(pos, k)
         pos += 1
 
@@ -343,6 +369,13 @@ def run_trials(
     row with the same seed: horizons=range(T, 0, -1) with T generators
     of one seed gives that seed's iterate and averages after step t in
     row T - t.
+
+    Each trial draws its noise in chunks of NOISE_CHUNK states.  After a
+    trial's last step, its generator is where whole-chunk draws leave
+    it when the trial ends at the end of a chunk.  A trial that ends
+    inside a chunk leaves its generator just after the states it ran or,
+    for alpha-stable noise, past the chunk's NOISE_CHUNK * d uniforms and
+    the exponentials of the states it ran.
 
     aggregate names the one aggregate the caller reads, "plain",
     "weighted" or "last" (see average); the kernel then skips the

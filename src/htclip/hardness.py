@@ -227,15 +227,11 @@ class HardInstance:
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(self.p, self.sigma_s, self.sigma_l)
 
-    def sample_xi(
-        self, rng: np.random.Generator, n: int, m: Optional[int] = None
-    ) -> np.ndarray:
+    def sample_xi(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n rows of xi from D_v (one uniform per coordinate), as
         int8 outcome codes 0, +1 and -1.
 
         Threshold order maps [0, 1-q) to 0, then the +1 mass, then -1.
-        With m <= n, the uniforms of all n rows are still drawn from rng,
-        but only the first m rows are made and returned.
 
         The uniforms are compared against copies of the thresholds tiled
         to the draw's shape, not against a length-d vector broadcast
@@ -250,17 +246,16 @@ class HardInstance:
         thresholds and each draw compares against the tiles it read or
         built itself, so the race changes no result.
         """
-        u = rng.random((n, self.d))[:m]
-        k = len(u)
+        u = rng.random((n, self.d))
         lo, hi = self._tiles
-        rows = min(k, NOISE_CHUNK)
+        rows = min(n, NOISE_CHUNK)
         if len(lo) < rows:
             lo, hi = (np.tile(t, (rows, 1)) for t in self._thresholds)
             object.__setattr__(self, "_tiles", (lo, hi))
         # 0 below lo, +1 from lo and -1 from hi on: (u >= lo) - 2 (u >= hi)
         xi = np.empty(u.shape, dtype=np.int8)
         above = np.empty_like(xi)
-        for a in range(0, k, NOISE_CHUNK):
+        for a in range(0, n, NOISE_CHUNK):
             part = u[a : a + NOISE_CHUNK]
             b = a + len(part)
             np.greater_equal(part, lo[: b - a], out=xi[a:b].view(np.bool_))

@@ -10,8 +10,8 @@ seeded with derive_seed(master, j, ti), and under v_mode "cycle" runs
 codeword (j // BLOCK_TRIALS) % size.  Every (ti, j) pair is one row;
 the rows are listed longest horizon first and cut into shards of
 consecutive rows whose width is set by bytes, not by count: as many
-multiples of BLOCK_TRIALS rows as keep the kernel's noise prefetch
-buffer, in the oracle's state dtype, within NOISE_BUDGET.  A shard is
+multiples of BLOCK_TRIALS rows as keep the noise buffers the kernel
+holds per row (see _shard_width) within NOISE_BUDGET.  A shard is
 one run_trials call, which runs one step loop to the shard's longest
 horizon with each row's own oracle, schedule and horizon, so a shard
 may mix horizons and codewords.  Every shard goes through one
@@ -43,7 +43,7 @@ import numpy as np
 
 from ._version import __version__ as _pkg_version
 from ._util import finite_row_norms
-from .algorithms import NOISE_CHUNK, _check_start, average, run_trials
+from .algorithms import _check_start, _sub_chunk, average, run_trials
 from .hardness import (
     HARD_REGIMES,
     gv_codebook,
@@ -83,7 +83,7 @@ __all__ = [
 # codeword period of v_mode "cycle" and the narrowest shard of rows
 BLOCK_TRIALS = 64
 
-# bytes of prefetched noise, NOISE_CHUNK states of d entries a row, that
+# bytes of noise buffers, a sub-chunk of states of d entries a row, that
 # size a shard: the kernel's per-step Python cost is shared by all its rows
 NOISE_BUDGET = 8 << 20
 
@@ -133,9 +133,10 @@ def derive_seed(master: int, trial: int, tag: int) -> int:
 _REQ = object()
 
 # Caps on the size keys.  Each keeps a run's integers in range and its
-# memory bounded: a trial prefetches NOISE_CHUNK * problem.d noise
-# entries, derive_seed takes trial indices below 2^32 and grid indices
-# below 2^16, and results are kept for every (horizon, trial) row.
+# memory bounded: a trial holds at most 4,096 noise entries (see
+# algorithms._sub_chunk), derive_seed takes trial indices below 2^32
+# and grid indices below 2^16, and results are kept for every
+# (horizon, trial) row.
 MAX_D = 1 << 12  # problem.d and hardness.d_star
 MAX_TRIALS = 1 << 20  # run.trials
 MAX_T = 1 << 30  # each horizon in run.T_grid
@@ -173,6 +174,30 @@ def _reals(val, path: str) -> list:
 def _text(val, path: str) -> str:
     if not isinstance(val, str):
         raise ValueError(f"{path} must be a string, got {val!r}")
+    return val
+
+
+def _stride(val, path: str):
+    """A record stride: a positive integer (every that many steps) or
+    "geometric[:R]" with a finite ratio R > 1 (2 when omitted)."""
+    if isinstance(val, str):
+        name, _, ratio = val.partition(":")
+        try:
+            ok = name == "geometric" and 1.0 < (float(ratio) if ratio else 2.0) < math.inf
+        except ValueError:
+            ok = False
+    else:
+        try:
+            val = _int(val, path)
+        except ValueError:
+            ok = False
+        else:
+            ok = val >= 1
+    if not ok:
+        raise ValueError(
+            f'{path} must be a positive integer or "geometric[:R]" with a '
+            f"finite R > 1, got {val!r}"
+        )
     return val
 
 
@@ -330,7 +355,7 @@ _RUN = {
     "master_seed": (_int, _REQ),
     # recorded in manifest.json and read by nothing; kept because the
     # pinned manifest bytes hold it, until runs report curves against t
-    "record_stride": (_text, "geometric:2"),
+    "record_stride": (_stride, "geometric:2"),
 }
 _EVAL = {
     "quantile_levels": (
@@ -771,10 +796,11 @@ class ExperimentResult:
     assertions_passed: Optional[bool]
 
 
-def _shard_width(d: int, itemsize: int) -> int:
+def _shard_width(d: int, draw_bytes: int) -> int:
     """Rows per shard: the most multiples of BLOCK_TRIALS whose noise
-    prefetch buffer, NOISE_CHUNK states of d entries a row, fits NOISE_BUDGET."""
-    rows_bytes = BLOCK_TRIALS * NOISE_CHUNK * d * itemsize
+    buffers, a sub-chunk of states of d entries a row at draw_bytes an
+    entry (GradOracle.draw_bytes), fit NOISE_BUDGET."""
+    rows_bytes = BLOCK_TRIALS * _sub_chunk(d) * d * draw_bytes
     return BLOCK_TRIALS * max(1, NOISE_BUDGET // rows_bytes)
 
 
@@ -858,7 +884,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         )
 
     shared = config.problem["kind"] != "hard"
-    width = _shard_width(config.problem["d"], first.oracle.state_dtype.itemsize)
+    width = _shard_width(config.problem["d"], first.oracle.draw_bytes)
     n_rows = len(Ts) * trials
     shards = [range(a, min(a + width, n_rows)) for a in range(0, n_rows, width)]
     with ThreadPoolExecutor(max_workers=threads) as pool:

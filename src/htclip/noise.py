@@ -12,15 +12,19 @@ The effective dimension d_eff = sigma_l^2 / sigma_s^2 measures how far
 the noise is from being aligned with a single direction.
 
 Heavy-tailed noise is alpha-stable, drawn by the Chambers-Mallows-Stuck
-(CMS) transform of one uniform angle and one exponential per variate.
-GradOracle.draw(rng, n, out=m_rows) draws the random numbers of all n
-states, so an rng stream advances by the same amount whatever part of a
-draw is used, but makes only the first m states, into out.  The CMS
-transform runs in place on the drawn arrays, and a large one is cut into
-row blocks, one per core that no other running kernel keeps busy, which
-the caller and a lazily started module thread pool transform at once.
-The transform is elementwise, so its bits are the same for any cut and
-any core count.
+(CMS) transform of one uniform angle and one exponential per variate;
+a draw of n states takes all n·d uniforms of its generator and then all
+n·d exponentials.  GradOracle.draw(rng, n, out) also draws the states of
+many rows at once, row r from its own stream rng[r] into out[:, r], with
+one CMS transform over all of them.  A ChunkStream lets a caller draw a
+chunk of states a part at a time with the bits of one whole draw: the
+uniforms come from a copy of the generator and the exponentials from
+the generator itself, moved past the chunk's uniforms, so each part
+draws only its own states.  The CMS transform runs on the drawn arrays,
+cut into row blocks of bounded size, which the caller and a lazily
+started module thread pool transform at once, one thread per core that
+no other running kernel keeps busy.  The transform is elementwise, so
+its bits are the same for any cut, any core count and any row layout.
 
 The Monte Carlo verifiers (clipping.clip_error_mc, estimate_moments)
 read their chunks from _draw_ahead, which overlaps the draws with the
@@ -58,6 +62,7 @@ __all__ = [
     "stable_abs_moment",
     "directional_bound_independent",
     "GradOracle",
+    "ChunkStream",
     "make_oracle",
     "estimate_moments",
     "d_eff_lower_bound",
@@ -136,43 +141,26 @@ class StableParams:
 
 
 def sample_alpha_stable(
-    params: StableParams, rng: np.random.Generator, size=None, out=None
+    params: StableParams, rng: np.random.Generator, size=None
 ) -> np.ndarray:
     """Draw S_alpha(beta, gamma) variates via the CMS transform.
 
     Every draw consumes exactly one uniform angle and one exponential,
     regardless of the parameter branch, so stream alignment is stable.
     At alpha = 2 the output is exactly N(0, 2 gamma^2) and beta is
-    irrelevant.
-
-    With out, an array of shape (m,) + size[1:] with m <= size[0], every
-    variate of size is still drawn from rng, but only the first m along
-    axis 0 are transformed, into out, which is returned.  The transform
-    runs in place on the drawn arrays, and a transform of many variates
-    is cut into row blocks transformed on every core (see _split); being
-    elementwise, its result is the same for any cut.
+    irrelevant.  The transform runs in place on the drawn arrays, and a
+    transform of many variates is cut into row blocks transformed on
+    every core (see _split); being elementwise, its result is the same
+    for any cut.
     """
     phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
     w = rng.standard_exponential(size)
     if size is None:
-        if out is not None:
-            raise ValueError("out needs an array size")
         phi, w = np.array([phi]), np.array([w])
         _cms(params, phi, w, phi)
         return phi[0]
-    if out is None:
-        out = phi
-    elif out.dtype != phi.dtype or out.shape[1:] != phi.shape[1:] or len(out) > len(phi):
-        raise ValueError(
-            f"out must be a float array of shape (m,) + {phi.shape[1:]} with "
-            f"m <= {len(phi)}, got {out.dtype} {out.shape}"
-        )
-    _split(
-        lambda a, b: _cms(params, phi[a:b], w[a:b], out[a:b]),
-        len(out),
-        math.prod(phi.shape[1:]),
-    )
-    return out
+    _transform(params, phi, w, phi)
+    return phi
 
 
 def _cms(params: StableParams, phi: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
@@ -245,10 +233,16 @@ def _cms(params: StableParams, phi: np.ndarray, w: np.ndarray, out: np.ndarray) 
     np.multiply(q, gamma, out=out)
 
 
-# A transform of n elements is cut into at most n // _SPLIT_MIN blocks, so
-# a block has at least _SPLIT_MIN elements: about half a millisecond of
-# work, against some tens of microseconds to hand a block to a thread.
+# A transform of n elements is shared by at most n // _SPLIT_MIN cores, so
+# a core's share has at least _SPLIT_MIN elements: about half a
+# millisecond of work, against some tens of microseconds to hand a block
+# to a thread.
 _SPLIT_MIN = 1 << 13
+# A transform is cut into blocks of about _BLOCK elements or fewer (a few
+# milliseconds of work each), so a block's temporaries stay small whatever
+# the transform's size, and a caller that asks for a chunk drawn ahead
+# mid-transform rarely waits long on a started block.
+_BLOCK = 4 * _SPLIT_MIN
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_pid: Optional[int] = None
 _pool_lock = threading.Lock()
@@ -344,30 +338,115 @@ def _join(futures) -> None:
 def _split(transform, rows: int, row_size: int) -> None:
     """Run transform(a, b) on row blocks [a, b) that cover range(rows).
 
-    Rows hold row_size elements each.  With enough elements the rows are
-    cut into one block per core not kept busy by another thread (see
-    _busy_core), which the caller and the module's threads claim one at
-    a time (see _Blocks).  The caller claims until no block is left, so
-    it never waits on a thread that has not started.
+    Rows hold row_size elements each.  The rows are cut into blocks of
+    at most about _BLOCK elements (but at least one row) and, with
+    enough elements, into at least one block per core not kept busy by
+    another thread (see _busy_core).  The caller and a module thread per
+    other such core claim the blocks one at a time (see _Blocks).  The
+    caller claims until no block is left, so it never waits on a thread
+    that has not started.
     """
+    size = rows * row_size
     # a busy caller is one of the _busy threads; an idle caller beside
     # busy ones takes one core too many, a rare and small oversubscription
-    blocks = min(_cores() - max(_busy - 1, 0), rows * row_size // _SPLIT_MIN)
+    cores = min(_cores() - max(_busy - 1, 0), size // _SPLIT_MIN)
+    blocks = max(cores, -(-size // _BLOCK))
     if blocks < 2:
         transform(0, rows)
         return
     work = _Blocks(transform, rows, row_size, blocks)
-    futures = work.submit(len(work.cuts) - 2)
+    # a module thread for each free core beside the caller's, and none
+    # that would find no block left
+    futures = work.submit(min(max(cores, 1), len(work.cuts) - 1) - 1)
     try:
         work.work()
     finally:
         _join(futures)
 
 
-# A chunk drawn ahead is cut into blocks of about _AHEAD_BLOCK elements
-# (a few milliseconds of transform each), fine enough that a caller that
-# asks for the chunk mid-transform rarely waits long on a started block.
-_AHEAD_BLOCK = 4 * _SPLIT_MIN
+def _transform(params: StableParams, phi, w, out, scales=None) -> None:
+    """_cms of phi and w into out, times scales if given, in row blocks
+    along axis 0 on every core (see _split); phi and w are overwritten."""
+
+    def block(a, b):
+        _cms(params, phi[a:b], w[a:b], out[a:b])
+        if scales is not None:
+            out[a:b] *= scales
+
+    _split(block, len(phi), math.prod(phi.shape[1:]))
+
+
+class ChunkStream:
+    """A generator read in chunks of `doubles` uniforms, so that a caller
+    can draw a chunk of alpha-stable states a part at a time with the
+    bits of one draw of the whole chunk.
+
+    A stable draw takes all of its uniforms before its exponentials.  So
+    the first part of each chunk makes a copy of rng, from which the
+    chunk's uniforms come, and moves rng itself past them, where the
+    chunk's exponentials start.  Once a chunk's states are all drawn,
+    rng is where one draw of the chunk leaves it, and the next part
+    starts the next chunk; after fewer, rng is past the chunk's uniforms
+    and the exponentials drawn.  Other kinds of states draw from rng as
+    usual.  A part may not run past the end of its chunk.
+    """
+
+    def __init__(self, rng: np.random.Generator, doubles: int):
+        self.rng = rng
+        self.doubles = doubles
+        self._copy = None
+        self._left = 0
+
+    def uniforms(self, count: int) -> np.random.Generator:
+        """The generator the next count uniforms of the chunk come from."""
+        if self._left == 0:
+            bg = self.rng.bit_generator
+            if self._copy is None:
+                self._copy = np.random.Generator(type(bg)())
+            self._copy.bit_generator.state = bg.state
+            _skip_doubles(self.rng, self.doubles)
+            self._left = self.doubles
+        if count > self._left:
+            raise ValueError("a draw from a ChunkStream may not cross a chunk edge")
+        self._left -= count
+        return self._copy
+
+
+# uniforms drawn and dropped at a time to skip them where advance cannot
+_SKIP_BLOCK = 1 << 14
+
+
+def _skip_doubles(rng: np.random.Generator, k: int) -> None:
+    """Move rng past k uniform doubles, as rng.random(k) would."""
+    bg = rng.bit_generator
+    # PCG64's and PCG64DXSM's advance(k) is k draws of one uint64, the
+    # word a double takes; Philox.advance counts 256-bit blocks, and SFC64
+    # and MT19937 have no advance.  np.random is looked up here, not at
+    # import: numpy loads it lazily, and loading it adds about 3 MB and
+    # 20 ms to every process that imports htclip.
+    if type(bg) in (np.random.PCG64, np.random.PCG64DXSM):
+        state = bg.state
+        bg.advance(k)
+        if state["has_uint32"]:
+            # advance drops a buffered 32-bit half, which doubles never read
+            moved = bg.state
+            moved.update(has_uint32=1, uinteger=state["uinteger"])
+            bg.state = moved
+        return
+    for a in range(0, k, _SKIP_BLOCK):
+        rng.random(min(_SKIP_BLOCK, k - a))
+
+
+def _streams(rng, count: int) -> tuple:
+    """(generator of a stable draw's count uniforms, of its exponentials)."""
+    if isinstance(rng, ChunkStream):
+        return rng.uniforms(count), rng.rng
+    return rng, rng
+
+
+def _generator(rng) -> np.random.Generator:
+    """The generator a draw of other states reads."""
+    return rng.rng if isinstance(rng, ChunkStream) else rng
 
 
 class _Ahead:
@@ -412,7 +491,7 @@ class _Ahead:
 
         self.out = out
         self._fill = fill
-        self.blocks = _Blocks(transform, m, d, max(m * d // _AHEAD_BLOCK, 1))
+        self.blocks = _Blocks(transform, m, d, max(m * d // _BLOCK, 1))
         threads = min(_cores() - 1 - _busy, len(self.blocks.cuts) - 1)
         errors = np.geterr()
 
@@ -541,8 +620,8 @@ class GradOracle:
 
     The oracle is split into a state draw (noise-only, position free) and
     a deterministic map (x, state) -> gradient row.  That split is what
-    lets the batch runner prefetch noise in fixed-size chunks without
-    changing the stream layout.
+    lets the batch runner draw noise ahead of the steps, a sub-chunk of
+    many rows at a time, without changing the stream layout.
     """
 
     kind: str
@@ -577,32 +656,66 @@ class GradOracle:
         """dtype of drawn states: int8 outcome codes for hard instances."""
         return np.dtype(np.int8 if self.kind == "hard-instance" else float)
 
-    def draw(
-        self, rng: np.random.Generator, n: int, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    @property
+    def draw_bytes(self) -> int:
+        """Bytes a draw of many rows holds per state entry: the state and,
+        for alpha-stable states, the uniform and exponential it is made of."""
+        return self.state_dtype.itemsize + (16 if self.kind == "additive-stable" else 0)
+
+    def draw(self, rng, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Draw n oracle noise states as an (n, d) array of state_dtype.
 
-        With out, an (m, d) array of state_dtype with m <= n, the random
-        numbers of all n states are still drawn from rng, but only the
-        first m states are made, into out, which is returned.
+        rng is a Generator or a ChunkStream over one.  With out, an (n, d)
+        array of state_dtype, the states go into out, which is returned.
+        out may also be (n, rows, d), with rng a sequence of one stream
+        per row: row r's states then come from rng[r] into out[:, r], and
+        alpha-stable states are made by one CMS transform over all rows.
         """
+        d = self.d
+        many = out is not None and out.ndim == 3
+        streams = rng if many else [rng]
+        shape = (n, len(streams), d) if many else (n, d)
+        if out is not None and (out.dtype != self.state_dtype or out.shape != shape):
+            raise ValueError(
+                f"out must be a {self.state_dtype} array of shape {shape}, "
+                f"got {out.dtype} {out.shape}"
+            )
         if self.kind == "additive-stable":
-            states = sample_alpha_stable(self.stable, rng, (n, self.d), out=out)
+            phi = np.empty((len(streams), n, d))
+            w = np.empty_like(phi)
+            for r, stream in enumerate(streams):
+                # bit for bit rng.uniform(-pi/2, pi/2, (n, d)) and then
+                # rng.standard_exponential((n, d))
+                uniforms, exponentials = _streams(stream, n * d)
+                uniforms.random(out=phi[r])
+                exponentials.standard_exponential(out=w[r])
+            phi *= math.pi
+            phi += -math.pi / 2.0
+            if many:
+                _transform(self.stable, phi, w, out.transpose(1, 0, 2), self.scales)
+                return out
+            out = phi[0] if out is None else out
+            _transform(self.stable, phi[0], w[0], out, self.scales)
+            return out
+        if out is None and self.kind != "deterministic":
+            # one generator and no out: the draw's own array is the result
+            if self.kind == "hard-instance":
+                return self.instance.sample_xi(_generator(rng), n)
+            states = _generator(rng).standard_normal(shape)
             states *= self.scales
             return states
-        if self.kind == "additive-gaussian":
-            z = rng.standard_normal((n, self.d))
-            if out is None:
-                out = z
-            return np.multiply(z[: len(out)], self.scales, out=out)
-        m = n if out is None else len(out)
-        if self.kind == "deterministic":
-            states = np.zeros((m, self.d))
-        else:
-            states = self.instance.sample_xi(rng, n, m)
         if out is None:
-            return states
-        out[...] = states
+            out = np.empty(shape, dtype=self.state_dtype)
+        rows_out = out if many else out[:, None]
+        z = np.empty((n, d)) if self.kind == "additive-gaussian" else None
+        for r, stream in enumerate(streams):
+            if z is not None:
+                _generator(stream).standard_normal(out=z)
+                np.multiply(z, self.scales, out=rows_out[:, r])
+            elif self.kind == "hard-instance":
+                rows_out[:, r] = self.instance.sample_xi(_generator(stream), n)
+            else:
+                rows_out[:, r] = 0.0
         return out
 
     def grad_rows(self, X: np.ndarray, states: np.ndarray) -> np.ndarray:

@@ -9,8 +9,11 @@ from htclip import (
     AbsSum,
     AllSpace,
     Ball,
+    ChunkStream,
     CompositeObjective,
     EuclidNorm,
+    GradOracle,
+    NoiseSpec,
     Optimum,
     QuadReg,
     StableParams,
@@ -24,8 +27,11 @@ from htclip import (
     weighted_avg_weight,
 )
 from htclip._util import clip_rows
+from htclip.algorithms import _sub_chunk
 
 import oracles
+from test_hardness import _codes_reference
+from test_noise import _BRANCHES, _cms_reference
 
 
 class StubSchedule:
@@ -653,3 +659,106 @@ class TestPrefix:
             assert np.array_equal(res.avg_plain[i], m)
             assert np.array_equal(res.avg_weighted[i], w)
             assert res.clip_events[i] == c
+
+
+class TestSubChunkBits:
+    """A kernel row reads, step for step, the states the old kernel's
+    full-chunk draws made: each chunk of NOISE_CHUNK states drawn whole
+    from the row's generator, cut at the row's horizon, whatever the
+    sub-chunk size, and at any generator."""
+
+    GENERATORS = (
+        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+        np.random.SFC64, np.random.MT19937,
+    )
+    KINDS = ["deterministic", "additive-gaussian", "hard-instance"] + [
+        f"additive-stable-{i}" for i in range(len(_BRANCHES))
+    ]
+
+    class _Seen:
+        """The wrapped oracle, keeping the states each step reads."""
+
+        def __init__(self, oracle):
+            self.oracle = oracle
+            self.objective = oracle.objective
+            self.state_dtype = oracle.state_dtype
+            self.states = []
+
+        def draw(self, rng, n, out):
+            return self.oracle.draw(rng, n, out=out)
+
+        def grad_rows(self, X, states):
+            self.states.append(states.copy())
+            return self.oracle.grad_rows(X, states)
+
+    @staticmethod
+    def _oracle(kind, d):
+        if kind == "hard-instance":
+            k = min(d, 3)
+            params = hard_params(
+                "cvx-fano", d_star=k, T=1100, G=1.0, D=1.0, sigma_l=1.0, p=1.5
+            )
+            return make_hard_instance("cvx", d, k, params, np.ones(k))[1]
+        obj = CompositeObjective(
+            f=EuclidNorm(1.0, np.zeros(d)), r=None, domain=AllSpace(d),
+            lipschitz_G=1.0,
+        )
+        scales = np.linspace(0.5, 1.0, d)
+        if kind.startswith("additive-stable"):
+            return GradOracle(
+                "additive-stable", NoiseSpec(1.5, 1.0, 2.0), obj, scales=scales,
+                stable=_BRANCHES[int(kind.rsplit("-", 1)[1])],
+            )
+        return make_oracle(obj, kind, scales=scales)
+
+    @staticmethod
+    def _chunk(oracle, rng):
+        """One old-kernel chunk: NOISE_CHUNK states drawn whole from rng."""
+        size = (NOISE_CHUNK, oracle.d)
+        if oracle.kind == "deterministic":
+            return np.zeros(size)
+        if oracle.kind == "additive-gaussian":
+            return rng.standard_normal(size) * oracle.scales
+        if oracle.kind == "hard-instance":
+            return _codes_reference(oracle.instance, rng.random(size))
+        return _cms_reference(oracle.stable, rng, size) * oracle.scales
+
+    @pytest.mark.parametrize("d", [1, 4, 12, 64])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_read_the_states_of_whole_chunk_draws(self, kind, d):
+        sub = _sub_chunk(d)
+        assert sub == {1: 1024, 4: 1024, 12: 256, 64: 64}[d]
+        # horizons on both sides of a sub-chunk edge and of the chunk edge,
+        # and past a sub-chunk edge of the second chunk
+        edges = {1, sub - 1, sub, sub + 1, NOISE_CHUNK - 1, NOISE_CHUNK,
+                 NOISE_CHUNK + 1, NOISE_CHUNK + min(sub, 64) + 1}
+        horizons = sorted((h for h in edges for _ in self.GENERATORS), reverse=True)
+        T = horizons[0]
+        seen = self._Seen(self._oracle(kind, d))
+        gens = [self.GENERATORS[i % len(self.GENERATORS)] for i in range(len(horizons))]
+        rngs = [np.random.Generator(g(40 + i)) for i, g in enumerate(gens)]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            run_trials(
+                seen.objective, seen, _const(1e-3), T, np.zeros(d), rngs,
+                horizons=horizons,
+            )
+            want = np.zeros((len(horizons), T, d), dtype=seen.state_dtype)
+            refs = []
+            for i, (g, h) in enumerate(zip(gens, horizons)):
+                ref = np.random.Generator(g(40 + i))
+                chunks = [self._chunk(seen.oracle, ref) for _ in range(-(-h // NOISE_CHUNK))]
+                want[i, :h] = np.concatenate(chunks)[:h]
+                refs.append(ref)
+        assert len(seen.states) == T
+        for t, states in enumerate(seen.states):
+            assert np.array_equal(states, want[: len(states), t]), t + 1
+        # a row that ran whole chunks leaves its generator where they do
+        for rng, ref, h in zip(rngs, refs, horizons):
+            if h % NOISE_CHUNK == 0:
+                assert np.array_equal(rng.random(3), ref.random(3))
+
+    def test_a_part_may_not_cross_a_chunk_edge(self):
+        stream = ChunkStream(np.random.default_rng(0), 8)
+        stream.uniforms(5)
+        with pytest.raises(ValueError, match="chunk edge"):
+            stream.uniforms(4)

@@ -403,6 +403,16 @@ class TestParsing:
         assert rc == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stride", ["geometric:0.5", "every:2", 0])
+    def test_bad_record_stride_exits_two_naming_the_key(self, tmp_path, capsys, stride):
+        data = _noiseless_config()
+        data.setdefault("run", {})["record_stride"] = stride
+        cfg = _write_config(tmp_path, data)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "run.record_stride" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_sigma_l_power_overflow_exits_two(self, tmp_path, capsys):
         # sigma_l = sqrt(2) 1e200 is finite, sigma_l^2 is not
         data = _noiseless_config()

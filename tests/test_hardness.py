@@ -166,9 +166,10 @@ class TestSampleXiCodes:
     @pytest.mark.parametrize("m", [None, 1024, 700, 1])
     def test_codes_match_reference_expression(self, d, m):
         inst = _cvx_instance(d, v=[1, -1, 1, -1])
+        n = 1024 if m is None else m
         for seed in range(40):
-            got = inst.sample_xi(np.random.default_rng(seed), 1024, m)
-            u = np.random.default_rng(seed).random((1024, d))[:m]
+            got = inst.sample_xi(np.random.default_rng(seed), n)
+            u = np.random.default_rng(seed).random((n, d))
             assert got.dtype == np.int8
             assert np.array_equal(got, _codes_reference(inst, u))
 
@@ -177,9 +178,9 @@ class TestSampleXiCodes:
         inst = _cvx_instance(d, v=[1, -1, -1, 1])
         stub = _OnThresholds(inst)
         # the tiles grow with the draw, and a shorter draw reads a prefix
-        for n, m in ((7, 7), (50, 13), (1024, 1024), (50, 13)):
-            got = inst.sample_xi(stub, n, m)
-            want = _codes_reference(inst, stub.random((n, d))[:m])
+        for n in (7, 13, 1024, 13):
+            got = inst.sample_xi(stub, n)
+            want = _codes_reference(inst, stub.random((n, d)))
             assert np.array_equal(got, want)
         # a uniform equal to lo is the +1 mass, one equal to hi the -1 mass
         lo, hi = inst._thresholds
@@ -201,11 +202,11 @@ class TestSampleXiCodes:
 
     def test_rng_stream_continues_as_after_a_full_draw(self):
         inst = _cvx_instance(4)
-        for m in (None, 10, 1024):
+        for n in (1, 10, 1024):
             a = np.random.default_rng(3)
-            inst.sample_xi(a, 1024, m)
+            inst.sample_xi(a, n)
             b = np.random.default_rng(3)
-            b.random((1024, 4))
+            b.random((n, 4))
             assert np.array_equal(a.random(16), b.random(16))
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,19 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htclip import (
+    NOISE_CHUNK,
     AbsSum,
     AllSpace,
+    ChunkStream,
     CompositeObjective,
+    EuclidNorm,
     Optimum,
+    StableParams,
     QuadReg,
     fit_rate,
+    hard_params,
+    make_hard_instance,
     make_oracle,
     parse_config,
     persist,
     run_experiment,
     summarize,
 )
-from htclip import harness
+from htclip import algorithms, harness
 from htclip.harness import BLOCK_TRIALS, derive_seed
 
 import oracles
@@ -99,6 +106,25 @@ class TestDeriveSeed:
 
 
 class TestParseConfig:
+    @pytest.mark.parametrize(
+        "stride", ["geometric:2", "geometric", "geometric:1.5", 1, 7, 4.0]
+    )
+    def test_record_stride_takes_a_positive_int_or_a_geometric_ratio(self, stride):
+        raw = _gauss_raw()
+        raw["run"]["record_stride"] = stride
+        assert parse_config(raw).run["record_stride"] == stride
+
+    @pytest.mark.parametrize(
+        "stride",
+        ["geometric:0.5", "geometric:1", "geometric:inf", "geometric:nan",
+         "geometric:abc", "arithmetic:2", "", 0, -3, 2.5, True, None, [2]],
+    )
+    def test_record_stride_rejects_anything_else_by_its_key(self, stride):
+        raw = _gauss_raw()
+        raw["run"]["record_stride"] = stride
+        with pytest.raises(ValueError, match=r"run\.record_stride must be a positive"):
+            parse_config(raw)
+
     def test_defaults(self):
         cfg = parse_config(_gauss_raw())
         assert cfg.schedule["alpha_clip"] == 0.5
@@ -544,3 +570,53 @@ def test_parse_config_rejects_a_bad_value_by_its_key(data, name, value):
         assert re.search(
             r"\b(config|problem|noise|schedule|hardness|run|eval|output)\b", str(exc)
         ), str(exc)
+
+
+def _noise_oracle(kind, d):
+    if kind == "hard-instance":
+        params = hard_params("cvx-fano", d_star=3, T=64, G=1.0, D=1.0, sigma_l=1.0, p=1.5)
+        return make_hard_instance("cvx", d, 3, params, np.ones(3))[1]
+    obj = CompositeObjective(
+        f=EuclidNorm(1.0, np.zeros(d)), r=None, domain=AllSpace(d), lipschitz_G=1.0
+    )
+    if kind == "additive-stable":
+        return make_oracle(
+            obj, kind, scales=np.full(d, 0.5), stable=StableParams(1.8), p=1.5
+        )
+    return make_oracle(obj, kind, scales=np.full(d, 0.5))
+
+
+def _traced_draw(kind, d, rows):
+    """Bytes of the (sub-chunk, rows, d) state buffer, and the traced peak
+    of allocating it and drawing one sub-chunk into it for rows rows."""
+    oracle = _noise_oracle(kind, d)
+    sub = algorithms._sub_chunk(d)
+    streams = [ChunkStream(np.random.default_rng(i), NOISE_CHUNK * d) for i in range(rows)]
+    tracemalloc.start()
+    try:
+        buf = np.empty((sub, rows, d), dtype=oracle.state_dtype)
+        algorithms._draw([oracle] * rows, streams, buf, [sub] * rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(buf))
+    return buf.nbytes, peak
+
+
+@pytest.mark.parametrize("d", [4, 64, 4096])
+@pytest.mark.parametrize("kind", ["additive-gaussian", "additive-stable", "hard-instance"])
+def test_a_shards_noise_buffers_fit_the_budget(kind, d):
+    # a shard of _shard_width rows holds its (sub-chunk, rows, d) state
+    # buffer, float or int8, and while it draws, whatever the draw keeps
+    # per row (for stable noise, the uniforms and exponentials of every
+    # row); all of it, as tracemalloc counts it, fits NOISE_BUDGET.  Not
+    # counted: what a draw allocates once, whatever the rows, measured
+    # by a two-row draw less its two rows' buffers (the temporaries of the
+    # row being drawn, ufunc buffers for the strided columns and the hard
+    # instance's threshold tiles), and the few Python references a draw
+    # keeps per row (a slice of the stream list), 64 bytes a row
+    width = harness._shard_width(d, _noise_oracle(kind, d).draw_bytes)
+    assert width >= BLOCK_TRIALS
+    held, peak = _traced_draw(kind, d, width)
+    rows, once = _traced_draw(kind, d, 2)
+    assert held <= peak - (once - rows) <= harness.NOISE_BUDGET + 64 * width

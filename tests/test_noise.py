@@ -14,7 +14,9 @@ from htclip import noise
 from htclip import (
     AbsSum,
     AllSpace,
+    ChunkStream,
     CompositeObjective,
+    GradOracle,
     NoiseSpec,
     ScheduleParams,
     StableParams,
@@ -174,15 +176,20 @@ class TestStableSplit:
         want = _cms_reference(params, rng_full, (rows, 3))
         got = sample_alpha_stable(params, np.random.default_rng(rows), (rows, 3))
         assert np.array_equal(got, want)
-        # a prefix, into a strided out, has the first rows' bits and
-        # advances the stream as a full draw does
-        m = rows // 2 + 1
-        buf = np.zeros((rows, 2, 3))
-        rng = np.random.default_rng(rows)
-        sample_alpha_stable(params, rng, (rows, 3), out=buf[:m, 1])
-        assert np.array_equal(buf[:m, 1], want[:m])
-        assert not np.any(buf[m:]) and not np.any(buf[:, 0])
-        assert np.array_equal(rng.random(4), rng_full.random(4))
+        # an oracle draw of several rows, each from its own generator, is
+        # cut into blocks of whole rows and goes into the strided columns
+        # of an (n, rows, d) buffer with the bits of one draw per row
+        n = rows // 2
+        oracle = GradOracle(
+            "additive-stable", NoiseSpec(1.5, 1.0, 2.0), _flat_objective(3),
+            scales=np.ones(3), stable=params,
+        )
+        buf = np.zeros((n, 5, 3))
+        oracle.draw([np.random.default_rng(s) for s in range(4)], n, out=buf[:, 1:])
+        for s in range(4):
+            want = _cms_reference(params, np.random.default_rng(s), (n, 3))
+            assert np.array_equal(buf[:, 1 + s], want)
+        assert not np.any(buf[:, 0])
 
     @pytest.mark.parametrize("params", _BRANCHES)
     def test_a_scalar_draw_is_the_first_entry_of_an_array_draw(self, params):
@@ -200,6 +207,18 @@ class TestStableSplit:
         assert sorted(cuts)[0][0] == 0 and sorted(cuts)[-1][1] == rows
         assert all(a * 3 % 8 == 0 for a, _ in cuts)
         assert sum(b - a for a, b in cuts) == rows
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_large_transform_is_cut_into_bounded_blocks(self, monkeypatch, cores):
+        # a block's temporaries stay bounded however many rows a draw has,
+        # also on a caller with no idle core beside it
+        monkeypatch.setattr(noise, "_cores", lambda: cores)
+        cuts = []
+        rows = 10 * noise._BLOCK // 64 + 3
+        noise._split(lambda a, b: cuts.append((a, b)), rows, 64)
+        assert sorted(cuts)[0][0] == 0 and sorted(cuts)[-1][1] == rows
+        assert sum(b - a for a, b in cuts) == rows
+        assert len(cuts) == 11 and all((b - a) * 64 <= noise._BLOCK for a, b in cuts)
 
     def test_cores_kept_busy_by_other_threads_get_no_block(self, monkeypatch):
         monkeypatch.setattr(noise, "_cores", lambda: 3)
@@ -352,17 +371,25 @@ def _oracles(d):
 )
 @pytest.mark.parametrize("n, m", [(1024, 1024), (1024, 257), (4096, 4095), (9, 0)])
 def test_draw_into_a_prefix_matches_the_first_rows_of_a_full_draw(kind, n, m):
+    # the first m states of a chunk of n, drawn through a ChunkStream in
+    # two parts into strided views like the kernel's step-major buffer,
+    # are the first m rows of one draw of the chunk
     oracle = _oracles(3)[kind]
     full_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
     full = oracle.draw(full_rng, n)
-    # a strided view, like the kernel's time-major buffer
-    buf = np.full((m, 2, 3), 7, dtype=oracle.state_dtype)
-    out = buf[:, 1]
-    assert oracle.draw(rng, n, out=out) is out
+    buf = np.full((m, 3, 3), 7, dtype=oracle.state_dtype)
+    stream = ChunkStream(rng, n * 3)
+    half = m // 2
+    out = buf[:half, 1]
+    assert oracle.draw(stream, half, out=out) is out
+    out = buf[half:, 1:2]
+    assert oracle.draw([stream], m - half, out=out) is out
     assert full.dtype == oracle.state_dtype
     assert np.array_equal(buf[:, 1], full[:m])
-    assert np.all(buf[:, 0] == 7)
-    assert np.array_equal(rng.random(4), full_rng.random(4))
+    assert np.all(buf[:, 0] == 7) and np.all(buf[:, 2] == 7)
+    if m == n:
+        # the whole chunk leaves rng where one draw of it does
+        assert np.array_equal(rng.random(4), full_rng.random(4))
 
 
 class TestDrawAhead:
@@ -371,7 +398,7 @@ class TestDrawAhead:
 
     # chunks of 3 coordinates: several blocks, a one-row chunk and a
     # chunk larger than the first, which sizes the buffers
-    SIZES = [4 * noise._AHEAD_BLOCK // 3 + 5, 1, 2 * noise._AHEAD_BLOCK // 3, 17_000]
+    SIZES = [4 * noise._BLOCK // 3 + 5, 1, 2 * noise._BLOCK // 3, 17_000]
 
     def test_buffer_fills_match_sized_draws(self):
         # the fills _Ahead makes against the draws oracle.draw makes

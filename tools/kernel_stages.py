@@ -1,9 +1,9 @@
 """Per-stage cost of the run_trials step loop, in ns per trial-step.
 
-Runs one shard of rows through harness.run_experiment, single-threaded,
-with a timing probe around each stage the step loop calls:
+Runs rows through harness.run_experiment, single-threaded, with a
+timing probe around each stage the step loop calls:
 
-    draw        GradOracle.draw (the noise chunk prefetch)
+    draw        GradOracle.draw (the noise sub-chunk draws)
     gradient    GradOracle.grad_rows (the gradient map)
     clip        clip_rows
     prox        the prox or stabilized prox step and its projection
@@ -17,15 +17,22 @@ Each case is one problem at one dimension d and one starting width
 workload (cvx-fano, d_star = 4 padded to d, horizons 256..2048, so the
 running rows shrink as each horizon ends and rows carry their own M, y
 and schedule); the ball problem mirrors rate-stable-ball (stabilized
-cvx-ex-anytime under alpha-stable noise, horizons 64..512).  Stage
-times are the median over --repeats runs, divided by the trial-steps
-the shard runs (the sum of its rows' horizons).  Each probe adds about
-0.3 us per call, which the stage it wraps absorbs.
+cvx-ex-anytime under alpha-stable noise, horizons 64..512); the gauss
+problem mirrors AC-08 (euclid-norm, Gaussian noise with p = 2, cvx-ex-T,
+horizons 256..2048) at d = 4.  These run every row in one shard.  The
+stable-ball case is the rate-stable-ball workload's own shape: d = 64,
+128 trials of horizons 256..2048, which cross a noise chunk edge, cut
+into shards of the width harness._shard_width gives (reported as
+"shards").  Stage times are the median over --repeats runs, divided by
+the trial-steps the run takes (the sum of its rows' horizons).  Each
+probe adds about 0.3 us per call, which the stage it wraps absorbs.
 
 The probes wrap whichever of the step's call names the imported htclip
 defines, so the same script times older and newer kernels:
 
     PYTHONPATH=src python tools/kernel_stages.py [--repeats 3] [--cases hard]
+
+--cases picks one of hard, ball, gauss and stable-ball, or all of them.
 
 It prints one JSON object to stdout.  numpy only; not part of the tests.
 """
@@ -48,6 +55,10 @@ WIDTHS = (200, 1000)
 DIMS = (4, 8, 64)
 HARD_GRID = [256, 512, 1024, 2048]
 BALL_GRID = [64, 128, 256, 512]
+GAUSS_GRID = HARD_GRID
+GAUSS_DIMS = (4,)
+# the rate-stable-ball workload: d, horizons and trials
+STABLE_BALL = (64, [256, 512, 1024, 2048], 128)
 
 # stage -> names in htclip.algorithms's namespace the step loop calls
 ALGORITHM_CALLS = {
@@ -82,7 +93,7 @@ def hard_config(d: int, width: int) -> dict:
     }
 
 
-def ball_config(d: int, width: int) -> dict:
+def ball_config(d: int, width: int, grid=BALL_GRID) -> dict:
     return {
         "problem": {
             "kind": "euclid-norm",
@@ -99,11 +110,41 @@ def ball_config(d: int, width: int) -> dict:
         },
         "schedule": {"regime": "cvx-ex-anytime"},
         "run": {
-            "T_grid": BALL_GRID,
-            "trials": width // len(BALL_GRID),
+            "T_grid": grid,
+            "trials": width // len(grid),
             "master_seed": 1,
         },
     }
+
+
+def gauss_config(d: int, width: int) -> dict:
+    return {
+        "problem": {
+            "kind": "euclid-norm",
+            "d": d,
+            "G": 1.0,
+            "x1_mode": {"kind": "offset", "vector": [0.5] * d},
+        },
+        "noise": {"kind": "additive-gaussian", "p": 2.0, "scales": 0.25},
+        "schedule": {"regime": "cvx-ex-T"},
+        "run": {
+            "T_grid": GAUSS_GRID,
+            "trials": width // len(GAUSS_GRID),
+            "master_seed": 1,
+        },
+    }
+
+
+def stable_ball_config(d: int, width: int) -> dict:
+    return ball_config(d, width, STABLE_BALL[1])
+
+
+BUILDERS = {
+    "hard": hard_config,
+    "ball": ball_config,
+    "gauss": gauss_config,
+    "stable-ball": stable_ball_config,
+}
 
 
 class _Probes:
@@ -162,14 +203,31 @@ def _one_shard(width: int):
         harness._shard_width = saved
 
 
+@contextmanager
+def _shard_widths(widths: list):
+    """Note the rows of each run_trials call run_experiment makes."""
+    saved = harness.run_trials
+
+    def noted(*args, **kwargs):
+        widths.append(len(args[5]))
+        return saved(*args, **kwargs)
+
+    harness.run_trials = noted
+    try:
+        yield
+    finally:
+        harness.run_trials = saved
+
+
 def run_case(problem: str, d: int, width: int, repeats: int) -> dict:
-    build = hard_config if problem == "hard" else ball_config
-    config = harness.parse_config(build(d, width))
+    config = harness.parse_config(BUILDERS[problem](d, width))
     run = config.run
     rows = run["trials"] * len(run["T_grid"])
     trial_steps = run["trials"] * sum(run["T_grid"])
     samples = []
-    with _one_shard(rows):
+    shards = []
+    own = problem == "stable-ball"
+    with _shard_widths(shards) if own else _one_shard(rows):
         harness.run_experiment(config)  # warm caches and lazy set-up
         for _ in range(repeats):
             probes = _Probes()
@@ -181,7 +239,7 @@ def run_case(problem: str, d: int, width: int, repeats: int) -> dict:
             samples.append(spent)
     order = ("draw", "gradient", "clip", "prox", "schedule", "kernel_self",
              "run_trials", "evaluation")
-    return {
+    case = {
         "problem": problem,
         "d": d,
         "width": rows,
@@ -191,19 +249,29 @@ def run_case(problem: str, d: int, width: int, repeats: int) -> dict:
             for k in order
         },
     }
+    if own:
+        case["shards"] = shards[: len(shards) // (repeats + 1)]
+    return case
+
+
+CASES = {
+    "hard": [("hard", d, w) for d in DIMS for w in WIDTHS],
+    "ball": [("ball", d, w) for d in DIMS for w in WIDTHS],
+    "gauss": [("gauss", d, w) for d in GAUSS_DIMS for w in WIDTHS],
+    "stable-ball": [("stable-ball", STABLE_BALL[0], STABLE_BALL[2] * len(STABLE_BALL[1]))],
+}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--cases", choices=("hard", "ball", "all"), default="all")
+    ap.add_argument("--cases", choices=(*CASES, "all"), default="all")
     args = ap.parse_args(argv)
-    problems = ("hard", "ball") if args.cases == "all" else (args.cases,)
+    names = list(CASES) if args.cases == "all" else [args.cases]
     cases = [
         run_case(problem, d, width, args.repeats)
-        for problem in problems
-        for d in DIMS
-        for width in WIDTHS
+        for name in names
+        for problem, d, width in CASES[name]
     ]
     report = {
         "python": platform.python_version(),
