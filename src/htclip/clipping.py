@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ._util import as_vector, clip_rows, row_norms
 from .noise import GradOracle, _draw_ahead, directional_bound_independent
+from .schedules import _check_moments
 
 __all__ = [
     "BOUND_NAMES",
@@ -54,6 +55,9 @@ BOUND_NAMES = (
 
 # largest finite support size the exact verifier will enumerate
 EXACT_SUPPORT_CAP = 1_000_000
+
+# the measured quantities of a report, in order
+_MEASURED = ("du_max_norm", "du_sq_mean", "du_cov_opnorm", "db_norm")
 
 
 def _check_tau(tau: float) -> float:
@@ -97,16 +101,12 @@ def clip_bounds(
     (1 - alpha) tau >= f_norm; they are returned regardless.
     """
     tau = _check_tau(tau)
-    p = float(p)
-    if not (1.0 < p <= 2.0):
-        raise ValueError("moment order p must lie in (1, 2]")
+    p, ss, sl = _check_moments(p, sigma_s, sigma_l)
     if not (0.0 < alpha < 1.0):
         raise ValueError("clipping margin alpha must lie in (0, 1)")
-    ss = float(sigma_s)
-    sl = float(sigma_l)
     fn = float(f_norm)
-    if ss < 0 or sl < ss or fn < 0:
-        raise ValueError("need 0 <= sigma_s <= sigma_l and f_norm >= 0")
+    if fn < 0:
+        raise ValueError("need f_norm >= 0")
     b1 = 2.0 * tau
     b2 = _term(4.0 * sl**p, tau, 2.0 - p)
     b3 = _term(4.0 * ss**p, tau, 2.0 - p) + 4.0 * fn * fn
@@ -165,24 +165,13 @@ class ClipErrorReport:
         return all(p is not False for p in self.passes)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "tau": self.tau,
-            "alpha": self.alpha,
-            "chi": self.chi,
-            "f_norm": self.f_norm,
-            "p": self.p,
-            "sigma_s": self.sigma_s,
-            "sigma_l": self.sigma_l,
-            "n_samples": self.n_samples,
-            "measured": dict(self.measured),
-            "bounds": {name: b for name, b in zip(BOUND_NAMES, self.bounds)},
-            "margins": dict(self.margins),
-            "passes": {
-                name: p for name, p in zip(BOUND_NAMES, self.passes)
-            },
-            "ok": self.ok(),
-        }
+        out = asdict(self)
+        out.update(
+            bounds=dict(zip(BOUND_NAMES, self.bounds)),
+            passes=dict(zip(BOUND_NAMES, self.passes)),
+            ok=self.ok(),
+        )
+        return out
 
 
 def _report_inputs(oracle: GradOracle, x, grad_true, tau, alpha):
@@ -197,6 +186,26 @@ def _report_inputs(oracle: GradOracle, x, grad_true, tau, alpha):
     fn = float(row_norms(grad_true))
     chi = int((1.0 - alpha) * tau >= fn)
     return x, grad_true, tau, alpha, fn, chi
+
+
+def _report(method, tau, alpha, fn, chi, moments, measured, margins, n_samples):
+    """The report of the measured values (in _MEASURED order) against the
+    bounds under the moments (p, sigma_s, sigma_l)."""
+    p, sigma_s, sigma_l = moments
+    return ClipErrorReport(
+        method=method,
+        tau=tau,
+        alpha=alpha,
+        chi=chi,
+        f_norm=fn,
+        p=p,
+        sigma_s=sigma_s,
+        sigma_l=sigma_l,
+        measured=dict(zip(_MEASURED, measured)),
+        bounds=clip_bounds(p, sigma_s, sigma_l, fn, tau, alpha),
+        margins=margins,
+        n_samples=n_samples,
+    )
 
 
 def clip_error_exact(
@@ -216,16 +225,11 @@ def clip_error_exact(
     x, grad_true, tau, alpha, fn, chi = _report_inputs(
         oracle, x, grad_true, tau, alpha
     )
-    supp = oracle.support()
+    supp = oracle.support(EXACT_SUPPORT_CAP)
     if supp is None:
         raise ValueError("exact verification requires a finitely supported oracle")
     states, probs = supp
     n_states = states.shape[0]
-    if n_states > EXACT_SUPPORT_CAP:
-        raise ValueError(
-            f"support size {n_states} exceeds the enumeration cap "
-            f"{EXACT_SUPPORT_CAP}"
-        )
     # one (n_states, d) array is live at a time outside the transforms
     # below: states, then G, then the clipped rows centred in place
     G = oracle.grad_rows(x[None, :], states)
@@ -257,26 +261,9 @@ def clip_error_exact(
     cov_op = operator_norm(cov)
     db = float(row_norms(mean_c - grad_true))
 
-    measured = {
-        "du_max_norm": du_max,
-        "du_sq_mean": du_sq,
-        "du_cov_opnorm": cov_op,
-        "db_norm": db,
-    }
-    bounds = clip_bounds(p, sigma_s, sigma_l, fn, tau, alpha)
-    return ClipErrorReport(
-        method="exact-enumeration",
-        tau=tau,
-        alpha=alpha,
-        chi=chi,
-        f_norm=fn,
-        p=p,
-        sigma_s=sigma_s,
-        sigma_l=sigma_l,
-        measured=measured,
-        bounds=bounds,
-        margins={},
-        n_samples=int(n_states),
+    return _report(
+        "exact-enumeration", tau, alpha, fn, chi, (p, sigma_s, sigma_l),
+        (du_max, du_sq, cov_op, db), {}, int(n_states),
     )
 
 
@@ -363,31 +350,10 @@ def clip_error_mc(
     cov_margin = float(np.std(proj_sq, ddof=1)) / math.sqrt(n)
 
     spec = oracle.noise
-    measured = {
-        "du_max_norm": du_max,
-        "du_sq_mean": du_sq,
-        "du_cov_opnorm": float(cov_op),
-        "db_norm": db,
-    }
-    margins = {
-        "du_sq_mean": du_sq_margin,
-        "du_cov_opnorm": cov_margin,
-        "db_norm": db_margin,
-    }
-    bounds = clip_bounds(spec.p, spec.sigma_s, spec.sigma_l, fn, tau, alpha)
-    return ClipErrorReport(
-        method="monte-carlo",
-        tau=tau,
-        alpha=alpha,
-        chi=chi,
-        f_norm=fn,
-        p=spec.p,
-        sigma_s=spec.sigma_s,
-        sigma_l=spec.sigma_l,
-        measured=measured,
-        bounds=bounds,
-        margins=margins,
-        n_samples=n,
+    return _report(
+        "monte-carlo", tau, alpha, fn, chi, (spec.p, spec.sigma_s, spec.sigma_l),
+        (du_max, du_sq, float(cov_op), db),
+        dict(zip(_MEASURED[1:], (du_sq_margin, cov_margin, db_margin))), n,
     )
 
 

@@ -23,7 +23,7 @@ both are tight for the directional and full-norm moments respectively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,6 +39,7 @@ from .problems import (
     Optimum,
     QuadReg,
 )
+from .schedules import _check_moments
 
 __all__ = [
     "HARD_REGIMES",
@@ -82,22 +83,7 @@ class HardParams:
     y: float
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "d_star": self.d_star,
-            "T": self.T,
-            "G": self.G,
-            "D": self.D,
-            "mu": self.mu,
-            "sigma_l": self.sigma_l,
-            "sigma_s": self.sigma_s,
-            "p": self.p,
-            "delta": self.delta,
-            "q": self.q,
-            "theta": self.theta,
-            "M": self.M,
-            "y": self.y,
-        }
+        return asdict(self)
 
 
 def _twopoint_q(T: int, d_star: int, theta: float, delta: float) -> float:
@@ -134,12 +120,10 @@ def hard_params(
     G = float(G)
     D = float(D)
     sigma_l = float(sigma_l)
-    p = float(p)
     mu = float(mu)
     if not (G > 0 and D > 0 and sigma_l > 0):
         raise ValueError("G, D, sigma_l must be positive")
-    if not (1.0 < p <= 2.0):
-        raise ValueError("moment order p must lie in (1, 2]")
+    p = _check_moments(p)[0]
     strongly = regime.startswith("str")
     if strongly and mu <= 0.0:
         raise ValueError("strongly convex regimes require mu > 0")
@@ -289,16 +273,17 @@ class HardInstance:
             return self.wp * np.sign(x - self.y) + self.wm * np.sign(x + self.y)
         return -self.mu * (self.M * self.q) * self.theta * self.v
 
-    def support(self):
+    def support(self, cap: Optional[int] = None):
         """Full product support (states, probs) in itertools.product
         order (last coordinate fastest); active coordinates take the
-        outcomes 0, +1, -1, inactive ones are pinned at 0."""
+        outcomes 0, +1, -1, inactive ones are pinned at 0.  Raises
+        before enumerating if there are more than cap states (default
+        SUPPORT_CAP)."""
+        cap = SUPPORT_CAP if cap is None else cap
         active = self.q > 0.0
         size = 3 ** int(np.count_nonzero(active))
-        if size > SUPPORT_CAP:
-            raise ValueError(
-                f"support size exceeds the enumeration cap {SUPPORT_CAP}"
-            )
+        if size > cap:
+            raise ValueError(f"support size {size} exceeds the enumeration cap {cap}")
         p0, pp, pm = self._masses
         states = np.zeros((size, self.d))
         w = np.ones(1)

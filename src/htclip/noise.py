@@ -14,8 +14,8 @@ the noise is from being aligned with a single direction.
 Heavy-tailed noise is alpha-stable, drawn by the Chambers-Mallows-Stuck
 (CMS) transform of one uniform angle and one exponential per variate;
 a draw of n states takes all n·d uniforms of its generator and then all
-n·d exponentials.  GradOracle.draw(rng, n, out) also draws the states of
-many rows at once, row r from its own stream rng[r] into out[:, r], with
+n·d exponentials.  GradOracle.draw(rngs, n, out) draws the states of
+many rows at once, row r from its own stream rngs[r] into out[:, r], with
 one CMS transform over all of them.  A ChunkStream lets a caller draw a
 chunk of states a part at a time with the bits of one whole draw: the
 uniforms come from a copy of the generator and the exponentials from
@@ -53,7 +53,7 @@ import numpy as np
 
 from ._util import as_vector, finite_row_norms, row_norms
 from .problems import CompositeObjective, subgrad_f_batch
-from .schedules import d_eff_of
+from .schedules import _check_moments, d_eff_of
 
 __all__ = [
     "NoiseSpec",
@@ -83,18 +83,7 @@ class NoiseSpec:
     sigma_l: float
 
     def __post_init__(self):
-        p = float(self.p)
-        ss = float(self.sigma_s)
-        sl = float(self.sigma_l)
-        if not (1.0 < p <= 2.0):
-            raise ValueError("moment order p must lie in (1, 2]")
-        if not np.isfinite(sl):
-            raise ValueError(f"noise sigma_l is not finite ({sl})")
-        if not (0.0 <= ss <= sl):
-            raise ValueError(
-                "need 0 <= sigma_s <= sigma_l: the directional moment bound "
-                "cannot exceed the full-norm bound"
-            )
+        p, ss, sl = _check_moments(self.p, self.sigma_s, self.sigma_l, finite=True)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "sigma_s", ss)
         object.__setattr__(self, "sigma_l", sl)
@@ -665,16 +654,15 @@ class GradOracle:
     def draw(self, rng, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Draw n oracle noise states as an (n, d) array of state_dtype.
 
-        rng is a Generator or a ChunkStream over one.  With out, an (n, d)
-        array of state_dtype, the states go into out, which is returned.
-        out may also be (n, rows, d), with rng a sequence of one stream
-        per row: row r's states then come from rng[r] into out[:, r], and
-        alpha-stable states are made by one CMS transform over all rows.
+        rng is a Generator or a ChunkStream over one.  With out, an
+        (n, rows, d) array of state_dtype, rng is a sequence of one such
+        stream per row instead: row r's states come from rng[r] into
+        out[:, r], alpha-stable states are made by one CMS transform over
+        all rows, and out is returned.
         """
         d = self.d
-        many = out is not None and out.ndim == 3
-        streams = rng if many else [rng]
-        shape = (n, len(streams), d) if many else (n, d)
+        streams = [rng] if out is None else rng
+        shape = (n, len(streams), d)
         if out is not None and (out.dtype != self.state_dtype or out.shape != shape):
             raise ValueError(
                 f"out must be a {self.state_dtype} array of shape {shape}, "
@@ -691,31 +679,30 @@ class GradOracle:
                 exponentials.standard_exponential(out=w[r])
             phi *= math.pi
             phi += -math.pi / 2.0
-            if many:
-                _transform(self.stable, phi, w, out.transpose(1, 0, 2), self.scales)
-                return out
-            out = phi[0] if out is None else out
-            _transform(self.stable, phi[0], w[0], out, self.scales)
+            if out is None:
+                # in place, in row blocks of the one stream's states
+                _transform(self.stable, phi[0], w[0], phi[0], self.scales)
+                return phi[0]
+            _transform(self.stable, phi, w, out.transpose(1, 0, 2), self.scales)
             return out
-        if out is None and self.kind != "deterministic":
-            # one generator and no out: the draw's own array is the result
+        if out is None:
+            # one generator: the draw's own array is the result
             if self.kind == "hard-instance":
                 return self.instance.sample_xi(_generator(rng), n)
-            states = _generator(rng).standard_normal(shape)
+            if self.kind == "deterministic":
+                return np.zeros((n, d))
+            states = _generator(rng).standard_normal((n, d))
             states *= self.scales
             return states
-        if out is None:
-            out = np.empty(shape, dtype=self.state_dtype)
-        rows_out = out if many else out[:, None]
         z = np.empty((n, d)) if self.kind == "additive-gaussian" else None
         for r, stream in enumerate(streams):
             if z is not None:
                 _generator(stream).standard_normal(out=z)
-                np.multiply(z, self.scales, out=rows_out[:, r])
+                np.multiply(z, self.scales, out=out[:, r])
             elif self.kind == "hard-instance":
-                rows_out[:, r] = self.instance.sample_xi(_generator(stream), n)
+                out[:, r] = self.instance.sample_xi(_generator(stream), n)
             else:
-                rows_out[:, r] = 0.0
+                out[:, r] = 0.0
         return out
 
     def grad_rows(self, X: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -735,12 +722,14 @@ class GradOracle:
             return self.instance.mean_grad(x)
         return subgrad_f_batch(self.objective, x[None, :])[0]
 
-    def support(self):
-        """(states, probs) for finitely supported noise, else None."""
+    def support(self, cap: Optional[int] = None):
+        """(states, probs) for finitely supported noise, else None; a
+        hard instance raises before enumerating more than cap states
+        (default hardness.SUPPORT_CAP)."""
         if self.kind == "deterministic":
             return np.zeros((1, self.d)), np.ones(1)
         if self.kind == "hard-instance":
-            return self.instance.support()
+            return self.instance.support(cap)
         return None
 
 
@@ -804,13 +793,10 @@ def make_oracle(
                 )
         return GradOracle(kind, declared_noise, objective, scales=s, stable=stable)
 
-    if kind == "hard-instance":
-        if instance is None:
-            raise ValueError("hard-instance oracle requires an instance payload")
-        spec = declared_noise or instance.noise_spec()
-        return GradOracle(kind, spec, objective, instance=instance)
-
-    raise ValueError(f"unknown oracle kind: {kind!r}")
+    if kind == "hard-instance" and instance is not None:
+        declared_noise = declared_noise or instance.noise_spec()
+    # GradOracle rejects an unknown kind and a hard instance without one
+    return GradOracle(kind, declared_noise, objective, instance=instance)
 
 
 # ---------------------------------------------------------------------------
@@ -916,8 +902,7 @@ def d_eff_lower_bound(
         s = np.sort(np.asarray(sigmas, dtype=float))[::-1]
         if s.size == 0 or np.any(s < 0):
             raise ValueError("sigmas must be a nonempty nonnegative vector")
-        if not (1.0 < p <= 2.0):
-            raise ValueError("moment order p must lie in (1, 2]")
+        p = _check_moments(p)[0]
         if s[0] == 0.0:
             return 0.0
         if p == 2.0:
@@ -934,8 +919,7 @@ def d_eff_lower_bound(
             raise ValueError("iid variant requires d and p")
         if d < 1:
             raise ValueError("d must be a positive integer")
-        if not (1.0 < p <= 2.0):
-            raise ValueError("moment order p must lie in (1, 2]")
+        p = _check_moments(p)[0]
         return float(d) ** (2.0 - 2.0 / p) / 2.0 ** (4.0 / p - 2.0)
 
     if variant == "stable":

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 __all__ = [
@@ -66,8 +66,16 @@ INF = math.inf
 _TINY = sys.float_info.min
 
 
-def d_eff_of(sigma_s: float, sigma_l: float) -> float:
-    """Effective dimension sigma_l^2 / sigma_s^2; zero iff both are zero."""
+def _check_moments(p=None, sigma_s=0.0, sigma_l=0.0, *, finite=False) -> tuple:
+    """The moment bounds (p, sigma_s, sigma_l) as floats, checked.
+
+    p must lie in (1, 2] (None is passed through unchecked) and
+    0 <= sigma_s <= sigma_l; with finite, sigma_l must also be finite.
+    """
+    if p is not None:
+        p = float(p)
+        if not (1.0 < p <= 2.0):
+            raise ValueError("moment order p must lie in (1, 2]")
     ss = float(sigma_s)
     sl = float(sigma_l)
     if not (0.0 <= ss <= sl):
@@ -75,16 +83,19 @@ def d_eff_of(sigma_s: float, sigma_l: float) -> float:
             "need 0 <= sigma_s <= sigma_l: the directional moment bound "
             "cannot exceed the full-norm bound"
         )
+    if finite and sl == INF:
+        raise ValueError(f"noise sigma_l is not finite ({sl})")
+    return p, ss, sl
+
+
+def d_eff_of(sigma_s: float, sigma_l: float) -> float:
+    """Effective dimension sigma_l^2 / sigma_s^2; zero iff both are zero."""
+    _, ss, sl = _check_moments(None, sigma_s, sigma_l)
     if sl == 0.0:
         return 0.0
+    if ss == 0.0:
+        raise ValueError("sigma_s = 0 with sigma_l > 0 violates the moment bracket")
     return (sl / ss) ** 2
-
-
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not (1.0 < p <= 2.0):
-        raise ValueError("moment order p must lie in (1, 2]")
-    return p
 
 
 def _check_delta(delta) -> float:
@@ -107,39 +118,27 @@ class ClipConstants:
 
 def hp_params(p: float, sigma_s: float, sigma_l: float, delta: float) -> ClipConstants:
     """High-probability constants; tau_star = +inf when sigma_l = 0."""
-    p = _check_p(p)
+    p, ss, sl = _check_moments(p, sigma_s, sigma_l)
     delta = _check_delta(delta)
-    ss = float(sigma_s)
-    sl = float(sigma_l)
-    if not (0.0 <= ss <= sl):
-        raise ValueError("need 0 <= sigma_s <= sigma_l")
     if sl == 0.0:
         return ClipConstants(INF, 0.0, None)
-    if ss == 0.0:
-        raise ValueError("sigma_s = 0 with sigma_l > 0 violates the moment bracket")
+    deff = d_eff_of(ss, sl)
     L = math.log(3.0 / delta)
     cand = ss * sl ** (p - 1.0) / L
     if p < 2.0:
         cand = min(cand, ss * ss / sl ** (2.0 - p))
     tau_star = cand ** (1.0 / p)
-    deff = d_eff_of(ss, sl)
     varphi = max(math.sqrt(deff) * L, deff if p < 2.0 else 0.0)
     return ClipConstants(tau_star, varphi, 1.0 + math.log(varphi))
 
 
 def ex_params(p: float, sigma_s: float, sigma_l: float) -> ClipConstants:
     """In-expectation constants; tau~_star = +inf at p = 2 or sigma_l = 0."""
-    p = _check_p(p)
-    ss = float(sigma_s)
-    sl = float(sigma_l)
-    if not (0.0 <= ss <= sl):
-        raise ValueError("need 0 <= sigma_s <= sigma_l")
+    p, ss, sl = _check_moments(p, sigma_s, sigma_l)
     if sl == 0.0 or p == 2.0:
         return ClipConstants(INF, 0.0, None)
-    if ss == 0.0:
-        raise ValueError("sigma_s = 0 with sigma_l > 0 violates the moment bracket")
-    tau_star = ss ** (2.0 / p) / sl ** (2.0 / p - 1.0)
     deff = d_eff_of(ss, sl)
+    tau_star = ss ** (2.0 / p) / sl ** (2.0 / p - 1.0)
     return ClipConstants(tau_star, deff, 1.0 + math.log(deff))
 
 
@@ -164,18 +163,14 @@ class ScheduleParams:
     T_known: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _check_p(self.p))
-        ss = float(self.sigma_s)
-        sl = float(self.sigma_l)
-        if not (0.0 <= ss <= sl) or not math.isfinite(sl):
-            raise ValueError("need 0 <= sigma_s <= sigma_l (finite)")
+        p, ss, sl = _check_moments(self.p, self.sigma_s, self.sigma_l, finite=True)
         try:
-            sl**self.p
+            sl**p
         except OverflowError:
             # every schedule constant is built from the moment bound sigma_l^p
             raise ValueError(
                 f"noise sigma_l is not finite to the power p "
-                f"({sl:g} ** {self.p:g} overflows)"
+                f"({sl:g} ** {p:g} overflows)"
             ) from None
         if ss > 0.0 and ss * ss < _TINY:
             # the clipping constants divide by powers of sigma_s
@@ -188,14 +183,14 @@ class ScheduleParams:
         if not (G > 0.0) or not math.isfinite(G):
             raise ValueError("Lipschitz constant G must be a positive finite real")
         try:
-            Gp = G**self.p
+            Gp = G**p
         except OverflowError:
             Gp = math.inf
         if not (0.0 < Gp < math.inf):
             # the schedules divide by G^p
             raise ValueError(
                 f"Lipschitz constant G ** p must be a positive finite real, "
-                f"got {G:g} ** {self.p:g} = {Gp:g}"
+                f"got {G:g} ** {p:g} = {Gp:g}"
             )
         if not (D > 0.0) or not math.isfinite(D):
             raise ValueError("distance bound D must be a positive finite real")
@@ -212,6 +207,7 @@ class ScheduleParams:
             if T < 1:
                 raise ValueError("T_known must be a positive integer")
             object.__setattr__(self, "T_known", T)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "sigma_s", ss)
         object.__setattr__(self, "sigma_l", sl)
         object.__setattr__(self, "G", G)
@@ -268,29 +264,17 @@ class Schedule:
         return _tau_at(self.params, self.tau_star, t)
 
     def constants(self) -> dict:
-        """Resolved constants, JSON-friendly (inf as the string 'inf')."""
-
-        def enc(v):
-            if v is None:
-                return None
-            return "inf" if v == INF else float(v)
-
-        return {
-            "regime": self.regime,
-            "family": self.family,
-            "averaging": self.averaging,
-            "algorithm_hint": self.algorithm_hint,
-            "tau_star": enc(self.tau_star),
-            "varphi_star": enc(self.varphi_star),
-            "psi_star": enc(self.psi_star),
-            "eta_star": enc(self.eta_star),
-            "gamma_star": enc(self.gamma_star),
-            "lambda_star": enc(self.lambda_star),
-            "varphi": enc(self.varphi),
-            "tau_const": enc(self.tau_const),
-            "critical_T": enc(self.critical_T),
-            "d_eff": d_eff_of(self.params.sigma_s, self.params.sigma_l),
-        }
+        """The resolved fields other than params, plus d_eff; JSON-friendly
+        (inf as the string 'inf')."""
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None or isinstance(v, str):
+                out[f.name] = v
+            elif f.name != "params":
+                out[f.name] = "inf" if v == INF else float(v)
+        out["d_eff"] = d_eff_of(self.params.sigma_s, self.params.sigma_l)
+        return out
 
 
 def _tau_at(params: ScheduleParams, tau_star: float, t: float) -> float:
@@ -318,7 +302,7 @@ def _critical_T(params: ScheduleParams, varphi_star: float) -> Optional[float]:
     return varphi_star * (params.G / params.sigma_l) ** params.p / a**params.p
 
 
-def _lambda_star(params: ScheduleParams, ts: float, L2: float = 0.0) -> Optional[float]:
+def _lambda_star(params: ScheduleParams, ts: float, L2: float) -> Optional[float]:
     """The anytime step cap lambda_star at tau_star = ts, None when ts is
     infinite; L2 is log(3/delta)^2 for the hp family, 0 for ex."""
     if not math.isfinite(ts):
@@ -359,12 +343,13 @@ def make_schedule(regime: str, params: ScheduleParams) -> Schedule:
     if not strongly and params.mu != 0.0:
         raise ValueError(f"regime {regime} requires mu = 0 (regime/mu mismatch)")
     family = "hp" if "-hp" in regime else "ex"
+    # the ex constants below are the hp ones at L = ln(3/delta) = 0
     if family == "hp":
-        L = math.log(3.0 / _check_delta(params.delta))
         base = hp_params(p, ss, sl, params.delta)
+        L = math.log(3.0 / params.delta)
     else:
-        L = None
         base = ex_params(p, ss, sl)
+        L = 0.0
     known_T = regime.endswith("-T")
     if known_T and params.T_known is None:
         raise ValueError(f"regime {regime} requires a known horizon T_known")
@@ -385,14 +370,17 @@ def make_schedule(regime: str, params: ScheduleParams) -> Schedule:
     if strongly:
         return Schedule(**common)
 
-    if regime == "cvx-hp-T":
+    if known_T:
         T = params.T_known
         varphi = _varphi_at_T(params, base.varphi_star, T)
-        a1 = (D / G) / (varphi + L)
+        a1 = (D / G) / (varphi + L) if varphi + L > 0.0 else INF
         a2 = (D / G) / math.sqrt((sl**p / G**p + 1.0) * T)
-        coef = ss ** (2.0 / p - 1.0) * sl ** (2.0 - 2.0 / p) + ss ** (1.0 / p) * sl ** (
-            1.0 - 1.0 / p
-        ) * L ** (1.0 - 1.0 / p)
+        if ss > 0.0:
+            coef = ss ** (2.0 / p - 1.0) * sl ** (2.0 - 2.0 / p) + ss ** (
+                1.0 / p
+            ) * sl ** (1.0 - 1.0 / p) * L ** (1.0 - 1.0 / p)
+        else:
+            coef = 0.0
         a3 = D / (coef * T ** (1.0 / p)) if coef > 0.0 else INF
         return Schedule(
             **common,
@@ -402,38 +390,12 @@ def make_schedule(regime: str, params: ScheduleParams) -> Schedule:
             critical_T=_critical_T(params, base.varphi_star),
         )
 
-    if regime == "cvx-ex-T":
-        T = params.T_known
-        varphi = _varphi_at_T(params, base.varphi_star, T)
-        a1 = (D / G) / varphi if varphi > 0.0 else INF
-        a2 = (D / G) / math.sqrt((sl**p / G**p + 1.0) * T)
-        coef = ss ** (2.0 / p - 1.0) * sl ** (2.0 - 2.0 / p) if ss > 0.0 else 0.0
-        a3 = D / (coef * T ** (1.0 / p)) if coef > 0.0 else INF
-        return Schedule(
-            **common,
-            eta_star=min(a1, a2, a3),
-            varphi=varphi,
-            tau_const=_tau_at(params, base.tau_star, T),
-            critical_T=_critical_T(params, base.varphi_star),
-        )
-
-    eta_star = (D / G) / math.sqrt(sl**p / G**p + 1.0)
-    if regime == "cvx-hp-anytime":
-        phi_psi = base.varphi_star * base.psi_star if base.varphi_star > 0.0 else 0.0
-        gamma_star = (D / G) / (phi_psi + L)
-        lam = _lambda_star(params, base.tau_star, L * L)
-        return Schedule(
-            **common, eta_star=eta_star, gamma_star=gamma_star, lambda_star=lam
-        )
-
-    # cvx-ex-anytime
-    if base.varphi_star > 0.0:
-        gamma_star = (D / G) / (base.varphi_star * base.psi_star)
-    else:
-        gamma_star = INF
-    lam = _lambda_star(params, base.tau_star)
+    phi_psi = base.varphi_star * base.psi_star if base.varphi_star > 0.0 else 0.0
     return Schedule(
-        **common, eta_star=eta_star, gamma_star=gamma_star, lambda_star=lam
+        **common,
+        eta_star=(D / G) / math.sqrt(sl**p / G**p + 1.0),
+        gamma_star=(D / G) / (phi_psi + L) if phi_psi + L > 0.0 else INF,
+        lambda_star=_lambda_star(params, base.tau_star, L * L),
     )
 
 

@@ -509,6 +509,21 @@ class TestVerifierMemory:
         peak = _traced_peak(lambda: clip_error_exact(oracle, x, 0.5))
         assert peak <= 4.0 * states_bytes
 
+    def test_exact_rejects_a_support_over_its_cap_before_enumerating(self):
+        # 3^13 states lie between the verifier's cap and the instance's
+        # own: enumerating them would take 3^13 * 13 * 8 = 166 MB
+        d = 13
+        _, oracle = _dv_instance(d, 0.5, 0.5, 1.0, 0.5)
+
+        def reject():
+            with pytest.raises(
+                ValueError,
+                match="support size 1594323 exceeds the enumeration cap 1000000",
+            ):
+                clip_error_exact(oracle, np.zeros(d), 1.0)
+
+        assert _traced_peak(reject) < 1 << 20
+
     def test_mc_pass_two_holds_one_buffer(self):
         d, n = 8, 1_000_000
         obj = CompositeObjective(

@@ -380,8 +380,8 @@ def test_draw_into_a_prefix_matches_the_first_rows_of_a_full_draw(kind, n, m):
     buf = np.full((m, 3, 3), 7, dtype=oracle.state_dtype)
     stream = ChunkStream(rng, n * 3)
     half = m // 2
-    out = buf[:half, 1]
-    assert oracle.draw(stream, half, out=out) is out
+    out = buf[:half, 1:2]
+    assert oracle.draw([stream], half, out=out) is out
     out = buf[half:, 1:2]
     assert oracle.draw([stream], m - half, out=out) is out
     assert full.dtype == oracle.state_dtype
@@ -569,7 +569,7 @@ class TestDrawAhead:
 def test_draw_rejects_a_prefix_longer_than_the_draw():
     oracle = _oracles(2)["additive-stable"]
     with pytest.raises(ValueError, match="out must be"):
-        oracle.draw(np.random.default_rng(0), 4, out=np.empty((5, 2)))
+        oracle.draw([np.random.default_rng(0)], 4, out=np.empty((5, 1, 2)))
 
 
 # sample sizes of the property tests below; with N draws an empirical CDF

@@ -288,3 +288,70 @@ class TestGammaWeights:
             assert weighted_avg_weight(t) == pytest.approx(
                 gamma_t(t) * (6.0 / t) * 5.0
             )
+
+
+# Resolved constants at every branch corner of make_schedule: p = 2 and
+# p < 2, zero and nonzero noise, and for known-T regimes a horizon below
+# and one far past critical_T (where varphi saturates at varphi_star).
+# The values are exact: a rewrite of make_schedule must keep each
+# expression's order of operations.
+_PINNED_KEYS = (
+    "tau_star", "varphi_star", "psi_star", "eta_star", "gamma_star",
+    "lambda_star", "varphi", "tau_const", "critical_T", "d_eff",
+)
+_PINNED_LABELS = {
+    "cvx-hp-T": ("hp", "plain", "clipped"),
+    "cvx-ex-T": ("ex", "plain", "clipped"),
+    "cvx-hp-anytime": ("hp", "plain", "stabilized"),
+    "cvx-ex-anytime": ("ex", "plain", "stabilized"),
+    "str-hp": ("hp", "weighted", "clipped"),
+    "str-ex": ("ex", "weighted", "clipped"),
+}
+_PINNED = [
+    (('cvx-hp-T', 2.0, 0.0, 0.0, 2), ('inf', 0.0, None, 0.5698917855772687, None, None, 0.0, 4.0, None, 0.0)),
+    (('cvx-hp-T', 2.0, 0.0, 0.0, 1000000), ('inf', 0.0, None, 0.0023333333333333335, None, None, 0.0, 4.0, None, 0.0)),
+    (('cvx-hp-T', 2.0, 1.0, 3.0, 2), (0.8559894917742372, 12.2830336866663, 3.5082189350970623, 0.2986988916224388, None, None, 3.7173125907703253, 4.0, 21.836504331851202, 9.0)),
+    (('cvx-hp-T', 2.0, 1.0, 3.0, 1000000), (0.8559894917742372, 12.2830336866663, 3.5082189350970623, 0.0010761423073740331, None, None, 12.2830336866663, 855.9894917742372, 21.836504331851202, 9.0)),
+    (('cvx-hp-T', 1.5, 0.0, 0.0, 2), ('inf', 0.0, None, 0.5698917855772687, None, None, 0.0, 4.0, None, 0.0)),
+    (('cvx-hp-T', 1.5, 0.0, 0.0, 1000000), ('inf', 0.0, None, 0.0023333333333333335, None, None, 0.0, 4.0, None, 0.0)),
+    (('cvx-hp-T', 1.5, 1.0, 3.0, 2), (0.5635305861669615, 12.2830336866663, 3.5082189350970623, 0.28846267925584557, None, None, 3.994512337230862, 4.0, 18.910967481232078, 9.0)),
+    (('cvx-hp-T', 1.5, 1.0, 3.0, 1000000), (0.5635305861669615, 12.2830336866663, 3.5082189350970623, 0.00015954880639922097, None, None, 12.2830336866663, 5635.305861669612, 18.910967481232078, 9.0)),
+    (('cvx-ex-T', 2.0, 0.0, 0.0, 2), ('inf', 0.0, None, 1.6499158227686108, None, None, 0.0, 4.0, None, 0.0)),
+    (('cvx-ex-T', 2.0, 0.0, 0.0, 1000000), ('inf', 0.0, None, 0.0023333333333333335, None, None, 0.0, 4.0, None, 0.0)),
+    (('cvx-ex-T', 2.0, 1.0, 3.0, 2), ('inf', 0.0, None, 1.1666666666666667, None, None, 0.0, 'inf', None, 9.0)),
+    (('cvx-ex-T', 2.0, 1.0, 3.0, 1000000), ('inf', 0.0, None, 0.001649915822768611, None, None, 0.0, 'inf', None, 9.0)),
+    (('cvx-ex-T', 1.5, 0.0, 0.0, 2), ('inf', 0.0, None, 1.6499158227686108, None, None, 0.0, 4.0, None, 0.0)),
+    (('cvx-ex-T', 1.5, 0.0, 0.0, 1000000), ('inf', 0.0, None, 0.0023333333333333335, None, None, 0.0, 4.0, None, 0.0)),
+    (('cvx-ex-T', 1.5, 1.0, 3.0, 2), (0.6933612743506348, 9.0, 3.1972245773362196, 0.682408747456848, None, None, 3.4192605854321667, 4.0, 13.856406460551018, 9.0)),
+    (('cvx-ex-T', 1.5, 1.0, 3.0, 1000000), (0.6933612743506348, 9.0, 3.1972245773362196, 0.0003365248997383955, None, None, 9.0, 6933.612743506344, 13.856406460551018, 9.0)),
+    (('cvx-hp-anytime', 2.0, 0.0, 0.0, None), ('inf', 0.0, None, 2.3333333333333335, 0.5698917855772687, None, None, None, None, 0.0)),
+    (('cvx-hp-anytime', 2.0, 1.0, 3.0, None), (0.8559894917742372, 12.2830336866663, 3.5082189350970623, 1.6499158227686108, 0.04944978364263487, 1.0342278830884009, None, None, None, 9.0)),
+    (('cvx-hp-anytime', 1.5, 0.0, 0.0, None), ('inf', 0.0, None, 2.3333333333333335, 0.5698917855772687, None, None, None, None, 0.0)),
+    (('cvx-hp-anytime', 1.5, 1.0, 3.0, None), (0.5635305861669615, 12.2830336866663, 3.5082189350970623, 1.6499158227686108, 0.04944978364263487, 1.0342278830884004, None, None, None, 9.0)),
+    (('cvx-ex-anytime', 2.0, 0.0, 0.0, None), ('inf', 0.0, None, 2.3333333333333335, 'inf', None, None, None, None, 0.0)),
+    (('cvx-ex-anytime', 2.0, 1.0, 3.0, None), ('inf', 0.0, None, 1.6499158227686108, 'inf', None, None, None, None, 9.0)),
+    (('cvx-ex-anytime', 1.5, 0.0, 0.0, None), ('inf', 0.0, None, 2.3333333333333335, 'inf', None, None, None, None, 0.0)),
+    (('cvx-ex-anytime', 1.5, 1.0, 3.0, None), (0.6933612743506348, 9.0, 3.1972245773362196, 1.6499158227686108, 0.08108884846470878, 1.649915822768611, None, None, None, 9.0)),
+    (('str-hp', 2.0, 0.0, 0.0, None), ('inf', 0.0, None, None, None, None, None, None, None, 0.0)),
+    (('str-hp', 2.0, 1.0, 3.0, None), (0.8559894917742372, 12.2830336866663, 3.5082189350970623, None, None, None, None, None, None, 9.0)),
+    (('str-hp', 1.5, 0.0, 0.0, None), ('inf', 0.0, None, None, None, None, None, None, None, 0.0)),
+    (('str-hp', 1.5, 1.0, 3.0, None), (0.5635305861669615, 12.2830336866663, 3.5082189350970623, None, None, None, None, None, None, 9.0)),
+    (('str-ex', 2.0, 0.0, 0.0, None), ('inf', 0.0, None, None, None, None, None, None, None, 0.0)),
+    (('str-ex', 2.0, 1.0, 3.0, None), ('inf', 0.0, None, None, None, None, None, None, None, 9.0)),
+    (('str-ex', 1.5, 0.0, 0.0, None), ('inf', 0.0, None, None, None, None, None, None, None, 0.0)),
+    (('str-ex', 1.5, 1.0, 3.0, None), (0.6933612743506348, 9.0, 3.1972245773362196, None, None, None, None, None, None, 9.0)),
+]
+
+
+@pytest.mark.parametrize("case, values", _PINNED)
+def test_constants_are_pinned_at_every_branch_corner(case, values):
+    regime, p, sigma_s, sigma_l, T = case
+    params = ScheduleParams(
+        p=p, sigma_s=sigma_s, sigma_l=sigma_l, G=3.0, D=7.0, alpha_clip=0.25,
+        mu=0.5 if regime.startswith("str") else 0.0,
+        delta=0.05 if "-hp" in regime else None, T_known=T,
+    )
+    family, averaging, hint = _PINNED_LABELS[regime]
+    want = dict(zip(_PINNED_KEYS, values), regime=regime, family=family,
+                averaging=averaging, algorithm_hint=hint)
+    assert make_schedule(regime, params).constants() == want

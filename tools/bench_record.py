@@ -20,7 +20,8 @@ median wall time of np.sin over 1M entries, taken before and after the
 runs, so that rates measured at different times can be compared in
 units of it; and whether PYTHONDONTWRITEBYTECODE was set, which makes every
 worker compile the sources on import, so that set-up time and peak RSS
-then move with the length of src/.  --stages adds a JSON file that
+then move with the length of src/, which it records for each checkout
+(the lines of src/htclip/*.py, as wc -l counts them).  --stages adds a JSON file that
 tools/kernel_stages.py printed.  numpy only; not part of the tests.
 """
 
@@ -73,6 +74,17 @@ def fingerprint() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
+
+
+def src_lines(checkout: str) -> int:
+    """Lines of the checkout's src/htclip/*.py files, summed."""
+    folder = os.path.join(checkout, "src", "htclip")
+    total = 0
+    for name in os.listdir(folder):
+        if name.endswith(".py"):
+            with open(os.path.join(folder, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
 
 
 def record_path(checkout: str, workload: str, seed: int) -> str:
@@ -139,6 +151,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "pairs": args.pairs,
         "note": args.note,
+        "src_lines": {label: src_lines(checkout) for label, checkout in checkouts.items()},
         "workloads": {},
     }
     for workload in args.workloads:
