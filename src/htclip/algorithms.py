@@ -34,10 +34,10 @@ draws a chunk a sub-chunk of _sub_chunk(d) states at a time, into one
 (sub-chunk, trials, d) buffer of the oracle's state dtype, allocated
 once per run, so a step reads its states as one contiguous block.  A
 row draws only the states it runs: none past its horizon.  The rows of
-one oracle draw a sub-chunk in one GradOracle.draw call, which makes
-their alpha-stable states by one CMS transform split across cores, and
-a noise.ChunkStream per row gives each sub-chunk the bits it has in a
-draw of the whole chunk.  Iterates are checked for finiteness at every
+one oracle draw a sub-chunk in one GradOracle.draw call, which draws
+and transforms their alpha-stable states a row block at a time on
+every core, and a noise.ChunkStream per row gives each sub-chunk the
+bits it has in a draw of the whole chunk.  Iterates are checked for finiteness at every
 chunk boundary and at each horizon, not at every step: a coordinate
 that turns non-finite stays non-finite under the prox maps (they are
 linear in x, and projection onto a ball maps it to nan), so a blow-up

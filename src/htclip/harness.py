@@ -10,8 +10,8 @@ seeded with derive_seed(master, j, ti), and under v_mode "cycle" runs
 codeword (j // BLOCK_TRIALS) % size.  Every (ti, j) pair is one row;
 the rows are listed longest horizon first and cut into shards of
 consecutive rows whose width is set by bytes, not by count: as many
-multiples of BLOCK_TRIALS rows as keep the noise buffers the kernel
-holds per row (see _shard_width) within NOISE_BUDGET.  A shard is
+multiples of BLOCK_TRIALS rows as keep the noise the kernel draws per
+row at a time (see _shard_width) within NOISE_BUDGET.  A shard is
 one run_trials call, which runs one step loop to the shard's longest
 horizon with each row's own oracle, schedule and horizon, so a shard
 may mix horizons and codewords.  Every shard goes through one
@@ -798,8 +798,9 @@ class ExperimentResult:
 
 def _shard_width(d: int, draw_bytes: int) -> int:
     """Rows per shard: the most multiples of BLOCK_TRIALS whose noise
-    buffers, a sub-chunk of states of d entries a row at draw_bytes an
-    entry (GradOracle.draw_bytes), fit NOISE_BUDGET."""
+    draws, a sub-chunk of states of d entries a row at draw_bytes an
+    entry (GradOracle.draw_bytes: what a draw makes per entry, which for
+    alpha-stable states is more than it holds), fit NOISE_BUDGET."""
     rows_bytes = BLOCK_TRIALS * _sub_chunk(d) * d * draw_bytes
     return BLOCK_TRIALS * max(1, NOISE_BUDGET // rows_bytes)
 

@@ -15,16 +15,20 @@ Heavy-tailed noise is alpha-stable, drawn by the Chambers-Mallows-Stuck
 (CMS) transform of one uniform angle and one exponential per variate;
 a draw of n states takes all n·d uniforms of its generator and then all
 n·d exponentials.  GradOracle.draw(rngs, n, out) draws the states of
-many rows at once, row r from its own stream rngs[r] into out[:, r], with
-one CMS transform over all of them.  A ChunkStream lets a caller draw a
-chunk of states a part at a time with the bits of one whole draw: the
-uniforms come from a copy of the generator and the exponentials from
-the generator itself, moved past the chunk's uniforms, so each part
-draws only its own states.  The CMS transform runs on the drawn arrays,
+many rows at once, row r from its own stream rngs[r] into out[:, r].  A
+ChunkStream lets a caller draw a chunk of states a part at a time with
+the bits of one whole draw: the uniforms come from a copy of the
+generator and the exponentials from the generator itself, moved past
+the chunk's uniforms, so each part draws only its own states.  Work is
 cut into row blocks of bounded size, which the caller and a lazily
-started module thread pool transform at once, one thread per core that
-no other running kernel keeps busy.  The transform is elementwise, so
-its bits are the same for any cut, any core count and any row layout.
+started module thread pool run at once, one thread per core that no
+other running kernel keeps busy.  A block of a one-stream draw
+transforms its share of the drawn arrays; a block of a many-row draw
+draws its own rows' uniforms and exponentials into a scratch slot of
+the thread that claimed it and transforms them straight into out, so
+the draw holds one block's random numbers per claiming thread, whatever
+its rows.  The transform is elementwise, so its bits are the same for
+any cut, any core count and any row layout.
 
 The Monte Carlo verifiers (clipping.clip_error_mc, estimate_moments)
 read their chunks from _draw_ahead, which overlaps the draws with the
@@ -34,8 +38,10 @@ transforms its row blocks, and the caller joins in on the blocks left
 when it asks for that chunk.  The caller allocates the memory of the
 draws in flight, two state buffers used in turn and one exponential
 scratch, so no chunk is allocated on a module thread (glibc would keep
-a malloc arena for it).  Only numpy and the untraced _cms run on the
-module threads; GradOracle.draw and sample_alpha_stable run on callers.
+a malloc arena for it).  Only numpy, the untraced _cms and the rows'
+generators run on the module threads; GradOracle.draw and
+sample_alpha_stable are entered on callers, which allocate every
+scratch slot.
 """
 
 from __future__ import annotations
@@ -148,7 +154,7 @@ def sample_alpha_stable(
         phi, w = np.array([phi]), np.array([w])
         _cms(params, phi, w, phi)
         return phi[0]
-    _transform(params, phi, w, phi)
+    _transform(params, phi, w)
     return phi
 
 
@@ -278,9 +284,12 @@ class _Blocks:
     """Row blocks [a, b) of at least one row each that cover range(rows),
     cut into at most `blocks` blocks, each starting at an element offset
     that is a multiple of 8, so SIMD loops see the same vector lanes and
-    tail as in one pass.  Any thread may claim the next block that no
-    thread has started: next() on an itertools.count is atomic under the
-    GIL, so every block runs exactly once.
+    tail as in one pass.  Every block but the last has cuts[1] rows.  Any
+    thread may claim the next block that no thread has started: next()
+    on an itertools.count is atomic under the GIL, so every block runs
+    exactly once.  A claimer runs transform(a, b, *slot) with its own
+    slot, the extra arguments (scratch arrays, or none) no other thread
+    uses at the same time.
     """
 
     def __init__(self, transform, rows: int, row_size: int, blocks: int):
@@ -290,11 +299,11 @@ class _Blocks:
         self.transform = transform
         self._claim = itertools.count()
 
-    def work(self) -> None:
+    def work(self, *slot) -> None:
         """Run blocks until none is left unclaimed."""
         i = next(self._claim)
         while i + 1 < len(self.cuts):
-            self.transform(self.cuts[i], self.cuts[i + 1])
+            self.transform(self.cuts[i], self.cuts[i + 1], *slot)
             i = next(self._claim)
 
     def drop(self) -> None:
@@ -302,17 +311,17 @@ class _Blocks:
         while next(self._claim) + 1 < len(self.cuts):
             pass
 
-    def submit(self, threads: int) -> list:
-        """Have up to `threads` module threads claim blocks too, under the
+    def submit(self, slots) -> list:
+        """Have a module thread claim blocks with each of slots, under the
         calling thread's numpy error state; returns their futures."""
         errors = np.geterr()
 
-        def work_in_thread():
+        def work_in_thread(slot):
             with np.errstate(**errors):
-                self.work()
+                self.work(*slot)
 
         pool = _executor()
-        return [pool.submit(work_in_thread) for _ in range(threads)]
+        return [pool.submit(work_in_thread, slot) for slot in slots]
 
 
 def _join(futures) -> None:
@@ -324,8 +333,13 @@ def _join(futures) -> None:
             f.result()
 
 
-def _split(transform, rows: int, row_size: int) -> None:
-    """Run transform(a, b) on row blocks [a, b) that cover range(rows).
+def _no_scratch(rows: int) -> tuple:
+    return ()
+
+
+def _split(transform, rows: int, row_size: int, scratch=_no_scratch) -> None:
+    """Run transform(a, b, *scratch(most)) on row blocks [a, b) that
+    cover range(rows), each claimer with its own scratch.
 
     Rows hold row_size elements each.  The rows are cut into blocks of
     at most about _BLOCK elements (but at least one row) and, with
@@ -333,7 +347,9 @@ def _split(transform, rows: int, row_size: int) -> None:
     another thread (see _busy_core).  The caller and a module thread per
     other such core claim the blocks one at a time (see _Blocks).  The
     caller claims until no block is left, so it never waits on a thread
-    that has not started.
+    that has not started.  Before any block runs, the caller makes one
+    scratch(most) per claimer, most the rows of the largest block, so
+    the scratch a split holds is bounded by the claimers, not the rows.
     """
     size = rows * row_size
     # a busy caller is one of the _busy threads; an idle caller beside
@@ -341,26 +357,28 @@ def _split(transform, rows: int, row_size: int) -> None:
     cores = min(_cores() - max(_busy - 1, 0), size // _SPLIT_MIN)
     blocks = max(cores, -(-size // _BLOCK))
     if blocks < 2:
-        transform(0, rows)
+        transform(0, rows, *scratch(rows))
         return
     work = _Blocks(transform, rows, row_size, blocks)
     # a module thread for each free core beside the caller's, and none
     # that would find no block left
-    futures = work.submit(min(max(cores, 1), len(work.cuts) - 1) - 1)
+    claimers = min(max(cores, 1), len(work.cuts) - 1)
+    slots = [scratch(work.cuts[1]) for _ in range(claimers)]
+    futures = work.submit(slots[1:])
     try:
-        work.work()
+        work.work(*slots[0])
     finally:
         _join(futures)
 
 
-def _transform(params: StableParams, phi, w, out, scales=None) -> None:
-    """_cms of phi and w into out, times scales if given, in row blocks
-    along axis 0 on every core (see _split); phi and w are overwritten."""
+def _transform(params: StableParams, phi, w, scales=None) -> None:
+    """_cms of phi and w into phi, times scales if given, in row blocks
+    along axis 0 on every core (see _split); w is overwritten."""
 
     def block(a, b):
-        _cms(params, phi[a:b], w[a:b], out[a:b])
+        _cms(params, phi[a:b], w[a:b], phi[a:b])
         if scales is not None:
-            out[a:b] *= scales
+            phi[a:b] *= scales
 
     _split(block, len(phi), math.prod(phi.shape[1:]))
 
@@ -487,7 +505,7 @@ class _Ahead:
         def start():
             with np.errstate(**errors):
                 fill()
-                return self.blocks.submit(threads)
+                return self.blocks.submit([()] * threads)
 
         self._start = _executor().submit(start)
 
@@ -647,8 +665,11 @@ class GradOracle:
 
     @property
     def draw_bytes(self) -> int:
-        """Bytes a draw of many rows holds per state entry: the state and,
-        for alpha-stable states, the uniform and exponential it is made of."""
+        """Bytes a draw of many rows makes per state entry: the state and,
+        for alpha-stable states, the uniform and exponential it is made of.
+        A stable draw holds only one row block of those two at a time per
+        claiming thread (see _split), but counting them keeps a shard's
+        width what it was when the draw held them for every row."""
         return self.state_dtype.itemsize + (16 if self.kind == "additive-stable" else 0)
 
     def draw(self, rng, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -656,9 +677,10 @@ class GradOracle:
 
         rng is a Generator or a ChunkStream over one.  With out, an
         (n, rows, d) array of state_dtype, rng is a sequence of one such
-        stream per row instead: row r's states come from rng[r] into
-        out[:, r], alpha-stable states are made by one CMS transform over
-        all rows, and out is returned.
+        stream per row instead, over distinct generators: row r's states
+        come from rng[r] into out[:, r], and out is returned.  Alpha-stable
+        rows are drawn and transformed a row block at a time, on every
+        core (see _split), each block in its claimer's scratch.
         """
         d = self.d
         streams = [rng] if out is None else rng
@@ -669,21 +691,32 @@ class GradOracle:
                 f"got {out.dtype} {out.shape}"
             )
         if self.kind == "additive-stable":
-            phi = np.empty((len(streams), n, d))
-            w = np.empty_like(phi)
-            for r, stream in enumerate(streams):
-                # bit for bit rng.uniform(-pi/2, pi/2, (n, d)) and then
-                # rng.standard_exponential((n, d))
-                uniforms, exponentials = _streams(stream, n * d)
-                uniforms.random(out=phi[r])
-                exponentials.standard_exponential(out=w[r])
-            phi *= math.pi
-            phi += -math.pi / 2.0
             if out is None:
                 # in place, in row blocks of the one stream's states
-                _transform(self.stable, phi[0], w[0], phi[0], self.scales)
-                return phi[0]
-            _transform(self.stable, phi, w, out.transpose(1, 0, 2), self.scales)
+                uniforms, exponentials = _streams(rng, n * d)
+                phi = uniforms.uniform(-math.pi / 2.0, math.pi / 2.0, (n, d))
+                w = exponentials.standard_exponential((n, d))
+                _transform(self.stable, phi, w, self.scales)
+                return phi
+            by_row = out.transpose(1, 0, 2)
+
+            def block(a, b, phi, w):
+                phi, w = phi[: b - a], w[: b - a]
+                for r in range(a, b):
+                    # bit for bit rng.uniform(-pi/2, pi/2, (n, d)) and
+                    # then rng.standard_exponential((n, d))
+                    uniforms, exponentials = _streams(streams[r], n * d)
+                    uniforms.random(out=phi[r - a])
+                    exponentials.standard_exponential(out=w[r - a])
+                phi *= math.pi
+                phi += -math.pi / 2.0
+                _cms(self.stable, phi, w, by_row[a:b])
+                by_row[a:b] *= self.scales
+
+            def scratch(most):
+                return np.empty((most, n, d)), np.empty((most, n, d))
+
+            _split(block, len(streams), n * d, scratch)
             return out
         if out is None:
             # one generator: the draw's own array is the result

@@ -135,9 +135,9 @@ def hp_params(p: float, sigma_s: float, sigma_l: float, delta: float) -> ClipCon
 def ex_params(p: float, sigma_s: float, sigma_l: float) -> ClipConstants:
     """In-expectation constants; tau~_star = +inf at p = 2 or sigma_l = 0."""
     p, ss, sl = _check_moments(p, sigma_s, sigma_l)
+    deff = d_eff_of(ss, sl)  # the moment bracket, at p = 2 too
     if sl == 0.0 or p == 2.0:
         return ClipConstants(INF, 0.0, None)
-    deff = d_eff_of(ss, sl)
     tau_star = ss ** (2.0 / p) / sl ** (2.0 / p - 1.0)
     return ClipConstants(tau_star, deff, 1.0 + math.log(deff))
 

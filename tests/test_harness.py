@@ -608,15 +608,30 @@ def _traced_draw(kind, d, rows):
 def test_a_shards_noise_buffers_fit_the_budget(kind, d):
     # a shard of _shard_width rows holds its (sub-chunk, rows, d) state
     # buffer, float or int8, and while it draws, whatever the draw keeps
-    # per row (for stable noise, the uniforms and exponentials of every
-    # row); all of it, as tracemalloc counts it, fits NOISE_BUDGET.  Not
-    # counted: what a draw allocates once, whatever the rows, measured
+    # per row; all of it, as tracemalloc counts it, fits NOISE_BUDGET.
+    # Not counted: what a draw allocates once, whatever the rows, measured
     # by a two-row draw less its two rows' buffers (the temporaries of the
-    # row being drawn, ufunc buffers for the strided columns and the hard
-    # instance's threshold tiles), and the few Python references a draw
-    # keeps per row (a slice of the stream list), 64 bytes a row
+    # row being drawn, a stable draw's row-block scratch, ufunc buffers
+    # for the strided columns and the hard instance's threshold tiles),
+    # and the few Python references a draw keeps per row (a slice of the
+    # stream list), 64 bytes a row
     width = harness._shard_width(d, _noise_oracle(kind, d).draw_bytes)
     assert width >= BLOCK_TRIALS
     held, peak = _traced_draw(kind, d, width)
     rows, once = _traced_draw(kind, d, 2)
     assert held <= peak - (once - rows) <= harness.NOISE_BUDGET + 64 * width
+
+
+@pytest.mark.parametrize("kind, widths", [
+    ("additive-stable", [64, 64, 64, 64]),
+    ("additive-gaussian", [256, 320, 256, 256]),
+    ("hard-instance", [2048, 2688, 2048, 2048]),
+])
+def test_shard_widths_are_pinned(kind, widths):
+    # a stable shard's width still counts the uniform and exponential of
+    # each entry it draws (GradOracle.draw_bytes), though a draw now holds
+    # them one row block at a time: wider stable shards measured faster
+    # but peaked higher, so the widths stay as they were
+    got = [harness._shard_width(d, _noise_oracle(kind, d).draw_bytes)
+           for d in (4, 12, 64, 4096)]
+    assert got == widths

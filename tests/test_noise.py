@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,6 +391,73 @@ def test_draw_into_a_prefix_matches_the_first_rows_of_a_full_draw(kind, n, m):
     if m == n:
         # the whole chunk leaves rng where one draw of it does
         assert np.array_equal(rng.random(4), full_rng.random(4))
+
+
+@pytest.mark.parametrize("d, n, rows", [(3, 7, 1000), (64, 64, 20)])
+@pytest.mark.parametrize("split", [True, False])
+def test_a_many_row_stable_draw_is_one_stream_draws_per_row(monkeypatch, d, n, rows, split):
+    # the rows of a stable draw are filled and transformed a row block at
+    # a time, by the caller and an idle module thread (split) or all by
+    # the caller (two kernels keep both cores busy); either way row r
+    # holds the bits of its own one-stream draws through a ChunkStream,
+    # and every generator ends where those draws leave it
+    monkeypatch.setattr(noise, "_cores", lambda: 2)
+    cms = noise._cms
+    ran = []
+
+    def watched(params, phi, w, out):
+        ran.append(threading.get_ident())
+        cms(params, phi, w, out)
+
+    oracle = _oracles(d)["additive-stable"]
+    want_rngs = [np.random.default_rng(s) for s in range(rows)]
+    want = []
+    for rng in want_rngs:
+        stream = ChunkStream(rng, 2 * n * d)
+        want.append(np.concatenate([oracle.draw(stream, n), oracle.draw(stream, n)]))
+    rngs = [np.random.default_rng(s) for s in range(rows)]
+    streams = [ChunkStream(rng, 2 * n * d) for rng in rngs]
+    out = np.empty((2 * n, rows, d))
+    monkeypatch.setattr(noise, "_cms", watched)
+    with contextlib.ExitStack() as busy:
+        if not split:
+            busy.enter_context(noise._busy_core())
+            busy.enter_context(noise._busy_core())
+        oracle.draw(streams, n, out=out[:n])
+        oracle.draw(streams, n, out=out[n:])
+    if split:
+        assert len(ran) >= 4
+    else:
+        assert set(ran) == {threading.get_ident()}
+    for r in range(rows):
+        assert np.array_equal(out[:, r], want[r])
+        assert rngs[r].bit_generator.state == want_rngs[r].bit_generator.state
+
+
+def _stable_draw_peak(rows, d=64, n=64):
+    """Traced peak of a stable draw of n states for rows rows into an
+    out allocated beforehand, so not counted."""
+    oracle = _oracles(d)["additive-stable"]
+    rngs = [np.random.default_rng(s) for s in range(rows)]
+    out = np.empty((n, rows, d))
+    tracemalloc.start()
+    try:
+        oracle.draw(rngs, n, out=out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_stable_draws_scratch_does_not_grow_with_its_rows(monkeypatch, cores):
+    # beside out, a draw holds a row block of uniforms and exponentials
+    # per claiming thread, whatever its rows; holding them for every row
+    # would take 16 bytes for each of the 192 x 64 x 64 more entries
+    # (12 MB).  The slack is one block's float64 temporaries, by which
+    # the claimers' timing can move the peak
+    monkeypatch.setattr(noise, "_cores", lambda: cores)
+    small, large = _stable_draw_peak(64), _stable_draw_peak(256)
+    assert abs(large - small) <= 8 * noise._BLOCK
 
 
 class TestDrawAhead:

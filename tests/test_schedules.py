@@ -71,6 +71,15 @@ class TestExParams:
         assert got.tau_star == math.inf
         assert got.varphi_star == 0.0
 
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_degenerate_directional_rejected(self, p):
+        # at p = 2 too, where the constants need no d_eff, a schedule
+        # with sigma_s = 0 < sigma_l is refused when it is made
+        with pytest.raises(ValueError, match="moment bracket"):
+            ex_params(p, 0.0, 1.0)
+        with pytest.raises(ValueError, match="moment bracket"):
+            make_schedule("cvx-ex-T", _params(p=p, sigma_s=0.0, sigma_l=1.0, T_known=8))
+
     def test_equal_sigmas(self):
         got = ex_params(1.5, 1.5, 1.5)
         assert got.tau_star == pytest.approx(1.5, rel=1e-12)

@@ -26,6 +26,10 @@ into shards of the width harness._shard_width gives (reported as
 "shards").  Stage times are the median over --repeats runs, divided by
 the trial-steps the run takes (the sum of its rows' horizons).  Each
 probe adds about 0.3 us per call, which the stage it wraps absorbs.
+One more run of each case, untimed and without probes, runs under
+tracemalloc and gives the case's peak traced memory ("peak_traced_mb",
+in units of 2^20 bytes): the most that numpy and Python, on every
+thread, held at once of what they allocated during that run.
 
 The probes wrap whichever of the step's call names the imported htclip
 defines, so the same script times older and newer kernels:
@@ -44,6 +48,7 @@ import json
 import platform
 import statistics
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -237,6 +242,12 @@ def run_case(problem: str, d: int, width: int, repeats: int) -> dict:
             inner = sum(v for k, v in spent.items() if k not in ("run_trials", "evaluation"))
             spent["kernel_self"] = spent["run_trials"] - inner
             samples.append(spent)
+        tracemalloc.start()
+        try:
+            harness.run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     order = ("draw", "gradient", "clip", "prox", "schedule", "kernel_self",
              "run_trials", "evaluation")
     case = {
@@ -248,9 +259,10 @@ def run_case(problem: str, d: int, width: int, repeats: int) -> dict:
             k: round(statistics.median(s[k] for s in samples) / trial_steps, 1)
             for k in order
         },
+        "peak_traced_mb": round(peak / 2**20, 2),
     }
     if own:
-        case["shards"] = shards[: len(shards) // (repeats + 1)]
+        case["shards"] = shards[: len(shards) // (repeats + 2)]
     return case
 
 
