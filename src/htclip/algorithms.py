@@ -37,11 +37,11 @@ row draws only the states it runs: none past its horizon.  The rows of
 one oracle draw a sub-chunk in one GradOracle.draw call, which draws
 and transforms their alpha-stable states a row block at a time on
 every core, and a noise.ChunkStream per row gives each sub-chunk the
-bits it has in a draw of the whole chunk.  Iterates are checked for finiteness at every
-chunk boundary and at each horizon, not at every step: a coordinate
-that turns non-finite stays non-finite under the prox maps (they are
-linear in x, and projection onto a ball maps it to nan), so a blow-up
-anywhere inside a chunk is still reported.
+bits it has in a draw of the whole chunk.  Iterates are checked for
+finiteness at every chunk boundary and at each horizon, not at every
+step: a coordinate that turns non-finite stays non-finite under the
+prox maps (they are linear in x, and projection onto a ball maps it to
+nan), so a blow-up anywhere inside a chunk is still reported.
 
 The step sizes are validated where they are made: when a chunk's eta and
 tau values are filled, every eta the chunk will run must be positive,

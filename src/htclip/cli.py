@@ -26,6 +26,7 @@ from ._version import __version__
 from .clipping import BOUND_NAMES, clip_error_exact, clip_error_mc
 from .hardness import HARD_REGIMES, HardParams, hard_params, make_hard_instance
 from .harness import (
+    MAX_T,
     _codebook_for,
     _make_codebook,
     _materialize,
@@ -118,6 +119,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
+    if args.T is not None and not 1 <= args.T <= MAX_T:
+        raise ValueError(f"--T must lie in [1, {MAX_T}], got {args.T}")
     config = _load_config(args.config, args.seed)
     Ts = [args.T] if args.T is not None else config.run["T_grid"]
     codebook = _codebook_for(config)

@@ -338,6 +338,16 @@ def make_hard_instance(
     ds = params.d_star
     if int(d_star) != ds:
         raise ValueError("d_star does not match the resolved parameters")
+    if ds < 1:
+        raise ValueError(f"d_star must be at least 1, got {ds}")
+    for name, value, rule, ok in (
+        ("q", params.q, "in [0, 1]", 0.0 <= params.q <= 1.0),
+        ("theta", params.theta, "in [0, 1]", 0.0 <= params.theta <= 1.0),
+        ("M", params.M, "finite and >= 0", 0.0 <= params.M < math.inf),
+        ("y", params.y, "finite", math.isfinite(params.y)),
+    ):
+        if not ok:
+            raise ValueError(f"hard instance {name} must be {rule}, got {value}")
     if d < ds:
         raise ValueError("need d >= d_star")
     v = as_vector(v)

@@ -14,34 +14,30 @@ the noise is from being aligned with a single direction.
 Heavy-tailed noise is alpha-stable, drawn by the Chambers-Mallows-Stuck
 (CMS) transform of one uniform angle and one exponential per variate;
 a draw of n states takes all n·d uniforms of its generator and then all
-n·d exponentials.  GradOracle.draw(rngs, n, out) draws the states of
-many rows at once, row r from its own stream rngs[r] into out[:, r].  A
-ChunkStream lets a caller draw a chunk of states a part at a time with
-the bits of one whole draw: the uniforms come from a copy of the
-generator and the exponentials from the generator itself, moved past
-the chunk's uniforms, so each part draws only its own states.  Work is
-cut into row blocks of bounded size, which the caller and a lazily
-started module thread pool run at once, one thread per core that no
-other running kernel keeps busy.  A block of a one-stream draw
-transforms its share of the drawn arrays; a block of a many-row draw
-draws its own rows' uniforms and exponentials into a scratch slot of
-the thread that claimed it and transforms them straight into out, so
-the draw holds one block's random numbers per claiming thread, whatever
-its rows.  The transform is elementwise, so its bits are the same for
-any cut, any core count and any row layout.
+n·d exponentials.  Every stable draw fills those two arrays with
+_stable_fill, and every oracle draw finishes its states with
+GradOracle._finish (CMS, then scales).  GradOracle.draw(rngs, n, out)
+draws the states of many rows at once, row r from its own stream
+rngs[r] into out[:, r].  A ChunkStream lets a caller draw a chunk of
+states a part at a time with the bits of one whole draw: the uniforms
+come from a copy of the generator and the exponentials from the
+generator itself, moved past the chunk's uniforms.
 
-The Monte Carlo verifiers (clipping.clip_error_mc, estimate_moments)
-read their chunks from _draw_ahead, which overlaps the draws with the
-caller's work: while the caller clips and sums chunk k, a module thread
-fills chunk k + 1's uniforms and exponentials (or normals) and then
-transforms its row blocks, and the caller joins in on the blocks left
-when it asks for that chunk.  The caller allocates the memory of the
-draws in flight, two state buffers used in turn and one exponential
-scratch, so no chunk is allocated on a module thread (glibc would keep
-a malloc arena for it).  Only numpy, the untraced _cms and the rows'
-generators run on the module threads; GradOracle.draw and
-sample_alpha_stable are entered on callers, which allocate every
-scratch slot.
+Work is cut into row blocks of bounded size, one _Job, which the caller
+and a lazily started module thread pool claim, one thread per core that
+no running kernel keeps busy, each claimer with a scratch slot that the
+caller allocates.  A one-stream draw is filled on the caller and its
+blocks finish their rows in place; a block of a many-row draw fills its
+rows into its claimer's slot and finishes them straight into out, so
+the draw holds one block's random numbers per claimer, whatever its
+rows.  The transform is elementwise, so its bits are the same for any
+cut, any core count and any row layout.  The Monte Carlo verifiers
+(clipping.clip_error_mc, estimate_moments) read their chunks from
+_draw_ahead, whose job for chunk k + 1 fills and finishes it on module
+threads while the caller works on chunk k, in memory the caller
+allocated (glibc would keep a malloc arena for a chunk allocated on a
+module thread).  Only numpy, the untraced _cms and the rows' generators
+run on the module threads.
 """
 
 from __future__ import annotations
@@ -143,19 +139,19 @@ def sample_alpha_stable(
     Every draw consumes exactly one uniform angle and one exponential,
     regardless of the parameter branch, so stream alignment is stable.
     At alpha = 2 the output is exactly N(0, 2 gamma^2) and beta is
-    irrelevant.  The transform runs in place on the drawn arrays, and a
-    transform of many variates is cut into row blocks transformed on
-    every core (see _split); being elementwise, its result is the same
-    for any cut.
+    irrelevant.  The transform runs in place, in row blocks on every
+    core (see _split); being elementwise, it gives the same bits for
+    any cut.
     """
-    phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
-    w = rng.standard_exponential(size)
-    if size is None:
-        phi, w = np.array([phi]), np.array([w])
-        _cms(params, phi, w, phi)
-        return phi[0]
-    _transform(params, phi, w)
-    return phi
+    phi = np.empty(1 if size is None else size)
+    w = np.empty(phi.shape)
+    _stable_fill(rng, phi, w)
+
+    def block(a, b):
+        _cms(params, phi[a:b], w[a:b], phi[a:b])
+
+    _split(block, len(phi), math.prod(phi.shape[1:]))
+    return phi[0] if size is None else phi
 
 
 def _cms(params: StableParams, phi: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
@@ -280,48 +276,92 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
-class _Blocks:
-    """Row blocks [a, b) of at least one row each that cover range(rows),
-    cut into at most `blocks` blocks, each starting at an element offset
-    that is a multiple of 8, so SIMD loops see the same vector lanes and
-    tail as in one pass.  Every block but the last has cuts[1] rows.  Any
-    thread may claim the next block that no thread has started: next()
-    on an itertools.count is atomic under the GIL, so every block runs
-    exactly once.  A claimer runs transform(a, b, *slot) with its own
-    slot, the extra arguments (scratch arrays, or none) no other thread
-    uses at the same time.
+def _cuts(rows: int, row_size: int, blocks: int) -> list:
+    """Offsets [0, ..., rows] of at most `blocks` row blocks of at least
+    one row each that cover range(rows), each starting at an element
+    offset that is a multiple of 8, so SIMD loops see the same vector
+    lanes and tail as in one pass.  Every block but the last has cuts[1]
+    rows; no rows make no block."""
+    step = 8 // math.gcd(row_size, 8)
+    per = max(-(-rows // (blocks * step)), 1) * step
+    return list(range(0, rows, per)) + [rows]
+
+
+class _Job:
+    """Row blocks [cuts[i], cuts[i + 1]), each run as transform(a, b,
+    *slot) by the caller or a module thread, one claimer per slot in
+    slots (scratch arrays, or none), which the caller allocates.
+
+    Module threads take slots[1:], run under the caller's numpy error
+    state and, once first (if given) has run on one of them, claim
+    blocks until none is left: next() on an itertools.count is atomic
+    under the GIL, so every block runs once.  finish() has the caller
+    claim with slots[0] what no thread has started (first too) and wait
+    for the rest, raising the first error any claimer raised; cancel()
+    drops the unclaimed blocks and waits for the rest.  Either way no
+    thread runs a block once it returns.
     """
 
-    def __init__(self, transform, rows: int, row_size: int, blocks: int):
-        step = 8 // math.gcd(row_size, 8)
-        per = -(-rows // (blocks * step)) * step
-        self.cuts = list(range(0, rows, per)) + [rows]
+    def __init__(self, transform, cuts: list, slots: list, first=None):
+        self.cuts = cuts
         self.transform = transform
+        self.slots = slots
+        self.first = first
         self._claim = itertools.count()
+        self._start = None
+        self._futures = []
+        if len(slots) < 2:
+            return
+        errors = np.geterr()
+        pool = _executor()
 
-    def work(self, *slot) -> None:
+        def claim(slot):
+            with np.errstate(**errors):
+                self._work(slot)
+
+        def start():
+            if first is not None:
+                with np.errstate(**errors):
+                    first()
+            return [pool.submit(claim, slot) for slot in slots[1:]]
+
+        if first is None:
+            self._futures = start()
+        else:
+            self._start = pool.submit(start)
+
+    def _work(self, slot) -> None:
         """Run blocks until none is left unclaimed."""
         i = next(self._claim)
         while i + 1 < len(self.cuts):
             self.transform(self.cuts[i], self.cuts[i + 1], *slot)
             i = next(self._claim)
 
-    def drop(self) -> None:
+    def _drop(self) -> None:
         """Claim every block no thread has started, without running it."""
         while next(self._claim) + 1 < len(self.cuts):
             pass
 
-    def submit(self, slots) -> list:
-        """Have a module thread claim blocks with each of slots, under the
-        calling thread's numpy error state; returns their futures."""
-        errors = np.geterr()
+    def finish(self) -> None:
+        try:
+            if self._start is not None and not self._start.cancel():
+                self._futures = self._start.result()
+            elif self.first is not None:
+                self.first()  # no module thread has started the job
+            self._work(self.slots[0])
+        except BaseException:
+            self._drop()
+            raise
+        finally:
+            _join(self._futures)
 
-        def work_in_thread(slot):
-            with np.errstate(**errors):
-                self.work(*slot)
-
-        pool = _executor()
-        return [pool.submit(work_in_thread, slot) for slot in slots]
+    def cancel(self) -> None:
+        self._drop()
+        if self._start is not None and not self._start.cancel():
+            try:
+                _join(self._start.result())
+            except Exception:
+                pass  # the caller stopped reading chunks before this one
 
 
 def _join(futures) -> None:
@@ -333,23 +373,17 @@ def _join(futures) -> None:
             f.result()
 
 
-def _no_scratch(rows: int) -> tuple:
-    return ()
-
-
-def _split(transform, rows: int, row_size: int, scratch=_no_scratch) -> None:
+def _split(transform, rows: int, row_size: int, scratch=lambda rows: ()) -> None:
     """Run transform(a, b, *scratch(most)) on row blocks [a, b) that
     cover range(rows), each claimer with its own scratch.
 
     Rows hold row_size elements each.  The rows are cut into blocks of
     at most about _BLOCK elements (but at least one row) and, with
     enough elements, into at least one block per core not kept busy by
-    another thread (see _busy_core).  The caller and a module thread per
-    other such core claim the blocks one at a time (see _Blocks).  The
-    caller claims until no block is left, so it never waits on a thread
-    that has not started.  Before any block runs, the caller makes one
-    scratch(most) per claimer, most the rows of the largest block, so
-    the scratch a split holds is bounded by the claimers, not the rows.
+    another thread (see _busy_core), which the caller and a module
+    thread per other such core claim (see _Job).  most is the rows of
+    the largest block, so the scratch a split holds is bounded by the
+    claimers, not the rows.
     """
     size = rows * row_size
     # a busy caller is one of the _busy threads; an idle caller beside
@@ -359,28 +393,11 @@ def _split(transform, rows: int, row_size: int, scratch=_no_scratch) -> None:
     if blocks < 2:
         transform(0, rows, *scratch(rows))
         return
-    work = _Blocks(transform, rows, row_size, blocks)
-    # a module thread for each free core beside the caller's, and none
-    # that would find no block left
-    claimers = min(max(cores, 1), len(work.cuts) - 1)
-    slots = [scratch(work.cuts[1]) for _ in range(claimers)]
-    futures = work.submit(slots[1:])
-    try:
-        work.work(*slots[0])
-    finally:
-        _join(futures)
-
-
-def _transform(params: StableParams, phi, w, scales=None) -> None:
-    """_cms of phi and w into phi, times scales if given, in row blocks
-    along axis 0 on every core (see _split); w is overwritten."""
-
-    def block(a, b):
-        _cms(params, phi[a:b], w[a:b], phi[a:b])
-        if scales is not None:
-            phi[a:b] *= scales
-
-    _split(block, len(phi), math.prod(phi.shape[1:]))
+    cuts = _cuts(rows, row_size, blocks)
+    # the caller and a module thread for each free core beside its own,
+    # none that would find no block left
+    claimers = min(max(cores, 1), len(cuts) - 1)
+    _Job(transform, cuts, [scratch(cuts[1]) for _ in range(claimers)]).finish()
 
 
 class ChunkStream:
@@ -444,93 +461,22 @@ def _skip_doubles(rng: np.random.Generator, k: int) -> None:
         rng.random(min(_SKIP_BLOCK, k - a))
 
 
-def _streams(rng, count: int) -> tuple:
-    """(generator of a stable draw's count uniforms, of its exponentials)."""
-    if isinstance(rng, ChunkStream):
-        return rng.uniforms(count), rng.rng
-    return rng, rng
-
-
 def _generator(rng) -> np.random.Generator:
     """The generator a draw of other states reads."""
     return rng.rng if isinstance(rng, ChunkStream) else rng
 
 
-class _Ahead:
-    """One chunk of an oracle's states, drawn into out on the module
-    threads while the caller works on something else.
-
-    A module thread draws the chunk's random numbers, into out and, for
-    stable noise, into the exponential scratch, and then hands the
-    chunk's row blocks (the CMS transform and the scales) to the module
-    threads.  result() has the caller claim every block no thread has
-    started, waits for the rest and returns out; cancel() drops the
-    unclaimed blocks and waits for the rest.  Either way no thread
-    writes into out or scratch, or uses rng, once it returns.  Only
-    numpy and the untraced _cms run on the module threads.
-    """
-
-    def __init__(self, oracle: GradOracle, rng, out: np.ndarray, scratch):
-        m, d = out.shape
-        scales = oracle.scales
-        if oracle.kind == "additive-stable":
-            w = scratch[:m]
-
-            def fill():
-                # bit for bit rng.uniform(-pi/2, pi/2, (m, d)) and
-                # rng.standard_exponential((m, d)), in the same stream
-                rng.random(out=out)
-                np.multiply(out, math.pi, out=out)
-                np.add(out, -math.pi / 2.0, out=out)
-                rng.standard_exponential(out=w)
-
-            def transform(a, b):
-                _cms(oracle.stable, out[a:b], w[a:b], out[a:b])
-                out[a:b] *= scales
-
-        else:
-
-            def fill():
-                rng.standard_normal(out=out)
-
-            def transform(a, b):
-                out[a:b] *= scales
-
-        self.out = out
-        self._fill = fill
-        self.blocks = _Blocks(transform, m, d, max(m * d // _BLOCK, 1))
-        threads = min(_cores() - 1 - _busy, len(self.blocks.cuts) - 1)
-        errors = np.geterr()
-
-        def start():
-            with np.errstate(**errors):
-                fill()
-                return self.blocks.submit([()] * threads)
-
-        self._start = _executor().submit(start)
-
-    def result(self) -> np.ndarray:
-        workers = []
-        try:
-            if self._start.cancel():
-                self._fill()  # no module thread has started the chunk
-            else:
-                workers = self._start.result()
-            self.blocks.work()
-        except BaseException:
-            self.blocks.drop()
-            raise
-        finally:
-            _join(workers)
-        return self.out
-
-    def cancel(self) -> None:
-        self.blocks.drop()
-        if not self._start.cancel():
-            try:
-                _join(self._start.result())
-            except Exception:
-                pass  # the caller stopped reading chunks before this one
+def _stable_fill(rng, phi: np.ndarray, w: np.ndarray) -> None:
+    """Fill phi with a stable draw's uniform angles and w with its
+    exponentials from rng, a Generator or ChunkStream: bit for bit
+    rng.uniform(-pi/2, pi/2, phi.shape), then rng.standard_exponential."""
+    uniforms = exponentials = rng
+    if isinstance(rng, ChunkStream):
+        uniforms, exponentials = rng.uniforms(phi.size), rng.rng
+    uniforms.random(out=phi)
+    phi *= math.pi
+    phi += -math.pi / 2.0
+    exponentials.standard_exponential(out=w)
 
 
 def _draw_ahead(oracle: GradOracle, rng: np.random.Generator, sizes):
@@ -538,43 +484,52 @@ def _draw_ahead(oracle: GradOracle, rng: np.random.Generator, sizes):
     same bits and leaving rng where those draws would.
 
     Stable and Gaussian chunks are drawn one ahead: while the caller
-    works on chunk k, the module threads draw chunk k + 1 (see _Ahead),
-    which takes the draws' random-number fills and most of the CMS
-    transform off the caller.  The caller allocates the chunks'
-    memory: two (max(sizes), d) state buffers used in turn and, for
-    stable noise, one exponential scratch.  A yielded array is valid
-    until the caller asks for the next chunk (its buffer then receives
-    the chunk after that), and rng must not be used elsewhere until the
-    generator is exhausted or closed; close it (contextlib.closing) so
-    that a caller that stops early, or raises, waits for the chunk in
-    flight.  Other oracle kinds, and a
-    process with no idle core beside the caller (see _busy_core), draw
-    each chunk on the caller when it is asked for.
+    works on chunk k, a module thread fills chunk k + 1 and the module
+    threads finish its row blocks; the caller joins in on the blocks
+    left when it asks for that chunk (see _Job).  The caller allocates
+    the chunks' memory: two (max(sizes), d) state buffers used in turn
+    and, for stable noise, one exponential scratch.
+    A yielded array is valid until the caller asks for the next chunk
+    (its buffer then receives the chunk after that), and rng must not be
+    used elsewhere until the generator is exhausted or closed; close it
+    (contextlib.closing) so that a caller that stops early, or raises,
+    waits for the chunk in flight.  Other oracle kinds, and a process
+    with no idle core beside the caller (see _busy_core), draw each
+    chunk on the caller when it is asked for.
     """
     sizes = list(sizes)
-    if (
-        oracle.kind not in ("additive-stable", "additive-gaussian")
-        or not sizes
-        or _cores() - _busy < 2
-    ):
+    ahead_kind = oracle.kind in ("additive-stable", "additive-gaussian")
+    if not (ahead_kind and sizes and _cores() - _busy >= 2):
         for m in sizes:
             yield oracle.draw(rng, m)
         return
     shape = (max(sizes), oracle.d)
     bufs = (np.empty(shape), np.empty(shape))
     scratch = np.empty(shape) if oracle.kind == "additive-stable" else None
-    ahead = _Ahead(oracle, rng, bufs[0][: sizes[0]], scratch)
+
+    def ahead(k) -> _Job:
+        out = bufs[k % 2][: sizes[k]]
+        w = out if scratch is None else scratch[: sizes[k]]  # Gaussian: no w
+        cuts = _cuts(sizes[k], oracle.d, max(out.size // _BLOCK, 1))
+        # module threads claim every block, even a one-row chunk's, so
+        # the chunk is drawn while the caller works
+        threads = max(min(_cores() - 1 - _busy, len(cuts) - 1), 0)
+        return _Job(
+            lambda a, b: oracle._finish(out[a:b], w[a:b], out[a:b]),
+            cuts, [()] * (threads + 1), first=lambda: oracle._fill(rng, out, w),
+        )
+
+    job = ahead(0)
     try:
         for k in range(len(sizes)):
-            current, ahead = ahead, None
-            states = current.result()
+            current, job = job, None
+            current.finish()
             if k + 1 < len(sizes):
-                buf = bufs[(k + 1) % 2][: sizes[k + 1]]
-                ahead = _Ahead(oracle, rng, buf, scratch)
-            yield states
+                job = ahead(k + 1)
+            yield bufs[k % 2][: sizes[k]]
     finally:
-        if ahead is not None:
-            ahead.cancel()
+        if job is not None:
+            job.cancel()
 
 
 def stable_abs_moment(p: float, alpha: float, gamma: float = 1.0) -> float:
@@ -665,12 +620,31 @@ class GradOracle:
 
     @property
     def draw_bytes(self) -> int:
-        """Bytes a draw of many rows makes per state entry: the state and,
-        for alpha-stable states, the uniform and exponential it is made of.
-        A stable draw holds only one row block of those two at a time per
-        claiming thread (see _split), but counting them keeps a shard's
-        width what it was when the draw held them for every row."""
+        """Bytes per state entry that a draw of many rows is counted as
+        making, which sizes the harness's shards: the state and, for
+        alpha-stable states, the uniform and the exponential it is made
+        of (16 bytes), though the draw holds those two for one row block
+        per claiming thread only."""
         return self.state_dtype.itemsize + (16 if self.kind == "additive-stable" else 0)
+
+    def _fill(self, rng, states: np.ndarray, w: np.ndarray) -> None:
+        """Fill states with the random numbers of a stable or Gaussian
+        draw from rng, a Generator or ChunkStream, and for stable noise w
+        with its exponentials; Gaussian noise leaves w alone."""
+        if self.kind == "additive-stable":
+            _stable_fill(rng, states, w)
+        else:
+            _generator(rng).standard_normal(out=states)
+
+    def _finish(self, states: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+        """Turn filled states (and w) into the draw's states in out, which
+        may be states: the CMS transform, then the scales, for stable
+        noise, and the scales alone for Gaussian noise."""
+        if self.kind == "additive-stable":
+            _cms(self.stable, states, w, out)
+            out *= self.scales
+        else:
+            np.multiply(states, self.scales, out=out)
 
     def draw(self, rng, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Draw n oracle noise states as an (n, d) array of state_dtype.
@@ -690,48 +664,43 @@ class GradOracle:
                 f"out must be a {self.state_dtype} array of shape {shape}, "
                 f"got {out.dtype} {out.shape}"
             )
-        if self.kind == "additive-stable":
-            if out is None:
-                # in place, in row blocks of the one stream's states
-                uniforms, exponentials = _streams(rng, n * d)
-                phi = uniforms.uniform(-math.pi / 2.0, math.pi / 2.0, (n, d))
-                w = exponentials.standard_exponential((n, d))
-                _transform(self.stable, phi, w, self.scales)
-                return phi
-            by_row = out.transpose(1, 0, 2)
-
-            def block(a, b, phi, w):
-                phi, w = phi[: b - a], w[: b - a]
-                for r in range(a, b):
-                    # bit for bit rng.uniform(-pi/2, pi/2, (n, d)) and
-                    # then rng.standard_exponential((n, d))
-                    uniforms, exponentials = _streams(streams[r], n * d)
-                    uniforms.random(out=phi[r - a])
-                    exponentials.standard_exponential(out=w[r - a])
-                phi *= math.pi
-                phi += -math.pi / 2.0
-                _cms(self.stable, phi, w, by_row[a:b])
-                by_row[a:b] *= self.scales
-
-            def scratch(most):
-                return np.empty((most, n, d)), np.empty((most, n, d))
-
-            _split(block, len(streams), n * d, scratch)
-            return out
+        stable = self.kind == "additive-stable"
         if out is None:
             # one generator: the draw's own array is the result
             if self.kind == "hard-instance":
                 return self.instance.sample_xi(_generator(rng), n)
             if self.kind == "deterministic":
                 return np.zeros((n, d))
-            states = _generator(rng).standard_normal((n, d))
-            states *= self.scales
+            states = np.empty((n, d))
+            w = np.empty((n, d)) if stable else states
+            self._fill(rng, states, w)
+
+            def finish(a, b):
+                self._finish(states[a:b], w[a:b], states[a:b])
+
+            if stable:  # in place, in row blocks on every core
+                _split(finish, n, d)
+            else:
+                finish(0, n)
             return states
+        if stable:
+            by_row = out.transpose(1, 0, 2)
+
+            def block(a, b, phi, w):
+                for r in range(a, b):
+                    self._fill(streams[r], phi[r - a], w[r - a])
+                self._finish(phi[: b - a], w[: b - a], by_row[a:b])
+
+            def scratch(most):
+                return np.empty((most, n, d)), np.empty((most, n, d))
+
+            _split(block, len(streams), n * d, scratch)
+            return out
         z = np.empty((n, d)) if self.kind == "additive-gaussian" else None
         for r, stream in enumerate(streams):
             if z is not None:
-                _generator(stream).standard_normal(out=z)
-                np.multiply(z, self.scales, out=out[:, r])
+                self._fill(stream, z, z)
+                self._finish(z, z, out[:, r])
             elif self.kind == "hard-instance":
                 out[:, r] = self.instance.sample_xi(_generator(stream), n)
             else:

@@ -16,6 +16,7 @@ from htclip import hard_params
 from htclip.cli import main
 from htclip.clipping import BOUND_NAMES
 from htclip.hardness import GV_MAX_D_STAR
+from htclip.harness import MAX_T
 
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 from test_harness import _paths
@@ -171,6 +172,19 @@ class TestScheduleCommand:
         assert "T=16" in text
         assert "eta_star = " in text
 
+    @pytest.mark.parametrize("regime", ["cvx-ex-T", "cvx-ex-anytime", "str-ex"])
+    @pytest.mark.parametrize("T", ["0", "-3", str(MAX_T + 1)])
+    def test_rejects_a_horizon_out_of_range(self, tmp_path, capsys, regime, T):
+        data = _noiseless_config(T_grid=(16, 32))
+        data["schedule"] = {"regime": regime}
+        if regime.startswith("str"):
+            data["problem"]["mu"] = 1.0
+        cfg = _write_config(tmp_path, data)
+        assert main(["schedule", "--config", cfg, "--T", T]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --T must lie in [1, {MAX_T}]")
+
 
 class TestClipVerify:
     def test_exact_passes(self, capsys):
@@ -192,6 +206,30 @@ class TestClipVerify:
         assert payload["chi"] == 1
         assert set(payload["bounds"]) == set(BOUND_NAMES)
         assert set(payload["measured"]) >= {"du_sq_mean", "db_norm"}
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--q", "1.5", "q"),
+            ("--q", "-0.2", "q"),
+            ("--theta", "2", "theta"),
+            ("--theta", "-0.1", "theta"),
+            ("--M", "-1", "M"),
+            ("--M", "inf", "M"),
+            ("--y", "nan", "y"),
+            ("--d-star", "0", "d_star"),
+        ],
+    )
+    def test_exact_rejects_an_impossible_instance(self, capsys, flag, value, name):
+        # outcome masses outside [0, 1], or no active coordinate, make no
+        # instance; the error names the parameter and no report is printed
+        rc = main(["clip-verify", "--mode", "exact", "--d", "2", "--tau", "3",
+                   flag, value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f" {name} must be" in captured.err
 
     def test_mc_gaussian_passes(self, capsys):
         rc = main(

@@ -460,6 +460,38 @@ def test_a_stable_draws_scratch_does_not_grow_with_its_rows(monkeypatch, cores):
     assert abs(large - small) <= 8 * noise._BLOCK
 
 
+@pytest.mark.parametrize(
+    "kind", ["deterministic", "additive-gaussian", "additive-stable", "hard-instance"]
+)
+@pytest.mark.parametrize("cores", [1, 2])
+def test_draws_of_no_states_run_nothing(monkeypatch, kind, cores):
+    # every draw of zero states or rows is empty, moves no generator, and
+    # a zero-size chunk drawn ahead is yielded in its turn
+    monkeypatch.setattr(noise, "_cores", lambda: cores)
+    oracle = _oracles(3)[kind]
+
+    def rng():
+        return np.random.default_rng(4)
+
+    fresh = rng().bit_generator.state
+    moved = rng()
+    states = oracle.draw(moved, 0)
+    assert states.shape == (0, 3) and states.dtype == oracle.state_dtype
+    for n, rows in ((0, 2), (4, 0)):
+        out = np.empty((n, rows, 3), dtype=oracle.state_dtype)
+        assert oracle.draw([moved] * rows, n, out=out) is out
+    for size in (0, (0, 3)):
+        x = sample_alpha_stable(StableParams(1.5), moved, size)
+        assert x.shape == np.empty(size).shape
+    assert moved.bit_generator.state == fresh
+    want_rng = rng()
+    want = [oracle.draw(want_rng, m) for m in (5, 0, 4)]
+    got = [states.copy() for states in noise._draw_ahead(oracle, moved, [5, 0, 4])]
+    assert [g.shape for g in got] == [(5, 3), (0, 3), (4, 3)]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert moved.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestDrawAhead:
     """noise._draw_ahead yields oracle.draw's bits, chunk by chunk, with
     the next chunk drawn on the module threads."""
@@ -469,7 +501,8 @@ class TestDrawAhead:
     SIZES = [4 * noise._BLOCK // 3 + 5, 1, 2 * noise._BLOCK // 3, 17_000]
 
     def test_buffer_fills_match_sized_draws(self):
-        # the fills _Ahead makes against the draws oracle.draw makes
+        # the buffer fills a chunk drawn ahead makes against the sized
+        # draws of the same streams
         n = (1000, 7)
         for seed in range(5):
             want, rng = np.random.default_rng(seed), np.random.default_rng(seed)
