@@ -373,7 +373,7 @@ def _join(futures) -> None:
             f.result()
 
 
-def _split(transform, rows: int, row_size: int, scratch=lambda rows: ()) -> None:
+def _split(transform, rows: int, row_size: int, scratch=lambda most: ()) -> None:
     """Run transform(a, b, *scratch(most)) on row blocks [a, b) that
     cover range(rows), each claimer with its own scratch.
 
@@ -470,13 +470,11 @@ def _stable_fill(rng, phi: np.ndarray, w: np.ndarray) -> None:
     """Fill phi with a stable draw's uniform angles and w with its
     exponentials from rng, a Generator or ChunkStream: bit for bit
     rng.uniform(-pi/2, pi/2, phi.shape), then rng.standard_exponential."""
-    uniforms = exponentials = rng
-    if isinstance(rng, ChunkStream):
-        uniforms, exponentials = rng.uniforms(phi.size), rng.rng
+    uniforms = rng.uniforms(phi.size) if isinstance(rng, ChunkStream) else rng
     uniforms.random(out=phi)
     phi *= math.pi
     phi += -math.pi / 2.0
-    exponentials.standard_exponential(out=w)
+    _generator(rng).standard_exponential(out=w)
 
 
 def _draw_ahead(oracle: GradOracle, rng: np.random.Generator, sizes):
