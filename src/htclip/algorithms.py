@@ -21,6 +21,14 @@ run_trials and vectors from a single run.  The clip is _util.clip_rows,
 the routine clip_batch and ball projection also call; the mask it
 returns counts the clip events.
 
+A noise chunk skips the clip when no running row's tau_t in it falls
+below the bound its oracle's grad_bound() gives: the computed norm of a
+hard instance's gradient row never exceeds that bound (see
+HardInstance.grad_bound), and other oracles give +inf, so they skip
+only at tau = +inf.  clip_rows would then scale no row and count no
+event (a nan row is never clipped either), so the iterates and the clip
+counts, hence clip_rate, have the bits of a run that clips every step.
+
 The trials of one batch may differ in horizon, oracle and schedule.
 Rows come longest horizon first, so the rows still running at step t
 are a prefix that shrinks as each horizon ends; a finished row keeps its
@@ -168,9 +176,13 @@ class _Steps:
     several, each row takes its own schedule's value: eta as (k, d) tiles
     for the prox steps, tau as a (k,) vector for the clip, rebuilt only
     when a value or the number k of running rows changes.
+
+    clip is False for a chunk in which no running row's tau_t falls
+    below bounds[row], the norm bound of that row's gradient rows (see
+    _grad_bounds): the clip would scale no row, so the chunk skips it.
     """
 
-    def __init__(self, schedules, horizons, d: int, stabilized: bool):
+    def __init__(self, schedules, horizons, bounds, d: int, stabilized: bool):
         # schedules equal in value are one; the first row of each has its
         # longest horizon, as rows come longest horizon first
         self.distinct, self.last, index = [], [], []
@@ -182,11 +194,13 @@ class _Steps:
                 j = self.distinct.index(s)
             index.append(j)
         self.index = np.array(index)
+        self.bounds = bounds
         self.d = d
         self.stabilized = stabilized
 
-    def fill(self, t0: int, width: int) -> None:
-        """Evaluate every schedule for steps t0 .. t0 + width - 1.
+    def fill(self, t0: int, width: int, k: int) -> None:
+        """Evaluate every schedule for steps t0 .. t0 + width - 1, with k
+        rows running at t0, and decide whether the chunk clips.
 
         Raises the prox steps' ValueError if any eta the chunk will run
         is not positive, so the kernel's steps need no check of their own.
@@ -204,6 +218,10 @@ class _Steps:
             if self.stabilized:
                 raise ValueError("stabilized step requires 0 < eta_next <= eta_t")
             raise ValueError("step size eta must be positive")
+        # each schedule's smallest tau in the chunk; a nan tau never
+        # clips, but np.min keeps it and it fails the comparison
+        low = np.array([np.min(r, initial=np.inf) for r in taus])
+        self.clip = not np.all(low[self.index[:k]] >= self.bounds[:k])
         if len(self.distinct) == 1:
             self.eta, self.tau = etas[0], taus[0]
             return
@@ -253,6 +271,16 @@ def _grad_oracle(oracles: list, k: int):
     return replace(first, instance=replace(first.instance, M=M, y=y))
 
 
+def _grad_bounds(oracles: list) -> np.ndarray:
+    """Each row's oracle's grad_bound(), +inf for an oracle without one."""
+    known = {}
+    for o in oracles:
+        if id(o) not in known:
+            bound = getattr(o, "grad_bound", None)
+            known[id(o)] = np.inf if bound is None else bound()
+    return np.array([known[id(o)] for o in oracles])
+
+
 def _draw(oracles: list, streams: list, buf: np.ndarray, used: list) -> None:
     """Draw the next used[i] states of each running row i into
     buf[:used[i], i], in one oracle.draw call per run of rows with one
@@ -295,7 +323,7 @@ def _run_kernel(
     running = {h: sum(1 for g in horizons if g > h) for h in set(horizons)}
     k = n
     grad = _grad_oracle(oracles, k)
-    steps = _Steps(schedules, horizons, d, stabilized)
+    steps = _Steps(schedules, horizons, _grad_bounds(oracles), d, stabilized)
 
     sub = _sub_chunk(d)
     buf = np.empty((min(sub, T), n, d), dtype=oracles[0].state_dtype)
@@ -305,7 +333,7 @@ def _run_kernel(
         if pos == NOISE_CHUNK:
             if t > 1:
                 _check_finite(x, t - 1)
-            steps.fill(t, min(NOISE_CHUNK, T + 1 - t))
+            steps.fill(t, min(NOISE_CHUNK, T + 1 - t), k)
             pos = 0
         at = pos % sub
         if at == 0:
@@ -315,8 +343,10 @@ def _run_kernel(
         eta_t, eta_next, tau_t = steps.at(pos, k)
         pos += 1
 
-        g, over = clip_rows(grad.grad_rows(x, xi), tau_t)
-        clips += over
+        g = grad.grad_rows(x, xi)
+        if steps.clip:
+            g, over = clip_rows(g, tau_t)
+            clips += over
 
         # the steps' etas were checked when the chunk's values were filled
         if stabilized:

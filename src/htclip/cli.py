@@ -62,8 +62,11 @@ def _emit(args, payload: dict, human_lines) -> None:
             print(line)
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")], dtype=float)
+def _parse_vector(text: str, flag: str) -> np.ndarray:
+    v = np.array([float(s) for s in text.split(",")], dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{flag} must hold finite numbers, got {text!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +152,8 @@ def _cmd_schedule(args) -> int:
 def _dv_params(args) -> HardParams:
     # hand-assembled parameter bundle; the declared noise budget is left
     # at zero because exact enumeration recomputes the moments anyway
+    if not 0.0 <= args.mu < math.inf:
+        raise ValueError(f"--mu must be finite and >= 0, got {args.mu}")
     regime = "str-fano" if args.mu > 0 else "cvx-fano"
     d_star = args.d_star if args.d_star is not None else args.d
     return HardParams(
@@ -178,7 +183,7 @@ def _cmd_clip_verify(args) -> int:
         objective, oracle = make_hard_instance(
             kind, args.d, params.d_star, params, v
         )
-        x = _parse_vector(args.x) if args.x else np.zeros(args.d)
+        x = _parse_vector(args.x, "--x") if args.x else np.zeros(args.d)
         report = clip_error_exact(oracle, x, args.tau, alpha=args.alpha_clip)
     else:
         d = args.d
@@ -199,7 +204,7 @@ def _cmd_clip_verify(args) -> int:
                 objective, "additive-stable", scales=scales,
                 stable=stable, p=args.p,
             )
-        x = _parse_vector(args.x) if args.x else np.zeros(d)
+        x = _parse_vector(args.x, "--x") if args.x else np.zeros(d)
         report = clip_error_mc(
             oracle, x, args.tau, alpha=args.alpha_clip,
             n_samples=args.n_samples, rng=rng,
@@ -229,7 +234,7 @@ def _cmd_deff(args) -> int:
     elif args.variant == "independent":
         if args.sigmas is None or args.p is None:
             raise ValueError("variant independent needs --sigmas and --p")
-        sig = _parse_vector(args.sigmas)
+        sig = _parse_vector(args.sigmas, "--sigmas")
         value = d_eff_lower_bound("independent", sigmas=sig, p=args.p)
         inputs = {"sigmas": list(map(float, sig)), "p": args.p}
     elif args.variant == "iid":

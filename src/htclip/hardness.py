@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import as_vector
+from ._util import as_vector, row_norms
 from .algorithms import NOISE_CHUNK
 from .noise import GradOracle, NoiseSpec, make_oracle
 from .problems import (
@@ -266,6 +266,17 @@ class HardInstance:
             s *= g
             return s
         return -self.mu * self.M * Xi
+
+    def grad_bound(self) -> float:
+        """row_norms of the largest row grad_rows returns: M, or -mu M.
+
+        Each entry of a gradient row is 0 or exactly +- the matching
+        entry of that row, made by the same expression, so its square is
+        0 or that entry's square.  Rounded addition is monotone, and
+        row_norms sums every row in one order, so no computed norm of a
+        gradient row exceeds this computed one.
+        """
+        return float(row_norms(self.M if self.kind == "cvx" else -self.mu * self.M))
 
     def mean_grad(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

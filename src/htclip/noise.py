@@ -711,6 +711,13 @@ class GradOracle:
             return self.instance.grad_rows(X, states)
         return subgrad_f_batch(self.objective, X) + states
 
+    def grad_bound(self) -> float:
+        """A bound no computed row_norms of a grad_rows row exceeds: the
+        hard instance's (HardInstance.grad_bound), +inf for other kinds."""
+        if self.kind == "hard-instance":
+            return self.instance.grad_bound()
+        return math.inf
+
     def grad(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return self.grad_rows(x[None, :], self.draw(rng, 1))[0]

@@ -13,6 +13,7 @@ from htclip import (
     CompositeObjective,
     EuclidNorm,
     GradOracle,
+    HardParams,
     NoiseSpec,
     Optimum,
     QuadReg,
@@ -26,6 +27,7 @@ from htclip import (
     run_trials,
     weighted_avg_weight,
 )
+from htclip import algorithms
 from htclip._util import clip_rows
 from htclip.algorithms import _sub_chunk
 
@@ -762,3 +764,158 @@ class TestSubChunkBits:
         stream.uniforms(5)
         with pytest.raises(ValueError, match="chunk edge"):
             stream.uniforms(4)
+
+
+class TestPinnedSteps:
+    """What the chunk-boundary finiteness check and the eta clamp of
+    _Steps.at do, pinned."""
+
+    @pytest.mark.parametrize("tau", [math.inf, 1.0])
+    def test_a_blow_up_inside_a_chunk_names_the_chunks_last_step(self, tau):
+        # the state of step 500 is infinite; the check at the end of the
+        # first chunk reports it there, not at the run's end (T = 1100)
+        obj, oracle = TestBatching()._noisy_setup(d=2)
+
+        class Overflowing:
+            objective = obj
+            state_dtype = oracle.state_dtype
+
+            def draw(self, rng, n, out):
+                oracle.draw(rng, n, out=out)
+                out[499:500] = np.inf
+                return out
+
+            def grad_rows(self, X, states):
+                return oracle.grad_rows(X, states)
+
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=r"by step t=1024$"):
+                run_trials(
+                    obj, Overflowing(), _const(0.01, tau), 1100, np.ones(2),
+                    [np.random.default_rng(1)],
+                )
+
+    @pytest.mark.parametrize("starts", [(0.05,), (0.05, 0.07)])
+    def test_a_one_ulp_rise_in_eta_gets_plain_prox_bytes(self, starts):
+        # eta_{t+1} = nextafter(eta_t, inf) at every t: min(eta_{t+1},
+        # eta_t) leaves a stabilized step no anchor weight, so it has the
+        # plain step's bits; one schedule takes the float path of
+        # _Steps.at, two the per-row tiles
+        T = 40
+        schedules = []
+        for start in starts:
+            etas = [start]
+            for _ in range(T):
+                etas.append(float(np.nextafter(etas[-1], np.inf)))
+            schedules.append(StubSchedule(lambda t, e=etas: e[t - 1], lambda t: 1.5))
+        obj = CompositeObjective(
+            f=AbsSum(np.ones(2), np.zeros(2)), r=None, domain=AllSpace(2),
+            lipschitz_G=math.sqrt(2.0),
+        )
+        oracle = make_oracle(obj, "additive-gaussian", scales=np.full(2, 0.5))
+
+        def run(stabilized):
+            return run_trials(
+                obj, oracle, schedules, T, np.array([0.7, -1.3]),
+                [np.random.default_rng(5 + i) for i in range(len(starts))],
+                stabilized=stabilized,
+            )
+
+        a, b = run(True), run(False)
+        assert np.array_equal(a.x_last, b.x_last)
+        assert np.array_equal(a.avg_plain, b.avg_plain)
+        assert np.array_equal(a.avg_weighted, b.avg_weighted)
+
+
+def _hard(kind: str, d: int, M: float, v=None):
+    """A hard instance of d active coordinates with q = 1: every state
+    entry is +-1, so most gradient rows reach the oracle's grad_bound."""
+    params = HardParams(
+        regime=f"{kind}-fano", d_star=d, T=1, G=M * math.sqrt(d), D=1.0,
+        mu=0.75 if kind == "str" else 0.0, sigma_l=0.0, sigma_s=0.0, p=1.5,
+        delta=None, q=1.0, theta=0.3, M=M, y=1.0,
+    )
+    return make_hard_instance(kind, d, d, params, np.ones(d) if v is None else v)
+
+
+class TestClipSkip:
+    """A chunk whose taus are at least every running row's gradient bound
+    skips the clip, with the bits of a run that clips every step."""
+
+    @staticmethod
+    def _both(monkeypatch, run):
+        """run() as the kernel runs it, the rows of each clip_rows call it
+        made, and a check that run() with every chunk made to clip gives
+        the same bytes in every field."""
+        calls = []
+        clip, fill = algorithms.clip_rows, algorithms._Steps.fill
+
+        def counted(g, tau):
+            calls.append(len(g))
+            return clip(g, tau)
+
+        def clipping(self, *args):
+            fill(self, *args)
+            self.clip = True
+
+        with monkeypatch.context() as m:
+            m.setattr(algorithms, "clip_rows", counted)
+            skipping, made = run(), list(calls)
+            m.setattr(algorithms._Steps, "fill", clipping)
+            every = run()
+        for name in ("x_last", "avg_plain", "avg_weighted", "clip_events"):
+            assert np.array_equal(getattr(skipping, name), getattr(every, name)), name
+        return skipping, made
+
+    def test_hard_bounds_are_the_norms_of_M(self):
+        _, cvx = _hard("cvx", 3, 1.7)
+        _, strong = _hard("str", 3, 1.7)
+        assert cvx.grad_bound() == float(np.sqrt(3 * 1.7**2))
+        assert strong.grad_bound() == float(np.sqrt(3 * (0.75 * 1.7) ** 2))
+        obj = _abs_objective()
+        assert make_oracle(obj, "additive-gaussian", scales=np.ones(1)).grad_bound() == math.inf
+
+    @pytest.mark.parametrize("kind", ["cvx", "str"])
+    @pytest.mark.parametrize("d", [3, 12])
+    def test_tau_equal_to_the_bound_skips_every_clip(self, monkeypatch, kind, d):
+        # d = 12 takes row_norms's np.add.reduce path, d = 3 its own sum
+        obj, oracle = _hard(kind, d, 0.1 + 1.0 / 3.0)
+        sched = _const(0.01, oracle.grad_bound())
+        res, calls = self._both(monkeypatch, lambda: run_trials(
+            obj, oracle, sched, 1100, np.zeros(d),
+            [np.random.default_rng(s) for s in (1, 2, 3)], horizons=[1100, 1100, 30],
+        ))
+        assert calls == []
+        assert res.clip_events.tolist() == [0, 0, 0]
+
+    def test_rows_take_their_own_oracles_bound(self, monkeypatch):
+        # the larger M's rows run with a tau between the two bounds
+        small, large = _hard("cvx", 4, 1.0)[1], _hard("cvx", 4, 2.0, [1, -1, 1, -1])[1]
+        low, high = small.grad_bound(), large.grad_bound()
+        assert low < high
+
+        def run(tau_large):
+            return lambda: run_trials(
+                small.objective, [large, large, small], [_const(0.02, tau_large)] * 2
+                + [StubSchedule(lambda t: 0.01, lambda t: low)], 1100, np.zeros(4),
+                [np.random.default_rng(s) for s in (4, 5, 6)], horizons=[1100, 900, 600],
+            )
+
+        _, calls = self._both(monkeypatch, run(high))
+        assert calls == []
+        # one row's tau below its bound: every step clips every running row
+        res, calls = self._both(monkeypatch, run(np.nextafter(high, 0.0)))
+        assert calls == [3] * 600 + [2] * 300 + [1] * 200
+        assert res.clip_events[:2].min() > 0
+
+    def test_an_infinite_tau_skips_the_clip_of_any_oracle(self, monkeypatch):
+        obj, oracle = TestBatching()._noisy_setup(d=3)
+        # the first chunk's taus are infinite, the second's turn finite
+        # after its first steps, so all of its steps clip
+        sched = StubSchedule(lambda t: 0.05, lambda t: math.inf if t <= 1050 else 0.5)
+        res, calls = self._both(monkeypatch, lambda: run_trials(
+            obj, oracle, sched, 1100, np.ones(3),
+            [np.random.default_rng(s) for s in (7, 8)],
+        ))
+        assert calls == [2] * 76
+        assert res.clip_events.min() > 0

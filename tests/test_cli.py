@@ -231,6 +231,23 @@ class TestClipVerify:
         assert captured.err.startswith("error: ")
         assert f" {name} must be" in captured.err
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--mode", "exact", "--mu", "-1"], "--mu"),
+            (["--mode", "exact", "--mu", "nan"], "--mu"),
+            (["--mode", "exact", "--x", "nan,0"], "--x"),
+            (["--mode", "mc", "--x", "nan,0", "--n-samples", "10000"], "--x"),
+        ],
+        ids=["exact-mu-negative", "exact-mu-nan", "exact-x-nan", "mc-x-nan"],
+    )
+    def test_rejects_a_bad_flag_by_its_name(self, capsys, args, flag):
+        rc = main(["clip-verify", "--d", "2", "--tau", "3", *args])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} must ")
+
     def test_mc_gaussian_passes(self, capsys):
         rc = main(
             ["clip-verify", "--mode", "mc", "--d", "4", "--tau", "inf",
@@ -271,6 +288,15 @@ class TestDeff:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == pytest.approx(25.0 / 16.0)
+
+    @pytest.mark.parametrize("sigmas", ["1,nan", "1,inf"])
+    def test_independent_rejects_non_finite_sigmas(self, capsys, sigmas):
+        rc = main(["deff", "--variant", "independent", "--sigmas", sigmas,
+                   "--p", "1.5", "--json"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --sigmas must ")
 
     def test_missing_arguments(self, capsys):
         rc = main(["deff", "--variant", "iid"])

@@ -13,19 +13,26 @@ timing probe around each stage the step loop calls:
     evaluation  eval_F_batch on the reported aggregates
 
 Each case is one problem at one dimension d and one starting width
-(rows in the shard).  The hard problem mirrors the rate-hard-cvx
-workload (cvx-fano, d_star = 4 padded to d, horizons 256..2048, so the
-running rows shrink as each horizon ends and rows carry their own M, y
-and schedule); the ball problem mirrors rate-stable-ball (stabilized
-cvx-ex-anytime under alpha-stable noise, horizons 64..512); the gauss
-problem mirrors AC-08 (euclid-norm, Gaussian noise with p = 2, cvx-ex-T,
-horizons 256..2048) at d = 4.  These run every row in one shard.  The
+(rows in the shard).  A width narrower than the horizon grid runs that
+many rows of its longest horizon, so width 1 is the fixed cost of a
+loop step.  The hard problem mirrors the rate-hard-cvx workload
+(cvx-fano, d_star = 4 padded to d, horizons 256..2048, so the running
+rows shrink as each horizon ends and rows carry their own M, y and
+schedule), and the rate-hard-cvx case is that workload's own shape
+(d = 4, horizons 256..4096, 200 trials, one shard); the ball problem
+mirrors rate-stable-ball (stabilized cvx-ex-anytime under alpha-stable
+noise, horizons 64..512); the gauss problem mirrors AC-08 (euclid-norm,
+Gaussian noise with p = 2, cvx-ex-T, horizons 256..2048) at d = 4.
+These run every row in one shard.  The
 stable-ball case is the rate-stable-ball workload's own shape: d = 64,
 128 trials of horizons 256..2048, which cross a noise chunk edge, cut
 into shards of the width harness._shard_width gives (reported as
 "shards").  Stage times are the median over --repeats runs, divided by
 the trial-steps the run takes (the sum of its rows' horizons).  Each
 probe adds about 0.3 us per call, which the stage it wraps absorbs.
+"clip_rows_calls" counts a run's clip_rows calls: one per loop step
+unless the kernel skips the clip for chunks whose tau bounds every
+gradient row.
 One more run of each case, untimed and without probes, runs under
 tracemalloc and gives the case's peak traced memory ("peak_traced_mb",
 in units of 2^20 bytes): the most that numpy and Python, on every
@@ -36,7 +43,8 @@ defines, so the same script times older and newer kernels:
 
     PYTHONPATH=src python tools/kernel_stages.py [--repeats 3] [--cases hard]
 
---cases picks one of hard, ball, gauss and stable-ball, or all of them.
+--cases picks one of hard, ball, gauss, stable-ball and rate-hard-cvx,
+or all of them.
 
 It prints one JSON object to stdout.  numpy only; not part of the tests.
 """
@@ -55,7 +63,7 @@ import numpy as np
 
 from htclip import algorithms, harness, noise
 
-WIDTHS = (200, 1000)
+WIDTHS = (1, 200, 1000)
 # d = 8 is the narrowest row that row_norms reduces with np.add.reduce
 DIMS = (4, 8, 64)
 HARD_GRID = [256, 512, 1024, 2048]
@@ -64,6 +72,8 @@ GAUSS_GRID = HARD_GRID
 GAUSS_DIMS = (4,)
 # the rate-stable-ball workload: d, horizons and trials
 STABLE_BALL = (64, [256, 512, 1024, 2048], 128)
+# the rate-hard-cvx workload: d, horizons and trials
+RATE_HARD = (4, [256, 512, 1024, 2048, 4096], 200)
 
 # stage -> names in htclip.algorithms's namespace the step loop calls
 ALGORITHM_CALLS = {
@@ -84,17 +94,21 @@ METHOD_CALLS = {
 }
 
 
-def hard_config(d: int, width: int) -> dict:
+def _grid(grid: list, width: int) -> dict:
+    """T_grid and trials for width rows: the grid's trials, or width
+    rows of its longest horizon when width is narrower than the grid."""
+    if width < len(grid):
+        return {"T_grid": grid[-1:], "trials": width}
+    return {"T_grid": grid, "trials": width // len(grid)}
+
+
+def hard_config(d: int, width: int, grid=HARD_GRID) -> dict:
     return {
         "problem": {"kind": "hard", "d": d, "G": 1.0, "D": 1.0},
         "noise": {"kind": "hard-instance", "p": 1.5, "sigma_s": 1.0, "sigma_l": 2.0},
         "schedule": {"regime": "cvx-ex-T"},
         "hardness": {"regime": "cvx-fano", "d_star": 4},
-        "run": {
-            "T_grid": HARD_GRID,
-            "trials": width // len(HARD_GRID),
-            "master_seed": 1,
-        },
+        "run": {**_grid(grid, width), "master_seed": 1},
     }
 
 
@@ -114,11 +128,7 @@ def ball_config(d: int, width: int, grid=BALL_GRID) -> dict:
             "stable": {"alpha": 1.8},
         },
         "schedule": {"regime": "cvx-ex-anytime"},
-        "run": {
-            "T_grid": grid,
-            "trials": width // len(grid),
-            "master_seed": 1,
-        },
+        "run": {**_grid(grid, width), "master_seed": 1},
     }
 
 
@@ -132,11 +142,7 @@ def gauss_config(d: int, width: int) -> dict:
         },
         "noise": {"kind": "additive-gaussian", "p": 2.0, "scales": 0.25},
         "schedule": {"regime": "cvx-ex-T"},
-        "run": {
-            "T_grid": GAUSS_GRID,
-            "trials": width // len(GAUSS_GRID),
-            "master_seed": 1,
-        },
+        "run": {**_grid(GAUSS_GRID, width), "master_seed": 1},
     }
 
 
@@ -144,27 +150,36 @@ def stable_ball_config(d: int, width: int) -> dict:
     return ball_config(d, width, STABLE_BALL[1])
 
 
+def rate_hard_config(d: int, width: int) -> dict:
+    return hard_config(d, width, RATE_HARD[1])
+
+
 BUILDERS = {
     "hard": hard_config,
     "ball": ball_config,
     "gauss": gauss_config,
     "stable-ball": stable_ball_config,
+    "rate-hard-cvx": rate_hard_config,
 }
 
 
 class _Probes:
-    """Timing wrappers around the step loop's calls; spent[stage] in ns."""
+    """Timing wrappers around the step loop's calls; spent[stage] in ns,
+    calls[stage] the calls made."""
 
     def __init__(self):
         self.spent = {}
+        self.calls = {}
         self._undo = []
 
     def _wrap(self, stage: str, fn):
-        spent = self.spent
+        spent, calls = self.spent, self.calls
         spent.setdefault(stage, 0)
+        calls.setdefault(stage, 0)
         clock = time.perf_counter_ns
 
         def timed(*args, **kwargs):
+            calls[stage] += 1
             t0 = clock()
             try:
                 return fn(*args, **kwargs)
@@ -242,6 +257,7 @@ def run_case(problem: str, d: int, width: int, repeats: int) -> dict:
             inner = sum(v for k, v in spent.items() if k not in ("run_trials", "evaluation"))
             spent["kernel_self"] = spent["run_trials"] - inner
             samples.append(spent)
+            clip_calls = probes.calls.get("clip", 0)
         tracemalloc.start()
         try:
             harness.run_experiment(config)
@@ -259,6 +275,7 @@ def run_case(problem: str, d: int, width: int, repeats: int) -> dict:
             k: round(statistics.median(s[k] for s in samples) / trial_steps, 1)
             for k in order
         },
+        "clip_rows_calls": clip_calls,
         "peak_traced_mb": round(peak / 2**20, 2),
     }
     if own:
@@ -271,6 +288,9 @@ CASES = {
     "ball": [("ball", d, w) for d in DIMS for w in WIDTHS],
     "gauss": [("gauss", d, w) for d in GAUSS_DIMS for w in WIDTHS],
     "stable-ball": [("stable-ball", STABLE_BALL[0], STABLE_BALL[2] * len(STABLE_BALL[1]))],
+    "rate-hard-cvx": [
+        ("rate-hard-cvx", RATE_HARD[0], w) for w in (1, RATE_HARD[2] * len(RATE_HARD[1]))
+    ],
 }
 
 
