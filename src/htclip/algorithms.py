@@ -45,7 +45,9 @@ row draws only the states it runs: none past its horizon.  The rows of
 one oracle draw a sub-chunk in one GradOracle.draw call, which draws
 and transforms their alpha-stable states a row block at a time on
 every core, and a noise.ChunkStream per row gives each sub-chunk the
-bits it has in a draw of the whole chunk.  Iterates are checked for
+bits it has in a draw of the whole chunk.  Hard-instance rows draw in
+one HardInstance.sample_rows call, a row block at a time in under 64
+KiB of scratch, each block stored into the buffer in one copy.  Iterates are checked for
 finiteness at every chunk boundary and at each horizon, not at every
 step: a coordinate that turns non-finite stays non-finite under the
 prox maps (they are linear in x, and projection onto a ball maps it to
@@ -56,7 +58,10 @@ tau values are filled, every eta the chunk will run must be positive,
 or run_trials raises the prox steps' own ValueError.  The kernel then
 takes the prox steps' closed forms without a per-step check;
 problems.prox_step and stabilized_prox_step keep theirs for other
-callers.
+callers.  The plain prox step's denominator 1/eta_t + mu comes from
+_Steps, made with the eta values or tiles it hands out, so a tile's is
+made once per distinct step size and number of running rows, not per
+step; it has the bits of the closed form's own.
 """
 
 from __future__ import annotations
@@ -175,14 +180,16 @@ class _Steps:
     per step returns.  With one schedule they stay Python floats.  With
     several, each row takes its own schedule's value: eta as (k, d) tiles
     for the prox steps, tau as a (k,) vector for the clip, rebuilt only
-    when a value or the number k of running rows changes.
+    when a value or the number k of running rows changes.  The plain prox
+    step's denominator 1/eta_t + mu is taken with them, once per step
+    size, the stabilized step's not at all.
 
     clip is False for a chunk in which no running row's tau_t falls
     below bounds[row], the norm bound of that row's gradient rows (see
     _grad_bounds): the clip would scale no row, so the chunk skips it.
     """
 
-    def __init__(self, schedules, horizons, bounds, d: int, stabilized: bool):
+    def __init__(self, schedules, horizons, bounds, d: int, mu: float, stabilized: bool):
         # schedules equal in value are one; the first row of each has its
         # longest horizon, as rows come longest horizon first
         self.distinct, self.last, index = [], [], []
@@ -196,6 +203,7 @@ class _Steps:
         self.index = np.array(index)
         self.bounds = bounds
         self.d = d
+        self.mu = mu
         self.stabilized = stabilized
 
     def fill(self, t0: int, width: int, k: int) -> None:
@@ -241,21 +249,24 @@ class _Steps:
         self.k = None
 
     def at(self, pos: int, k: int) -> tuple:
-        """(eta_t, eta_{t+1}, tau_t) at offset pos of the chunk; eta_{t+1}
-        is None unless stabilized."""
+        """(eta_t, eta_{t+1}, tau_t, den) at offset pos of the chunk:
+        stabilized, den is None; otherwise eta_{t+1} is None and den is
+        the prox step's 1/eta_t + mu."""
         # schedules are nonincreasing; min clamps away 1-ulp pow rounding
         if len(self.distinct) == 1:
             eta_t = self.eta[pos]
-            eta_next = min(self.eta[pos + 1], eta_t) if self.stabilized else None
-            return eta_t, eta_next, self.tau[pos]
+            if self.stabilized:
+                return eta_t, min(self.eta[pos + 1], eta_t), self.tau[pos], None
+            return eta_t, None, self.tau[pos], 1.0 / eta_t + self.mu
         if self.fresh[pos] or k != self.k:
             rows = self.index[:k]
             eta_t = np.repeat(self.eta[rows, pos], self.d).reshape(k, self.d)
-            eta_next = None
             if self.stabilized:
                 eta_next = np.repeat(self.eta[rows, pos + 1], self.d).reshape(k, self.d)
-                eta_next = np.minimum(eta_next, eta_t)
-            self.k, self.cur = k, (eta_t, eta_next, self.tau[rows, pos])
+                eta_next, den = np.minimum(eta_next, eta_t), None
+            else:
+                eta_next, den = None, 1.0 / eta_t + self.mu
+            self.k, self.cur = k, (eta_t, eta_next, self.tau[rows, pos], den)
         return self.cur
 
 
@@ -323,7 +334,7 @@ def _run_kernel(
     running = {h: sum(1 for g in horizons if g > h) for h in set(horizons)}
     k = n
     grad = _grad_oracle(oracles, k)
-    steps = _Steps(schedules, horizons, _grad_bounds(oracles), d, stabilized)
+    steps = _Steps(schedules, horizons, _grad_bounds(oracles), d, objective.mu, stabilized)
 
     sub = _sub_chunk(d)
     buf = np.empty((min(sub, T), n, d), dtype=oracles[0].state_dtype)
@@ -340,7 +351,7 @@ def _run_kernel(
             # a row reads no state past its own horizon
             _draw(oracles, streams, buf, [min(len(buf), h + 1 - t) for h in horizons[:k]])
         xi = buf[at, :k]
-        eta_t, eta_next, tau_t = steps.at(pos, k)
+        eta_t, eta_next, tau_t, den = steps.at(pos, k)
         pos += 1
 
         g = grad.grad_rows(x, xi)
@@ -352,7 +363,7 @@ def _run_kernel(
         if stabilized:
             x = _project(domain, _stabilized_point(r, x, x1, g, eta_t, eta_next))
         else:
-            x = _project(domain, _prox_point(r, x, g, eta_t))
+            x = _project(domain, _prox_point(r, x, g, eta_t, den))
 
         if mean is not None:
             mean += (x - mean) / t

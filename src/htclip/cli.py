@@ -22,6 +22,7 @@ import sys
 
 import numpy as np
 
+from ._util import row_norms
 from ._version import __version__
 from .clipping import BOUND_NAMES, clip_error_exact, clip_error_mc
 from .hardness import HARD_REGIMES, HardParams, hard_params, make_hard_instance
@@ -205,6 +206,12 @@ def _cmd_clip_verify(args) -> int:
                 stable=stable, p=args.p,
             )
         x = _parse_vector(args.x, "--x") if args.x else np.zeros(d)
+        # the norm objective's subgradient is G x / ||x||, made 0 by a
+        # norm whose square overflows or underflows to 0
+        with np.errstate(over="ignore"):
+            if np.any(x) and not 0.0 < row_norms(x) < math.inf:
+                raise ValueError(f"--x must have a norm whose square is finite and "
+                                 f"nonzero in --mode mc, got {args.x!r}")
         report = clip_error_mc(
             oracle, x, args.tau, alpha=args.alpha_clip,
             n_samples=args.n_samples, rng=rng,

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._util import as_vector, row_norms
 from .algorithms import NOISE_CHUNK
-from .noise import GradOracle, NoiseSpec, make_oracle
+from .noise import GradOracle, NoiseSpec, _generator, make_oracle
 from .problems import (
     AllSpace,
     CompositeObjective,
@@ -57,6 +57,10 @@ __all__ = [
 HARD_REGIMES = ("cvx-fano", "cvx-twopoint", "str-fano", "str-twopoint")
 
 SUPPORT_CAP = 2_000_000
+
+# bytes of numpy scratch a many-row draw of xi holds at once (see
+# HardInstance.sample_rows): with its views' Python objects, under 64 KiB
+_DRAW_SCRATCH = 60 << 10
 
 # the largest d_star a gv codebook is built for: its ceil(exp(48 / 8)) =
 # 404 words take about 0.35 s to pick, and each 8 more multiply the words
@@ -212,41 +216,67 @@ class HardInstance:
         return NoiseSpec(self.p, self.sigma_s, self.sigma_l)
 
     def sample_xi(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n rows of xi from D_v (one uniform per coordinate), as
-        int8 outcome codes 0, +1 and -1.
+        """Draw n rows of xi from D_v (one uniform per coordinate), as int8
+        outcome codes 0, +1 and -1: sample_rows for the one generator rng."""
+        return self.sample_rows([rng], n, np.empty((n, 1, self.d), np.int8))[:, 0]
+
+    def sample_rows(self, rngs, n: int, out: np.ndarray) -> np.ndarray:
+        """Draw n rows of xi from D_v from each generator in rngs, or
+        noise.ChunkStream over one, into out, an (n, len(rngs), d) int8
+        array whose last axis is contiguous: out[:, r] gets the codes of
+        rngs[r].random((n, d)), drawn in that order, and out is returned.
 
         Threshold order maps [0, 1-q) to 0, then the +1 mass, then -1.
+        Each row's generator fills one (n, d) float scratch, and two
+        comparisons write that row's codes into a block of code rows;
+        once the block is full, one copy stores it into out's strided
+        rows, each row's d codes moved as one cell.  The strided store is
+        what the blocks and cells save: 64 rows of 1,024 x 4 codes took
+        594 us to store a byte at a time against 83 us a cell at a time,
+        and 200 such rows drawn into a 1,000-row buffer took 44 us a row
+        stored a row at a time against 38 us six rows at a time (2 vCPU
+        Intel Xeon, numpy 2.4.6; their bare uniforms took 22 us).  The
+        scratch, the block and the -1 codes hold at most _DRAW_SCRATCH
+        bytes, or one row's worth if a row is longer.
 
         The uniforms are compared against copies of the thresholds tiled
-        to the draw's shape, not against a length-d vector broadcast
-        along the rows: a 1,024-row draw, uniforms included, takes 8.9
-        against 14.3 us at d = 4 and 106 against 115 us at d = 64 (AMD
-        EPYC, numpy 2.4.6).  The tiles are kept on the instance, grown to
-        the longest draw yet but never past NOISE_CHUNK rows, so an
-        instance holds at most 2 * NOISE_CHUNK * d * 8 bytes of them
-        (64 KB at d = 4, 1 MB at d = 64); a longer draw is compared in
-        slices of NOISE_CHUNK rows.  Threads sharing an instance may race
-        to store the tiles; every store is a complete tiling of the same
-        thresholds and each draw compares against the tiles it read or
-        built itself, so the race changes no result.
+        to a row's shape, not against a length-d vector broadcast along
+        the rows: a 1,024-row draw, uniforms included, takes 8.9 against
+        14.3 us at d = 4 and 106 against 115 us at d = 64 (AMD EPYC,
+        numpy 2.4.6).  The tiles are kept on the instance, grown to the
+        longest draw yet but never past NOISE_CHUNK rows, so an instance
+        holds at most 2 * NOISE_CHUNK * d * 8 bytes of them (64 KB at
+        d = 4, 1 MB at d = 64); a longer draw is compared in slices of
+        NOISE_CHUNK rows.  Threads sharing an instance may race to store
+        the tiles; every store is a complete tiling of the same thresholds
+        and each draw compares against the tiles it read or built itself,
+        so the race changes no result.
         """
-        u = rng.random((n, self.d))
         lo, hi = self._tiles
-        rows = min(n, NOISE_CHUNK)
-        if len(lo) < rows:
-            lo, hi = (np.tile(t, (rows, 1)) for t in self._thresholds)
+        if len(lo) < min(n, NOISE_CHUNK):
+            lo, hi = (np.tile(t, (min(n, NOISE_CHUNK), 1)) for t in self._thresholds)
             object.__setattr__(self, "_tiles", (lo, hi))
-        # 0 below lo, +1 from lo and -1 from hi on: (u >= lo) - 2 (u >= hi)
-        xi = np.empty(u.shape, dtype=np.int8)
-        above = np.empty_like(xi)
-        for a in range(0, n, NOISE_CHUNK):
-            part = u[a : a + NOISE_CHUNK]
-            b = a + len(part)
-            np.greater_equal(part, lo[: b - a], out=xi[a:b].view(np.bool_))
-            np.greater_equal(part, hi[: b - a], out=above[a:b].view(np.bool_))
-        above += above
-        xi -= above
-        return xi
+        # a row's uniforms (8 bytes an entry) and -1 codes (1), and a block
+        # of rows' codes (1 each)
+        block = max(1, min(len(rngs), _DRAW_SCRATCH // max(n * self.d, 1) - 9))
+        u = np.empty((n, self.d))
+        above = np.empty(u.shape, dtype=np.int8)
+        xi = np.empty((block, *u.shape), dtype=np.int8)
+        # the comparisons' bool views, and each row's d codes as one cell
+        ge_lo, ge_hi = xi.view(np.bool_), above.view(np.bool_)
+        cells, dest = (c.view((np.void, self.d))[..., 0] for c in (xi, out))
+        for a in range(0, len(rngs), block):
+            for j, rng in enumerate(rngs[a : a + block]):
+                _fill_uniforms(_generator(rng), u)
+                for s in range(0, n, NOISE_CHUNK):
+                    e = min(s + NOISE_CHUNK, n)
+                    np.greater_equal(u[s:e], lo[: e - s], out=ge_lo[j, s:e])
+                    np.greater_equal(u[s:e], hi[: e - s], out=ge_hi[s:e])
+                # 0 below lo, +1 from lo and -1 from hi on: (u >= lo) - 2 (u >= hi)
+                above += above
+                xi[j] -= above
+            dest[:, a : a + block] = cells[: j + 1].T
+        return out
 
     def grad_rows(self, X: np.ndarray, Xi: np.ndarray) -> np.ndarray:
         """Gradient rows at X for states Xi, int8 codes or floats.
@@ -308,6 +338,15 @@ class HardInstance:
             block[:, 2, :, i] = -1.0
             w = (w[:, None] * np.array([p0[i], pp[i], pm[i]])[None, :]).ravel()
         return states, w
+
+
+def _fill_uniforms(rng, u: np.ndarray) -> None:
+    """Fill u with the uniforms rng.random(u.shape) draws: in place from a
+    Generator, or copied from an rng that only returns its draws."""
+    if isinstance(rng, np.random.Generator):
+        rng.random(out=u)
+    else:
+        u[...] = rng.random(u.shape)
 
 
 def sample_dv(

@@ -652,7 +652,9 @@ class GradOracle:
         stream per row instead, over distinct generators: row r's states
         come from rng[r] into out[:, r], and out is returned.  Alpha-stable
         rows are drawn and transformed a row block at a time, on every
-        core (see _split), each block in its claimer's scratch.
+        core (see _split), each block in its claimer's scratch; hard-instance
+        rows a row block at a time in one bounded scratch
+        (HardInstance.sample_rows).
         """
         d = self.d
         streams = [rng] if out is None else rng
@@ -694,15 +696,15 @@ class GradOracle:
 
             _split(block, len(streams), n * d, scratch)
             return out
-        z = np.empty((n, d)) if self.kind == "additive-gaussian" else None
+        if self.kind == "hard-instance":
+            return self.instance.sample_rows(streams, n, out)
+        if self.kind == "deterministic":
+            out[...] = 0.0
+            return out
+        z = np.empty((n, d))
         for r, stream in enumerate(streams):
-            if z is not None:
-                self._fill(stream, z, z)
-                self._finish(z, z, out[:, r])
-            elif self.kind == "hard-instance":
-                out[:, r] = self.instance.sample_xi(_generator(stream), n)
-            else:
-                out[:, r] = 0.0
+            self._fill(stream, z, z)
+            self._finish(z, z, out[:, r])
         return out
 
     def grad_rows(self, X: np.ndarray, states: np.ndarray) -> np.ndarray:

@@ -371,17 +371,20 @@ def _step(eta):
     return eta if isinstance(eta, np.ndarray) else float(eta)
 
 
-def _prox_point(r: Optional[QuadReg], x_t, g, eta) -> np.ndarray:
-    """prox_step's unconstrained minimizer (x_t/eta + mu c - g) / (1/eta + mu)."""
+def _prox_point(r: Optional[QuadReg], x_t, g, eta, den=None) -> np.ndarray:
+    """prox_step's unconstrained minimizer (x_t/eta + mu c - g) / (1/eta + mu).
+
+    den, when given, is 1/eta + mu computed by the caller, as the kernel
+    does once per step size; the bits are those of the whole expression.
+    """
     x_t = np.asarray(x_t, dtype=float)
     g = np.asarray(g, dtype=float)
     a = x_t / eta - g
-    if r is None:
-        mu = 0.0
-    else:
-        mu = r.mu
-        a = a + mu * r.center
-    return a / (1.0 / eta + mu)
+    mu = 0.0 if r is None else r.mu
+    if r is not None:
+        a += mu * r.center
+    a /= (1.0 / eta + mu) if den is None else den
+    return a
 
 
 def prox_step(

@@ -919,3 +919,56 @@ class TestClipSkip:
         ))
         assert calls == [2] * 76
         assert res.clip_events.min() > 0
+
+
+class TestStartTolerance:
+    def test_a_start_1e_9_past_the_radius_is_outside(self):
+        # _check_start allows a gap of 1e-12 (1 + ||x_1||), here 2e-12
+        obj = CompositeObjective(
+            f=AbsSum(np.ones(2), np.zeros(2)), r=None, domain=Ball(np.zeros(2), 1.0),
+            lipschitz_G=math.sqrt(2.0),
+        )
+        oracle = make_oracle(obj, "deterministic")
+
+        def run(x):
+            return run_trials(
+                obj, oracle, _const(0.1), 2, np.array([x, 0.0]),
+                [np.random.default_rng(0)],
+            )
+
+        with pytest.raises(ValueError, match="x_1 lies outside the domain"):
+            run(1.0 + 1e-9)
+        assert run(1.0 + 1e-13).x_last.shape == (1, 2)
+
+
+class TestProxDenominator:
+    """The plain prox step's 1/eta_t + mu is taken once per step size; a
+    batch whose per-row eta tile is rebuilt inside a chunk, as a value
+    changes or k shrinks at a horizon, has the bytes of one run per row."""
+
+    @pytest.mark.parametrize("kind", ["cvx", "str"])
+    def test_rows_equal_single_runs(self, kind):
+        constant = _const(0.05, 0.8)
+        rows = [  # (oracle, schedule, horizon, seed), longest horizon first
+            (_hard(kind, 3, 0.5)[1], constant, 1100, 1),
+            (_hard(kind, 3, 0.7, [1, -1, 1])[1],
+             StubSchedule(lambda t: 0.3 / math.sqrt(t), lambda t: 0.8), 1100, 2),
+            (_hard(kind, 3, 0.5)[1], constant, 700, 3),
+            (_hard(kind, 3, 0.6, [-1, 1, 1])[1], _const(0.02, 0.4), 300, 4),
+            (_hard(kind, 3, 0.6, [-1, 1, 1])[1], _const(0.02, 0.4), 5, 5),
+        ]
+        obj = rows[0][0].objective
+        assert (obj.r is None) == (kind == "cvx")
+        x1 = np.full(3, 0.25)
+        batch = run_trials(
+            obj, [r[0] for r in rows], [r[1] for r in rows], 1100, x1,
+            [np.random.default_rng(r[3]) for r in rows], horizons=[r[2] for r in rows],
+        )
+        for i, (oracle, sched, T, seed) in enumerate(rows):
+            one = run_clipped_sgd(
+                oracle.objective, oracle, sched, T, x1, np.random.default_rng(seed)
+            )
+            assert np.array_equal(batch.x_last[i], one.x_last), i
+            assert np.array_equal(batch.avg_plain[i], one.avg_plain), i
+            assert np.array_equal(batch.avg_weighted[i], one.avg_weighted), i
+            assert batch.clip_events[i] == one.clip_events, i

@@ -265,6 +265,29 @@ class TestClipVerify:
         assert "error:" in capsys.readouterr().err
 
 
+class TestClipVerifyPoint:
+    @pytest.mark.parametrize("x", ["1e300,0", "1e-200,0"], ids=["overflows", "underflows"])
+    def test_mc_rejects_a_point_whose_squared_norm_leaves_the_floats(self, capsys, x):
+        # the norm objective's subgradient x / ||x|| would silently be 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["clip-verify", "--mode", "mc", "--d", "2", "--tau", "3",
+                       "--x", x, "--n-samples", "10000"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --x must ")
+
+    def test_exact_accepts_such_a_point(self, capsys):
+        # the hard instance's gradient never squares x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["clip-verify", "--mode", "exact", "--d", "2", "--tau", "3",
+                       "--x", "1e300,0"])
+        assert rc == 0
+        assert "overall: PASS" in capsys.readouterr().out
+
+
 class TestDeff:
     def test_iid(self, capsys):
         rc = main(["deff", "--variant", "iid", "--d", "4", "--p", "2"])

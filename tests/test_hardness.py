@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from htclip import (
     HARD_REGIMES,
+    ChunkStream,
     eval_F,
     eval_F_batch,
     gv_codebook,
@@ -15,7 +17,7 @@ from htclip import (
     sample_dv,
     two_point_codebook,
 )
-from htclip.algorithms import NOISE_CHUNK
+from htclip.algorithms import NOISE_CHUNK, _sub_chunk
 from htclip.hardness import GV_MAX_D_STAR
 
 import oracles
@@ -208,6 +210,63 @@ class TestSampleXiCodes:
             b = np.random.default_rng(3)
             b.random((n, 4))
             assert np.array_equal(a.random(16), b.random(16))
+
+
+def _instance(kind, d):
+    """A hard instance of d coordinates, the first min(d, 4) active."""
+    d_star = min(d, 4)
+    params = hard_params(
+        f"{kind}-fano", d_star=d_star, T=3, G=1.0, D=1.0, sigma_l=2.0, p=1.5,
+        mu=0.5 if kind == "str" else 0.0,
+    )
+    v = np.resize([1.0, -1.0, -1.0, 1.0], d_star)
+    return make_hard_instance(kind, d, d_star, params, v)[1]
+
+
+class TestSampleRows:
+    """A draw of many rows gives each row the codes, and leaves its
+    generator in the state, of a draw of that row alone."""
+
+    @pytest.mark.parametrize("d", [1, 4, 12])
+    @pytest.mark.parametrize("kind", ["cvx", "str"])
+    def test_rows_equal_one_row_draws(self, kind, d):
+        oracle = _instance(kind, d)
+        inst = oracle.instance
+        for rows in (1, 3, 8, 9, 200):
+            for n in (0, 1, 255, 1024, 4095):
+                seeds = [1000 * rows + n + r for r in range(rows)]
+                gens = [np.random.default_rng(s) for s in seeds]
+                out = np.full((n, rows, d), 7, dtype=np.int8)
+                assert inst.sample_rows(gens, n, out) is out
+                # the kernel's path: the oracle's draw over ChunkStreams
+                streams = [ChunkStream(np.random.default_rng(s), 3) for s in seeds]
+                drawn = oracle.draw(streams, n, out=np.empty_like(out))
+                for r, seed in enumerate(seeds):
+                    one = np.random.default_rng(seed)
+                    want = inst.sample_xi(one, n)
+                    u = np.random.default_rng(seed).random((n, d))
+                    assert np.array_equal(want, _codes_reference(inst, u))
+                    assert np.array_equal(out[:, r], want), (rows, n, r)
+                    assert np.array_equal(drawn[:, r], want), (rows, n, r)
+                    state = one.bit_generator.state
+                    assert gens[r].bit_generator.state == state
+                    assert streams[r].rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("d", [4, 12, 64])
+    @pytest.mark.parametrize("rows", [8, 512])
+    def test_scratch_stays_under_64_kib(self, d, rows):
+        oracle = _instance("cvx", d)
+        n = _sub_chunk(d)
+        oracle.draw([np.random.default_rng(0)], n, out=np.empty((n, 1, d), np.int8))
+        gens = [np.random.default_rng(s) for s in range(rows)]
+        out = np.empty((n, rows, d), dtype=np.int8)
+        tracemalloc.start()
+        try:
+            oracle.draw(gens, n, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024
 
 
 def _fano_params_like(inst):

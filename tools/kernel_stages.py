@@ -32,7 +32,15 @@ the trial-steps the run takes (the sum of its rows' horizons).  Each
 probe adds about 0.3 us per call, which the stage it wraps absorbs.
 "clip_rows_calls" counts a run's clip_rows calls: one per loop step
 unless the kernel skips the clip for chunks whose tau bounds every
-gradient row.
+gradient row.  "draw_floor" is the time of the bare
+generator calls the draws must make, one per row and draw: random for
+hard-instance states, standard_normal for Gaussian ones, and random and
+standard_exponential for alpha-stable ones, each into a reused buffer
+of the draw's n * d doubles.  They are replayed on one thread from the
+draws one untimed run makes, and timed as the median over --repeats;
+the gap from "draw" to it is what the draw adds to its random numbers.
+(A stable draw fills its rows on every core, so on several cores its
+"draw" may fall below this sequential floor.)
 One more run of each case, untimed and without probes, runs under
 tracemalloc and gives the case's peak traced memory ("peak_traced_mb",
 in units of 2^20 bytes): the most that numpy and Python, on every
@@ -212,6 +220,43 @@ class _Probes:
             self._undo.clear()
 
 
+def _draw_calls(config) -> list:
+    """(oracle kind, n, rows, d) of each GradOracle.draw call one run makes."""
+    calls = []
+    saved = noise.GradOracle.draw
+
+    def noted(self, rng, n, out=None):
+        calls.append((self.kind, n, 1 if out is None else len(rng), self.d))
+        return saved(self, rng, n, out)
+
+    noise.GradOracle.draw = noted
+    try:
+        harness.run_experiment(config)
+    finally:
+        noise.GradOracle.draw = saved
+    return calls
+
+
+def _draw_floor_ns(calls: list, repeats: int) -> float:
+    """Median ns of the bare generator calls that the draws in calls make."""
+    rng = np.random.default_rng(0)
+    buf = np.empty(max((n * d for _, n, _, d in calls), default=0))
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter_ns()
+        for kind, n, rows, d in calls:
+            part = buf[: n * d]
+            for _ in range(rows):
+                if kind == "additive-gaussian":
+                    rng.standard_normal(out=part)
+                elif kind != "deterministic":
+                    rng.random(out=part)
+                    if kind == "additive-stable":
+                        rng.standard_exponential(out=part)
+        times.append(time.perf_counter_ns() - t0)
+    return statistics.median(times)
+
+
 @contextmanager
 def _one_shard(width: int):
     """Make run_experiment put every row in one shard of width rows."""
@@ -258,6 +303,7 @@ def run_case(problem: str, d: int, width: int, repeats: int) -> dict:
             spent["kernel_self"] = spent["run_trials"] - inner
             samples.append(spent)
             clip_calls = probes.calls.get("clip", 0)
+        floor = _draw_floor_ns(_draw_calls(config), repeats)
         tracemalloc.start()
         try:
             harness.run_experiment(config)
@@ -266,15 +312,16 @@ def run_case(problem: str, d: int, width: int, repeats: int) -> dict:
             tracemalloc.stop()
     order = ("draw", "gradient", "clip", "prox", "schedule", "kernel_self",
              "run_trials", "evaluation")
+    per_step = {
+        k: round(statistics.median(s[k] for s in samples) / trial_steps, 1) for k in order
+    }
+    per_step["draw_floor"] = round(floor / trial_steps, 1)
     case = {
         "problem": problem,
         "d": d,
         "width": rows,
         "trial_steps": trial_steps,
-        "ns_per_trial_step": {
-            k: round(statistics.median(s[k] for s in samples) / trial_steps, 1)
-            for k in order
-        },
+        "ns_per_trial_step": per_step,
         "clip_rows_calls": clip_calls,
         "peak_traced_mb": round(peak / 2**20, 2),
     }
