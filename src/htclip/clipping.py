@@ -30,7 +30,12 @@ from typing import Optional
 import numpy as np
 
 from ._util import as_vector, clip_rows, row_norms
-from .noise import GradOracle, _draw_ahead, directional_bound_independent
+from .noise import (
+    GradOracle,
+    _draw_ahead,
+    _SupportWalk,
+    directional_bound_independent,
+)
 from .schedules import _check_moments
 
 __all__ = [
@@ -221,49 +226,79 @@ def clip_error_exact(
     enumeration: sigma_l^p exactly, sigma_s^p as the independent-
     coordinate directional bound capped by sigma_l^p (the supported
     discrete oracles all have independent coordinates).
+
+    The support is walked in fixed blocks of rows on every core
+    (noise._SupportWalk), with no (states, d) array.  A first pass sums
+    each block's means and moments, a second its centred clipped rows'
+    largest norm, mean square and second moment.  Each block writes its
+    sums to its own slot and the slots are added in block order, a
+    window of at most 2 MiB of slots at a time: at d = 12 a claimer
+    holds one run of 3^6-row blocks and its temporaries, and at large d
+    the held memory is a few d x d matrices, as for one pass over all
+    states.  A block's products stay below the sizes at which numpy's
+    bundled OpenBLAS, with its default thresholds, splits a product
+    across threads.  With that BLAS the report is the same for any core
+    count and any OpenBLAS thread count (another BLAS may split its sums
+    elsewhere), and a support of one block takes the expressions of one
+    pass over all states, bit for bit.
     """
     x, grad_true, tau, alpha, fn, chi = _report_inputs(
         oracle, x, grad_true, tau, alpha
     )
-    supp = oracle.support(EXACT_SUPPORT_CAP)
+    supp = oracle.product_support(EXACT_SUPPORT_CAP)
     if supp is None:
         raise ValueError("exact verification requires a finitely supported oracle")
-    states, probs = supp
-    n_states = states.shape[0]
-    # one (n_states, d) array is live at a time outside the transforms
-    # below: states, then G, then the clipped rows centred in place
-    G = oracle.grad_rows(x[None, :], states)
-    del supp, states
+    walk = _SupportWalk(oracle, x, *supp, width=oracle.d)
+    d = oracle.d
+    p = oracle.noise.p
 
-    mean = probs @ G
+    # pass 1, per block: probs @ G, the probs @ ||noise||^p of sigma_l^p,
+    # the probs @ |noise|^p of the coordinate moments, probs @ clip(G).
+    # The walk's module threads clip with clip_rows (clip_batch is the
+    # traced API) under the error state clip_batch sets.
+    def first(a, b, G, probs, out):
+        P = probs[:, None, :]
+        out[:, :d] = (P @ G)[:, 0]
+        noise = G - grad_true
+        out[:, d] = (P @ (row_norms(noise) ** p)[..., None])[:, 0, 0]
+        np.abs(noise, out=noise)
+        noise **= p
+        out[:, d + 1 : 2 * d + 1] = (P @ noise)[:, 0]
+        with np.errstate(over="ignore"):
+            out[:, 2 * d + 1 :] = (P @ clip_rows(G, tau)[0])[:, 0]
+
+    (total,) = walk.sums(first, (3 * d + 1,))
+    mean = total[:d]
     if float(row_norms(mean - grad_true)) > 1e-8 * (1.0 + fn):
         raise ValueError("grad_true does not match the oracle mean at x")
-
-    noise = G - grad_true
-    p = oracle.noise.p
-    sig_l_p = float(probs @ row_norms(noise) ** p)
-    np.abs(noise, out=noise)
-    noise **= p
-    coord_m = probs @ noise
-    del noise
-    sig_s_p = min(directional_bound_independent(coord_m, p), sig_l_p)
+    sig_l_p = float(total[d])
+    sig_s_p = min(directional_bound_independent(total[d + 1 : 2 * d + 1], p), sig_l_p)
     sigma_l = sig_l_p ** (1.0 / p)
     sigma_s = sig_s_p ** (1.0 / p)
+    mean_c = total[2 * d + 1 :]
 
-    du = clip_batch(G, tau)
-    del G
-    mean_c = probs @ du
-    du -= mean_c
-    du_norms = row_norms(du)
-    du_max = float(np.max(du_norms))
-    du_sq = float(probs @ du_norms**2)
-    cov = (du * probs[:, None]).T @ du
+    # pass 2, per block: the largest ||d^u||, probs @ ||d^u||^2 and the
+    # weighted second moment of d^u = clip(G) - mean_c
+    peaks = np.empty(walk.blocks)
+
+    def second(a, b, G, probs, sq, cov):
+        with np.errstate(over="ignore"):
+            du = clip_rows(G, tau)[0]
+        du -= mean_c
+        du_norms = row_norms(du)
+        peaks[a:b] = np.max(du_norms, axis=1)
+        sq[:, 0] = (probs[:, None, :] @ (du_norms**2)[..., None])[:, 0, 0]
+        np.matmul((du * probs[..., None]).transpose(0, 2, 1), du, out=cov)
+
+    sq, cov = walk.sums(second, (1,), (d, d))
+    du_max = float(np.max(peaks))
+    du_sq = float(sq[0])
     cov_op = operator_norm(cov)
     db = float(row_norms(mean_c - grad_true))
 
     return _report(
         "exact-enumeration", tau, alpha, fn, chi, (p, sigma_s, sigma_l),
-        (du_max, du_sq, cov_op, db), {}, int(n_states),
+        (du_max, du_sq, cov_op, db), {}, int(walk.states),
     )
 
 

@@ -314,29 +314,36 @@ class HardInstance:
             return self.wp * np.sign(x - self.y) + self.wm * np.sign(x + self.y)
         return -self.mu * (self.M * self.q) * self.theta * self.v
 
+    def product_support(self, cap: Optional[int] = None):
+        """(active, masses) of the product support: the indices of the
+        active coordinates, in support order, and the (3, d) masses of
+        the outcomes 0, +1 and -1, one column a coordinate.  Raises if
+        there are more than cap states (default SUPPORT_CAP)."""
+        cap = SUPPORT_CAP if cap is None else cap
+        active = np.flatnonzero(self.q > 0.0)
+        size = 3 ** len(active)
+        if size > cap:
+            raise ValueError(f"support size {size} exceeds the enumeration cap {cap}")
+        return active, np.array(self._masses)
+
     def support(self, cap: Optional[int] = None):
         """Full product support (states, probs) in itertools.product
         order (last coordinate fastest); active coordinates take the
         outcomes 0, +1, -1, inactive ones are pinned at 0.  Raises
         before enumerating if there are more than cap states (default
         SUPPORT_CAP)."""
-        cap = SUPPORT_CAP if cap is None else cap
-        active = self.q > 0.0
-        size = 3 ** int(np.count_nonzero(active))
-        if size > cap:
-            raise ValueError(f"support size {size} exceeds the enumeration cap {cap}")
-        p0, pp, pm = self._masses
-        states = np.zeros((size, self.d))
+        active, masses = self.product_support(cap)
+        states = np.zeros((3 ** len(active), self.d))
         w = np.ones(1)
-        inner = size
-        for i in np.flatnonzero(active):
+        inner = len(states)
+        for i in active:
             # coordinate i repeats each outcome over the inner block of
             # later active coordinates, and cycles through the outcomes
             inner //= 3
             block = states.reshape(-1, 3, inner, self.d)
             block[:, 1, :, i] = 1.0
             block[:, 2, :, i] = -1.0
-            w = (w[:, None] * np.array([p0[i], pp[i], pm[i]])[None, :]).ravel()
+            w = (w[:, None] * masses[None, :, i]).ravel()
         return states, w
 
 

@@ -37,7 +37,9 @@ _draw_ahead, whose job for chunk k + 1 fills and finishes it on module
 threads while the caller works on chunk k, in memory the caller
 allocated (glibc would keep a malloc arena for a chunk allocated on a
 module thread).  Only numpy, the untraced _cms and the rows' generators
-run on the module threads.
+run on the module threads.  The exact verifiers (clip_error_exact,
+estimate_moments with exact=True) walk a finite support through the
+same blocks (_SupportWalk).
 """
 
 from __future__ import annotations
@@ -741,6 +743,18 @@ class GradOracle:
             return self.instance.support(cap)
         return None
 
+    def product_support(self, cap: Optional[int] = None):
+        """(active, masses) for finitely supported noise, whose states
+        are products of per-coordinate outcomes 0, +1 and -1
+        (HardInstance.product_support; deterministic noise has no active
+        coordinate), else None; a hard instance raises if it has more
+        than cap states (default hardness.SUPPORT_CAP)."""
+        if self.kind == "deterministic":
+            return np.zeros(0, np.intp), np.ones((3, self.d))
+        if self.kind == "hard-instance":
+            return self.instance.product_support(cap)
+        return None
+
 
 def make_oracle(
     objective: CompositeObjective,
@@ -809,6 +823,132 @@ def make_oracle(
 
 
 # ---------------------------------------------------------------------------
+# finite supports
+
+# numpy's bundled OpenBLAS keeps a product on one thread up to these
+# sizes and splits a larger one across its threads, whose count then
+# changes the bits of the sums: gemv while m * n < 2304 *
+# GEMM_MULTITHREAD_THRESHOLD (interface/gemv.c), gemm while m * n * k <=
+# SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD (interface/gemm.c), with
+# SMP_THRESHOLD_MIN = 65536 and the build option GEMM_MULTITHREAD_THRESHOLD
+# at its default 4; dot while n <= 10,000 (kernel/x86_64/ddot.c).  Another
+# BLAS, or an OpenBLAS built with another threshold, may split elsewhere.
+_GEMV_SERIAL = 2304 * 4 - 1
+_GEMM_SERIAL = 65536 * 4
+# the float64 entries of block partials a walk holds at a time (2 MiB)
+_SLOTS = 1 << 18
+
+
+def _walk_exponent(d: int, width: int) -> int:
+    """The largest b for which a block of 3^b rows of length d keeps its
+    sums over rows (gemv of up to max(d, width) columns, dot of one
+    column) and its product with a (d, width) matrix (gemm) serial."""
+    b = 0
+    while (3 ** (b + 1) * max(d, width) <= _GEMV_SERIAL
+           and 3 ** (b + 1) * d * width <= _GEMM_SERIAL):
+        b += 1
+    return b
+
+
+class _SupportWalk:
+    """The gradient rows at x of a finitely supported oracle's states,
+    walked in fixed blocks of rows, on every core.
+
+    The states are the product of the active coordinates' outcomes 0,
+    +1 and -1 (GradOracle.product_support) in itertools.product order,
+    so a block of 3^b rows aligned on 3^b fixes each outer active
+    coordinate and runs the b inner ones through one pattern.  A row is
+    built from each coordinate's three outcome values at x, grad_rows of
+    the codes 0, +1 and -1, which are the entries grad_rows makes of any
+    state, so no states array is built.  A block's probabilities are its
+    states' products of masses, multiplied in coordinate order as
+    HardInstance.support multiplies them.  b is the largest exponent
+    whose block sums stay serial in OpenBLAS (_walk_exponent): 3^6 rows
+    at d = 12, the whole support when it is smaller.
+    """
+
+    def __init__(self, oracle: GradOracle, x: np.ndarray, active, masses, width: int):
+        d = oracle.d
+        k = len(active)
+        b = min(k, _walk_exponent(d, width))
+        self.d, self.rows, self.blocks = d, 3**b, 3 ** (k - b)
+        self.states = 3**k
+        self.outer, self.inner = active[: k - b], active[k - b :]
+        self.masses = masses
+        # the outer coordinates' outcomes, one row a block, last fastest
+        self.codes = np.indices((3,) * (k - b)).reshape(k - b, self.blocks).T
+        codes = np.zeros((3, d), np.int8)
+        codes[1], codes[2] = 1, -1
+        self.values = oracle.grad_rows(x[None, :], codes)
+        self.pattern = np.empty((self.rows, d))
+        self.pattern[:] = self.values[0]
+        per = self.rows
+        for i in self.inner:
+            per //= 3
+            view = self.pattern.reshape(-1, 3, per, d)
+            view[:, 1, :, i] = self.values[1, i]
+            view[:, 2, :, i] = self.values[2, i]
+
+    def fill(self, a: int, b: int, G: np.ndarray) -> np.ndarray:
+        """Write the gradient rows of blocks [a, b) into G, a (b - a,
+        rows, d) array; return their (b - a, rows) probabilities."""
+        codes = self.codes[a:b]
+        G[...] = self.pattern
+        G[:, :, self.outer] = self.values[codes, self.outer][:, None, :]
+        w = np.ones((b - a, 1))
+        for c, o in zip(codes.T, self.outer):
+            w *= self.masses[c, o][:, None]
+        for o in self.inner:
+            w = (w[:, :, None] * self.masses[:, o]).reshape(b - a, -1)
+        return w
+
+    def sums(self, step, *shapes) -> list:
+        """The sums over all blocks of per-block partials, one array a
+        shape in shapes, each added in block order from the first block.
+
+        step(a, b, G, probs, *outs) writes the partials of blocks [a, b)
+        into outs, one (b - a, *shape) array a shape, with G their
+        (b - a, rows, d) gradient rows (which step may overwrite) and
+        probs their (b - a, rows) probabilities.  step should compute
+        each block's partials by itself (a stacked matmul makes one BLAS
+        call a block), so that they do not depend on the run.  The blocks
+        go in windows whose partials fill at most _SLOTS entries (a block
+        at least), so the partials held do not grow with the blocks; a
+        window's runs are _split's, claimed by the caller and a module
+        thread per free core, each claimer with its own G, and its
+        partials join the sums before the next window starts.  A run is
+        one stacked array so that a claimer makes one numpy call per step
+        of a run, not of a block: with a block per call, two claimers
+        took longer than one (0.35 against 0.27 s for 3^12 states at
+        d = 12), handing the interpreter lock to each other at every
+        call."""
+        rows, d = self.rows, self.d
+        window = min(max(_SLOTS // sum(math.prod(s) for s in shapes), 1), self.blocks)
+        slots = [np.empty((window, *s)) for s in shapes]
+        totals = None
+        for lo in range(0, self.blocks, window):
+            n = min(window, self.blocks - lo)
+
+            def blocks(a, b, G):
+                G = G[: b - a]
+                probs = self.fill(lo + a, lo + b, G)
+                step(lo + a, lo + b, G, probs, *(s[a:b] for s in slots))
+
+            _split(blocks, n, rows * d, lambda most: (np.empty((most, rows, d)),))
+            # added a block at a time: np.sum leaves its order open, and
+            # np.cumsum over the blocks, which runs each entry's blocks
+            # apart, took 9.4 ms for one 1024 x 1024 slot against 0.9 ms
+            # for the add (2-vCPU Xeon)
+            for i in range(n):
+                if totals is None:
+                    totals = [s[i].copy() for s in slots]
+                    continue
+                for s, total in zip(slots, totals):
+                    total += s[i]
+        return totals
+
+
+# ---------------------------------------------------------------------------
 # empirical moments
 
 
@@ -845,15 +985,19 @@ def estimate_moments(
         dirs = np.concatenate([dirs, extra[keep] / nrm[keep, None]], axis=0)
 
     if exact:
-        supp = oracle.support()
+        supp = oracle.product_support()
         if supp is None:
             raise ValueError("exact moment computation requires finite support")
-        states, probs = supp
-        noise = oracle.grad_rows(x[None, :], states) - grad_true
-        sig_l_p = float(probs @ row_norms(noise) ** p)
-        proj = np.abs(noise @ dirs.T) ** p
-        sig_s_p = float(np.max(probs @ proj))
-        return sig_s_p, sig_l_p
+        walk = _SupportWalk(oracle, x, *supp, width=len(dirs))
+
+        def sums(a, b, G, probs, out):
+            P = probs[:, None, :]
+            noise = G - grad_true
+            out[:, 0] = (P @ (row_norms(noise) ** p)[..., None])[:, 0, 0]
+            out[:, 1:] = (P @ (np.abs(noise @ dirs.T) ** p))[:, 0]
+
+        (total,) = walk.sums(sums, (1 + len(dirs),))
+        return float(np.max(total[1:])), float(total[0])
 
     n = int(n_samples)
     if n < 1:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -28,6 +31,7 @@ from htclip import (
     StableParams,
 )
 from htclip import clipping, noise
+from htclip._util import row_norms
 from htclip.clipping import BOUND_NAMES
 
 import oracles
@@ -306,6 +310,136 @@ class TestClipErrorExact:
             clip_error_exact(oracle, np.zeros(2), tau=1.0)
 
 
+def _exact_d12(seed=3):
+    """A cvx-fano instance with 3^12 support states and a point x, built
+    as the verify-clip benchmark builds its exact case."""
+    rng = np.random.default_rng(seed)
+    params = hard_params(
+        "cvx-fano", d_star=12, T=4, G=1.0, D=1.0, sigma_l=2.0, p=1.5
+    )
+    v = rng.choice([-1.0, 1.0], 12)
+    _, oracle = make_hard_instance("cvx", 12, 12, params, v)
+    return oracle, rng.uniform(-0.5, 0.5, 12) * params.y
+
+
+# prints the d = 12 exact reports at the verify-clip taus and exact
+# moments, then the CLI's report, with noise._cores patched to return
+# argv[1] if it is given
+_EXACT_D12_SCRIPT = """
+import json, sys
+from htclip import clip_error_exact, estimate_moments, noise
+from htclip.cli import main
+from test_clipping import _exact_d12
+if len(sys.argv) > 1:
+    noise._cores = lambda: int(sys.argv[1])
+oracle, x = _exact_d12()
+reports = [clip_error_exact(oracle, x, tau).to_dict() for tau in (0.25, 1.0)]
+print(json.dumps(reports, sort_keys=True))
+print(repr(estimate_moments(oracle, x, 1.5, exact=True)))
+sys.stdout.flush()
+sys.exit(main(["clip-verify", "--mode", "exact", "--d", "12", "--tau", "1", "--json"]))
+"""
+
+
+class TestExactSupportWalk:
+    """clip_error_exact and estimate_moments(exact=True) walk the support
+    in fixed row blocks (noise._SupportWalk)."""
+
+    def test_report_bytes_do_not_depend_on_blas_or_pool_threads(self):
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(noise.__file__)))
+        outs = []
+        # (OPENBLAS_NUM_THREADS, cores the walk may use, or the machine's)
+        for threads, cores in (("1", ()), ("2", ("1",)), ("2", ("3",))):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, here]))
+            proc = subprocess.run(
+                [sys.executable, "-c", _EXACT_D12_SCRIPT, *cores], env=env,
+                capture_output=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+            outs.append(proc.stdout)
+        assert outs[0].count(b"exact-enumeration") == 3
+        assert outs[1:] == outs[:1] * 2
+
+    def test_str_report_bytes_do_not_depend_on_cores(self, monkeypatch):
+        _, oracle = _dv_instance(12, q=0.3, theta=0.2, M=0.8, y=1.0, mu=0.5)
+        x = np.zeros(12)
+        blobs = []
+        for cores in (1, 3):
+            monkeypatch.setattr(noise, "_cores", lambda: cores)
+            reports = [clip_error_exact(oracle, x, tau) for tau in (0.25, 1.0)]
+            blobs.append(json.dumps([r.to_dict() for r in reports], sort_keys=True))
+            blobs.append(repr(estimate_moments(oracle, x, 1.5, exact=True)))
+        assert blobs[:2] == blobs[2:]
+
+    @pytest.mark.parametrize("kind", ["cvx", "str"])
+    def test_several_blocks_match_brute_force(self, kind):
+        d = 10
+        assert 3**d > 3 ** noise._walk_exponent(d, d)  # more than one block
+        mu = 0.7 if kind == "str" else 0.0
+        _, oracle = _dv_instance(d, q=0.45, theta=0.3, M=0.9, y=0.8, mu=mu)
+        inst = oracle.instance
+        x = np.linspace(-1.0, 1.0, d) * 0.8
+        states, probs = oracles.dv_enum(inst.q, inst.theta, inst.v)
+        if kind == "cvx":
+            rows = oracles.cvx_grad_rows(x, states, inst.M, inst.y)
+        else:
+            rows = oracles.str_grad_rows(states, inst.M, mu)
+        norms = np.linalg.norm(rows, axis=1)
+        # one tau clips some rows but not all, the other clips none
+        for tau, clips in ((float(np.median(norms)), True),
+                           (1.01 * float(np.max(norms)), False)):
+            assert (0 < np.count_nonzero(norms > tau) < len(norms)) == clips
+            report = clip_error_exact(oracle, x, tau)
+            want = oracles.clip_error_brute(rows, probs, oracle.mean_grad(x), tau)
+            for key, val in want.items():
+                assert report.measured[key] == pytest.approx(val, rel=1e-12, abs=1e-12)
+        noise_rows = rows - oracle.mean_grad(x)
+        sig_s_p, sig_l_p = estimate_moments(oracle, x, 1.5, exact=True, n_directions=0)
+        want_l = float(probs @ np.linalg.norm(noise_rows, axis=1) ** 1.5)
+        want_s = float(np.max(probs @ np.abs(noise_rows) ** 1.5))
+        assert sig_l_p == pytest.approx(want_l, rel=1e-12)
+        assert sig_s_p == pytest.approx(want_s, rel=1e-12)
+
+    def test_windows_of_slots_match_brute_force(self):
+        # d far above d_star: each block's d x d slot is large, so the
+        # walk adds its slots to the sums a few blocks at a time
+        d, d_star = 200, 4
+        params = hard_params(
+            "cvx-fano", d_star=d_star, T=4, G=1.0, D=1.0, sigma_l=2.0, p=1.5
+        )
+        _, oracle = make_hard_instance("cvx", d, d_star, params, np.ones(d_star))
+        inst = oracle.instance
+        x = np.linspace(-1.0, 1.0, d) * 0.4 * params.y
+        walk = noise._SupportWalk(oracle, x, *oracle.product_support(), width=d)
+        assert walk.blocks > noise._SLOTS // (1 + d * d) > 1  # several windows
+        states, probs = oracle.support()
+        rows = oracles.cvx_grad_rows(x, states, inst.M, inst.y)
+        norms = np.linalg.norm(rows, axis=1)
+        tau = float(np.median(norms))
+        assert 0 < np.count_nonzero(norms > tau) < len(norms)
+        report = clip_error_exact(oracle, x, tau)
+        want = oracles.clip_error_brute(rows, probs, oracle.mean_grad(x), tau)
+        for key, val in want.items():
+            assert report.measured[key] == pytest.approx(val, rel=1e-12, abs=1e-12)
+
+    def test_one_block_moments_keep_the_whole_support_expressions(self):
+        # a one-block support takes the expressions of one pass over the
+        # states that support() enumerates, bit for bit
+        _, oracle = _dv_instance(4, q=0.4, theta=0.2, M=1.5, y=1.0)
+        x = np.array([0.3, -0.7, 0.1, 0.9])
+        got = estimate_moments(oracle, x, 1.5, exact=True, n_directions=3,
+                               rng=np.random.default_rng(4))
+        extra = np.random.default_rng(4).standard_normal((3, 4))
+        dirs = np.concatenate([np.eye(4), extra / row_norms(extra)[:, None]])
+        states, probs = oracle.support()
+        noise_rows = oracle.grad_rows(x[None, :], states) - oracle.mean_grad(x)
+        want_l = float(probs @ row_norms(noise_rows) ** 1.5)
+        want_s = float(np.max(probs @ np.abs(noise_rows @ dirs.T) ** 1.5))
+        assert got == (want_s, want_l)
+
+
 class TestClipErrorMC:
     def _gaussian_oracle(self, d=4):
         obj = CompositeObjective(
@@ -508,6 +642,24 @@ class TestVerifierMemory:
         states_bytes = 3**d_star * d_star * 8
         peak = _traced_peak(lambda: clip_error_exact(oracle, x, 0.5))
         assert peak <= 4.0 * states_bytes
+
+    def test_exact_holds_no_array_of_the_support(self):
+        # one pass over the whole support held about 154 MiB here
+        oracle, x = _exact_d12()
+        peak = _traced_peak(lambda: clip_error_exact(oracle, x, 0.25))
+        assert peak < 16 << 20
+
+    def test_exact_holds_few_d_by_d_matrices_when_d_exceeds_d_star(self):
+        # 81 states at d = 512: one pass over all states held about
+        # 7.3 MiB, mostly the d x d second moment and its eigensolve; a
+        # d x d slot per block would hold 81 of them
+        d, d_star = 512, 4
+        params = hard_params(
+            "cvx-fano", d_star=d_star, T=4, G=1.0, D=1.0, sigma_l=2.0, p=1.5
+        )
+        _, oracle = make_hard_instance("cvx", d, d_star, params, np.ones(d_star))
+        peak = _traced_peak(lambda: clip_error_exact(oracle, np.zeros(d), 1.0))
+        assert peak < 5 * d * d * 8
 
     def test_exact_rejects_a_support_over_its_cap_before_enumerating(self):
         # 3^13 states lie between the verifier's cap and the instance's

@@ -5,7 +5,8 @@ checkout under test and, with --base, as many times in a base checkout,
 in pairs that alternate which side runs first, so that drift in the
 machine's speed hits both alike.  After each run it reads the record
 perfbench/run.py left in that checkout's .perfbench/results/ and keeps
-its end-to-end metrics.
+its end-to-end metrics, and verify-clip's per-half throughputs
+(exact_states_per_s, mc_samples_per_s) from the record's details.
 With --pairs 0 it runs nothing and reads the records already there, one
 sample per workload.
 
@@ -42,6 +43,9 @@ HEAD = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("rate-hard-cvx", "rate-stable-ball", "verify-clip")
 # metric -> whether higher is better, as BENCHMARK.json declares them
 END_TO_END = {"setup_s": False, "work_per_s": True, "peak_rss_mb": False}
+# verify-clip's throughput of each half of an op (exact enumeration,
+# Monte Carlo), which a run keeps in its record's details
+PER_HALF = {"exact_states_per_s": True, "mc_samples_per_s": True}
 
 
 def calibration_s(repeats: int = 15) -> float:
@@ -93,9 +97,11 @@ def record_path(checkout: str, workload: str, seed: int) -> str:
 
 def read_metrics(path: str) -> dict:
     with open(path) as fh:
-        result = json.load(fh)["result"]
+        record = json.load(fh)
+    result = record["result"]
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     metrics["failed"] = result["failed"]
+    metrics.update((k, v) for k, v in record["details"].items() if k in PER_HALF)
     return metrics
 
 
@@ -113,9 +119,15 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return read_metrics(path)
 
 
+def compared(samples: list) -> dict:
+    """The metrics of samples to compare, each with whether higher is
+    better: the end-to-end ones, and the per-half ones if recorded."""
+    return {**END_TO_END, **{k: v for k, v in PER_HALF.items() if k in samples[0]}}
+
+
 def summary(samples: list) -> dict:
     out = {}
-    for name in (*END_TO_END, "failed"):
+    for name in (*compared(samples), "failed"):
         values = [s[name] for s in samples]
         if len(values) > 1:
             q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -171,7 +183,7 @@ def main(argv=None) -> int:
                     (h[name] > b[name]) if higher else (h[name] < b[name])
                     for b, h in zip(samples["base"], samples["head"])
                 )
-                for name, higher in END_TO_END.items()
+                for name, higher in compared(samples["head"]).items()
             }
         report["workloads"][workload] = entry
     report["calibration"]["np_sin_1M_s_after"] = calibration_s()
