@@ -10,11 +10,15 @@ Subcommands:
 
 Every subcommand accepts --json, in which case stdout carries exactly
 one JSON document.  HTCLIP_THREADS is the fallback for --threads.
+Each other flag is one entry of its subcommand's table, in the shape of
+harness._section's, with the config key's own parser where the flag sets
+one; main parses every value and default with it, so an error names its flag.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -25,16 +29,11 @@ import numpy as np
 from ._util import row_norms
 from ._version import __version__
 from .clipping import BOUND_NAMES, clip_error_exact, clip_error_mc
-from .hardness import HARD_REGIMES, HardParams, hard_params, make_hard_instance
+from .hardness import HardParams, hard_params, make_hard_instance
 from .harness import (
-    MAX_T,
-    _codebook_for,
-    _make_codebook,
-    _materialize,
-    _schedule_entry,
-    parse_config,
-    persist,
-    run_experiment,
+    _HARDNESS, _NOISE, _POSITIVE, _PROBLEM, _REQ, _RUN, _SCHEDULE, _STABLE,
+    MAX_T, _codebook_for, _int, _make_codebook, _materialize, _one_of, _real,
+    _schedule_entry, _section, _text, _where, parse_config, persist, run_experiment,
 )
 from .noise import StableParams, d_eff_lower_bound, make_oracle
 from .problems import AllSpace, CompositeObjective, EuclidNorm, Optimum
@@ -49,9 +48,7 @@ def _load_config(path: str, seed_override=None):
     if seed_override is not None:
         if not isinstance(data, dict) or not isinstance(data.get("run"), dict):
             raise ValueError("config has no run section to apply --seed to")
-        data = dict(data)
-        data["run"] = dict(data["run"])
-        data["run"]["master_seed"] = int(seed_override)
+        data["run"]["master_seed"] = seed_override
     return parse_config(data)
 
 
@@ -59,15 +56,38 @@ def _emit(args, payload: dict, human_lines) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in human_lines:
-            print(line)
+        print("\n".join(human_lines))
 
 
-def _parse_vector(text: str, flag: str) -> np.ndarray:
-    v = np.array([float(s) for s in text.split(",")], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{flag} must hold finite numbers, got {text!r}")
-    return v
+def _literal(text: str):
+    """A flag's text as the int or float it spells, else the text."""
+    for kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return kind(text)
+    return text
+
+
+def _num(val, path: str) -> float:
+    """A real as a float, NaN and +-inf included: the library owns its range."""
+    if isinstance(val, (int, float)):
+        with contextlib.suppress(OverflowError):
+            return float(val)
+    raise ValueError(f"{path} must be a number, got {val!r}")
+
+
+def _vector(text: str, path: str) -> list:
+    """Comma-separated finite reals."""
+    try:
+        return [_real(_literal(s), path) for s in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{path} must hold finite numbers, got {text!r}") from None
+
+
+_HORIZON = _where(_int, lambda v: 1 <= v <= MAX_T, f"must lie in [1, {MAX_T}]")
+_SEED = _RUN["master_seed"][0]
+_THREADS = _where(
+    lambda v, path: v, lambda v: type(v) is int and v >= 1, "must be a positive integer"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +98,8 @@ def _cmd_run(args) -> int:
     config = _load_config(args.config, args.seed)
     threads = args.threads
     if threads is None:
-        raw = os.environ.get("HTCLIP_THREADS", "1")
-        if not raw.strip().isdigit() or int(raw) < 1:
-            raise ValueError(f"HTCLIP_THREADS must be a positive integer, got {raw!r}")
-        threads = int(raw)
+        env = _literal(os.environ.get("HTCLIP_THREADS", "1"))
+        threads = _THREADS(env, "HTCLIP_THREADS")
     result = run_experiment(config, threads=threads)
     out_dir = args.out or config.output.get("dir") or "htclip-out"
     paths = persist(result, out_dir)
@@ -91,9 +109,7 @@ def _cmd_run(args) -> int:
     else:
         levels = config.eval["quantile_levels"]
         for row in result.per_T:
-            quants = " ".join(
-                f"q_{lv:g}={row.stats.quantiles[lv]:.6g}" for lv in levels
-            )
+            quants = " ".join(f"q_{lv:g}={row.stats.quantiles[lv]:.6g}" for lv in levels)
             print(
                 f"T={row.T} n={row.stats.n} mean={row.stats.mean:.6g} "
                 f"std={row.stats.std:.6g} {quants} "
@@ -110,12 +126,8 @@ def _cmd_run(args) -> int:
         for name, path in paths.items():
             print(f"wrote {name}: {path}")
         if result.assertions_passed is not None:
-            print(
-                "assertions: PASS" if result.assertions_passed else "assertions: FAIL"
-            )
-    if result.assertions_passed is False:
-        return 1
-    return 0
+            print(f"assertions: {'PASS' if result.assertions_passed else 'FAIL'}")
+    return 1 if result.assertions_passed is False else 0
 
 
 # ---------------------------------------------------------------------------
@@ -123,22 +135,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    if args.T is not None and not 1 <= args.T <= MAX_T:
-        raise ValueError(f"--T must lie in [1, {MAX_T}], got {args.T}")
     config = _load_config(args.config, args.seed)
     Ts = [args.T] if args.T is not None else config.run["T_grid"]
     codebook = _codebook_for(config)
-    entries = [
-        _schedule_entry(_materialize(config, int(T), codebook, 0)) for T in Ts
-    ]
+    entries = [_schedule_entry(_materialize(config, int(T), codebook, 0)) for T in Ts]
     payload = {"config_digest": config.digest(), "schedules": entries}
     lines = []
     for entry in entries:
         lines.append(f"T={entry['T']}")
-        for k in sorted(entry):
-            if k in ("T", "hard_params"):
-                continue
-            lines.append(f"  {k} = {entry[k]}")
+        lines += [f"  {k} = {entry[k]}" for k in sorted(entry)
+                  if k not in ("T", "hard_params")]
         if "hard_params" in entry:
             for k, v in sorted(entry["hard_params"].items()):
                 lines.append(f"  hard.{k} = {v}")
@@ -150,62 +156,36 @@ def _cmd_schedule(args) -> int:
 # clip-verify
 
 
-def _dv_params(args) -> HardParams:
-    # hand-assembled parameter bundle; the declared noise budget is left
-    # at zero because exact enumeration recomputes the moments anyway
-    if not 0.0 <= args.mu < math.inf:
-        raise ValueError(f"--mu must be finite and >= 0, got {args.mu}")
-    regime = "str-fano" if args.mu > 0 else "cvx-fano"
-    d_star = args.d_star if args.d_star is not None else args.d
-    return HardParams(
-        regime=regime,
-        d_star=d_star,
-        T=1,
-        G=args.M * math.sqrt(d_star),
-        D=max(abs(args.y) * math.sqrt(d_star), 1.0),
-        mu=args.mu,
-        sigma_l=0.0,
-        sigma_s=0.0,
-        p=args.p,
-        delta=None,
-        q=args.q,
-        theta=args.theta,
-        M=args.M,
-        y=args.y,
-    )
-
-
 def _cmd_clip_verify(args) -> int:
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     if args.mode == "exact":
-        params = _dv_params(args)
+        # a hand-assembled instance; its declared noise budget is left at
+        # zero because exact enumeration recomputes the moments anyway
         kind = "str" if args.mu > 0 else "cvx"
-        v = np.ones(params.d_star)
-        objective, oracle = make_hard_instance(
-            kind, args.d, params.d_star, params, v
+        d_star = args.d_star if args.d_star is not None else args.d
+        # make_hard_instance names and rejects a d_star outside [1, d]
+        rd = math.sqrt(d_star) if 1 <= d_star <= args.d else 1.0
+        params = HardParams(
+            regime=f"{kind}-fano", d_star=d_star, T=1, G=args.M * rd,
+            D=max(abs(args.y) * rd, 1.0), mu=args.mu, sigma_l=0.0, sigma_s=0.0,
+            p=args.p, delta=None, q=args.q, theta=args.theta, M=args.M, y=args.y,
         )
-        x = _parse_vector(args.x, "--x") if args.x else np.zeros(args.d)
+        v = np.ones(args.d)  # the all-ones codeword, padded or not
+        objective, oracle = make_hard_instance(kind, args.d, d_star, params, v)
+        x = args.x if args.x is not None else np.zeros(args.d)
         report = clip_error_exact(oracle, x, args.tau, alpha=args.alpha_clip)
     else:
         d = args.d
         objective = CompositeObjective(
-            f=EuclidNorm(args.G, np.zeros(d)),
-            r=None,
-            domain=AllSpace(d),
-            lipschitz_G=args.G,
-            mu=0.0,
-            optimum=Optimum(np.zeros(d), 0.0),
+            f=EuclidNorm(args.G, np.zeros(d)), r=None, domain=AllSpace(d),
+            lipschitz_G=args.G, mu=0.0, optimum=Optimum(np.zeros(d), 0.0),
         )
-        scales = np.full(d, args.scale)
-        if args.noise == "gaussian":
-            oracle = make_oracle(objective, "additive-gaussian", scales=scales)
-        else:
-            stable = StableParams(args.alpha, args.beta, args.gamma)
-            oracle = make_oracle(
-                objective, "additive-stable", scales=scales,
-                stable=stable, p=args.p,
-            )
-        x = _parse_vector(args.x, "--x") if args.x else np.zeros(d)
+        # Gaussian noise reads neither the stable parameters nor p
+        oracle = make_oracle(
+            objective, f"additive-{args.noise}", scales=np.full(d, args.scale),
+            stable=StableParams(args.alpha, args.beta, args.gamma), p=args.p,
+        )
+        x = args.x if args.x is not None else np.zeros(d)
         # the norm objective's subgradient is G x / ||x||, made 0 by a
         # norm whose square overflows or underflows to 0
         with np.errstate(over="ignore"):
@@ -232,28 +212,25 @@ def _cmd_clip_verify(args) -> int:
 # deff
 
 
+# the inputs of each deff variant, all required but eps
+_DEFF_INPUTS = {
+    "declared": ("sigma_s", "sigma_l"),
+    "independent": ("sigmas", "p"),
+    "iid": ("d", "p"),
+    "stable": ("d", "p", "eps"),
+}
+
+
 def _cmd_deff(args) -> int:
+    inputs = {k: getattr(args, k) for k in _DEFF_INPUTS[args.variant]}
+    need = [k for k in inputs if k != "eps"]
+    if any(inputs[k] is None for k in need):
+        flags = " and ".join("--" + k.replace("_", "-") for k in need)
+        raise ValueError(f"variant {args.variant} needs {flags}")
     if args.variant == "declared":
-        if args.sigma_s is None or args.sigma_l is None:
-            raise ValueError("variant declared needs --sigma-s and --sigma-l")
-        value = d_eff_of(args.sigma_s, args.sigma_l)
-        inputs = {"sigma_s": args.sigma_s, "sigma_l": args.sigma_l}
-    elif args.variant == "independent":
-        if args.sigmas is None or args.p is None:
-            raise ValueError("variant independent needs --sigmas and --p")
-        sig = _parse_vector(args.sigmas, "--sigmas")
-        value = d_eff_lower_bound("independent", sigmas=sig, p=args.p)
-        inputs = {"sigmas": list(map(float, sig)), "p": args.p}
-    elif args.variant == "iid":
-        if args.d is None or args.p is None:
-            raise ValueError("variant iid needs --d and --p")
-        value = d_eff_lower_bound("iid", d=args.d, p=args.p)
-        inputs = {"d": args.d, "p": args.p}
+        value = d_eff_of(**inputs)
     else:
-        if args.d is None or args.p is None:
-            raise ValueError("variant stable needs --d and --p")
-        value = d_eff_lower_bound("stable", d=args.d, p=args.p, eps=args.eps)
-        inputs = {"d": args.d, "p": args.p, "eps": args.eps}
+        value = d_eff_lower_bound(args.variant, **inputs)
     payload = {"variant": args.variant, "inputs": inputs, "value": value}
     _emit(args, payload, [f"d_eff[{args.variant}] >= {value:.12g}"])
     return 0
@@ -265,15 +242,8 @@ def _cmd_deff(args) -> int:
 
 def _cmd_hardness(args) -> int:
     params = hard_params(
-        args.regime,
-        d_star=args.d_star,
-        T=args.T,
-        G=args.G,
-        D=args.D,
-        sigma_l=args.sigma_l,
-        p=args.p,
-        mu=args.mu,
-        delta=args.delta,
+        args.regime, d_star=args.d_star, T=args.T, G=args.G, D=args.D,
+        sigma_l=args.sigma_l, p=args.p, mu=args.mu, delta=args.delta,
     )
     seed = args.seed if args.seed is not None else 0
     codebook = _make_codebook(args.codebook, args.d_star, seed)
@@ -287,12 +257,9 @@ def _cmd_hardness(args) -> int:
         "params": params.to_dict(),
         "d": args.d,
         "codebook": {
-            "kind": args.codebook,
-            "size": codebook.size,
-            "min_distance": codebook.min_distance,
-            "target_size": codebook.target_size,
-            "shortfall": codebook.shortfall,
-            "word_index": wi,
+            "kind": args.codebook, "word_index": wi,
+            **{k: getattr(codebook, k)
+               for k in ("size", "min_distance", "target_size", "shortfall")},
         },
         "v": list(map(int, v)),
         "optimum": {
@@ -318,94 +285,103 @@ def _cmd_hardness(args) -> int:
 # parser
 
 
+_RUN_FLAGS = {
+    "--config": (_text, _REQ),
+    "--out": (_text,),  # overrides output.dir
+    "--seed": (_SEED,),  # overrides run.master_seed
+    "--threads": (_THREADS,),  # default HTCLIP_THREADS, else 1
+}
+_SCHEDULE_FLAGS = {
+    "--config": (_text, _REQ),
+    "--seed": (_SEED,),
+    "--T": (_HORIZON,),  # one horizon instead of run.T_grid
+}
+_CLIP_FLAGS = {
+    "--mode": (_one_of("exact", "mc"), _REQ),
+    "--tau": (_where(_num, lambda v: v > 0, "must be positive"), _REQ),
+    "--alpha-clip": _SCHEDULE["alpha_clip"],
+    "--p": (_NOISE["p"][0], 1.5),
+    "--d": _PROBLEM["d"],
+    "--x": (_vector,),  # the evaluation point (default the origin)
+    "--seed": (_where(_int, lambda v: v >= 0, "must be nonnegative"),),
+    # exact mode: the three-point instance, whose parameters
+    # make_hard_instance checks and names
+    "--d-star": (_int,),  # active coordinates (default d)
+    "--q": (_num, 0.5),
+    "--theta": (_num, 0.0),
+    "--M": (_num, 1.0),
+    "--y": (_num, 1.0),
+    "--mu": _PROBLEM["mu"],
+    # mc mode: additive noise on the norm objective
+    "--noise": (_one_of("gaussian", "stable"), "gaussian"),
+    "--G": (_PROBLEM["G"][0], 1.0),
+    "--scale": (_NOISE["scales"][0], 1.0),
+    "--alpha": (_STABLE["alpha"][0], 1.8),
+    "--beta": _STABLE["beta"],
+    "--gamma": _STABLE["gamma"],
+    "--n-samples": (_int, 100_000),
+}
+_DEFF_FLAGS = {
+    "--variant": (_one_of(*_DEFF_INPUTS), _REQ),
+    "--sigma-s": _NOISE["sigma_s"],
+    "--sigma-l": _NOISE["sigma_l"],
+    "--sigmas": (_vector,),  # per-coordinate moments
+    "--d": (_PROBLEM["d"][0],),
+    "--p": _NOISE["p"],
+    "--eps": (_real,),
+}
+_HARDNESS_FLAGS = {
+    "--regime": _HARDNESS["regime"],
+    "--d": _PROBLEM["d"],
+    "--d-star": _HARDNESS["d_star"],
+    "--T": (_HORIZON, _REQ),
+    "--G": (_PROBLEM["G"][0], _REQ),
+    "--D": (_PROBLEM["D"][0], _REQ),
+    "--sigma-l": (_POSITIVE, _REQ),
+    "--p": (_NOISE["p"][0], _REQ),
+    "--mu": _PROBLEM["mu"],
+    "--delta": _SCHEDULE["delta"],
+    "--codebook": _HARDNESS["codebook"],
+    "--word-index": (_int, 0),
+    "--seed": (_SEED,),
+}
+_COMMANDS = {
+    "run": (_cmd_run, _RUN_FLAGS, "run an experiment config"),
+    "schedule": (_cmd_schedule, _SCHEDULE_FLAGS, "print resolved schedule constants"),
+    "clip-verify": (_cmd_clip_verify, _CLIP_FLAGS, "verify the clipping-error bounds"),
+    "deff": (_cmd_deff, _DEFF_FLAGS, "effective-dimension calculators"),
+    "hardness": (_cmd_hardness, _HARDNESS_FLAGS, "materialize a hard instance"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="htclip",
-        description="Clipped and stabilized SGD under heavy-tailed noise",
+        prog="htclip", description="Clipped and stabilized SGD under heavy-tailed noise"
     )
     parser.add_argument("--version", action="version", version=f"htclip {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run an experiment config")
-    p_run.add_argument("--config", required=True, help="path to the JSON config")
-    p_run.add_argument("--out", help="output directory (overrides output.dir)")
-    p_run.add_argument("--seed", type=int, help="override run.master_seed")
-    p_run.add_argument("--threads", type=int, help="worker threads (default HTCLIP_THREADS or 1)")
-    p_run.add_argument("--json", action="store_true", help="print the manifest as JSON")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_sch = sub.add_parser("schedule", help="print resolved schedule constants")
-    p_sch.add_argument("--config", required=True)
-    p_sch.add_argument("--seed", type=int, help="override run.master_seed")
-    p_sch.add_argument("--T", type=int, help="single horizon (default: whole grid)")
-    p_sch.add_argument("--json", action="store_true")
-    p_sch.set_defaults(func=_cmd_schedule)
-
-    p_cv = sub.add_parser("clip-verify", help="verify the clipping-error bounds")
-    p_cv.add_argument("--mode", choices=("exact", "mc"), required=True)
-    p_cv.add_argument("--tau", type=float, required=True, help="threshold (inf allowed)")
-    p_cv.add_argument("--alpha-clip", type=float, default=0.5)
-    p_cv.add_argument("--p", type=float, default=1.5)
-    p_cv.add_argument("--d", type=int, required=True)
-    p_cv.add_argument("--x", help="evaluation point, comma separated (default origin)")
-    p_cv.add_argument("--seed", type=int)
-    p_cv.add_argument("--json", action="store_true")
-    # exact mode: three-point coordinate noise instance
-    p_cv.add_argument("--d-star", type=int, help="active coordinates (default d)")
-    p_cv.add_argument("--q", type=float, default=0.5)
-    p_cv.add_argument("--theta", type=float, default=0.0)
-    p_cv.add_argument("--M", type=float, default=1.0)
-    p_cv.add_argument("--y", type=float, default=1.0)
-    p_cv.add_argument("--mu", type=float, default=0.0)
-    # mc mode: additive noise on the norm objective
-    p_cv.add_argument("--noise", choices=("gaussian", "stable"), default="gaussian")
-    p_cv.add_argument("--G", type=float, default=1.0)
-    p_cv.add_argument("--scale", type=float, default=1.0)
-    p_cv.add_argument("--alpha", type=float, default=1.8, help="stability index")
-    p_cv.add_argument("--beta", type=float, default=0.0)
-    p_cv.add_argument("--gamma", type=float, default=1.0)
-    p_cv.add_argument("--n-samples", type=int, default=100_000)
-    p_cv.set_defaults(func=_cmd_clip_verify)
-
-    p_de = sub.add_parser("deff", help="effective-dimension calculators")
-    p_de.add_argument(
-        "--variant",
-        choices=("declared", "independent", "iid", "stable"),
-        required=True,
-    )
-    p_de.add_argument("--sigma-s", type=float)
-    p_de.add_argument("--sigma-l", type=float)
-    p_de.add_argument("--sigmas", help="comma-separated per-coordinate moments")
-    p_de.add_argument("--d", type=int)
-    p_de.add_argument("--p", type=float)
-    p_de.add_argument("--eps", type=float)
-    p_de.add_argument("--json", action="store_true")
-    p_de.set_defaults(func=_cmd_deff)
-
-    p_ha = sub.add_parser("hardness", help="materialize a hard instance")
-    p_ha.add_argument("--regime", choices=HARD_REGIMES, required=True)
-    p_ha.add_argument("--d", type=int, required=True)
-    p_ha.add_argument("--d-star", type=int, required=True)
-    p_ha.add_argument("--T", type=int, required=True)
-    p_ha.add_argument("--G", type=float, required=True)
-    p_ha.add_argument("--D", type=float, required=True)
-    p_ha.add_argument("--sigma-l", type=float, required=True)
-    p_ha.add_argument("--p", type=float, required=True)
-    p_ha.add_argument("--mu", type=float, default=0.0)
-    p_ha.add_argument("--delta", type=float)
-    p_ha.add_argument("--codebook", choices=("twopoint", "gv"), default="twopoint")
-    p_ha.add_argument("--word-index", type=int, default=0)
-    p_ha.add_argument("--seed", type=int)
-    p_ha.add_argument("--json", action="store_true")
-    p_ha.set_defaults(func=_cmd_hardness)
-
+    for name, (func, flags, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, (parse, *default) in flags.items():
+            # a value is kept under its flag, as text for a parser of
+            # text and read as a number where it is one otherwise
+            p.add_argument(
+                flag, dest=flag, metavar=flag[2:].upper(), default=argparse.SUPPRESS,
+                type=str if parse in (_text, _vector) else _literal,
+                required=bool(default) and default[0] is _REQ,
+            )
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=func, flags=flags)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        given = {k: v for k, v in vars(args).items() if k in args.flags}
+        values = _section(given, "", args.flags)
+        for flag in args.flags:
+            setattr(args, flag[2:].replace("-", "_"), values.get(flag))
         return args.func(args)
     except (
         ValueError, FileNotFoundError, json.JSONDecodeError, FloatingPointError

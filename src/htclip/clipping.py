@@ -29,14 +29,14 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import as_vector, clip_rows, row_norms
+from ._util import as_vector, clip_rows, finite_row_norms, row_norms
 from .noise import (
     GradOracle,
     _draw_ahead,
     _SupportWalk,
     directional_bound_independent,
 )
-from .schedules import _check_moments
+from .schedules import _check_moments, _check_power
 
 __all__ = [
     "BOUND_NAMES",
@@ -72,6 +72,13 @@ def _check_tau(tau: float) -> float:
     return tau
 
 
+def _check_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not (0.0 < alpha < 1.0 and 1.0 / alpha < math.inf):  # bounds take alpha^(1-p)
+        raise ValueError("clipping margin alpha must lie in (0, 1), with 1/alpha finite")
+    return alpha
+
+
 def clip_batch(G: np.ndarray, tau: float) -> np.ndarray:
     """Clip rows of G to Euclidean norm at most tau (tau = inf passes through)."""
     tau = _check_tau(tau)
@@ -86,10 +93,13 @@ def clip(g: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _term(coef: float, tau: float, expo: float) -> float:
-    # coef * tau**expo with 0 * inf resolved to 0
+    # coef * tau**expo with 0 * inf resolved to 0, and a power past the floats to inf
     if coef == 0.0:
         return 0.0
-    return coef * tau**expo
+    try:
+        return coef * tau**expo
+    except OverflowError:
+        return math.inf
 
 
 def clip_bounds(
@@ -107,8 +117,8 @@ def clip_bounds(
     """
     tau = _check_tau(tau)
     p, ss, sl = _check_moments(p, sigma_s, sigma_l)
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("clipping margin alpha must lie in (0, 1)")
+    _check_power(p, sl)
+    alpha = _check_alpha(alpha)
     fn = float(f_norm)
     if fn < 0:
         raise ValueError("need f_norm >= 0")
@@ -185,10 +195,10 @@ def _report_inputs(oracle: GradOracle, x, grad_true, tau, alpha):
         grad_true = oracle.mean_grad(x)
     grad_true = as_vector(grad_true, oracle.d)
     tau = _check_tau(tau)
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("clipping margin alpha must lie in (0, 1)")
-    fn = float(row_norms(grad_true))
+    alpha = _check_alpha(alpha)
+    fn = float(finite_row_norms(grad_true))
+    if not fn * fn < math.inf:  # every bound takes fn^p or fn^2
+        raise ValueError(f"the mean gradient's norm f_norm = {fn:g} has no finite square")
     chi = int((1.0 - alpha) * tau >= fn)
     return x, grad_true, tau, alpha, fn, chi
 
@@ -351,31 +361,38 @@ def clip_error_mc(
     starts = range(0, n, chunk)
     sizes = [min(chunk, n - a) for a in starts]
     x_row = x[None, :]
-    with contextlib.closing(_draw_ahead(oracle, rng, sizes + sizes)) as draws:
-        # pass 1: mean of the clipped oracle, with per-coordinate variances
-        s1 = np.zeros(d)
-        s1_sq = np.zeros(d)
-        for _, states in zip(sizes, draws):
-            Gc = clip_batch(oracle.grad_rows(x_row, states), tau)
-            s1 += np.add.reduce(Gc, axis=0)
-            s1_sq += np.add.reduce(Gc * Gc, axis=0)
-        mean_c = s1 / n
-        var_c = np.maximum(s1_sq / n - mean_c**2, 0.0)
-        db = float(row_norms(mean_c - grad_true))
-        db_margin = math.sqrt(float(np.add.reduce(var_c)) / n)
+    # the sums may leave the floats only for draws whose squared norms
+    # have no finite square, which the check below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        with contextlib.closing(_draw_ahead(oracle, rng, sizes + sizes)) as draws:
+            # pass 1: mean of the clipped oracle, with per-coordinate variances
+            s1 = np.zeros(d)
+            s1_sq = np.zeros(d)
+            for _, states in zip(sizes, draws):
+                Gc = clip_batch(oracle.grad_rows(x_row, states), tau)
+                s1 += np.add.reduce(Gc, axis=0)
+                s1_sq += np.add.reduce(Gc * Gc, axis=0)
+            mean_c = s1 / n
+            var_c = np.maximum(s1_sq / n - mean_c**2, 0.0)
+            db = float(row_norms(mean_c - grad_true))
+            db_margin = math.sqrt(float(np.add.reduce(var_c)) / n)
 
-        # pass 2: centered moments around the pass-1 mean, each chunk
-        # written into its slice of the one (n, d) buffer
-        du = np.empty((n, d))
-        for a, states in zip(starts, draws):
-            G = oracle.grad_rows(x_row, states)
-            np.subtract(clip_batch(G, tau), mean_c, out=du[a : a + len(states)])
-    # squared row norms after the last draw, in the same row slices
-    du_norms_sq = np.empty(n)
-    for a, m in zip(starts, sizes):
-        rows = du[a : a + m]
-        du_norms_sq[a : a + m] = np.add.reduce(rows * rows, axis=-1)
-    du_max = float(np.sqrt(np.max(du_norms_sq)))
+            # pass 2: centered moments around the pass-1 mean, each chunk
+            # written into its slice of the one (n, d) buffer
+            du = np.empty((n, d))
+            for a, states in zip(starts, draws):
+                G = oracle.grad_rows(x_row, states)
+                np.subtract(clip_batch(G, tau), mean_c, out=du[a : a + len(states)])
+        # squared row norms after the last draw, in the same row slices
+        du_norms_sq = np.empty(n)
+        for a, m in zip(starts, sizes):
+            rows = du[a : a + m]
+            du_norms_sq[a : a + m] = np.add.reduce(rows * rows, axis=-1)
+    peak = float(np.max(du_norms_sq))
+    if not 4.0 * n * peak * peak < math.inf:  # the margins sum n such squares
+        raise ValueError(f"the centred clipped draws' largest squared norm {peak:g} "
+                         f"is too large to sum n_samples = {n} of its squares")
+    du_max = math.sqrt(peak)
     du_sq = float(np.mean(du_norms_sq))
     du_sq_margin = float(np.std(du_norms_sq, ddof=1)) / math.sqrt(n)
     del du_norms_sq

@@ -397,10 +397,13 @@ def make_hard_instance(
         raise ValueError("d_star does not match the resolved parameters")
     if ds < 1:
         raise ValueError(f"d_star must be at least 1, got {ds}")
+    g = params.M * (1.0 if kind == "cvx" else params.mu)  # the gradient bound
     for name, value, rule, ok in (
         ("q", params.q, "in [0, 1]", 0.0 <= params.q <= 1.0),
         ("theta", params.theta, "in [0, 1]", 0.0 <= params.theta <= 1.0),
-        ("M", params.M, "finite and >= 0", 0.0 <= params.M < math.inf),
+        # every user of a gradient row, or of the difference of two, squares it
+        ("M", params.M, "finite and >= 0, with 4 d_star g^2 finite for g = M (cvx) "
+         "or mu M (str)", 0.0 <= params.M and 4.0 * ds * g * g < math.inf),
         ("y", params.y, "finite", math.isfinite(params.y)),
     ):
         if not ok:
@@ -421,16 +424,19 @@ def make_hard_instance(
     M = params.M * act
     y = params.y * act
 
-    if kind == "cvx":
-        x_star = v * y
-        F_star = float(np.add.reduce((1.0 - theta) * q * M * np.abs(y)))
-        mu = 0.0
-        r = None
-    else:
-        x_star = M * q * theta * v
-        F_star = -0.5 * params.mu * float(np.add.reduce(x_star * x_star))
-        mu = params.mu
-        r = QuadReg(mu, np.zeros(d))
+    with np.errstate(over="ignore"):  # F_star is checked below
+        if kind == "cvx":
+            x_star = v * y
+            F_star = float(np.add.reduce((1.0 - theta) * q * M * np.abs(y)))
+            mu = 0.0
+            r = None
+        else:
+            x_star = M * q * theta * v
+            F_star = -0.5 * params.mu * float(np.add.reduce(x_star * x_star))
+            mu = params.mu
+            r = QuadReg(mu, np.zeros(d))
+    if not math.isfinite(F_star):
+        raise ValueError(f"hard instance F_star must be finite, got {F_star}")
 
     inst = HardInstance(
         kind=kind,

@@ -314,6 +314,11 @@ _PROBLEM = {
     "x1_mode": (_x1_mode, "origin"),
     "c": (_reals,),
 }
+_STABLE = {
+    "alpha": (_where(_real, lambda v: 0 < v <= 2, "must lie in (0, 2]"), _REQ),
+    "beta": (_where(_real, lambda v: -1 <= v <= 1, "must lie in [-1, 1]"), 0.0),
+    "gamma": (_NONNEG, 1.0),
+}
 _NOISE = {
     "kind": (
         _one_of("deterministic", "additive-gaussian", "additive-stable", "hard-instance"),
@@ -322,13 +327,7 @@ _NOISE = {
     "p": (_where(_real, lambda v: 1 < v <= 2, "must lie in (1, 2]"),),
     "sigma_s": (_NONNEG,),
     "sigma_l": (_NONNEG,),
-    "stable": (
-        _sub({
-            "alpha": (_where(_real, lambda v: 0 < v <= 2, "must lie in (0, 2]"), _REQ),
-            "beta": (_where(_real, lambda v: -1 <= v <= 1, "must lie in [-1, 1]"), 0.0),
-            "gamma": (_NONNEG, 1.0),
-        }),
-    ),
+    "stable": (_sub(_STABLE),),
     "scales": (
         _where(
             lambda v, path: (_reals if isinstance(v, list) else _real)(v, path),

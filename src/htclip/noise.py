@@ -26,20 +26,19 @@ generator itself, moved past the chunk's uniforms.
 Work is cut into row blocks of bounded size, one _Job, which the caller
 and a lazily started module thread pool claim, one thread per core that
 no running kernel keeps busy, each claimer with a scratch slot that the
-caller allocates.  A one-stream draw is filled on the caller and its
-blocks finish their rows in place; a block of a many-row draw fills its
-rows into its claimer's slot and finishes them straight into out, so
-the draw holds one block's random numbers per claimer, whatever its
-rows.  The transform is elementwise, so its bits are the same for any
-cut, any core count and any row layout.  The Monte Carlo verifiers
-(clipping.clip_error_mc, estimate_moments) read their chunks from
-_draw_ahead, whose job for chunk k + 1 fills and finishes it on module
-threads while the caller works on chunk k, in memory the caller
-allocated (glibc would keep a malloc arena for a chunk allocated on a
-module thread).  Only numpy, the untraced _cms and the rows' generators
-run on the module threads.  The exact verifiers (clip_error_exact,
-estimate_moments with exact=True) walk a finite support through the
-same blocks (_SupportWalk).
+caller allocates.  A block of a many-row draw fills its rows into its
+claimer's slot and finishes them straight into out, so the draw holds
+one block's random numbers per claimer, whatever its rows; a draw from
+one generator is row 0 of a one-row draw.  The transform is elementwise,
+so its bits are the same for any cut, any core count and any row layout.
+The Monte Carlo verifiers (clipping.clip_error_mc, estimate_moments)
+read their chunks from _draw_ahead, whose job for chunk k + 1 fills and
+finishes it on module threads while the caller works on chunk k, in
+memory the caller allocated (glibc would keep a malloc arena for a chunk
+allocated on a module thread).  Only numpy, the untraced _cms and the
+rows' generators run on the module threads.  The exact verifiers
+(clip_error_exact, estimate_moments with exact=True) walk a finite
+support through the same blocks (_SupportWalk).
 """
 
 from __future__ import annotations
@@ -493,13 +492,12 @@ def _draw_ahead(oracle: GradOracle, rng: np.random.Generator, sizes):
     (its buffer then receives the chunk after that), and rng must not be
     used elsewhere until the generator is exhausted or closed; close it
     (contextlib.closing) so that a caller that stops early, or raises,
-    waits for the chunk in flight.  Other oracle kinds, and a process
-    with no idle core beside the caller (see _busy_core), draw each
-    chunk on the caller when it is asked for.
+    waits for the chunk in flight.  With no idle core beside the caller
+    (see _busy_core) no module thread takes a chunk, and the caller draws
+    each when it asks for it; so do other oracle kinds.
     """
     sizes = list(sizes)
-    ahead_kind = oracle.kind in ("additive-stable", "additive-gaussian")
-    if not (ahead_kind and sizes and _cores() - _busy >= 2):
+    if oracle.kind not in ("additive-stable", "additive-gaussian") or not sizes:
         for m in sizes:
             yield oracle.draw(rng, m)
         return
@@ -552,7 +550,12 @@ def stable_abs_moment(p: float, alpha: float, gamma: float = 1.0) -> float:
         * math.gamma(1.0 - p / alpha)
         / (math.gamma(1.0 - p / 2.0) * math.sqrt(math.pi))
     )
-    return gamma**p * c
+    try:
+        return float(gamma) ** p * c
+    except OverflowError:
+        raise ValueError(
+            f"stable scale gamma = {gamma:g} is not finite to the power p = {p:g}"
+        ) from None
 
 
 def directional_bound_independent(moments_p: np.ndarray, p: float) -> float:
@@ -566,7 +569,8 @@ def directional_bound_independent(moments_p: np.ndarray, p: float) -> float:
     if p == 2.0:
         return float(np.max(m)) if m.size else 0.0
     ex = 2.0 / (2.0 - p)
-    s = float(np.add.reduce(m**ex))
+    with np.errstate(over="ignore"):  # a bound past the floats is inf
+        s = float(np.add.reduce(m**ex))
     return 2.0 ** (2.0 - p) * s ** ((2.0 - p) / 2.0)
 
 
@@ -659,33 +663,16 @@ class GradOracle:
         (HardInstance.sample_rows).
         """
         d = self.d
-        streams = [rng] if out is None else rng
+        if out is None:  # one generator: row 0 of a one-row draw
+            return self.draw([rng], n, np.empty((n, 1, d), self.state_dtype))[:, 0]
+        streams = rng
         shape = (n, len(streams), d)
-        if out is not None and (out.dtype != self.state_dtype or out.shape != shape):
+        if out.dtype != self.state_dtype or out.shape != shape:
             raise ValueError(
                 f"out must be a {self.state_dtype} array of shape {shape}, "
                 f"got {out.dtype} {out.shape}"
             )
-        stable = self.kind == "additive-stable"
-        if out is None:
-            # one generator: the draw's own array is the result
-            if self.kind == "hard-instance":
-                return self.instance.sample_xi(_generator(rng), n)
-            if self.kind == "deterministic":
-                return np.zeros((n, d))
-            states = np.empty((n, d))
-            w = np.empty((n, d)) if stable else states
-            self._fill(rng, states, w)
-
-            def finish(a, b):
-                self._finish(states[a:b], w[a:b], states[a:b])
-
-            if stable:  # in place, in row blocks on every core
-                _split(finish, n, d)
-            else:
-                finish(0, n)
-            return states
-        if stable:
+        if self.kind == "additive-stable":
             by_row = out.transpose(1, 0, 2)
 
             def block(a, b, phi, w):
@@ -804,7 +791,8 @@ def make_oracle(
                     f"alpha={stable.alpha}"
                 )
             m = np.array(
-                [stable_abs_moment(p, stable.alpha, stable.gamma * si) for si in s]
+                [stable_abs_moment(p, stable.alpha, float(stable.gamma) * float(si))
+                 for si in s]
             )
             sig_l_p = float(np.add.reduce(m))
             sig_s_p = min(directional_bound_independent(m, p), sig_l_p)
@@ -1058,13 +1046,17 @@ def d_eff_lower_bound(
         p = _check_moments(p)[0]
         if s[0] == 0.0:
             return 0.0
-        if p == 2.0:
-            return float(np.add.reduce(s * s) / (s[0] * s[0]))
-        j = np.arange(1, s.size + 1, dtype=float)
-        num = np.max(j ** (1.0 - 2.0 / p) * np.cumsum(s**p) ** (2.0 / p))
-        den = 2.0 ** (4.0 / p - 2.0) * float(
-            np.add.reduce(s ** (2.0 * p / (2.0 - p)))
-        ) ** (2.0 / p - 1.0)
+        with np.errstate(over="ignore", under="ignore"):  # checked below
+            if p == 2.0:
+                num, den = np.add.reduce(s * s), s[0] * s[0]
+            else:
+                j = np.arange(1, s.size + 1, dtype=float)
+                num = np.max(j ** (1.0 - 2.0 / p) * np.cumsum(s**p) ** (2.0 / p))
+                den = 2.0 ** (4.0 / p - 2.0) * float(
+                    np.add.reduce(s ** (2.0 * p / (2.0 - p)))
+                ) ** (2.0 / p - 1.0)
+        if not (0.0 < num < math.inf and 0.0 < den < math.inf):
+            raise ValueError(f"sigmas must keep their powers in the floats at p = {p:g}")
         return float(num / den)
 
     if variant == "iid":

@@ -88,6 +88,17 @@ def _check_moments(p=None, sigma_s=0.0, sigma_l=0.0, *, finite=False) -> tuple:
     return p, ss, sl
 
 
+def _check_power(p: float, sigma_l: float) -> None:
+    """Reject a sigma_l^p, which bounds and schedules are built from, that overflows."""
+    try:
+        sigma_l**p
+    except OverflowError:
+        raise ValueError(
+            f"noise sigma_l is not finite to the power p "
+            f"({sigma_l:g} ** {p:g} overflows)"
+        ) from None
+
+
 def d_eff_of(sigma_s: float, sigma_l: float) -> float:
     """Effective dimension sigma_l^2 / sigma_s^2; zero iff both are zero."""
     _, ss, sl = _check_moments(None, sigma_s, sigma_l)
@@ -95,7 +106,10 @@ def d_eff_of(sigma_s: float, sigma_l: float) -> float:
         return 0.0
     if ss == 0.0:
         raise ValueError("sigma_s = 0 with sigma_l > 0 violates the moment bracket")
-    return (sl / ss) ** 2
+    ratio = sl / ss
+    if not ratio * ratio < INF:
+        raise ValueError(f"d_eff = (sigma_l / sigma_s)^2 overflows ({sl:g} / {ss:g})")
+    return ratio**2
 
 
 def _check_delta(delta) -> float:
@@ -164,14 +178,7 @@ class ScheduleParams:
 
     def __post_init__(self):
         p, ss, sl = _check_moments(self.p, self.sigma_s, self.sigma_l, finite=True)
-        try:
-            sl**p
-        except OverflowError:
-            # every schedule constant is built from the moment bound sigma_l^p
-            raise ValueError(
-                f"noise sigma_l is not finite to the power p "
-                f"({sl:g} ** {p:g} overflows)"
-            ) from None
+        _check_power(p, sl)
         if ss > 0.0 and ss * ss < _TINY:
             # the clipping constants divide by powers of sigma_s
             raise ValueError(

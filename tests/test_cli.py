@@ -1,7 +1,9 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 import time
@@ -583,3 +585,249 @@ def test_run_exits_0_1_or_2_and_never_raises(data, name, value):
     assert rc in (0, 1, 2)
     if rc == 2:
         assert err.getvalue().startswith("error: "), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# --json bytes of each subcommand, pinned as sha256 digests of stdout
+
+
+_PIN_CONFIG = {
+    "problem": {"kind": "euclid-norm", "d": 2, "G": 1.0,
+                "x1_mode": {"kind": "offset", "vector": [1.0, 0.0]}},
+    "noise": {"kind": "additive-gaussian", "scales": 0.25},
+    "schedule": {"regime": "cvx-ex-T"},
+    "run": {"T_grid": [16, 32], "trials": 1, "master_seed": 7},
+}
+_JSON_PINS = {
+    "schedule": (
+        ["schedule", "--config", "{config}"],
+        "9f189634d001149c14ce758e7b92628dd73779bab64fec1aa16a656e9e0a8858",
+    ),
+    "clip-verify-exact": (
+        ["clip-verify", "--mode", "exact", "--d", "4", "--tau", "1", "--theta", "0.1",
+         "--x", "0.5,0,-1,2"],
+        "f13a0ae5c6104b1f0e575f66df352fa9650cc86757ac636da280cf529633c908",
+    ),
+    "clip-verify-mc": (
+        ["clip-verify", "--mode", "mc", "--d", "4", "--tau", "1", "--n-samples", "10000",
+         "--seed", "3"],
+        "9161963771976836a24259bf07bc9701afcea6e0f49733e59cf95139486da784",
+    ),
+    "clip-verify-mc-stable": (
+        ["clip-verify", "--mode", "mc", "--noise", "stable", "--d", "4", "--tau", "8",
+         "--alpha", "1.8", "--scale", "0.3", "--p", "1.5", "--n-samples", "10000",
+         "--seed", "5"],
+        "f795a040782972dbf2fadece0ea3addafb328f3cbde7634989ec7009273ec70a",
+    ),
+    "deff-declared": (
+        ["deff", "--variant", "declared", "--sigma-s", "1", "--sigma-l", "2"],
+        "ef7c90141c2e5a433572c844c27a897978ccbcd39920e337b13fb6519ae54383",
+    ),
+    "deff-independent": (
+        ["deff", "--variant", "independent", "--sigmas", "3,4,0.5", "--p", "1.5"],
+        "20a5b862114dee49cf705681ba417197843b0b369ca72cf89db52086678b0c27",
+    ),
+    "deff-iid": (
+        ["deff", "--variant", "iid", "--d", "4", "--p", "1.5"],
+        "1846f229f4709ac14bc478ef2ceae6a91c3ec9376597c92291d7f42f498fc6d2",
+    ),
+    "deff-stable": (
+        ["deff", "--variant", "stable", "--d", "8", "--p", "1.5"],
+        "2405dc6c54eb7a2f24452640185b17105b5068f9b7efa448504a28595394e261",
+    ),
+    "hardness-twopoint": (
+        ["hardness", "--regime", "cvx-twopoint", "--d", "4", "--d-star", "2", "--T", "10",
+         "--G", "1", "--D", "1", "--sigma-l", "1", "--p", "1.5", "--delta", "0.05"],
+        "d2b54d430511ef57830d1e377e0e4bf0f292e79183de788348fe10c2bca9872f",
+    ),
+    "hardness-gv": (
+        ["hardness", "--regime", "str-fano", "--d", "8", "--d-star", "8", "--T", "100",
+         "--G", "2", "--D", "3", "--sigma-l", "1", "--p", "1.5", "--mu", "0.5",
+         "--codebook", "gv", "--seed", "13", "--word-index", "3"],
+        "c5a830dd9711b1a7fe18f9b265051a55d391ad4b2d4c7d9c681fa90c1e5d5920",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_JSON_PINS))
+def test_json_output_bytes_are_pinned(tmp_path, capsys, case):
+    argv, digest = _JSON_PINS[case]
+    config = _write_config(tmp_path, _PIN_CONFIG)
+    assert main([a.format(config=config) for a in argv] + ["--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# bad flags: each exits 2 with a message that names the flag or parameter,
+# with no traceback and no RuntimeWarning
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["run", "--config", "absent.json", "--threads", "0"], "--threads must be"),
+        (["hardness", "--regime", "cvx-fano", "--d", "4", "--d-star", "4", "--T", "0",
+          "--G", "1", "--D", "1", "--sigma-l", "1", "--p", "1.5"], "--T must lie"),
+        (["hardness", "--regime", "cvx-fano", "--d", "100000", "--d-star", "4",
+          "--T", "10", "--G", "1", "--D", "1", "--sigma-l", "1", "--p", "1.5"],
+         "--d must be"),
+        (["deff", "--variant", "independent", "--sigmas", "1,x", "--p", "1.5"],
+         "--sigmas must"),
+        (["clip-verify", "--mode", "mc", "--d", "2", "--tau", "1", "--scale", "1e300",
+          "--n-samples", "10000"], "sigma_l is not finite to the power p"),
+        (["clip-verify", "--mode", "exact", "--d", "2", "--tau", "1", "--M", "1e300",
+          "--json"], " M must"),
+        (["deff", "--variant", "independent", "--sigmas", "1e300,1e300", "--p", "1.5",
+          "--json"], "sigmas must"),
+        (["hardness", "--regime", "str-fano", "--d", "4", "--d-star", "4", "--T", "10",
+          "--G", "1e300", "--D", "1e300", "--sigma-l", "1e300", "--p", "1.5",
+          "--mu", "1e-300", "--json"], "F_star must"),
+        (["clip-verify", "--mode", "mc", "--d", "2", "--tau", "1", "--n-samples", "10000",
+          "--noise", "stable", "--alpha", "1.9", "--p", "1.5", "--gamma", "1e300"],
+         "gamma"),
+        (["clip-verify", "--mode", "exact", "--d", "100000", "--d-star", "4", "--tau", "1"],
+         "--d must be"),
+        (["clip-verify", "--mode", "mc", "--d", "2", "--tau", "3", "--n-samples", "10000",
+          "--alpha-clip", "5e-324"], "alpha must"),
+        (["clip-verify", "--mode", "mc", "--d", "2", "--tau", "3", "--n-samples", "10000",
+          "--G", "1e300", "--x", "1,0"], "f_norm"),
+        (["clip-verify", "--mode", "mc", "--d", "8", "--tau", "inf", "--n-samples", "10000",
+          "--scale", "1e153"], "squared norm"),
+        (["deff", "--variant", "declared", "--sigma-s", "1e-200", "--sigma-l", "1e200"],
+         "d_eff"),
+    ],
+    ids=["run-threads-0", "hardness-T-0", "hardness-d-past-cap", "deff-sigmas-text",
+         "mc-scale-power-overflows", "exact-M-squares-overflow",
+         "deff-sigmas-powers-overflow", "hardness-F-star-overflows",
+         "mc-stable-gamma-power-overflows", "exact-d-past-cap", "mc-alpha-clip-subnormal",
+         "mc-f-norm-squares-overflow", "mc-draws-squares-overflow",
+         "deff-declared-ratio-squares-overflow"],
+)
+def test_bad_flag_exits_two_naming_it(capsys, argv, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert name in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_a_bound_past_the_floats_reads_inf(capsys):
+    # tau^-p overflows at tau = 1e-300: those bounds are inf, and hold
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["clip-verify", "--mode", "exact", "--d", "2", "--tau", "1e-300",
+                   "--x", "2,2", "--json"])
+    assert rc == 0
+    bounds = json.loads(capsys.readouterr().out)["bounds"]
+    assert math.isinf(bounds["db_norm"]) and math.isfinite(bounds["du_max_norm"])
+
+
+# ---------------------------------------------------------------------------
+# main() fuzz of the other subcommands: flags replaced by interesting text
+
+_TEXTS = [
+    "0", "-1", "1", "2", "3", "8", "0.5", "1.5", "1.9", "0.1", "1e300", "-1e300",
+    "1e-300", "5e-324", "1e100", "1e-100", "1e400", "inf", "-inf", "nan", "x", "",
+    "1,2", "1" + "0" * 400,
+]
+_TEXT = st.one_of(
+    st.sampled_from(_TEXTS),
+    st.integers(-3, 12).map(str),
+    st.floats(-10.0, 10.0).map(repr),
+)
+# sizes kept small, so that every accepted command runs in milliseconds
+_DIM = st.sampled_from(["1", "2", "3", "4", "8", "0", "-1", "x", "4097", "1e300", "2.5"])
+_VECTOR = st.lists(_TEXT, min_size=1, max_size=8).map(",".join)
+_FUZZ = {
+    "schedule": (["schedule", "--config", "{config}"], {"--T": _TEXT, "--seed": _TEXT}),
+    "clip-verify-exact": (
+        ["clip-verify", "--mode", "exact", "--d", "2", "--tau", "3"],
+        {"--d": _DIM, "--d-star": _DIM, "--tau": _TEXT, "--alpha-clip": _TEXT,
+         "--p": _TEXT, "--x": _VECTOR, "--q": _TEXT, "--theta": _TEXT, "--M": _TEXT,
+         "--y": _TEXT, "--mu": _TEXT},
+    ),
+    "clip-verify-mc": (
+        ["clip-verify", "--mode", "mc", "--d", "2", "--tau", "3", "--n-samples", "10000"],
+        {"--d": _DIM, "--tau": _TEXT, "--alpha-clip": _TEXT, "--p": _TEXT, "--x": _VECTOR,
+         "--seed": _TEXT, "--noise": st.sampled_from(["gaussian", "stable", "x"]),
+         "--G": _TEXT, "--scale": _TEXT, "--alpha": _TEXT, "--beta": _TEXT,
+         "--gamma": _TEXT},
+    ),
+    "deff": (
+        ["deff", "--variant", "iid", "--d", "4", "--p", "1.5"],
+        {"--variant": st.sampled_from(["declared", "independent", "iid", "stable", "x"]),
+         "--sigma-s": _TEXT, "--sigma-l": _TEXT, "--sigmas": _VECTOR, "--d": _TEXT,
+         "--p": _TEXT, "--eps": _TEXT},
+    ),
+    "hardness": (
+        ["hardness", "--regime", "cvx-fano", "--d", "4", "--d-star", "4", "--T", "100",
+         "--G", "2", "--D", "3", "--sigma-l", "1", "--p", "1.5"],
+        {"--regime": st.sampled_from(["cvx-fano", "str-fano", "cvx-twopoint",
+                                      "str-twopoint", "x"]),
+         "--d": _DIM, "--d-star": _DIM, "--T": _TEXT, "--G": _TEXT, "--D": _TEXT,
+         "--sigma-l": _TEXT, "--p": _TEXT, "--mu": _TEXT, "--delta": _TEXT,
+         "--codebook": st.sampled_from(["twopoint", "gv", "x"]), "--word-index": _TEXT,
+         "--seed": _TEXT},
+    ),
+}
+
+
+def _infinities(node, path=""):
+    """The paths of the +-inf numbers in a JSON document."""
+    if isinstance(node, dict):
+        return [p for k, v in node.items() for p in _infinities(v, f"{path}.{k}")]
+    if isinstance(node, list):
+        return [p for v in node for p in _infinities(v, path)]
+    return [path] if isinstance(node, float) and math.isinf(node) else []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), case=st.sampled_from(sorted(_FUZZ)), as_json=st.booleans())
+def test_subcommands_exit_0_1_or_2_and_never_raise(data, case, as_json):
+    base, flags = _FUZZ[case]
+    chosen = data.draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=4,
+                                unique=True))
+    values = {flag: data.draw(flags[flag], label=flag) for flag in chosen}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as fh:
+            json.dump(_PIN_CONFIG, fh)
+        argv = [a.format(config=config) for a in base]
+        # --flag=value, so that argparse reads a value such as -inf as one
+        argv += [f"{flag}={value}" for flag, value in values.items()]
+        argv += ["--json"] if as_json else []
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+    if rc == 2:
+        assert err.startswith("error: ") and out == "", err
+        return
+    if as_json:
+        constants = []
+        payload = json.loads(out, parse_constant=lambda c: constants.append(c) or float(c))
+        assert "NaN" not in constants, out
+        # +-inf only where an input is infinite, or in a bound past the floats
+        infinite_input = any(math.isinf(float(v)) for v in [*values.values(), *base]
+                             if _is_number(v))
+        assert infinite_input or all(p.startswith(".bounds.")
+                                     for p in _infinities(payload)), out
+        assert rc == 0 or payload["ok"] is False
+    else:
+        assert rc == 0 or "overall: FAIL" in out
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True

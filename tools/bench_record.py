@@ -22,13 +22,16 @@ runs, so that rates measured at different times can be compared in
 units of it; and whether PYTHONDONTWRITEBYTECODE was set, which makes every
 worker compile the sources on import, so that set-up time and peak RSS
 then move with the length of src/, which it records for each checkout
-(the lines of src/htclip/*.py, as wc -l counts them).  --stages adds a JSON file that
+(the lines of src/htclip/*.py, as wc -l counts them, and apart from them
+the code lines: those that are not docstring, comment or blank).  --stages adds a JSON file that
 tools/kernel_stages.py printed.  numpy only; not part of the tests.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
@@ -36,6 +39,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 
 import numpy as np
 
@@ -80,15 +84,44 @@ def fingerprint() -> dict:
     }
 
 
+def _sources(checkout: str) -> list:
+    """The texts of the checkout's src/htclip/*.py files."""
+    folder = os.path.join(checkout, "src", "htclip")
+    names = sorted(n for n in os.listdir(folder) if n.endswith(".py"))
+    out = []
+    for name in names:
+        with open(os.path.join(folder, name), encoding="utf-8") as fh:
+            out.append(fh.read())
+    return out
+
+
 def src_lines(checkout: str) -> int:
     """Lines of the checkout's src/htclip/*.py files, summed."""
-    folder = os.path.join(checkout, "src", "htclip")
-    total = 0
-    for name in os.listdir(folder):
-        if name.endswith(".py"):
-            with open(os.path.join(folder, name), "rb") as fh:
-                total += fh.read().count(b"\n")
-    return total
+    return sum(text.count("\n") for text in _sources(checkout))
+
+
+_PROSE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+          tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER)
+
+
+def code_lines(text: str) -> int:
+    """Lines of a Python source that hold a token other than a comment,
+    with the lines of module, class and function docstrings left out."""
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _PROSE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None:
+            doc = node.body[0]
+            lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
+    return len(lines)
+
+
+def src_code_lines(checkout: str) -> int:
+    """code_lines of the checkout's src/htclip/*.py files, summed."""
+    return sum(code_lines(text) for text in _sources(checkout))
 
 
 def record_path(checkout: str, workload: str, seed: int) -> str:
@@ -164,6 +197,9 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "note": args.note,
         "src_lines": {label: src_lines(checkout) for label, checkout in checkouts.items()},
+        "src_code_lines": {
+            label: src_code_lines(checkout) for label, checkout in checkouts.items()
+        },
         "workloads": {},
     }
     for workload in args.workloads:
