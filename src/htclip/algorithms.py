@@ -38,20 +38,33 @@ different horizons or codewords map gradients with per-row M and y.
 
 Oracle noise comes in fixed chunks of NOISE_CHUNK states per trial,
 which pins each trial's consumption of its own rng stream, and a row
-draws a chunk a sub-chunk of _sub_chunk(d) states at a time, into one
-(sub-chunk, trials, d) buffer of the oracle's state dtype, allocated
-once per run, so a step reads its states as one contiguous block.  A
-row draws only the states it runs: none past its horizon.  The rows of
-one oracle draw a sub-chunk in one GradOracle.draw call, which draws
-and transforms their alpha-stable states a row block at a time on
-every core, and a noise.ChunkStream per row gives each sub-chunk the
-bits it has in a draw of the whole chunk.  Hard-instance rows draw in
-one HardInstance.sample_rows call, a row block at a time in under 64
-KiB of scratch, each block stored into the buffer in one copy.  Iterates are checked for
-finiteness at every chunk boundary and at each horizon, not at every
-step: a coordinate that turns non-finite stays non-finite under the
-prox maps (they are linear in x, and projection onto a ball maps it to
-nan), so a blow-up anywhere inside a chunk is still reported.
+draws a chunk a sub-chunk of _sub_chunk(d) states at a time.  A row
+draws only the states it runs: none past its horizon.  Stable,
+Gaussian and deterministic rows draw into one (sub-chunk, trials, d)
+buffer of the oracle's state dtype, allocated once per run, so a step
+reads its states as one contiguous block.  The rows of one oracle draw
+a sub-chunk in one GradOracle.draw call, which draws and transforms
+their alpha-stable states a row block at a time on every core, and a
+noise.ChunkStream per row gives each sub-chunk the bits it has in a
+draw of the whole chunk.
+
+Hard-instance rows hold no state buffer.  Their states are sparse (the
+lower-bound regimes take q = 1/T or less: 0.064% of a rate-hard-cvx
+run's entries are nonzero), so a run of rows of one oracle and count
+draws a sub-chunk as its nonzero entries (HardInstance.sample_events,
+with the dense draw's bits and generator use), and a step takes
+x_t/eta_t (or problems._stabilized_base) for every row but computes,
+clips and subtracts a gradient row only for the rows with a nonzero
+state (_Events), then finishes the prox point as the dense step does
+(problems._prox_finish), with its bytes.  On the rate-hard-cvx shape
+the kernel fell from 99.0 to 59.7 ns per trial-step
+(tools/kernel_stages.py, 2 vCPU Intel Xeon, numpy 2.4.6).
+
+Iterates are checked for finiteness at every chunk boundary and at each
+horizon, not at every step: a coordinate that turns non-finite stays
+non-finite under the prox maps (they are linear in x, and projection
+onto a ball maps it to nan), so a blow-up anywhere inside a chunk is
+still reported.
 
 The step sizes are validated where they are made: when a chunk's eta and
 tau values are filled, every eta the chunk will run must be positive,
@@ -66,6 +79,7 @@ step; it has the bits of the closed form's own.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -76,7 +90,9 @@ from .noise import ChunkStream, GradOracle, _busy_core
 from .problems import (
     CompositeObjective,
     _project,
+    _prox_finish,
     _prox_point,
+    _stabilized_base,
     _stabilized_point,
     project,
 )
@@ -270,18 +286,6 @@ class _Steps:
         return self.cur
 
 
-def _grad_oracle(oracles: list, k: int):
-    """An oracle whose grad_rows maps each of the first k rows as its own
-    oracle does: the shared oracle, or for hard instances one whose M and
-    y hold a row per trial (grad_rows reads no other field)."""
-    first = oracles[0]
-    if all(o is first for o in oracles[1:k]):
-        return first
-    M = np.stack([o.instance.M for o in oracles[:k]])
-    y = np.stack([o.instance.y for o in oracles[:k]])
-    return replace(first, instance=replace(first.instance, M=M, y=y))
-
-
 def _grad_bounds(oracles: list) -> np.ndarray:
     """Each row's oracle's grad_bound(), +inf for an oracle without one."""
     known = {}
@@ -292,15 +296,129 @@ def _grad_bounds(oracles: list) -> np.ndarray:
     return np.array([known[id(o)] for o in oracles])
 
 
-def _draw(oracles: list, streams: list, buf: np.ndarray, used: list) -> None:
-    """Draw the next used[i] states of each running row i into
-    buf[:used[i], i], in one oracle.draw call per run of rows with one
-    oracle and one count (used is nonincreasing)."""
+def _runs(oracles: list, used: list):
+    """(a, b) for each run of rows a..b - 1 with one oracle and one count
+    in used (nonincreasing)."""
     a = 0
     for b in range(1, len(used) + 1):
         if b == len(used) or used[b] != used[a] or oracles[b] is not oracles[a]:
-            oracles[a].draw(streams[a:b], used[a], out=buf[: used[a], a:b])
+            yield a, b
             a = b
+
+
+def _draw(oracles: list, streams: list, buf: np.ndarray, used: list) -> None:
+    """Draw the next used[i] states of each running row i into
+    buf[:used[i], i], in one oracle.draw call per run of rows."""
+    for a, b in _runs(oracles, used):
+        oracles[a].draw(streams[a:b], used[a], out=buf[: used[a], a:b])
+
+
+# -0.0's bits read as an int64: the least int64
+_NEG_ZERO = np.iinfo(np.int64).min
+
+
+class _Events:
+    """The gradients of hard-instance rows, subtracted where their states
+    are not zero.
+
+    A sub-chunk's states come as events, drawn in one
+    HardInstance.sample_events call per run of rows, and are grouped into
+    event rows: a row with a nonzero state entry at a step.  For each, the
+    parts of its gradient row that do not depend on x (grad_parts) are
+    taken once per sub-chunk.  At a step, subtract takes u, the prox
+    point's numerator before the gradient, to u - g, with g the dense
+    gradient row (HardInstance.grad_rows) of every row: an event row's
+    is made from its parts at x, clipped if the chunk clips and counted
+    in clips, and subtracted from its row of u.
+
+    Every other row has a gradient row of zeros, which clip_rows never
+    scales or counts.  Each entry is +0.0 or -0.0, so subtracting it
+    leaves u as it is, except where u is -0.0 and the entry is -0.0 too:
+    then the difference is +0.0.  np.sign(-0.0) is +0.0, so for cvx that
+    is where x < 0 and x/eta is -0.0, which for a positive finite eta
+    takes an underflow.  (For str the entry is always -0.0, and u - g0 +
+    mu c, with c = 0, is u + mu c.)  run_trials has numpy call
+    underflowed at each underflow, and a step after one gives the rows
+    whose u holds a -0.0, bar event rows, u - g0 with g0 their gradient
+    rows of zero states.  (An infinite eta makes a cvx step's
+    denominator 0 and its iterate non-finite either way.)  An instance
+    with a non-finite M, y or mu may make a zero state's gradient nan,
+    so then every row takes u - g0 at every step.
+    """
+
+    def __init__(self, oracles: list, rngs: Sequence[np.random.Generator]):
+        first = oracles[0]
+        # every row maps as the first row's instance does, with its own M and y
+        self.map = first.instance
+        if all(o is first for o in oracles):
+            self.M, self.y = self.map.M, self.map.y
+        else:
+            self.M = np.stack([o.instance.M for o in oracles])
+            self.y = np.stack([o.instance.y for o in oracles])
+        self.oracles, self.rngs = oracles, rngs
+        zero = self.map.grad_parts(np.zeros(self.M.shape, np.int8), self.M, self.y)
+        self.nan = not all(np.isfinite(p).all() for p in zero)
+        self.underflow = True
+
+    def underflowed(self, kind: str, flag: int) -> None:
+        """numpy's errstate callback: an operation underflowed."""
+        self.underflow = True
+
+    def _parts(self, states: np.ndarray, rows: np.ndarray) -> tuple:
+        """grad_parts of the state rows of rows."""
+        one = self.M.ndim == 1
+        return self.map.grad_parts(
+            states, self.M if one else self.M[rows], self.y if one else self.y[rows]
+        )
+
+    def draw(self, used: list) -> None:
+        """Draw the next used[i] states of each running row i (used is
+        nonincreasing) and group their events by step and row."""
+        found = []
+        for a, b in _runs(self.oracles, used):
+            step, row, col, code = self.oracles[a].instance.sample_events(
+                self.rngs[a:b], used[a]
+            )
+            found.append((step, row + a, col, code))
+        step, row, col, code = (np.concatenate(e) for e in zip(*found))
+        order = np.argsort(step, kind="stable")
+        step, row, col, code = step[order], row[order], col[order], code[order]
+        # an event row starts where the (step, row) pair changes
+        key = step * len(used) + row
+        new = np.ones(len(key), bool)
+        new[1:] = key[1:] != key[:-1]
+        which = np.cumsum(new) - 1
+        states = np.zeros((int(new.sum()), self.map.d), np.int8)
+        states[which, col] = code
+        self.rows = row[new]
+        self.parts = self._parts(states, self.rows)
+        self.at = np.searchsorted(step[new], np.arange(used[0] + 1)).tolist()
+
+    def subtract(self, pos: int, x: np.ndarray, u: np.ndarray, tau, clips) -> None:
+        """u - g in place, at step pos of the sub-chunk, for the running
+        rows x and the dense gradient rows g at x; tau is None when the
+        chunk skips the clip."""
+        p, q = self.at[pos], self.at[pos + 1]
+        rows = self.rows[p:q]
+        if self.nan or self.underflow:
+            zero = np.ones(len(u), bool) if self.nan else (u.view(np.int64) == _NEG_ZERO).any(1)
+            zero[rows] = False
+            at = np.flatnonzero(zero)
+            states = np.zeros((len(at), u.shape[1]), np.int8)
+            u[at] -= self.map.grad_at(x[at], self._parts(states, at))
+            self.underflow = False
+        if p == q:
+            return
+        if q - p == 1 and tau is None:
+            # one row, by basic indexing: 2 us a step faster than by an array
+            i = rows[0]
+            u[i] -= self.map.grad_at(x[i], tuple(part[p] for part in self.parts))
+            return
+        g = self.map.grad_at(x[rows], tuple(part[p:q] for part in self.parts))
+        if tau is not None:
+            g, over = clip_rows(g, tau[rows] if isinstance(tau, np.ndarray) else tau)
+            clips[rows] += over
+        u[rows] -= g
 
 
 def _run_kernel(
@@ -312,6 +430,7 @@ def _run_kernel(
     rngs: Sequence[np.random.Generator],
     stabilized: bool,
     aggregate: Optional[str],
+    events: Optional[_Events],
 ) -> BatchResult:
     n = len(rngs)
     d = objective.d
@@ -333,12 +452,14 @@ def _run_kernel(
     # after step t, the rows with a horizon above t still run
     running = {h: sum(1 for g in horizons if g > h) for h in set(horizons)}
     k = n
-    grad = _grad_oracle(oracles, k)
     steps = _Steps(schedules, horizons, _grad_bounds(oracles), d, objective.mu, stabilized)
 
     sub = _sub_chunk(d)
-    buf = np.empty((min(sub, T), n, d), dtype=oracles[0].state_dtype)
-    streams = [ChunkStream(rng, NOISE_CHUNK * d) for rng in rngs]
+    if events is None:
+        # every row has the one oracle, as only hard instances may differ
+        grad = oracles[0]
+        buf = np.empty((min(sub, T), n, d), dtype=grad.state_dtype)
+        streams = [ChunkStream(rng, NOISE_CHUNK * d) for rng in rngs]
     pos = NOISE_CHUNK
     for t in range(1, T + 1):
         if pos == NOISE_CHUNK:
@@ -349,21 +470,31 @@ def _run_kernel(
         at = pos % sub
         if at == 0:
             # a row reads no state past its own horizon
-            _draw(oracles, streams, buf, [min(len(buf), h + 1 - t) for h in horizons[:k]])
-        xi = buf[at, :k]
+            used = [min(sub, h + 1 - t) for h in horizons[:k]]
+            if events is None:
+                _draw(oracles, streams, buf, used)
+            else:
+                events.draw(used)
         eta_t, eta_next, tau_t, den = steps.at(pos, k)
         pos += 1
 
-        g = grad.grad_rows(x, xi)
-        if steps.clip:
-            g, over = clip_rows(g, tau_t)
-            clips += over
-
         # the steps' etas were checked when the chunk's values were filled
-        if stabilized:
-            x = _project(domain, _stabilized_point(r, x, x1, g, eta_t, eta_next))
+        if events is None:
+            g = grad.grad_rows(x, buf[at, :k])
+            if steps.clip:
+                g, over = clip_rows(g, tau_t)
+                clips += over
+            if stabilized:
+                x = _project(domain, _stabilized_point(r, x, x1, g, eta_t, eta_next))
+            else:
+                x = _project(domain, _prox_point(r, x, g, eta_t, den))
         else:
-            x = _project(domain, _prox_point(r, x, g, eta_t, den))
+            if stabilized:
+                u, den = _stabilized_base(r, x, x1, eta_t, eta_next)
+            else:
+                u = x / eta_t
+            events.subtract(at, x, u, tau_t if steps.clip else None, clips)
+            x = _project(domain, _prox_finish(r, u, den))
 
         if mean is not None:
             mean += (x - mean) / t
@@ -381,8 +512,6 @@ def _run_kernel(
             x, x1, clips = x[:k], x1[:k], clips[:k]
             mean = None if mean is None else mean[:k]
             wavg = None if wavg is None else wavg[:k]
-            if k:
-                grad = _grad_oracle(oracles, k)
     return out
 
 
@@ -462,9 +591,17 @@ def run_trials(
     # rather than once per step; an overflow or invalid value that reaches
     # the iterate makes it non-finite, which the kernel raises as
     # FloatingPointError
-    with np.errstate(over="ignore", invalid="ignore"), _busy_core():
+    with contextlib.ExitStack() as scope:
+        scope.enter_context(np.errstate(over="ignore", invalid="ignore"))
+        scope.enter_context(_busy_core())
+        events = None
+        if getattr(oracles[0], "kind", None) == "hard-instance":
+            # hard-instance rows draw events, and watch for underflows
+            events = _Events(oracles, rngs)
+            scope.enter_context(np.errstate(under="call", call=events.underflowed))
         return _run_kernel(
-            objective, oracles, schedules, horizons, x_1, rngs, stabilized, aggregate
+            objective, oracles, schedules, horizons, x_1, rngs, stabilized, aggregate,
+            events,
         )
 
 

@@ -61,6 +61,9 @@ SUPPORT_CAP = 2_000_000
 # bytes of numpy scratch a many-row draw of xi holds at once (see
 # HardInstance.sample_rows): with its views' Python objects, under 64 KiB
 _DRAW_SCRATCH = 60 << 10
+# bytes of numpy scratch a draw of events holds at once, bar the events
+# (see HardInstance.sample_events)
+_EVENT_SCRATCH = 256 << 10
 
 # the largest d_star a gv codebook is built for: its ceil(exp(48 / 8)) =
 # 404 words take about 0.35 s to pick, and each 8 more multiply the words
@@ -217,85 +220,154 @@ class HardInstance:
 
     def sample_xi(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n rows of xi from D_v (one uniform per coordinate), as int8
-        outcome codes 0, +1 and -1: sample_rows for the one generator rng."""
-        return self.sample_rows([rng], n, np.empty((n, 1, self.d), np.int8))[:, 0]
+        outcome codes 0, +1 and -1: the codes (_codes) of rng.random((n, d)),
+        rng a Generator or noise.ChunkStream over one.  One row at d = 4
+        takes about 6 us, against 12 us as a one-row sample_rows (min of
+        15 x 2,000 calls, 2 vCPU Intel Xeon, numpy 2.4.6)."""
+        u = _generator(rng).random((n, self.d))
+        xi = np.empty(u.shape, np.int8)
+        self._codes(u, xi, np.empty_like(xi))
+        return xi
 
-    def sample_rows(self, rngs, n: int, out: np.ndarray) -> np.ndarray:
-        """Draw n rows of xi from D_v from each generator in rngs, or
-        noise.ChunkStream over one, into out, an (n, len(rngs), d) int8
-        array whose last axis is contiguous: out[:, r] gets the codes of
-        rngs[r].random((n, d)), drawn in that order, and out is returned.
+    def _codes(self, u: np.ndarray, xi: np.ndarray, above: np.ndarray) -> None:
+        """The threshold rule: write the int8 codes of uniforms u, an
+        (..., n, d) array, into xi of its shape, with above, int8 of its
+        shape, as scratch.
 
-        Threshold order maps [0, 1-q) to 0, then the +1 mass, then -1.
-        Each row's generator fills one (n, d) float scratch, and two
-        comparisons write that row's codes into a block of code rows;
-        once the block is full, one copy stores it into out's strided
-        rows, each row's d codes moved as one cell.  The strided store is
-        what the blocks and cells save: 64 rows of 1,024 x 4 codes took
-        594 us to store a byte at a time against 83 us a cell at a time,
-        and 200 such rows drawn into a 1,000-row buffer took 44 us a row
-        stored a row at a time against 38 us six rows at a time (2 vCPU
-        Intel Xeon, numpy 2.4.6; their bare uniforms took 22 us).  The
-        scratch, the block and the -1 codes hold at most _DRAW_SCRATCH
-        bytes, or one row's worth if a row is longer.
-
-        The uniforms are compared against copies of the thresholds tiled
-        to a row's shape, not against a length-d vector broadcast along
-        the rows: a 1,024-row draw, uniforms included, takes 8.9 against
-        14.3 us at d = 4 and 106 against 115 us at d = 64 (AMD EPYC,
-        numpy 2.4.6).  The tiles are kept on the instance, grown to the
-        longest draw yet but never past NOISE_CHUNK rows, so an instance
-        holds at most 2 * NOISE_CHUNK * d * 8 bytes of them (64 KB at
-        d = 4, 1 MB at d = 64); a longer draw is compared in slices of
-        NOISE_CHUNK rows.  Threads sharing an instance may race to store
-        the tiles; every store is a complete tiling of the same thresholds
-        and each draw compares against the tiles it read or built itself,
-        so the race changes no result.
+        Threshold order maps [0, 1-q) to 0, then the +1 mass, then -1:
+        the code is (u >= lo) - 2 (u >= hi), each comparison written
+        into its array's bool view.  The uniforms are compared against
+        copies of the thresholds tiled to n rows, not against a length-d
+        vector broadcast along the rows: a 1,024-row draw, uniforms
+        included, takes 8.9 against 14.3 us at d = 4 and 106 against
+        115 us at d = 64 (AMD EPYC, numpy 2.4.6).  The tiles are kept on
+        the instance, grown to the longest draw yet but never past
+        NOISE_CHUNK rows, so an instance holds at most
+        2 * NOISE_CHUNK * d * 8 bytes of them (64 KB at d = 4, 1 MB at
+        d = 64); a longer draw is compared in slices of NOISE_CHUNK
+        rows.  Threads sharing an instance may race to store the tiles;
+        every store is a complete tiling of the same thresholds and each
+        draw compares against the tiles it read or built itself, so the
+        race changes no result.
         """
+        n = u.shape[-2]
         lo, hi = self._tiles
         if len(lo) < min(n, NOISE_CHUNK):
             lo, hi = (np.tile(t, (min(n, NOISE_CHUNK), 1)) for t in self._thresholds)
             object.__setattr__(self, "_tiles", (lo, hi))
+        ge_lo, ge_hi = xi.view(np.bool_), above.view(np.bool_)
+        for s in range(0, n, NOISE_CHUNK):
+            e = min(s + NOISE_CHUNK, n)
+            np.greater_equal(u[..., s:e, :], lo[: e - s], out=ge_lo[..., s:e, :])
+            np.greater_equal(u[..., s:e, :], hi[: e - s], out=ge_hi[..., s:e, :])
+        above += above
+        xi -= above
+
+    def sample_rows(self, rngs, n: int, out: np.ndarray) -> np.ndarray:
+        """Draw n rows of xi from D_v from each generator in rngs, or
+        noise.ChunkStream over one, into out, an (n, len(rngs), d) int8
+        array whose last axis is contiguous: out[:, r] gets the codes
+        (_codes) of rngs[r].random((n, d)), drawn in that order, and out
+        is returned.  It serves GradOracle.draw; the kernel draws
+        hard-instance rows as their nonzero entries (sample_events), by
+        the same rule.
+
+        Each row's generator fills one (n, d) float scratch, whose codes
+        go into a block of code rows; once the block is full, one copy
+        stores it into out's strided rows, each row's d codes moved as
+        one cell.  The strided store is what the blocks and cells save:
+        64 rows of 1,024 x 4 codes took 594 us to store a byte at a time
+        against 83 us a cell at a time, and 200 such rows drawn into a
+        1,000-row buffer took 44 us a row stored a row at a time against
+        38 us six rows at a time (2 vCPU Intel Xeon, numpy 2.4.6; their
+        bare uniforms took 22 us).  The scratch, the block and the -1
+        codes hold at most _DRAW_SCRATCH bytes, or one row's worth if a
+        row is longer.
+        """
         # a row's uniforms (8 bytes an entry) and -1 codes (1), and a block
         # of rows' codes (1 each)
         block = max(1, min(len(rngs), _DRAW_SCRATCH // max(n * self.d, 1) - 9))
         u = np.empty((n, self.d))
         above = np.empty(u.shape, dtype=np.int8)
         xi = np.empty((block, *u.shape), dtype=np.int8)
-        # the comparisons' bool views, and each row's d codes as one cell
-        ge_lo, ge_hi = xi.view(np.bool_), above.view(np.bool_)
+        # each row's d codes as one cell
         cells, dest = (c.view((np.void, self.d))[..., 0] for c in (xi, out))
         for a in range(0, len(rngs), block):
             for j, rng in enumerate(rngs[a : a + block]):
                 _fill_uniforms(_generator(rng), u)
-                for s in range(0, n, NOISE_CHUNK):
-                    e = min(s + NOISE_CHUNK, n)
-                    np.greater_equal(u[s:e], lo[: e - s], out=ge_lo[j, s:e])
-                    np.greater_equal(u[s:e], hi[: e - s], out=ge_hi[s:e])
-                # 0 below lo, +1 from lo and -1 from hi on: (u >= lo) - 2 (u >= hi)
-                above += above
-                xi[j] -= above
+                self._codes(u, xi[j], above)
             dest[:, a : a + block] = cells[: j + 1].T
         return out
 
+    def sample_events(self, rngs, n: int) -> tuple:
+        """The nonzero states of n rows of xi from D_v from each
+        generator in rngs, or noise.ChunkStream over one, as events:
+        (step, row, col, code) arrays, sorted by step, then row, then
+        coordinate, of the entries whose code is not 0.  Row r's are
+        the codes (_codes) of rngs[r].random((n, d)), drawn in that
+        order, so each generator is left where sample_rows leaves it
+        and the events are exactly the nonzero entries of its out.
+
+        The rows are drawn a block at a time, each row's uniforms into
+        its part of one block scratch whose codes are taken in one pass,
+        so a block of rows costs one call of each numpy operation.  The
+        uniforms, codes and -1 codes hold at most _EVENT_SCRATCH bytes,
+        or one row's worth if a row is longer.
+        """
+        size = n * self.d
+        block = max(1, min(len(rngs), _EVENT_SCRATCH // max(10 * size, 1)))
+        u = np.empty((block, n, self.d))
+        xi = np.empty(u.shape, dtype=np.int8)
+        above = np.empty_like(xi)
+        found, codes = [np.zeros(0, np.intp)], [np.zeros(0, np.int8)]
+        for a in range(0, len(rngs), block):
+            rows = rngs[a : a + block]
+            for j, rng in enumerate(rows):
+                _fill_uniforms(_generator(rng), u[j])
+            self._codes(u[: len(rows)], xi[: len(rows)], above[: len(rows)])
+            # nonzero finds a bool array's entries several times faster than
+            # an int8 array's (9.5 against 70 us for 6 x 1,024 x 4)
+            flat, nonzero = (c[: len(rows)].reshape(-1) for c in (xi, above.view(np.bool_)))
+            at = np.flatnonzero(np.not_equal(flat, 0, out=nonzero))
+            codes.append(flat[at])
+            found.append(at + a * size)
+        row, at = np.divmod(np.concatenate(found), size)
+        step, col = np.divmod(at, self.d)
+        order = np.argsort(step, kind="stable")
+        return step[order], row[order], col[order], np.concatenate(codes)[order]
+
     def grad_rows(self, X: np.ndarray, Xi: np.ndarray) -> np.ndarray:
-        """Gradient rows at X for states Xi, int8 codes or floats.
+        """Gradient rows at X for states Xi, int8 codes or floats:
+        grad_at(X, grad_parts(Xi)).
 
         Every product with a state is exact (its entries are 0 and +-1),
         so both state types give the same bits.  M and y may hold one row
         per row of X instead of one value per coordinate.
         """
-        X = np.asarray(X, dtype=float)
+        return self.grad_at(np.asarray(X, dtype=float), self.grad_parts(Xi))
+
+    def grad_parts(self, Xi: np.ndarray, M=None, y=None) -> tuple:
+        """The factors of grad_rows at states Xi that do not depend on x,
+        for M and y (the instance's by default; either may hold a row
+        per state row): Xi y and |Xi| M for cvx, -mu M Xi for str."""
+        M = self.M if M is None else M
         if self.kind == "cvx":
-            # M |xi| sign(x - xi y), formed in the sign array with one
-            # more temporary; multiplication commutes bit for bit
-            s = X - Xi * self.y
+            am = np.abs(Xi, dtype=float)
+            am *= M
+            return Xi * (self.y if y is None else y), am
+        return (-self.mu * M * Xi,)
+
+    def grad_at(self, X: np.ndarray, parts: tuple) -> np.ndarray:
+        """Gradient rows at the float rows X from grad_parts of their
+        states: M |xi| sign(x - xi y) for cvx, formed in the sign array
+        (multiplication commutes bit for bit), and the parts' own row
+        for str, whose gradient does not depend on x."""
+        if self.kind == "cvx":
+            s = X - parts[0]
             np.sign(s, out=s)
-            g = np.abs(Xi, dtype=float)
-            g *= self.M
-            s *= g
+            s *= parts[1]
             return s
-        return -self.mu * self.M * Xi
+        return parts[0]
 
     def grad_bound(self) -> float:
         """row_norms of the largest row grad_rows returns: M, or -mu M.

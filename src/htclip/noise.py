@@ -29,7 +29,8 @@ no running kernel keeps busy, each claimer with a scratch slot that the
 caller allocates.  A block of a many-row draw fills its rows into its
 claimer's slot and finishes them straight into out, so the draw holds
 one block's random numbers per claimer, whatever its rows; a draw from
-one generator is row 0 of a one-row draw.  The transform is elementwise,
+one generator fills its random numbers straight into its result and
+transforms them there, a row block at a time.  The transform is elementwise,
 so its bits are the same for any cut, any core count and any row layout.
 The Monte Carlo verifiers (clipping.clip_error_mc, estimate_moments)
 read their chunks from _draw_ahead, whose job for chunk k + 1 fills and
@@ -660,11 +661,22 @@ class GradOracle:
         rows are drawn and transformed a row block at a time, on every
         core (see _split), each block in its claimer's scratch; hard-instance
         rows a row block at a time in one bounded scratch
-        (HardInstance.sample_rows).
+        (HardInstance.sample_rows).  Without out, the states are filled
+        straight into the result and transformed there in row blocks, so
+        the draw holds the result and, for alpha-stable states, their
+        exponentials: a 7.6 MiB result (250,000 x 4) has a traced peak of
+        7.7 MiB for Gaussian and 15.8 MiB for stable states.
         """
         d = self.d
-        if out is None:  # one generator: row 0 of a one-row draw
-            return self.draw([rng], n, np.empty((n, 1, d), self.state_dtype))[:, 0]
+        if out is None:  # one generator: its states go straight into the result
+            if self.kind == "hard-instance":
+                return self.instance.sample_xi(rng, n)
+            states = np.zeros((n, d))
+            if self.kind != "deterministic":
+                w = np.empty((n, d)) if self.kind == "additive-stable" else states
+                self._fill(rng, states, w)
+                _split(lambda a, b: self._finish(states[a:b], w[a:b], states[a:b]), n, d)
+            return states
         streams = rng
         shape = (n, len(streams), d)
         if out.dtype != self.state_dtype or out.shape != shape:

@@ -379,11 +379,19 @@ def _prox_point(r: Optional[QuadReg], x_t, g, eta, den=None) -> np.ndarray:
     """
     x_t = np.asarray(x_t, dtype=float)
     g = np.asarray(g, dtype=float)
-    a = x_t / eta - g
     mu = 0.0 if r is None else r.mu
+    return _prox_finish(r, x_t / eta - g, (1.0 / eta + mu) if den is None else den)
+
+
+def _prox_finish(r: Optional[QuadReg], a: np.ndarray, den) -> np.ndarray:
+    """The last two operations of both prox points, in place on a:
+    a + mu c, then / den.  a holds u - g, where u is the point's
+    numerator before its gradient (x_t/eta, or _stabilized_base's), so
+    a caller may form u - g its own way, as the kernel's hard-instance
+    rows do, and keep the bits."""
     if r is not None:
-        a += mu * r.center
-    a /= (1.0 / eta + mu) if den is None else den
+        a += r.mu * r.center
+    a /= den
     return a
 
 
@@ -434,24 +442,31 @@ def stabilized_prox_step(
     return _project(domain, _stabilized_point(r, x_t, x_1, g, eta_t, eta_next))
 
 
-def _stabilized_point(r: Optional[QuadReg], x_t, x_1, g, eta_t, eta_next) -> np.ndarray:
-    """stabilized_prox_step's unconstrained minimizer, for checked steps."""
+def _stabilized_base(r: Optional[QuadReg], x_t, x_1, eta_t, eta_next) -> tuple:
+    """(u, den) of stabilized_prox_step's unconstrained minimizer, for
+    checked steps: the point is _prox_finish(r, u - g, den), with
+    u = x_t/eta_t + s x_1 and den = 1/eta_t + s + mu for the anchor
+    weight s = (eta_t/eta_next - 1)/eta_t.  A row whose s is 0 takes
+    _prox_point's x_t/eta_t and 1/eta_t + mu instead, so its bits are
+    prox_step's."""
+    x_t = np.asarray(x_t, dtype=float)
+    mu = 0.0 if r is None else r.mu
     s = (eta_t / eta_next - 1.0) / eta_t
     plain = s == 0.0
     if _all(plain):
-        return _prox_point(r, x_t, g, eta_t)
-    x_t = np.asarray(x_t, dtype=float)
-    g = np.asarray(g, dtype=float)
-    a = x_t / eta_t + s * np.asarray(x_1, dtype=float) - g
-    if r is None:
-        mu = 0.0
-    else:
-        mu = r.mu
-        a = a + mu * r.center
-    c = a / (1.0 / eta_t + s + mu)
+        return x_t / eta_t, 1.0 / eta_t + mu
+    u = x_t / eta_t + s * np.asarray(x_1, dtype=float)
+    den = 1.0 / eta_t + s + mu
     if not isinstance(plain, bool) and plain.any():
-        c = np.where(plain, _prox_point(r, x_t, g, eta_t), c)
-    return c
+        u = np.where(plain, x_t / eta_t, u)
+        den = np.where(plain, 1.0 / eta_t + mu, den)
+    return u, den
+
+
+def _stabilized_point(r: Optional[QuadReg], x_t, x_1, g, eta_t, eta_next) -> np.ndarray:
+    """stabilized_prox_step's unconstrained minimizer, for checked steps."""
+    u, den = _stabilized_base(r, x_t, x_1, eta_t, eta_next)
+    return _prox_finish(r, u - np.asarray(g, dtype=float), den)
 
 
 # ---------------------------------------------------------------------------

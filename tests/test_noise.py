@@ -492,6 +492,42 @@ def test_draws_of_no_states_run_nothing(monkeypatch, kind, cores):
     assert moved.bit_generator.state == want_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("kind", ["additive-gaussian", "additive-stable"])
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_one_generator_draw_has_the_bits_of_a_one_row_draw(monkeypatch, kind, cores):
+    # filled straight into the result and transformed there in row
+    # blocks, on every core: the states and the generator's next state
+    # are a one-row draw's
+    monkeypatch.setattr(noise, "_cores", lambda: cores)
+    oracle = _oracles(3)[kind]
+    for n in (1, 7, 3 * noise._BLOCK // 3 + 5):
+        alone, row = np.random.default_rng(n), np.random.default_rng(n)
+        got = oracle.draw(alone, n)
+        out = np.empty((n, 1, 3))
+        oracle.draw([row], n, out=out)
+        assert got.shape == (n, 3)
+        assert np.array_equal(got, out[:, 0])
+        assert alone.bit_generator.state == row.bit_generator.state
+
+
+@pytest.mark.parametrize("kind, held", [("additive-gaussian", 1), ("additive-stable", 2)])
+def test_a_one_generator_draw_holds_its_result_and_exponentials(kind, held):
+    # 250,000 x 4 states: the result (7.6 MiB) and, for stable noise, its
+    # exponentials, beside a row block's temporaries per claimer; drawn
+    # as a one-row draw, the peak was 15.3 MiB (Gaussian) and 30.5 MiB
+    # (stable)
+    d, n = 4, 250_000
+    oracle = _oracles(d)[kind]
+    oracle.draw(np.random.default_rng(0), 10)
+    tracemalloc.start()
+    try:
+        states = oracle.draw(np.random.default_rng(1), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= held * states.nbytes + 4 * 8 * noise._BLOCK
+
+
 class TestDrawAhead:
     """noise._draw_ahead yields oracle.draw's bits, chunk by chunk, with
     the next chunk drawn on the module threads."""

@@ -23,8 +23,14 @@ units of it; and whether PYTHONDONTWRITEBYTECODE was set, which makes every
 worker compile the sources on import, so that set-up time and peak RSS
 then move with the length of src/, which it records for each checkout
 (the lines of src/htclip/*.py, as wc -l counts them, and apart from them
-the code lines: those that are not docstring, comment or blank).  --stages adds a JSON file that
-tools/kernel_stages.py printed.  numpy only; not part of the tests.
+the code lines: those that are not docstring, comment or blank).  For
+each workload it also runs one op in a fresh process in each checkout,
+at the recorded seed and through that checkout's perfbench/workloads.py,
+and records the sha256 digest of the op's checked outputs
+(workloads.setup(...).digest()); "digests_differ" lists the workloads
+whose digests differ between the checkouts, which it also prints to
+stderr.  --stages adds a JSON file that tools/kernel_stages.py printed.
+numpy only; not part of the tests.
 """
 
 from __future__ import annotations
@@ -152,6 +158,34 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return read_metrics(path)
 
 
+# run in a checkout: set up one workload, run and check one op, and print
+# the op's digest and the check's problems as JSON
+_DIGEST = """
+import json, sys, tempfile
+sys.path[:0] = ["src", "perfbench"]
+import workloads
+name, seed = sys.argv[1], int(sys.argv[2])
+with tempfile.TemporaryDirectory() as workdir:
+    w = workloads.setup(name, seed, workdir)
+    try:
+        problems = w.check(w.op())
+        print(json.dumps({"digest": w.digest(), "problems": problems}))
+    finally:
+        w.close()
+"""
+
+
+def op_digest(checkout: str, workload: str, seed: int) -> dict:
+    """The digest of one op of workload at seed in checkout, and the
+    problems its check found, from a fresh process."""
+    cmd = [sys.executable, "-c", _DIGEST, workload, str(seed)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"the {workload} digest in {checkout} exited {proc.returncode}:\n"
+                           + proc.stderr[-2000:])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def compared(samples: list) -> dict:
     """The metrics of samples to compare, each with whether higher is
     better: the end-to-end ones, and the per-half ones if recorded."""
@@ -221,7 +255,17 @@ def main(argv=None) -> int:
                 )
                 for name, higher in compared(samples["head"]).items()
             }
+        entry["digest"] = {
+            label: op_digest(checkout, workload, args.seed)
+            for label, checkout in checkouts.items()
+        }
         report["workloads"][workload] = entry
+    report["digests_differ"] = [
+        name for name, entry in report["workloads"].items()
+        if len({d["digest"] for d in entry["digest"].values()}) > 1
+    ]
+    if report["digests_differ"]:
+        print("digests differ: " + ", ".join(report["digests_differ"]), file=sys.stderr)
     report["calibration"]["np_sin_1M_s_after"] = calibration_s()
     if args.stages:
         with open(args.stages) as fh:

@@ -3,8 +3,15 @@
 Runs rows through harness.run_experiment, single-threaded, with a
 timing probe around each stage the step loop calls:
 
-    draw        GradOracle.draw (the noise sub-chunk draws)
-    gradient    GradOracle.grad_rows (the gradient map)
+    draw        GradOracle.draw (the noise sub-chunk draws), and for
+                hard-instance rows _Events.draw (the sub-chunk's
+                nonzero states drawn as events and grouped by row)
+    gradient    GradOracle.grad_rows (the gradient map), and for
+                hard-instance rows _Events.subtract (the gradient rows
+                of the rows with a nonzero state, subtracted from them;
+                in a chunk that clips it holds their clip_rows calls,
+                which clip times too, so kernel_self then reads low by
+                those)
     clip        clip_rows
     prox        the prox or stabilized prox step and its projection
     schedule    the per-chunk eta/tau fill and per-step lookups
@@ -34,10 +41,12 @@ probe adds about 0.3 us per call, which the stage it wraps absorbs.
 unless the kernel skips the clip for chunks whose tau bounds every
 gradient row.  "draw_floor" is the time of the bare
 generator calls the draws must make, one per row and draw: random for
-hard-instance states, standard_normal for Gaussian ones, and random and
-standard_exponential for alpha-stable ones, each into a reused buffer
-of the draw's n * d doubles.  They are replayed on one thread from the
-draws one untimed run makes, and timed as the median over --repeats;
+hard-instance states (GradOracle.draw's, or HardInstance.sample_events's
+where the kernel draws events), standard_normal for Gaussian ones, and
+random and standard_exponential for alpha-stable ones, each into a
+reused buffer of the draw's n * d doubles.  They are replayed on one
+thread from the draws one untimed run makes, and timed as the median
+over --repeats;
 the gap from "draw" to it is what the draw adds to its random numbers.
 (A stable draw fills its rows on every core, so on several cores its
 "draw" may fall below this sequential floor.)
@@ -69,7 +78,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from htclip import algorithms, harness, noise
+from htclip import algorithms, hardness, harness, noise
 
 WIDTHS = (1, 200, 1000)
 # d = 8 is the narrowest row that row_norms reduces with np.add.reduce
@@ -92,13 +101,16 @@ ALGORITHM_CALLS = {
         "_project",
         "_prox_point",
         "_stabilized_point",
+        "_stabilized_base",
+        "_prox_finish",
     ),
 }
-# stage -> (class, method) pairs the step loop calls
+# stage -> (module, class, method) the step loop calls, where the
+# module defines the class
 METHOD_CALLS = {
-    "draw": ((noise.GradOracle, "draw"),),
-    "gradient": ((noise.GradOracle, "grad_rows"),),
-    "schedule": ((algorithms._Steps, "fill"), (algorithms._Steps, "at")),
+    "draw": ((noise, "GradOracle", "draw"), (algorithms, "_Events", "draw")),
+    "gradient": ((noise, "GradOracle", "grad_rows"), (algorithms, "_Events", "subtract")),
+    "schedule": ((algorithms, "_Steps", "fill"), (algorithms, "_Steps", "at")),
 }
 
 
@@ -208,9 +220,10 @@ class _Probes:
                 for name in names:
                     if name in vars(algorithms):
                         self._patch(algorithms, name, stage)
-            for stage, pairs in METHOD_CALLS.items():
-                for cls, name in pairs:
-                    self._patch(cls, name, stage)
+            for stage, calls in METHOD_CALLS.items():
+                for module, cls, name in calls:
+                    if cls in vars(module):
+                        self._patch(vars(module)[cls], name, stage)
             self._patch(harness, "run_trials", "run_trials")
             self._patch(harness, "eval_F_batch", "evaluation")
             yield self
@@ -221,19 +234,29 @@ class _Probes:
 
 
 def _draw_calls(config) -> list:
-    """(oracle kind, n, rows, d) of each GradOracle.draw call one run makes."""
+    """(oracle kind, n, rows, d) of each GradOracle.draw and
+    HardInstance.sample_events call one run makes."""
     calls = []
-    saved = noise.GradOracle.draw
+    draw = noise.GradOracle.draw
+    events = vars(hardness.HardInstance).get("sample_events")
 
     def noted(self, rng, n, out=None):
         calls.append((self.kind, n, 1 if out is None else len(rng), self.d))
-        return saved(self, rng, n, out)
+        return draw(self, rng, n, out)
+
+    def noted_events(self, rngs, n):
+        calls.append(("hard-instance", n, len(rngs), self.d))
+        return events(self, rngs, n)
 
     noise.GradOracle.draw = noted
+    if events is not None:
+        hardness.HardInstance.sample_events = noted_events
     try:
         harness.run_experiment(config)
     finally:
-        noise.GradOracle.draw = saved
+        noise.GradOracle.draw = draw
+        if events is not None:
+            hardness.HardInstance.sample_events = events
     return calls
 
 
