@@ -56,9 +56,10 @@ with the dense draw's bits and generator use), and a step takes
 x_t/eta_t (or problems._stabilized_base) for every row but computes,
 clips and subtracts a gradient row only for the rows with a nonzero
 state (_Events), then finishes the prox point as the dense step does
-(problems._prox_finish), with its bytes.  On the rate-hard-cvx shape
-the kernel fell from 99.0 to 59.7 ns per trial-step
-(tools/kernel_stages.py, 2 vCPU Intel Xeon, numpy 2.4.6).
+(problems._prox_finish), with its bytes.  A plain step writes x_t/eta_t
+into a buffer that then becomes the iterate, and the running averages
+are updated through one scratch, so such a step allocates no (rows, d)
+array.
 
 Iterates are checked for finiteness at every chunk boundary and at each
 horizon, not at every step: a coordinate that turns non-finite stays
@@ -191,9 +192,9 @@ def _same_prox(a: CompositeObjective, b: CompositeObjective) -> bool:
 class _Steps:
     """eta_t, eta_{t+1} and tau_t of the running rows, a noise chunk at a time.
 
-    Each distinct schedule's scalar eta and tau are called for every step
-    of a chunk when the chunk is drawn, so the values are the ones a call
-    per step returns.  With one schedule they stay Python floats.  With
+    Each distinct schedule's eta and tau for the steps of a chunk come
+    from one Schedule.table call when the chunk is drawn, with the values
+    a call per step returns.  With one schedule they stay Python floats.  With
     several, each row takes its own schedule's value: eta as (k, d) tiles
     for the prox steps, tau as a (k,) vector for the clip, rebuilt only
     when a value or the number k of running rows changes.  The plain prox
@@ -232,9 +233,10 @@ class _Steps:
         extra = int(self.stabilized)
         etas, taus = [], []
         for s, last in zip(self.distinct, self.last):
-            ts = range(t0, min(t0 + width, last + 1))
-            etas.append([s.eta(t) for t in range(ts.start, ts.stop + extra)])
-            taus.append([s.tau(t) for t in ts])
+            stop = min(t0 + width, last + 1)
+            eta, tau = s.table(t0, stop + extra)
+            etas.append(eta)
+            taus.append(tau[: stop - t0])
         # every eta here is some running row's eta_t or, stabilized, its
         # eta_{t+1}; 0 < min(eta_{t+1}, eta_t) <= eta_t holds iff both are
         # positive, as nan fails every comparison
@@ -454,6 +456,8 @@ def _run_kernel(
     k = n
     steps = _Steps(schedules, horizons, _grad_bounds(oracles), d, objective.mu, stabilized)
 
+    # the next iterate's buffer (a plain hard step's) and the averages' scratch
+    spare, scratch = np.empty((n, d)), np.empty((n, d))
     sub = _sub_chunk(d)
     if events is None:
         # every row has the one oracle, as only hard instances may differ
@@ -492,16 +496,21 @@ def _run_kernel(
             if stabilized:
                 u, den = _stabilized_base(r, x, x1, eta_t, eta_next)
             else:
-                u = x / eta_t
+                # u becomes the next iterate, and x the buffer for the one after
+                u, spare = np.divide(x, eta_t, out=spare), x
             events.subtract(at, x, u, tau_t if steps.clip else None, clips)
             x = _project(domain, _prox_finish(r, u, den))
 
         if mean is not None:
-            mean += (x - mean) / t
+            np.subtract(x, mean, out=scratch)
+            scratch /= t
+            mean += scratch
         if wavg is not None:
             w = weighted_avg_weight(t)
             wsum += w
-            wavg += (w / wsum) * (x - wavg)
+            np.subtract(x, wavg, out=scratch)
+            scratch *= w / wsum
+            wavg += scratch
 
         if t in running:
             # the rows whose horizon is t are done
@@ -510,6 +519,7 @@ def _run_kernel(
             out.x_last[left:k] = x[left:]
             k = left
             x, x1, clips = x[:k], x1[:k], clips[:k]
+            spare, scratch = spare[:k], scratch[:k]
             mean = None if mean is None else mean[:k]
             wavg = None if wavg is None else wavg[:k]
     return out

@@ -61,6 +61,11 @@ SUPPORT_CAP = 2_000_000
 # bytes of numpy scratch a many-row draw of xi holds at once (see
 # HardInstance.sample_rows): with its views' Python objects, under 64 KiB
 _DRAW_SCRATCH = 60 << 10
+# entries of uniforms whose codes such a draw takes at a time, and the
+# most bytes the rule's arrays take per entry (HardInstance._nonzero: an
+# index, its column, a uniform and a threshold of 8 bytes, and two of 1)
+_RULE_ENTRIES = 512
+_RULE_BYTES = 34
 # bytes of numpy scratch a draw of events holds at once, bar the events
 # (see HardInstance.sample_events)
 _EVENT_SCRATCH = 256 << 10
@@ -209,7 +214,7 @@ class HardInstance:
         for name, value in (
             ("_masses", (p0, pp, pm)),
             ("_thresholds", (p0, p0 + pp)),
-            ("_tiles", (p0[None, :], (p0 + pp)[None, :])),
+            ("_tiles", (p0[None, :],)),  # lo's tile (see _nonzero)
             ("wp", wq * (1.0 + vt) / 2.0),
             ("wm", wq * (1.0 - vt) / 2.0),
         ):
@@ -220,48 +225,54 @@ class HardInstance:
 
     def sample_xi(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n rows of xi from D_v (one uniform per coordinate), as int8
-        outcome codes 0, +1 and -1: the codes (_codes) of rng.random((n, d)),
-        rng a Generator or noise.ChunkStream over one.  One row at d = 4
-        takes about 6 us, against 12 us as a one-row sample_rows (min of
-        15 x 2,000 calls, 2 vCPU Intel Xeon, numpy 2.4.6)."""
+        outcome codes 0, +1 and -1: the codes (_nonzero, scattered) of
+        rng.random((n, d)), rng a Generator or noise.ChunkStream over one."""
         u = _generator(rng).random((n, self.d))
         xi = np.empty(u.shape, np.int8)
-        self._codes(u, xi, np.empty_like(xi))
+        self._codes(u, xi)
         return xi
 
-    def _codes(self, u: np.ndarray, xi: np.ndarray, above: np.ndarray) -> None:
-        """The threshold rule: write the int8 codes of uniforms u, an
-        (..., n, d) array, into xi of its shape, with above, int8 of its
-        shape, as scratch.
+    def _nonzero(self, u: np.ndarray, ge: np.ndarray) -> tuple:
+        """The threshold rule: (at, code), the flat indices into uniforms
+        u, a contiguous (..., n, d) array, of the entries whose code is
+        not 0, ascending, and their int8 codes; ge, a bool array of u's
+        shape, is scratch.
 
-        Threshold order maps [0, 1-q) to 0, then the +1 mass, then -1:
-        the code is (u >= lo) - 2 (u >= hi), each comparison written
-        into its array's bool view.  The uniforms are compared against
-        copies of the thresholds tiled to n rows, not against a length-d
-        vector broadcast along the rows: a 1,024-row draw, uniforms
-        included, takes 8.9 against 14.3 us at d = 4 and 106 against
-        115 us at d = 64 (AMD EPYC, numpy 2.4.6).  The tiles are kept on
-        the instance, grown to the longest draw yet but never past
-        NOISE_CHUNK rows, so an instance holds at most
-        2 * NOISE_CHUNK * d * 8 bytes of them (64 KB at d = 4, 1 MB at
-        d = 64); a longer draw is compared in slices of NOISE_CHUNK
-        rows.  Threads sharing an instance may race to store the tiles;
-        every store is a complete tiling of the same thresholds and each
-        draw compares against the tiles it read or built itself, so the
-        race changes no result.
+        Threshold order maps [0, lo) to 0, [lo, hi) to +1 and [hi, 1) to
+        -1, with lo = 1 - q and hi = lo + the +1 mass (1 + v theta) q / 2,
+        so hi >= lo for theta in [0, 1], as make_hard_instance checks.  So u
+        is compared with lo alone, and only the entries at or above it
+        with hi: in the lower-bound regimes q is 1/T or less, so they are
+        few.  u is compared against copies of lo tiled to n rows, not
+        against a length-d vector broadcast along the rows, which is
+        slower at every d.  The tile is kept on the instance, grown to the
+        longest draw yet but never past NOISE_CHUNK rows, so an instance
+        holds at most NOISE_CHUNK * d * 8 bytes of it; a longer draw is
+        compared in slices of NOISE_CHUNK rows.  Threads sharing an
+        instance may race to store the tile; every store is a complete
+        tiling of lo and each draw compares against the tile it read or
+        built itself, so the race changes no result.
         """
         n = u.shape[-2]
-        lo, hi = self._tiles
+        (lo,) = self._tiles
         if len(lo) < min(n, NOISE_CHUNK):
-            lo, hi = (np.tile(t, (min(n, NOISE_CHUNK), 1)) for t in self._thresholds)
-            object.__setattr__(self, "_tiles", (lo, hi))
-        ge_lo, ge_hi = xi.view(np.bool_), above.view(np.bool_)
+            lo = np.tile(self._thresholds[0], (min(n, NOISE_CHUNK), 1))
+            object.__setattr__(self, "_tiles", (lo,))
         for s in range(0, n, NOISE_CHUNK):
             e = min(s + NOISE_CHUNK, n)
-            np.greater_equal(u[..., s:e, :], lo[: e - s], out=ge_lo[..., s:e, :])
-            np.greater_equal(u[..., s:e, :], hi[: e - s], out=ge_hi[..., s:e, :])
-        above += above
-        xi -= above
+            np.greater_equal(u[..., s:e, :], lo[: e - s], out=ge[..., s:e, :])
+        at = np.flatnonzero(ge)
+        code = np.ones(len(at), np.int8)
+        code[u.reshape(-1)[at] >= self._thresholds[1][at % self.d]] = -1
+        return at, code
+
+    def _codes(self, u: np.ndarray, xi: np.ndarray) -> None:
+        """Write the int8 codes of uniforms u, a contiguous (..., n, d)
+        array, into xi, contiguous of its shape: _nonzero's codes,
+        scattered, with xi's bool view as its scratch."""
+        at, code = self._nonzero(u, xi.view(np.bool_))
+        # xi's bytes are now u >= lo, 0 or 1, and 0 is every other code
+        xi.reshape(-1)[at] = code
 
     def sample_rows(self, rngs, n: int, out: np.ndarray) -> np.ndarray:
         """Draw n rows of xi from D_v from each generator in rngs, or
@@ -273,29 +284,28 @@ class HardInstance:
         the same rule.
 
         Each row's generator fills one (n, d) float scratch, whose codes
-        go into a block of code rows; once the block is full, one copy
-        stores it into out's strided rows, each row's d codes moved as
-        one cell.  The strided store is what the blocks and cells save:
-        64 rows of 1,024 x 4 codes took 594 us to store a byte at a time
-        against 83 us a cell at a time, and 200 such rows drawn into a
-        1,000-row buffer took 44 us a row stored a row at a time against
-        38 us six rows at a time (2 vCPU Intel Xeon, numpy 2.4.6; their
-        bare uniforms took 22 us).  The scratch, the block and the -1
-        codes hold at most _DRAW_SCRATCH bytes, or one row's worth if a
-        row is longer.
+        go into a block of code rows, taken _RULE_ENTRIES entries at a
+        time, so that the rule's per-entry arrays stay small however
+        dense the codes are; once the block is full, one copy stores it
+        into out's strided rows, each row's d codes moved as one cell,
+        which is much faster than a byte at a time.  The scratch, the
+        block and the rule hold at most _DRAW_SCRATCH bytes, or one
+        row's worth if a row is longer.
         """
-        # a row's uniforms (8 bytes an entry) and -1 codes (1), and a block
-        # of rows' codes (1 each)
-        block = max(1, min(len(rngs), _DRAW_SCRATCH // max(n * self.d, 1) - 9))
+        # a row's uniforms (8 bytes an entry), the rule's arrays, and a
+        # block of rows' codes (1 each)
+        room = _DRAW_SCRATCH - _RULE_BYTES * _RULE_ENTRIES
+        block = max(1, min(len(rngs), room // max(n * self.d, 1) - 8))
         u = np.empty((n, self.d))
-        above = np.empty(u.shape, dtype=np.int8)
         xi = np.empty((block, *u.shape), dtype=np.int8)
+        rule = max(1, _RULE_ENTRIES // self.d)
         # each row's d codes as one cell
         cells, dest = (c.view((np.void, self.d))[..., 0] for c in (xi, out))
         for a in range(0, len(rngs), block):
             for j, rng in enumerate(rngs[a : a + block]):
                 _fill_uniforms(_generator(rng), u)
-                self._codes(u, xi[j], above)
+                for s in range(0, n, rule):
+                    self._codes(u[s : s + rule], xi[j, s : s + rule])
             dest[:, a : a + block] = cells[: j + 1].T
         return out
 
@@ -304,32 +314,27 @@ class HardInstance:
         generator in rngs, or noise.ChunkStream over one, as events:
         (step, row, col, code) arrays, sorted by step, then row, then
         coordinate, of the entries whose code is not 0.  Row r's are
-        the codes (_codes) of rngs[r].random((n, d)), drawn in that
+        the codes (_nonzero) of rngs[r].random((n, d)), drawn in that
         order, so each generator is left where sample_rows leaves it
         and the events are exactly the nonzero entries of its out.
 
         The rows are drawn a block at a time, each row's uniforms into
-        its part of one block scratch whose codes are taken in one pass,
-        so a block of rows costs one call of each numpy operation.  The
-        uniforms, codes and -1 codes hold at most _EVENT_SCRATCH bytes,
-        or one row's worth if a row is longer.
+        its part of one block scratch whose events are found in one
+        _nonzero call, so a block of rows costs one call of each numpy
+        operation.  The uniforms and the rule's bool scratch hold at most
+        _EVENT_SCRATCH bytes, or one row's worth if a row is longer.
         """
         size = n * self.d
-        block = max(1, min(len(rngs), _EVENT_SCRATCH // max(10 * size, 1)))
+        block = max(1, min(len(rngs), _EVENT_SCRATCH // max(9 * size, 1)))
         u = np.empty((block, n, self.d))
-        xi = np.empty(u.shape, dtype=np.int8)
-        above = np.empty_like(xi)
+        ge = np.empty(u.shape, dtype=np.bool_)
         found, codes = [np.zeros(0, np.intp)], [np.zeros(0, np.int8)]
         for a in range(0, len(rngs), block):
             rows = rngs[a : a + block]
             for j, rng in enumerate(rows):
                 _fill_uniforms(_generator(rng), u[j])
-            self._codes(u[: len(rows)], xi[: len(rows)], above[: len(rows)])
-            # nonzero finds a bool array's entries several times faster than
-            # an int8 array's (9.5 against 70 us for 6 x 1,024 x 4)
-            flat, nonzero = (c[: len(rows)].reshape(-1) for c in (xi, above.view(np.bool_)))
-            at = np.flatnonzero(np.not_equal(flat, 0, out=nonzero))
-            codes.append(flat[at])
+            at, code = self._nonzero(u[: len(rows)], ge[: len(rows)])
+            codes.append(code)
             found.append(at + a * size)
         row, at = np.divmod(np.concatenate(found), size)
         step, col = np.divmod(at, self.d)

@@ -93,13 +93,14 @@ _MASK64 = (1 << 64) - 1
 _TAG_CODEBOOK = 1 << 16
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer; a bijection on 64-bit words."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer on uint64 arrays, whose arithmetic wraps; a
+    bijection on 64-bit words."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
     z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
+    z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> 31
     return z
 
@@ -117,7 +118,14 @@ def derive_seed(master: int, trial: int, tag: int) -> int:
         raise ValueError("trial index must fit in 32 bits")
     if not (0 <= tag < (1 << 32)):
         raise ValueError("stream tag must fit in 32 bits")
-    return _mix64((int(master) & _MASK64) ^ _mix64((tag << 32) | trial))
+    return int(_derive_seeds(master, [trial], [tag])[0])
+
+
+def _derive_seeds(master: int, trials, tags) -> np.ndarray:
+    """derive_seed(master, trial, tag) of each pair of trials and tags,
+    unchecked, as a uint64 array."""
+    packed = (np.array(tags, np.uint64) << 32) | np.array(trials, np.uint64)
+    return _mix64(np.uint64(int(master) & _MASK64) ^ _mix64(packed))
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +817,11 @@ def _run_shard(rows: list, master: int, mode: str, shared: bool) -> tuple:
     first.  shared: every row runs the first row's oracle."""
     settings = [s for _, _, s in rows]
     first = settings[0]
-    rngs = [np.random.default_rng(derive_seed(master, j, ti)) for ti, j, _ in rows]
+    # numpy.random loads with the first shard
+    from ._seeding import default_rngs
+
+    grid, trials = zip(*((ti, j) for ti, j, _ in rows))
+    rngs = default_rngs(_derive_seeds(master, trials, grid))
     horizons = [s.T for s in settings]
     batch = run_trials(
         first.objective,

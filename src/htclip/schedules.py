@@ -60,6 +60,9 @@ REGIMES = (
     "str-ex",
 )
 
+# the regimes whose eta and tau are constants for a known horizon
+_KNOWN_T = ("cvx-hp-T", "cvx-ex-T")
+
 INF = math.inf
 
 # the smallest normal float
@@ -252,7 +255,7 @@ class Schedule:
         if t < 1:
             raise ValueError("iteration index t must be >= 1")
         r = self.regime
-        if r in ("cvx-hp-T", "cvx-ex-T"):
+        if r in _KNOWN_T:
             return self.eta_star
         if r in ("cvx-hp-anytime", "cvx-ex-anytime"):
             val = min(self.gamma_star, self.eta_star / math.sqrt(t))
@@ -266,9 +269,22 @@ class Schedule:
         t = int(t)
         if t < 1:
             raise ValueError("iteration index t must be >= 1")
-        if self.regime in ("cvx-hp-T", "cvx-ex-T"):
+        if self.regime in _KNOWN_T:
             return self.tau_const
         return _tau_at(self.params, self.tau_star, t)
+
+    def table(self, t0: int, t1: int) -> tuple:
+        """(etas, taus): the lists [eta(t) for t in range(t0, t1)] and
+        [tau(t) ...], with their values; under a known horizon, both are
+        constants, repeated."""
+        t0, t1 = int(t0), int(t1)
+        if t0 < 1:
+            raise ValueError("iteration index t must be >= 1")
+        if self.regime in _KNOWN_T:
+            n = max(t1 - t0, 0)
+            return [self.eta_star] * n, [self.tau_const] * n
+        ts = range(t0, t1)
+        return [self.eta(t) for t in ts], [self.tau(t) for t in ts]
 
     def constants(self) -> dict:
         """The resolved fields other than params, plus d_eff; JSON-friendly

@@ -49,6 +49,10 @@ class StubSchedule:
     def tau(self, t):
         return self._tau(t)
 
+    def table(self, t0, t1):
+        ts = range(t0, t1)
+        return [self.eta(t) for t in ts], [self.tau(t) for t in ts]
+
 
 def _const(eta, tau=math.inf):
     return StubSchedule(lambda t: eta, lambda t: tau)

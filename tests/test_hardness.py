@@ -212,6 +212,72 @@ class TestSampleXiCodes:
             assert np.array_equal(a.random(16), b.random(16))
 
 
+class _Shifted(_OnThresholds):
+    """_OnThresholds with its rows shifted by r, so that rows differ."""
+
+    def __init__(self, inst, r):
+        super().__init__(inst)
+        self.cols = np.roll(self.cols, r, axis=0)
+
+
+def _edge_instance():
+    """A cvx instance with theta = 1: coordinates 1 and 3 have v theta = -1,
+    so hi == lo there, and coordinates 4 and 5 are padding with q = 0."""
+    from htclip import HardParams
+
+    params = HardParams(
+        regime="cvx-fano", d_star=4, T=1, G=1.0, D=1.0, mu=0.0, sigma_l=0.0,
+        sigma_s=0.0, p=1.5, delta=None, q=0.3, theta=1.0, M=1.0, y=0.5,
+    )
+    return make_hard_instance("cvx", 6, 4, params, np.array([1.0, -1.0, 1.0, -1.0]))[1].instance
+
+
+class TestEventRuleCorners:
+    """sample_events, which compares the uniforms with hi only where they
+    reach lo, against per-row sample_xi draws and the three-comparison
+    expression, at the rule's corners."""
+
+    @staticmethod
+    def _check(inst, make_rng, rows, n):
+        d = inst.d
+        step, row, col, code = inst.sample_events([make_rng(r) for r in range(rows)], n)
+        key = (step * rows + row) * d + col
+        assert np.all(np.diff(key) > 0) and np.all(code != 0)
+        got = np.zeros((n, rows, d), np.int8)
+        got[step, row, col] = code
+        for r in range(rows):
+            want = inst.sample_xi(make_rng(r), n)
+            assert np.array_equal(got[:, r], want), (rows, n, r)
+            assert np.array_equal(want, _codes_reference(inst, make_rng(r).random((n, d))))
+
+    @pytest.mark.parametrize("n", [1, 7, NOISE_CHUNK, NOISE_CHUNK + 5, 3 * NOISE_CHUNK])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_uniforms_on_and_below_the_thresholds(self, rows, n):
+        for inst in (_cvx_instance(4, v=[1, -1, -1, 1]), _edge_instance()):
+            self._check(inst, lambda r: _Shifted(inst, r), rows, n)
+
+    def test_equal_thresholds_and_padding(self):
+        inst = _edge_instance()
+        lo, hi = inst._thresholds
+        assert np.array_equal(hi[[1, 3]], lo[[1, 3]]) and np.all(lo[4:] == 1.0)
+        # a uniform at lo = hi is the -1 mass, one ulp below it 0
+        codes = inst.sample_xi(_Shifted(inst, 0), 7)
+        assert np.all(codes[0, [1, 3]] == -1) and np.all(codes[2, [1, 3]] == 0)
+        # where v theta = 1, hi is 1: only a uniform of 1, which no
+        # generator draws, is -1
+        assert np.all(codes[[0, 3], :][:, [0, 2]] == 1) and np.all(codes[1, [0, 2]] == -1)
+
+    @pytest.mark.parametrize("n", [NOISE_CHUNK + 5, 2 * NOISE_CHUNK])
+    def test_generators_past_a_noise_chunk(self, n):
+        for inst in (_cvx_instance(12, v=[1, -1, 1, -1]), _edge_instance()):
+            self._check(inst, lambda r: np.random.default_rng(100 + r), 9, n)
+            gen = np.random.default_rng(7)
+            inst.sample_events([gen], n)
+            ref = np.random.default_rng(7)
+            ref.random((n, inst.d))
+            assert gen.bit_generator.state == ref.bit_generator.state
+
+
 def _instance(kind, d):
     """A hard instance of d coordinates, the first min(d, 4) active."""
     d_star = min(d, 4)

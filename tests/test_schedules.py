@@ -364,3 +364,22 @@ def test_constants_are_pinned_at_every_branch_corner(case, values):
     want = dict(zip(_PINNED_KEYS, values), regime=regime, family=family,
                 averaging=averaging, algorithm_hint=hint)
     assert make_schedule(regime, params).constants() == want
+
+
+@pytest.mark.parametrize("case", [case for case, _ in _PINNED])
+def test_table_has_the_values_of_the_scalar_calls(case):
+    regime, p, sigma_s, sigma_l, T = case
+    params = ScheduleParams(
+        p=p, sigma_s=sigma_s, sigma_l=sigma_l, G=3.0, D=7.0, alpha_clip=0.25,
+        mu=0.5 if regime.startswith("str") else 0.0,
+        delta=0.05 if "-hp" in regime else None, T_known=T,
+    )
+    s = make_schedule(regime, params)
+    for t0, t1 in ((1, 1), (1, 2), (1, 1100), (3, 2), (1023, 2049), (10**6, 10**6 + 3)):
+        etas, taus = s.table(t0, t1)
+        ts = range(t0, t1)
+        # equal as values and as types: the kernel's steps take them as they are
+        assert [(type(e), e) for e in etas] == [(type(s.eta(t)), s.eta(t)) for t in ts]
+        assert [(type(v), v) for v in taus] == [(type(s.tau(t)), s.tau(t)) for t in ts]
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        s.table(0, 5)

@@ -29,7 +29,14 @@ at the recorded seed and through that checkout's perfbench/workloads.py,
 and records the sha256 digest of the op's checked outputs
 (workloads.setup(...).digest()); "digests_differ" lists the workloads
 whose digests differ between the checkouts, which it also prints to
-stderr.  --stages adds a JSON file that tools/kernel_stages.py printed.
+stderr.  --stages adds a JSON file that tools/kernel_stages.py printed
+in the head checkout, and --base-stages one printed in the base.  With
+both, "ceiling" holds, for each fitted case of the base's named after a
+workload, the base's ceiling (how many times faster its stages would
+run without the kernel's fixed cost per loop step and without seeding),
+the stage totals on each side and their ratio, and the workload's
+work_per_s gain (head median over base median), with the share of the
+ceiling's headroom that gain took: (gain - 1) / (ceiling - 1).
 numpy only; not part of the tests.
 """
 
@@ -204,6 +211,32 @@ def summary(samples: list) -> dict:
     return out
 
 
+def ceilings(base: dict, head: dict, workloads: dict) -> list:
+    """The base's ceiling for each of its fitted cases named after a
+    workload, against the stage totals and the workload's gain."""
+    fits = {(f["problem"], f["d"]): f["ceiling"] for f in head.get("fits", [])}
+    out = []
+    for f in base.get("fits", []):
+        if f["problem"] not in WORKLOADS or (f["problem"], f["d"]) not in fits:
+            continue
+        was, now = f["ceiling"], fits[f["problem"], f["d"]]
+        entry = {
+            "workload": f["problem"],
+            "d": f["d"],
+            "width": was["width"],
+            "ceiling": was["ceiling"],
+            "stage_total_ms": {"base": was["total_ms"], "head": now["total_ms"]},
+            "stage_gain": round(was["total_ms"] / now["total_ms"], 3),
+        }
+        sides = workloads.get(f["problem"], {})
+        if "base" in sides:
+            gain = sides["head"]["work_per_s"]["median"] / sides["base"]["work_per_s"]["median"]
+            entry["work_per_s_gain"] = round(gain, 3)
+            entry["share_of_ceiling"] = round((gain - 1.0) / (was["ceiling"] - 1.0), 3)
+        out.append(entry)
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
@@ -214,6 +247,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     ap.add_argument("--stages", help="a JSON file printed by tools/kernel_stages.py")
+    ap.add_argument("--base-stages", help="the same, printed in the base checkout")
     ap.add_argument("--note", default="", help="free text kept in the file")
     args = ap.parse_args(argv)
     if args.pairs < 0 or not args.seconds > 0:
@@ -267,9 +301,14 @@ def main(argv=None) -> int:
     if report["digests_differ"]:
         print("digests differ: " + ", ".join(report["digests_differ"]), file=sys.stderr)
     report["calibration"]["np_sin_1M_s_after"] = calibration_s()
-    if args.stages:
-        with open(args.stages) as fh:
-            report["kernel_stages"] = json.load(fh)
+    for key, path in (("kernel_stages", args.stages), ("kernel_stages_base", args.base_stages)):
+        if path:
+            with open(path) as fh:
+                report[key] = json.load(fh)
+    if args.stages and args.base_stages:
+        report["ceiling"] = ceilings(
+            report["kernel_stages_base"], report["kernel_stages"], report["workloads"]
+        )
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")

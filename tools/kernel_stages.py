@@ -18,6 +18,9 @@ timing probe around each stage the step loop calls:
     kernel_self run_trials minus the stages above: the averaging
                 updates, finiteness checks and loop bookkeeping
     evaluation  eval_F_batch on the reported aggregates
+    seeding     the shard's generators, built before run_trials:
+                _seeding.default_rngs, or numpy.random.default_rng
+                where htclip has no _seeding module
 
 Each case is one problem at one dimension d and one starting width
 (rows in the shard).  A width narrower than the horizon grid runs that
@@ -50,6 +53,14 @@ over --repeats;
 the gap from "draw" to it is what the draw adds to its random numbers.
 (A stable draw fills its rows on every core, so on several cores its
 "draw" may fall below this sequential floor.)
+Each problem and d run at several widths is also fitted, stage by
+stage, as a fixed cost per loop step plus a cost per trial-step
+("fits": "us_per_loop_step" and "ns_per_trial_step", least squares
+over the widths; every width runs the same loop steps, its longest
+horizon).  At the widest width, "ceiling" is how many times faster
+run_trials, evaluation and seeding together would run without
+run_trials' fixed cost and without seeding: their total over that total
+less those two.
 One more run of each case, untimed and without probes, runs under
 tracemalloc and gives the case's peak traced memory ("peak_traced_mb",
 in units of 2^20 bytes): the most that numpy and Python, on every
@@ -79,6 +90,11 @@ from contextlib import contextmanager
 import numpy as np
 
 from htclip import algorithms, hardness, harness, noise
+
+try:
+    from htclip import _seeding
+except ImportError:  # an older htclip, which seeds each row by default_rng
+    _seeding = None
 
 WIDTHS = (1, 200, 1000)
 # d = 8 is the narrowest row that row_norms reduces with np.add.reduce
@@ -224,6 +240,10 @@ class _Probes:
                 for module, cls, name in calls:
                     if cls in vars(module):
                         self._patch(vars(module)[cls], name, stage)
+            if _seeding is None:
+                self._patch(np.random, "default_rng", "seeding")
+            else:
+                self._patch(_seeding, "default_rngs", "seeding")
             self._patch(harness, "run_trials", "run_trials")
             self._patch(harness, "eval_F_batch", "evaluation")
             yield self
@@ -322,7 +342,9 @@ def run_case(problem: str, d: int, width: int, repeats: int) -> dict:
             with probes.installed():
                 harness.run_experiment(config)
             spent = dict(probes.spent)
-            inner = sum(v for k, v in spent.items() if k not in ("run_trials", "evaluation"))
+            inner = sum(
+                v for k, v in spent.items() if k not in ("run_trials", "evaluation", "seeding")
+            )
             spent["kernel_self"] = spent["run_trials"] - inner
             samples.append(spent)
             clip_calls = probes.calls.get("clip", 0)
@@ -334,7 +356,7 @@ def run_case(problem: str, d: int, width: int, repeats: int) -> dict:
         finally:
             tracemalloc.stop()
     order = ("draw", "gradient", "clip", "prox", "schedule", "kernel_self",
-             "run_trials", "evaluation")
+             "run_trials", "evaluation", "seeding")
     per_step = {
         k: round(statistics.median(s[k] for s in samples) / trial_steps, 1) for k in order
     }
@@ -343,6 +365,7 @@ def run_case(problem: str, d: int, width: int, repeats: int) -> dict:
         "problem": problem,
         "d": d,
         "width": rows,
+        "loop_steps": max(run["T_grid"]),
         "trial_steps": trial_steps,
         "ns_per_trial_step": per_step,
         "clip_rows_calls": clip_calls,
@@ -359,9 +382,41 @@ CASES = {
     "gauss": [("gauss", d, w) for d in GAUSS_DIMS for w in WIDTHS],
     "stable-ball": [("stable-ball", STABLE_BALL[0], STABLE_BALL[2] * len(STABLE_BALL[1]))],
     "rate-hard-cvx": [
-        ("rate-hard-cvx", RATE_HARD[0], w) for w in (1, RATE_HARD[2] * len(RATE_HARD[1]))
+        ("rate-hard-cvx", RATE_HARD[0], w) for w in (1, 200, RATE_HARD[2] * len(RATE_HARD[1]))
     ],
 }
+# the stages whose times add up to a run's
+TOTAL = ("run_trials", "evaluation", "seeding")
+
+
+def fit(cases: list) -> dict:
+    """The fixed cost per loop step and the cost per trial-step of each
+    stage of one problem and d run at several widths, and the ceiling at
+    the widest."""
+    loop = [c["loop_steps"] for c in cases]
+    trial = [c["trial_steps"] for c in cases]
+    design = np.array([loop, trial], dtype=float).T
+    out = {"problem": cases[0]["problem"], "d": cases[0]["d"],
+           "widths": [c["width"] for c in cases], "stages": {}}
+    for stage in cases[0]["ns_per_trial_step"]:
+        total = [c["ns_per_trial_step"][stage] * c["trial_steps"] for c in cases]
+        (fixed, per), *_ = np.linalg.lstsq(design, np.array(total), rcond=None)
+        out["stages"][stage] = {
+            "us_per_loop_step": round(fixed / 1e3, 3), "ns_per_trial_step": round(per, 1)
+        }
+    wide = max(cases, key=lambda c: c["width"])
+    ns = wide["ns_per_trial_step"]
+    total = sum(ns[k] for k in TOTAL) * wide["trial_steps"]
+    fixed = out["stages"]["run_trials"]["us_per_loop_step"] * 1e3 * wide["loop_steps"]
+    removable = fixed + ns["seeding"] * wide["trial_steps"]
+    out["ceiling"] = {
+        "width": wide["width"],
+        "total_ms": round(total / 1e6, 2),
+        "fixed_ms": round(fixed / 1e6, 2),
+        "seeding_ms": round(ns["seeding"] * wide["trial_steps"] / 1e6, 2),
+        "ceiling": round(total / (total - removable), 3),
+    }
+    return out
 
 
 def main(argv=None) -> int:
@@ -375,12 +430,17 @@ def main(argv=None) -> int:
         for name in names
         for problem, d, width in CASES[name]
     ]
+    groups = {}
+    for case in cases:
+        if "shards" not in case:
+            groups.setdefault((case["problem"], case["d"]), []).append(case)
     report = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
         "repeats": args.repeats,
         "cases": cases,
+        "fits": [fit(group) for group in groups.values() if len(group) > 1],
     }
     print(json.dumps(report, indent=1))
     return 0
