@@ -6,7 +6,8 @@ made from the seed by SeedSequence's pool hash.  default_rngs computes
 those words for every seed in one pass of uint32 numpy arithmetic, by
 numpy's own algorithm and constants, and hands each generator its words
 through a seed sequence that only returns them.  The generators'
-seed_seq is then that sequence, so they cannot spawn.
+seed_seq is then that sequence, so they cannot spawn.  blank builds a
+generator whose state its caller sets at once, with no seed hashed.
 
 numpy loads numpy.random lazily, and this module imports it, so htclip
 imports this module only where it first builds generators.
@@ -38,6 +39,22 @@ class _Words(ISeedSequence):
         if n_words != 4 or dtype is not np.uint64:
             raise NotImplementedError("only PCG64's four uint64 state words are held")
         return self.words
+
+
+class _Zeros(ISeedSequence):
+    """A seed sequence that gives a bit generator words of zeros."""
+
+    __slots__ = ()
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype)
+
+
+def blank(kind: type) -> Generator:
+    """A Generator over a bit generator of type kind seeded with zeros,
+    for a caller that sets its state: kind() would hash entropy from the
+    OS first."""
+    return Generator(kind(_Zeros()))
 
 
 def _hasher(init: int, mult: int):

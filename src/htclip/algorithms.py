@@ -61,6 +61,28 @@ into a buffer that then becomes the iterate, and the running averages
 are updated through one scratch, so such a step allocates no (rows, d)
 array.
 
+A sub-chunk of hard-instance rows runs event to event when it is
+steady (_Steps.steady): its steps are plain, with mu = 0, and each
+running row's eta_t and tau_t, hence its denominator 1/eta_t, hold at
+every step of it, as under the known-horizon schedules of the
+lower-bound runs.  A row's step from a zero state is then one
+deterministic map of its iterate's bits, x -> project((x/eta - g0)/den)
+with g0 the zero state's gradient row at x, so a row that this map
+leaves as it was keeps its bits, step after step, until its next
+event.  _Events.plan steps the rows a round at a time, each from its
+own cursor, by the dense step's expression: x/eta less the event's
+gradient row, clipped and counted as the dense step clips it, or less
+g0, then the prox point's last operations (_finish).  A row that stays
+put jumps to its next event.  The step loop then writes only the rows
+whose iterate changed, and keeps the running averages, finiteness
+checks and horizon ends of the dense step.  Subtracting g0 at every
+zero-state step gives the dense step's +0.0 where x/eta is -0.0, so
+the pass needs no underflow flag.  A sub-chunk that is not steady (an
+anytime or stabilized schedule, a strongly convex row), or whose rows
+have too many events for the pass to pay, takes the dense step; so does
+the rest of a sub-chunk from the step where a pass ran out of rounds, as
+a row that settles slowly makes it do.
+
 Iterates are checked for finiteness at every chunk boundary and at each
 horizon, not at every step: a coordinate that turns non-finite stays
 non-finite under the prox maps (they are linear in x, and projection
@@ -90,6 +112,7 @@ from ._util import clip_rows, finite_row_norms
 from .noise import ChunkStream, GradOracle, _busy_core
 from .problems import (
     CompositeObjective,
+    QuadReg,
     _project,
     _prox_finish,
     _prox_point,
@@ -189,6 +212,14 @@ def _same_prox(a: CompositeObjective, b: CompositeObjective) -> bool:
     )
 
 
+def _values(r: list) -> np.ndarray:
+    """The floats of list r as an array; a known horizon's constant list
+    is filled from its one value."""
+    if r and r.count(r[0]) == len(r):
+        return np.full(len(r), r[0], float)
+    return np.array(r, float)
+
+
 class _Steps:
     """eta_t, eta_{t+1} and tau_t of the running rows, a noise chunk at a time.
 
@@ -237,16 +268,17 @@ class _Steps:
             eta, tau = s.table(t0, stop + extra)
             etas.append(eta)
             taus.append(tau[: stop - t0])
+        eta_a, tau_a = ([_values(r) for r in rows] for rows in (etas, taus))
         # every eta here is some running row's eta_t or, stabilized, its
         # eta_{t+1}; 0 < min(eta_{t+1}, eta_t) <= eta_t holds iff both are
         # positive, as nan fails every comparison
-        if not all(e > 0 for row in etas for e in row):
+        if not all((a > 0).all() for a in eta_a):
             if self.stabilized:
                 raise ValueError("stabilized step requires 0 < eta_next <= eta_t")
             raise ValueError("step size eta must be positive")
         # each schedule's smallest tau in the chunk; a nan tau never
         # clips, but np.min keeps it and it fails the comparison
-        low = np.array([np.min(r, initial=np.inf) for r in taus])
+        low = np.array([np.min(a, initial=np.inf) for a in tau_a])
         self.clip = not np.all(low[self.index[:k]] >= self.bounds[:k])
         if len(self.distinct) == 1:
             self.eta, self.tau = etas[0], taus[0]
@@ -255,16 +287,39 @@ class _Steps:
         def table(rows, n):
             # past its last horizon a schedule is read by no row: repeat
             # its last value, or any value once its rows are all done
-            return np.array([r + (r[-1:] or [1.0]) * (n - len(r)) for r in rows])
+            out = np.empty((len(rows), n))
+            for o, a in zip(out, rows):
+                o[: len(a)] = a
+                o[len(a) :] = a[-1] if len(a) else 1.0
+            return out
 
-        self.eta = table(etas, width + extra)
-        self.tau = table(taus, width)
+        self.eta = table(eta_a, width + extra)
+        self.tau = table(tau_a, width)
         same = np.all(self.tau[:, 1:] == self.tau[:, :-1], axis=0)
         same &= np.all(self.eta[:, 1:width] == self.eta[:, : width - 1], axis=0)
         if self.stabilized:
             same &= np.all(self.eta[:, 2:] == self.eta[:, 1:-1], axis=0)
         self.fresh = np.concatenate(([True], ~same))
         self.k = None
+
+    def steady(self, pos: int, n: int, k: int) -> Optional[tuple]:
+        """(eta, den, tau) of the k running rows when each row's eta_t and
+        tau_t hold at offsets pos .. pos + n - 1 of the chunk, else None:
+        eta and den floats or (k, 1) columns, tau a float or (k,) vector,
+        or None when the chunk skips the clip.  Plain steps only."""
+        if len(self.distinct) == 1:
+            eta, tau = self.eta[pos], self.tau[pos]
+            if self.eta[pos : pos + n].count(eta) < n or self.tau[pos : pos + n].count(tau) < n:
+                return None
+        elif self.fresh[pos + 1 : pos + n].any():
+            return None
+        else:
+            rows = self.index[:k]
+            eta, tau = self.eta[rows, pos, None], self.tau[rows, pos]
+            # at is not asked for these steps, so its tiles may be older
+            # than the next step it is asked for
+            self.k = None
+        return eta, 1.0 / eta + self.mu, tau if self.clip else None
 
     def at(self, pos: int, k: int) -> tuple:
         """(eta_t, eta_{t+1}, tau_t, den) at offset pos of the chunk:
@@ -318,6 +373,42 @@ def _draw(oracles: list, streams: list, buf: np.ndarray, used: list) -> None:
 # -0.0's bits read as an int64: the least int64
 _NEG_ZERO = np.iinfo(np.int64).min
 
+# a pass runs at most one round for every _ROUND_SHARE steps of its sub-chunk
+_ROUND_SHARE = 4
+
+
+def _finish(r: Optional[QuadReg], domain, u: np.ndarray, den) -> np.ndarray:
+    """A hard-instance step's last operations, from u - g: the prox point,
+    projected.  The dense step and the event-to-event pass both end here."""
+    return _project(domain, _prox_finish(r, u, den))
+
+
+# a row of d bools read as one unsigned integer, for the d that have one
+_ROW_WORDS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def _rows_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Which rows of the float arrays a and b differ in their bits."""
+    ne = a.view(np.int64) != b.view(np.int64)
+    word = _ROW_WORDS.get(ne.shape[1])
+    # numpy reduces a short row slowly; a row's bools as one word test at once
+    return ne.any(1) if word is None else ne.view(word)[:, 0] != 0
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A sub-chunk's iterates as changes (_Events.plan): at each step
+    offset s below stop, the running rows rows[at[s]:at[s + 1]] take the
+    values vals[at[s]:at[s + 1]] and every other row keeps its iterate;
+    from offset stop on, the sub-chunk runs dense steps.  rounds counts
+    the pass's rounds."""
+
+    stop: int
+    at: list
+    rows: np.ndarray
+    vals: np.ndarray
+    rounds: int
+
 
 class _Events:
     """The gradients of hard-instance rows, subtracted where their states
@@ -325,9 +416,13 @@ class _Events:
 
     A sub-chunk's states come as events, drawn in one
     HardInstance.sample_events call per run of rows, and are grouped into
-    event rows: a row with a nonzero state entry at a step.  For each, the
-    parts of its gradient row that do not depend on x (grad_parts) are
-    taken once per sub-chunk.  At a step, subtract takes u, the prox
+    event rows: a row with a nonzero state entry at a step.  The event
+    rows' states come each row's in step order, then a mark: a zero state
+    at step used[row], one past the row's last, whose gradient row is the
+    row's zero-state g0 (plan reads them).  For the dense steps, at, rows
+    and parts hold the event rows by step instead, with the parts of
+    their gradient rows that do not depend on x (grad_parts), made once
+    per sub-chunk when first read.  At a step, subtract takes u, the prox
     point's numerator before the gradient, to u - g, with g the dense
     gradient row (HardInstance.grad_rows) of every row: an event row's
     is made from its parts at x, clipped if the chunk clips and counted
@@ -355,8 +450,12 @@ class _Events:
         if all(o is first for o in oracles):
             self.M, self.y = self.map.M, self.map.y
         else:
-            self.M = np.stack([o.instance.M for o in oracles])
-            self.y = np.stack([o.instance.y for o in oracles])
+            # each distinct instance's M and y once, then a row of each per row
+            which = {id(o): o for o in oracles}
+            index = {key: i for i, key in enumerate(which)}
+            rows = [index[id(o)] for o in oracles]
+            self.M = np.stack([o.instance.M for o in which.values()])[rows]
+            self.y = np.stack([o.instance.y for o in which.values()])[rows]
         self.oracles, self.rngs = oracles, rngs
         zero = self.map.grad_parts(np.zeros(self.M.shape, np.int8), self.M, self.y)
         self.nan = not all(np.isfinite(p).all() for p in zero)
@@ -375,33 +474,66 @@ class _Events:
 
     def draw(self, used: list) -> None:
         """Draw the next used[i] states of each running row i (used is
-        nonincreasing) and group their events by step and row."""
+        nonincreasing) and group their events by row and step."""
+        # the last sub-chunk's events are let go before these are drawn
+        self.row = self.step = self.states = self.mark = self._by_step = None
         found = []
         for a, b in _runs(self.oracles, used):
             step, row, col, code = self.oracles[a].instance.sample_events(
                 self.rngs[a:b], used[a]
             )
             found.append((step, row + a, col, code))
+        k, span = len(used), used[0] + 1
+        # each row's mark: a zero state at step used[row]
+        found.append((np.array(used), np.arange(k), np.zeros(k, np.intp), np.zeros(k, np.int8)))
         step, row, col, code = (np.concatenate(e) for e in zip(*found))
-        order = np.argsort(step, kind="stable")
-        step, row, col, code = step[order], row[order], col[order], code[order]
-        # an event row starts where the (step, row) pair changes
-        key = step * len(used) + row
+        key = row * span + step
+        order = np.argsort(key)
+        key = key[order]
+        # an event row starts where the (row, step) pair changes
         new = np.ones(len(key), bool)
         new[1:] = key[1:] != key[:-1]
         which = np.cumsum(new) - 1
-        states = np.zeros((int(new.sum()), self.map.d), np.int8)
-        states[which, col] = code
-        self.rows = row[new]
-        self.parts = self._parts(states, self.rows)
-        self.at = np.searchsorted(step[new], np.arange(used[0] + 1)).tolist()
+        self.states = np.zeros((int(which[-1]) + 1, self.map.d), np.int8)
+        self.states[which, col[order]] = code[order]
+        self.row, self.step = np.divmod(key[new], span)
+        last = np.ones(len(self.row), bool)
+        last[:-1] = self.row[1:] != self.row[:-1]
+        self.mark = np.flatnonzero(last)
+        self.n = used[0]
+
+    def _grouped(self) -> tuple:
+        """(at, rows, parts): the event rows by step, then row, without
+        the marks; step s's are at[s]:at[s + 1]."""
+        if self._by_step is None:
+            ev = np.ones(len(self.row), bool)
+            ev[self.mark] = False
+            ev = np.flatnonzero(ev)
+            ev = ev[np.argsort(self.step[ev], kind="stable")]
+            at = np.searchsorted(self.step[ev], np.arange(self.n + 1)).tolist()
+            rows = self.row[ev]
+            self._by_step = (at, rows, self._parts(self.states[ev], rows))
+        return self._by_step
+
+    @property
+    def at(self) -> list:
+        return self._grouped()[0]
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._grouped()[1]
+
+    @property
+    def parts(self) -> tuple:
+        return self._grouped()[2]
 
     def subtract(self, pos: int, x: np.ndarray, u: np.ndarray, tau, clips) -> None:
         """u - g in place, at step pos of the sub-chunk, for the running
         rows x and the dense gradient rows g at x; tau is None when the
         chunk skips the clip."""
-        p, q = self.at[pos], self.at[pos + 1]
-        rows = self.rows[p:q]
+        at, rows, parts = self._grouped()
+        p, q = at[pos], at[pos + 1]
+        rows = rows[p:q]
         if self.nan or self.underflow:
             zero = np.ones(len(u), bool) if self.nan else (u.view(np.int64) == _NEG_ZERO).any(1)
             zero[rows] = False
@@ -414,13 +546,95 @@ class _Events:
         if q - p == 1 and tau is None:
             # one row, by basic indexing: 2 us a step faster than by an array
             i = rows[0]
-            u[i] -= self.map.grad_at(x[i], tuple(part[p] for part in self.parts))
+            u[i] -= self.map.grad_at(x[i], tuple(part[p] for part in parts))
             return
-        g = self.map.grad_at(x[rows], tuple(part[p:q] for part in self.parts))
+        g = self.map.grad_at(x[rows], tuple(part[p:q] for part in parts))
         if tau is not None:
             g, over = clip_rows(g, tau[rows] if isinstance(tau, np.ndarray) else tau)
             clips[rows] += over
         u[rows] -= g
+
+    def plan(self, x, used, eta, den, tau, clips, r, domain) -> Optional[_Plan]:
+        """The running rows' iterates over the drawn sub-chunk, from x at
+        its start, computed event to event when every row's eta, den and
+        tau (None when the chunk skips the clip) hold for the whole
+        sub-chunk: eta and den as floats or (rows, 1) columns, tau as a
+        float or a vector.  Event clips are counted in clips.  None when a
+        row has too many events for the pass to beat the dense steps.
+
+        Each round steps every unfinished row once from its cursor, by
+        the dense step's expression: u = x/eta, less the gradient row of
+        the row's state there (its event row's, clipped as the dense step
+        clips it, or its mark's, the zero state's g0), then _finish.  A
+        row whose step from a zero state leaves its bits as they were is
+        at a fixed point of that deterministic map, which it then keeps
+        until its next event, so its cursor jumps there.  A row is done
+        at its mark.  After used[0] // _ROUND_SHARE rounds the pass
+        stops: its changes count up to the least cursor of the rows left,
+        and the dense steps take over from there.  A pass that covers the
+        whole sub-chunk lets the events go, as no dense step reads them."""
+        n = used[0]
+        cap = n // _ROUND_SHARE
+        first = np.concatenate(([0], self.mark[:-1] + 1))
+        if 2 * int((self.mark - first).max()) >= cap:
+            return None
+        step, states = self.step, self.states
+        # each unfinished row's index, cursor, next event row, mark and
+        # used count; its eta, den and tau
+        k = len(used)
+        live = np.stack((np.arange(k), np.zeros(k, np.intp), first, self.mark, used), axis=1)
+        val = np.empty((k, 3))
+        val[:, :1], val[:, 1:2], val[:, 2] = eta, den, np.inf if tau is None else tau
+        xa, records, hits, rounds = x, [], [], 0
+        while rounds < cap and len(xa):
+            rounds += 1
+            row, cur, nxt, mark, end = live.T
+            due = step[nxt]
+            ev = cur == due
+            pick = np.where(ev, nxt, mark)
+            g = self.map.grad_at(xa, self._parts(states.take(pick, axis=0), row))
+            if tau is not None and ev.any():
+                e = ev.nonzero()[0]
+                g[e], over = clip_rows(g[e], val[e, 2])
+                hits.append((row[e[over]], cur[e[over]]))
+            u = np.divide(xa, val[:, :1])
+            u -= g
+            xa, was = _finish(r, domain, u, val[:, 1:2]), xa
+            moved = _rows_differ(xa, was)
+            hit = moved.nonzero()[0]
+            if len(hit):
+                records.append((cur.take(hit), row.take(hit), xa.take(hit, axis=0)))
+            # a row that moved, or took its event, steps on; one that
+            # stayed put from a zero state jumps to its next event
+            ahead = np.where(ev | moved, cur + 1, due)
+            live[:, 1] = ahead
+            live[:, 2] += ev
+            going = ahead < end
+            if np.count_nonzero(going) < len(going):
+                keep = going.nonzero()[0]
+                live, val, xa = (a.take(keep, axis=0) for a in (live, val, xa))
+        stop = int(live[:, 1].min()) if len(xa) else n
+        cur, row, vals = (np.concatenate(c) for c in zip((cur[:0], row[:0], x[:0]), *records))
+        records.clear()
+        if stop < n:
+            keep = (cur < stop).nonzero()[0]
+            cur, row, vals = (a.take(keep, axis=0) for a in (cur, row, vals))
+        # steps fit in 16 bits, which numpy sorts by radix
+        order = np.argsort(cur.astype(np.uint16), kind="stable")
+        cur, row, vals = (a.take(order, axis=0) for a in (cur, row, vals))
+        if hits:
+            row_hit, cur_hit = (np.concatenate(c) for c in zip(*hits))
+            np.add.at(clips, row_hit[cur_hit < stop], 1)
+        if stop == n:
+            # no dense step reads these events
+            self.row = self.step = self.states = self.mark = None
+        return _Plan(
+            stop=stop,
+            at=np.searchsorted(cur, np.arange(stop + 1)).tolist(),
+            rows=row,
+            vals=vals,
+            rounds=rounds,
+        )
 
 
 def _run_kernel(
@@ -464,64 +678,79 @@ def _run_kernel(
         grad = oracles[0]
         buf = np.empty((min(sub, T), n, d), dtype=grad.state_dtype)
         streams = [ChunkStream(rng, NOISE_CHUNK * d) for rng in rngs]
-    pos = NOISE_CHUNK
-    for t in range(1, T + 1):
-        if pos == NOISE_CHUNK:
+    # hard rows of plain steps with mu = 0 may run a sub-chunk event to event
+    plannable = events is not None and not stabilized and r is None
+    t = 1
+    while t <= T:
+        pos = (t - 1) % NOISE_CHUNK
+        if pos == 0:
             if t > 1:
                 _check_finite(x, t - 1)
             steps.fill(t, min(NOISE_CHUNK, T + 1 - t), k)
-            pos = 0
-        at = pos % sub
-        if at == 0:
-            # a row reads no state past its own horizon
-            used = [min(sub, h + 1 - t) for h in horizons[:k]]
-            if events is None:
-                _draw(oracles, streams, buf, used)
-            else:
-                events.draw(used)
-        eta_t, eta_next, tau_t, den = steps.at(pos, k)
-        pos += 1
-
-        # the steps' etas were checked when the chunk's values were filled
+        # a row reads no state past its own horizon
+        used = [min(sub, h + 1 - t) for h in horizons[:k]]
+        # the last sub-chunk's plan is let go before this one's draw
+        stop, at, rows, vals = 0, None, None, None
         if events is None:
-            g = grad.grad_rows(x, buf[at, :k])
-            if steps.clip:
-                g, over = clip_rows(g, tau_t)
-                clips += over
-            if stabilized:
-                x = _project(domain, _stabilized_point(r, x, x1, g, eta_t, eta_next))
-            else:
-                x = _project(domain, _prox_point(r, x, g, eta_t, den))
+            _draw(oracles, streams, buf, used)
         else:
-            if stabilized:
-                u, den = _stabilized_base(r, x, x1, eta_t, eta_next)
+            events.draw(used)
+            steady = plannable and steps.steady(pos, used[0], k)
+            plan = steady and events.plan(x, used, *steady, clips, r, domain)
+            if plan:
+                stop, at, rows, vals = plan.stop, plan.at, plan.rows, plan.vals
+
+        for s in range(used[0]):
+            if s < stop:
+                # the plan's changes at this step; every other row stays put
+                p, q = at[s], at[s + 1]
+                if q - p == 1:
+                    x[rows[p]] = vals[p]
+                elif p < q:
+                    x[rows[p:q]] = vals[p:q]
             else:
-                # u becomes the next iterate, and x the buffer for the one after
-                u, spare = np.divide(x, eta_t, out=spare), x
-            events.subtract(at, x, u, tau_t if steps.clip else None, clips)
-            x = _project(domain, _prox_finish(r, u, den))
+                # the steps' etas were checked when the chunk's values were filled
+                eta_t, eta_next, tau_t, den = steps.at(pos + s, k)
+                if events is None:
+                    g = grad.grad_rows(x, buf[s, :k])
+                    if steps.clip:
+                        g, over = clip_rows(g, tau_t)
+                        clips += over
+                    if stabilized:
+                        x = _project(domain, _stabilized_point(r, x, x1, g, eta_t, eta_next))
+                    else:
+                        x = _project(domain, _prox_point(r, x, g, eta_t, den))
+                else:
+                    if stabilized:
+                        u, den = _stabilized_base(r, x, x1, eta_t, eta_next)
+                    else:
+                        # u becomes the next iterate, and x the buffer for the one after
+                        u, spare = np.divide(x, eta_t, out=spare), x
+                    events.subtract(s, x, u, tau_t if steps.clip else None, clips)
+                    x = _finish(r, domain, u, den)
 
-        if mean is not None:
-            np.subtract(x, mean, out=scratch)
-            scratch /= t
-            mean += scratch
-        if wavg is not None:
-            w = weighted_avg_weight(t)
-            wsum += w
-            np.subtract(x, wavg, out=scratch)
-            scratch *= w / wsum
-            wavg += scratch
+            if mean is not None:
+                np.subtract(x, mean, out=scratch)
+                scratch /= t
+                mean += scratch
+            if wavg is not None:
+                w = weighted_avg_weight(t)
+                wsum += w
+                np.subtract(x, wavg, out=scratch)
+                scratch *= w / wsum
+                wavg += scratch
 
-        if t in running:
-            # the rows whose horizon is t are done
-            left = running[t]
-            _check_finite(x[left:], t)
-            out.x_last[left:k] = x[left:]
-            k = left
-            x, x1, clips = x[:k], x1[:k], clips[:k]
-            spare, scratch = spare[:k], scratch[:k]
-            mean = None if mean is None else mean[:k]
-            wavg = None if wavg is None else wavg[:k]
+            if t in running:
+                # the rows whose horizon is t are done
+                left = running[t]
+                _check_finite(x[left:], t)
+                out.x_last[left:k] = x[left:]
+                k = left
+                x, x1, clips = x[:k], x1[:k], clips[:k]
+                spare, scratch = spare[:k], scratch[:k]
+                mean = None if mean is None else mean[:k]
+                wavg = None if wavg is None else wavg[:k]
+            t += 1
     return out
 
 

@@ -215,6 +215,8 @@ class HardInstance:
             ("_masses", (p0, pp, pm)),
             ("_thresholds", (p0, p0 + pp)),
             ("_tiles", (p0[None, :],)),  # lo's tile (see _nonzero)
+            # lo when every coordinate has the same (see sample_events)
+            ("_lo", float(p0[0]) if np.all(p0 == p0[0]) else None),
             ("wp", wq * (1.0 + vt) / 2.0),
             ("wm", wq * (1.0 - vt) / 2.0),
         ):
@@ -253,6 +255,12 @@ class HardInstance:
         tiling of lo and each draw compares against the tile it read or
         built itself, so the race changes no result.
         """
+        at = self._at_or_above_lo(u, ge)
+        return at, self._code(at, u.reshape(-1)[at])
+
+    def _at_or_above_lo(self, u: np.ndarray, ge: np.ndarray) -> np.ndarray:
+        """_nonzero's at: the flat indices of the entries of u at or
+        above lo, found with ge, contiguous, as scratch."""
         n = u.shape[-2]
         (lo,) = self._tiles
         if len(lo) < min(n, NOISE_CHUNK):
@@ -261,10 +269,15 @@ class HardInstance:
         for s in range(0, n, NOISE_CHUNK):
             e = min(s + NOISE_CHUNK, n)
             np.greater_equal(u[..., s:e, :], lo[: e - s], out=ge[..., s:e, :])
-        at = np.flatnonzero(ge)
+        return ge.reshape(-1).nonzero()[0]
+
+    def _code(self, at: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """_nonzero's codes of the entries at flat indices at, whose
+        column is at % d, with uniforms values at or above lo: -1 at or
+        above hi, else +1."""
         code = np.ones(len(at), np.int8)
-        code[u.reshape(-1)[at] >= self._thresholds[1][at % self.d]] = -1
-        return at, code
+        code[values >= self._thresholds[1][at % self.d]] = -1
+        return code
 
     def _codes(self, u: np.ndarray, xi: np.ndarray) -> None:
         """Write the int8 codes of uniforms u, a contiguous (..., n, d)
@@ -319,27 +332,38 @@ class HardInstance:
         and the events are exactly the nonzero entries of its out.
 
         The rows are drawn a block at a time, each row's uniforms into
-        its part of one block scratch whose events are found in one
-        _nonzero call, so a block of rows costs one call of each numpy
-        operation.  The uniforms and the rule's bool scratch hold at most
-        _EVENT_SCRATCH bytes, or one row's worth if a row is longer.
+        its part of one block scratch whose entries at or above lo are
+        found in one call (against lo's one value when every coordinate
+        has the same, else its tile), so a block of rows costs one call of
+        each numpy operation; the codes of all blocks' entries are taken
+        at the end, in one call.  The uniforms and the rule's bool scratch hold at
+        most _EVENT_SCRATCH bytes, or one row's worth if a row is longer.
         """
         size = n * self.d
         block = max(1, min(len(rngs), _EVENT_SCRATCH // max(9 * size, 1)))
         u = np.empty((block, n, self.d))
         ge = np.empty(u.shape, dtype=np.bool_)
-        found, codes = [np.zeros(0, np.intp)], [np.zeros(0, np.int8)]
+        found, values = [np.zeros(0, np.intp)], [np.zeros(0)]
         for a in range(0, len(rngs), block):
             rows = rngs[a : a + block]
             for j, rng in enumerate(rows):
                 _fill_uniforms(_generator(rng), u[j])
-            at, code = self._nonzero(u[: len(rows)], ge[: len(rows)])
-            codes.append(code)
+            if self._lo is None:
+                at = self._at_or_above_lo(u[: len(rows)], ge[: len(rows)])
+            else:
+                # one lo for every coordinate: numpy compares with a
+                # scalar faster than with a tile broadcast along the rows
+                np.greater_equal(u[: len(rows)], self._lo, out=ge[: len(rows)])
+                at = ge[: len(rows)].reshape(-1).nonzero()[0]
+            values.append(u.reshape(-1)[at])
             found.append(at + a * size)
-        row, at = np.divmod(np.concatenate(found), size)
+        at = np.concatenate(found)
+        code = self._code(at, np.concatenate(values))
+        row, at = np.divmod(at, size)
         step, col = np.divmod(at, self.d)
-        order = np.argsort(step, kind="stable")
-        return step[order], row[order], col[order], np.concatenate(codes)[order]
+        # steps below 2^16 sort by radix
+        order = np.argsort(step.astype(np.uint16) if n <= 1 << 16 else step, kind="stable")
+        return step[order], row[order], col[order], code[order]
 
     def grad_rows(self, X: np.ndarray, Xi: np.ndarray) -> np.ndarray:
         """Gradient rows at X for states Xi, int8 codes or floats:

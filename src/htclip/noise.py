@@ -428,7 +428,10 @@ class ChunkStream:
         if self._left == 0:
             bg = self.rng.bit_generator
             if self._copy is None:
-                self._copy = np.random.Generator(type(bg)())
+                # numpy.random is loaded by now: rng is a Generator
+                from ._seeding import blank
+
+                self._copy = blank(type(bg))
             self._copy.bit_generator.state = bg.state
             _skip_doubles(self.rng, self.doubles)
             self._left = self.doubles

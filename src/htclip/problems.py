@@ -105,7 +105,13 @@ def _project(domain: Domain, x: np.ndarray) -> np.ndarray:
         return x
     if isinstance(domain, Ball):
         diff, outside = clip_rows(x - domain.center, domain.radius)
-        return domain.center + diff if np.any(outside) else x
+        if not np.any(outside):
+            return x
+        # each row on its own: a row inside keeps its bits; diff is a
+        # new array, as some row was scaled
+        diff += domain.center
+        np.copyto(diff, x, where=~outside[..., None])
+        return diff
     raise TypeError(f"unknown domain kind: {type(domain).__name__}")
 
 

@@ -976,3 +976,32 @@ class TestProxDenominator:
             assert np.array_equal(batch.avg_plain[i], one.avg_plain), i
             assert np.array_equal(batch.avg_weighted[i], one.avg_weighted), i
             assert batch.clip_events[i] == one.clip_events, i
+
+
+class TestBallRows:
+    def test_a_single_run_is_row_0_of_a_batch_on_an_offset_ball(self):
+        # loud Gaussian noise puts some rows of a step outside the ball
+        # while others stay inside; each row is projected on its own, so
+        # row 0 of a 16-row batch has the bits of its single run
+        from htclip import ScheduleParams, make_schedule
+
+        center = np.array([0.1, 0.3, -0.7])
+        obj = CompositeObjective(
+            f=EuclidNorm(1.0, center + 0.2), r=None, domain=Ball(center, 0.5),
+            lipschitz_G=1.0,
+        )
+        oracle = make_oracle(obj, "additive-gaussian", scales=np.full(3, 30.0))
+        spec = oracle.noise
+        sched = make_schedule("cvx-ex-T", ScheduleParams(
+            p=spec.p, sigma_s=spec.sigma_s, sigma_l=spec.sigma_l, G=1.0, D=1.0,
+            T_known=1000,
+        ))
+        for seed in range(5):
+            batch = run_trials(
+                obj, oracle, sched, 1000, center,
+                [np.random.default_rng(seed + s) for s in range(16)],
+            )
+            one = run_clipped_sgd(obj, oracle, sched, 1000, center, np.random.default_rng(seed))
+            assert batch.x_last[0].tobytes() == one.x_last.tobytes(), seed
+            assert batch.avg_plain[0].tobytes() == one.avg_plain.tobytes(), seed
+            assert batch.avg_weighted[0].tobytes() == one.avg_weighted.tobytes(), seed

@@ -393,6 +393,26 @@ def test_draw_into_a_prefix_matches_the_first_rows_of_a_full_draw(kind, n, m):
         assert np.array_equal(rng.random(4), full_rng.random(4))
 
 
+@pytest.mark.parametrize(
+    "kind", ["PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"]
+)
+def test_a_chunk_streams_copy_draws_the_uniforms_of_its_generator(kind):
+    # the copy is built with no seed hashed and then takes rng's state, so
+    # each chunk's uniforms are rng.random's, and rng moves past them
+    bits = getattr(np.random, kind)
+    rng, ref = np.random.Generator(bits(3)), np.random.Generator(bits(3))
+    rng.random(5), ref.random(5)
+    stream = ChunkStream(rng, 12)
+    for count in (7, 5, 12):
+        got = stream.uniforms(count).random(count)
+        assert got.tobytes() == ref.random(count).tobytes()
+    # two chunks drawn whole leave rng where ref's draws left it
+    assert rng.random(4).tobytes() == ref.random(4).tobytes()
+    copy = stream.uniforms(0).bit_generator
+    assert type(copy) is bits
+    assert not isinstance(copy.seed_seq, np.random.SeedSequence)
+
+
 @pytest.mark.parametrize("d, n, rows", [(3, 7, 1000), (64, 64, 20)])
 @pytest.mark.parametrize("split", [True, False])
 def test_a_many_row_stable_draw_is_one_stream_draws_per_row(monkeypatch, d, n, rows, split):

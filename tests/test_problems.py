@@ -127,6 +127,23 @@ class TestProjection:
             assert got[i] == pytest.approx(project(dom, X[i]), abs=1e-15)
             assert np.linalg.norm(got[i] - dom.center) <= dom.radius + 1e-12
 
+    def test_inside_rows_of_a_batch_keep_their_bits(self, rng):
+        # with a nonzero center, center + (x - center) moves the last bits
+        # of some inside points; each row is projected on its own, so an
+        # inside row is unchanged even when its batch holds one outside
+        dom = Ball(np.array([0.1, 0.3, -0.7]), 0.5)
+        box = rng.uniform(-1.3, 1.3, size=(20000, 3))
+        inside = box[np.linalg.norm(box - dom.center, axis=1) < 0.49]
+        outside = box[np.linalg.norm(box - dom.center, axis=1) > 0.51]
+        moved = 0
+        for a, b in zip(inside, outside):
+            moved += not np.array_equal(dom.center + (a - dom.center), a)
+            assert project(dom, a).tobytes() == a.tobytes()
+            for pair, i in ((np.stack([a, b]), 0), (np.stack([b, a]), 1)):
+                got = project(dom, pair)
+                assert got[i].tobytes() == a.tobytes()
+                assert got[1 - i].tobytes() == project(dom, b).tobytes()
+        assert moved > 20
 
 class TestProxStep:
     def test_plain_gradient_step(self):

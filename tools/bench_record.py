@@ -25,11 +25,11 @@ then move with the length of src/, which it records for each checkout
 (the lines of src/htclip/*.py, as wc -l counts them, and apart from them
 the code lines: those that are not docstring, comment or blank).  For
 each workload it also runs one op in a fresh process in each checkout,
-at the recorded seed and through that checkout's perfbench/workloads.py,
-and records the sha256 digest of the op's checked outputs
-(workloads.setup(...).digest()); "digests_differ" lists the workloads
-whose digests differ between the checkouts, which it also prints to
-stderr.  --stages adds a JSON file that tools/kernel_stages.py printed
+at the recorded seed and at each of DIGEST_SEEDS (1 and 2), through that
+checkout's perfbench/workloads.py, and records the sha256 digest of the
+op's checked outputs (workloads.setup(...).digest()) by seed;
+"digests_differ" lists the workloads and seeds whose digests differ
+between the checkouts, which it also prints to stderr.  --stages adds a JSON file that tools/kernel_stages.py printed
 in the head checkout, and --base-stages one printed in the base.  With
 both, "ceiling" holds, for each fitted case of the base's named after a
 workload, the base's ceiling (how many times faster its stages would
@@ -60,6 +60,9 @@ HEAD = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("rate-hard-cvx", "rate-stable-ball", "verify-clip")
 # metric -> whether higher is better, as BENCHMARK.json declares them
 END_TO_END = {"setup_s": False, "work_per_s": True, "peak_rss_mb": False}
+# seeds whose op digests every record holds, besides the run's own: the
+# seeds at which the workloads' output bytes are pinned across changes
+DIGEST_SEEDS = (1, 2)
 # verify-clip's throughput of each half of an op (exact enumeration,
 # Monte Carlo), which a run keeps in its record's details
 PER_HALF = {"exact_states_per_s": True, "mc_samples_per_s": True}
@@ -290,13 +293,17 @@ def main(argv=None) -> int:
                 for name, higher in compared(samples["head"]).items()
             }
         entry["digest"] = {
-            label: op_digest(checkout, workload, args.seed)
-            for label, checkout in checkouts.items()
+            str(seed): {
+                label: op_digest(checkout, workload, seed)
+                for label, checkout in checkouts.items()
+            }
+            for seed in sorted({args.seed, *DIGEST_SEEDS})
         }
         report["workloads"][workload] = entry
     report["digests_differ"] = [
-        name for name, entry in report["workloads"].items()
-        if len({d["digest"] for d in entry["digest"].values()}) > 1
+        f"{name} (seed {seed})" for name, entry in report["workloads"].items()
+        for seed, sides in entry["digest"].items()
+        if len({d["digest"] for d in sides.values()}) > 1
     ]
     if report["digests_differ"]:
         print("digests differ: " + ", ".join(report["digests_differ"]), file=sys.stderr)

@@ -12,6 +12,12 @@ timing probe around each stage the step loop calls:
                 in a chunk that clips it holds their clip_rows calls,
                 which clip times too, so kernel_self then reads low by
                 those)
+    pass        for hard-instance rows of a sub-chunk in which every
+                running row's eta and tau hold (plain steps, mu = 0),
+                _Events.plan: the rows' iterates computed event to
+                event, which the step loop then writes where they change
+                (its rounds' clip_rows calls are timed in clip too, so
+                kernel_self then reads low by those)
     clip        clip_rows
     prox        the prox or stabilized prox step and its projection
     schedule    the per-chunk eta/tau fill and per-step lookups
@@ -51,6 +57,11 @@ reused buffer of the draw's n * d doubles.  They are replayed on one
 thread from the draws one untimed run makes, and timed as the median
 over --repeats;
 the gap from "draw" to it is what the draw adds to its random numbers.
+"event_pass" counts, over one untimed run of a case whose kernel plans
+sub-chunks, the _Events.plan calls ("plans"), those that declined
+("declined") or handed the end of their sub-chunk to dense steps
+("stopped"), and the rounds and iterate changes the plans made: a
+growing count of rounds per plan means longer settle chains.
 (A stable draw fills its rows on every core, so on several cores its
 "draw" may fall below this sequential floor.)
 Each problem and d run at several widths is also fitted, stage by
@@ -86,6 +97,7 @@ import statistics
 import time
 import tracemalloc
 from contextlib import contextmanager
+from typing import Optional
 
 import numpy as np
 
@@ -126,6 +138,7 @@ ALGORITHM_CALLS = {
 METHOD_CALLS = {
     "draw": ((noise, "GradOracle", "draw"), (algorithms, "_Events", "draw")),
     "gradient": ((noise, "GradOracle", "grad_rows"), (algorithms, "_Events", "subtract")),
+    "pass": ((algorithms, "_Events", "plan"),),
     "schedule": ((algorithms, "_Steps", "fill"), (algorithms, "_Steps", "at")),
 }
 
@@ -238,7 +251,7 @@ class _Probes:
                         self._patch(algorithms, name, stage)
             for stage, calls in METHOD_CALLS.items():
                 for module, cls, name in calls:
-                    if cls in vars(module):
+                    if name in vars(vars(module).get(cls, object)):
                         self._patch(vars(module)[cls], name, stage)
             if _seeding is None:
                 self._patch(np.random, "default_rng", "seeding")
@@ -300,6 +313,35 @@ def _draw_floor_ns(calls: list, repeats: int) -> float:
     return statistics.median(times)
 
 
+def _event_pass(config) -> Optional[dict]:
+    """Counts of the _Events.plan calls one run makes (see the module
+    docstring), or None where the kernel makes none."""
+    plan = vars(algorithms).get("_Events") and vars(algorithms._Events).get("plan")
+    if plan is None:
+        return None
+    made = []
+
+    def noted(self, x, used, *args):
+        made.append((used[0], plan(self, x, used, *args)))
+        return made[-1][1]
+
+    algorithms._Events.plan = noted
+    try:
+        harness.run_experiment(config)
+    finally:
+        algorithms._Events.plan = plan
+    if not made:
+        return None
+    done = [(n, p) for n, p in made if p is not None]
+    return {
+        "plans": len(made),
+        "declined": len(made) - len(done),
+        "stopped": sum(p.stop < n for n, p in done),
+        "rounds": sum(p.rounds for _, p in done),
+        "changes": sum(len(p.rows) for _, p in done),
+    }
+
+
 @contextmanager
 def _one_shard(width: int):
     """Make run_experiment put every row in one shard of width rows."""
@@ -349,16 +391,18 @@ def run_case(problem: str, d: int, width: int, repeats: int) -> dict:
             samples.append(spent)
             clip_calls = probes.calls.get("clip", 0)
         floor = _draw_floor_ns(_draw_calls(config), repeats)
+        event_pass = _event_pass(config)
         tracemalloc.start()
         try:
             harness.run_experiment(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    order = ("draw", "gradient", "clip", "prox", "schedule", "kernel_self",
+    order = ("draw", "gradient", "pass", "clip", "prox", "schedule", "kernel_self",
              "run_trials", "evaluation", "seeding")
     per_step = {
-        k: round(statistics.median(s[k] for s in samples) / trial_steps, 1) for k in order
+        k: round(statistics.median(s.get(k, 0) for s in samples) / trial_steps, 1)
+        for k in order
     }
     per_step["draw_floor"] = round(floor / trial_steps, 1)
     case = {
@@ -371,6 +415,8 @@ def run_case(problem: str, d: int, width: int, repeats: int) -> dict:
         "clip_rows_calls": clip_calls,
         "peak_traced_mb": round(peak / 2**20, 2),
     }
+    if event_pass is not None:
+        case["event_pass"] = event_pass
     if own:
         case["shards"] = shards[: len(shards) // (repeats + 2)]
     return case
