@@ -18,10 +18,10 @@ def row_norms(a: np.ndarray) -> np.ndarray:
     The squares are summed in np.add.reduce's order along the last axis.
     An axis of 2 to 7 entries is summed left to right, column by column:
     numpy sums an axis that short left to right too, so the bits are the
-    same, but reducing it costs a length-d inner loop per row (12 us
-    against 3.6 us at 1,000 x 4).  From 8 entries on numpy sums with 8
-    interleaved accumulators, whose order differs, so that axis is
-    reduced by np.add.reduce itself.
+    same, but reducing it costs a length-d inner loop per row, several
+    times slower than adding whole columns.  From 8 entries on numpy
+    sums with 8 interleaved accumulators, whose order differs, so that
+    axis is reduced by np.add.reduce itself.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[-1] if a.ndim else 0
@@ -66,8 +66,8 @@ def clip_rows(a: np.ndarray, bound: float) -> tuple:
     norm overflows takes its norm from finite_row_norms, so it lands on
     norm bound instead of being scaled to zero.  The squaring still
     raises numpy's overflow warning: clip_batch and project silence it
-    per call, run_trials once per batch, as np.errstate costs 1.5 us,
-    a few percent of a kernel step, if entered here on every step.
+    per call, run_trials once per batch, as entering np.errstate here
+    would add its cost to every kernel step.
     """
     a = np.asarray(a, dtype=float)
     nrm = row_norms(a)

@@ -48,18 +48,22 @@ their alpha-stable states a row block at a time on every core, and a
 noise.ChunkStream per row gives each sub-chunk the bits it has in a
 draw of the whole chunk.
 
-Hard-instance rows hold no state buffer.  Their states are sparse (the
-lower-bound regimes take q = 1/T or less: 0.064% of a rate-hard-cvx
-run's entries are nonzero), so a run of rows of one oracle and count
-draws a sub-chunk as its nonzero entries (HardInstance.sample_events,
-with the dense draw's bits and generator use), and a step takes
-x_t/eta_t (or problems._stabilized_base) for every row but computes,
-clips and subtracts a gradient row only for the rows with a nonzero
-state (_Events), then finishes the prox point as the dense step does
-(problems._prox_finish), with its bytes.  A plain step writes x_t/eta_t
+Every step has one body, whatever the oracle: u = x_t/eta_t (or, for
+the stabilized step, problems._stabilized_base's numerator), then
+u -= g, then problems._prox_end, the closed form's last operations
+(+ mu c, / den, projection) that the public prox_step and
+stabilized_prox_step end in too.  x_t/eta_t into a buffer and then
+u -= g rounds exactly as the one expression x_t/eta_t - g, so every row
+has the bits of those public steps.  A plain step writes x_t/eta_t
 into a buffer that then becomes the iterate, and the running averages
 are updated through one scratch, so such a step allocates no (rows, d)
-array.
+array beyond its gradient rows.  Rows with a state buffer take g as
+the oracle's grad_rows, clipped.  Hard-instance rows hold no state
+buffer: their states are sparse (the lower-bound regimes take q = 1/T
+or less), so a run of rows of one oracle and count draws a sub-chunk as
+its nonzero entries (HardInstance.sample_events, with the dense draw's
+bits and generator use), and _Events.subtract computes, clips and
+subtracts a gradient row only for the rows with a nonzero state.
 
 A sub-chunk of hard-instance rows runs event to event when it is
 steady (_Steps.steady): its steps are plain, with mu = 0, and each
@@ -72,7 +76,7 @@ leaves as it was keeps its bits, step after step, until its next
 event.  _Events.plan steps the rows a round at a time, each from its
 own cursor, by the dense step's expression: x/eta less the event's
 gradient row, clipped and counted as the dense step clips it, or less
-g0, then the prox point's last operations (_finish).  A row that stays
+g0, then the step's shared tail (_prox_end).  A row that stays
 put jumps to its next event.  The step loop then writes only the rows
 whose iterate changed, and keeps the running averages, finiteness
 checks and horizon ends of the dense step.  Subtracting g0 at every
@@ -110,16 +114,7 @@ import numpy as np
 
 from ._util import clip_rows, finite_row_norms
 from .noise import ChunkStream, GradOracle, _busy_core
-from .problems import (
-    CompositeObjective,
-    QuadReg,
-    _project,
-    _prox_finish,
-    _prox_point,
-    _stabilized_base,
-    _stabilized_point,
-    project,
-)
+from .problems import CompositeObjective, _prox_end, _stabilized_base, project
 
 # the kernel calls the closed forms above; the checked steps and
 # eval_F_batch stay bound here because perfbench/tracing.py wraps them
@@ -377,12 +372,6 @@ _NEG_ZERO = np.iinfo(np.int64).min
 _ROUND_SHARE = 4
 
 
-def _finish(r: Optional[QuadReg], domain, u: np.ndarray, den) -> np.ndarray:
-    """A hard-instance step's last operations, from u - g: the prox point,
-    projected.  The dense step and the event-to-event pass both end here."""
-    return _project(domain, _prox_finish(r, u, den))
-
-
 # a row of d bools read as one unsigned integer, for the d that have one
 _ROW_WORDS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
@@ -543,11 +532,6 @@ class _Events:
             self.underflow = False
         if p == q:
             return
-        if q - p == 1 and tau is None:
-            # one row, by basic indexing: 2 us a step faster than by an array
-            i = rows[0]
-            u[i] -= self.map.grad_at(x[i], tuple(part[p] for part in parts))
-            return
         g = self.map.grad_at(x[rows], tuple(part[p:q] for part in parts))
         if tau is not None:
             g, over = clip_rows(g, tau[rows] if isinstance(tau, np.ndarray) else tau)
@@ -565,7 +549,7 @@ class _Events:
         Each round steps every unfinished row once from its cursor, by
         the dense step's expression: u = x/eta, less the gradient row of
         the row's state there (its event row's, clipped as the dense step
-        clips it, or its mark's, the zero state's g0), then _finish.  A
+        clips it, or its mark's, the zero state's g0), then _prox_end.  A
         row whose step from a zero state leaves its bits as they were is
         at a fixed point of that deterministic map, which it then keeps
         until its next event, so its cursor jumps there.  A row is done
@@ -599,7 +583,7 @@ class _Events:
                 hits.append((row[e[over]], cur[e[over]]))
             u = np.divide(xa, val[:, :1])
             u -= g
-            xa, was = _finish(r, domain, u, val[:, 1:2]), xa
+            xa, was = _prox_end(r, domain, u, val[:, 1:2]), xa
             moved = _rows_differ(xa, was)
             hit = moved.nonzero()[0]
             if len(hit):
@@ -670,7 +654,7 @@ def _run_kernel(
     k = n
     steps = _Steps(schedules, horizons, _grad_bounds(oracles), d, objective.mu, stabilized)
 
-    # the next iterate's buffer (a plain hard step's) and the averages' scratch
+    # the next iterate's buffer (a plain step's) and the averages' scratch
     spare, scratch = np.empty((n, d)), np.empty((n, d))
     sub = _sub_chunk(d)
     if events is None:
@@ -711,23 +695,20 @@ def _run_kernel(
             else:
                 # the steps' etas were checked when the chunk's values were filled
                 eta_t, eta_next, tau_t, den = steps.at(pos + s, k)
+                if stabilized:
+                    u, den = _stabilized_base(r, x, x1, eta_t, eta_next)
+                else:
+                    # u becomes the next iterate, and x the buffer for the one after
+                    u, spare = np.divide(x, eta_t, out=spare), x
                 if events is None:
                     g = grad.grad_rows(x, buf[s, :k])
                     if steps.clip:
                         g, over = clip_rows(g, tau_t)
                         clips += over
-                    if stabilized:
-                        x = _project(domain, _stabilized_point(r, x, x1, g, eta_t, eta_next))
-                    else:
-                        x = _project(domain, _prox_point(r, x, g, eta_t, den))
+                    u -= g
                 else:
-                    if stabilized:
-                        u, den = _stabilized_base(r, x, x1, eta_t, eta_next)
-                    else:
-                        # u becomes the next iterate, and x the buffer for the one after
-                        u, spare = np.divide(x, eta_t, out=spare), x
                     events.subtract(s, x, u, tau_t if steps.clip else None, clips)
-                    x = _finish(r, domain, u, den)
+                x = _prox_end(r, domain, u, den)
 
             if mean is not None:
                 np.subtract(x, mean, out=scratch)

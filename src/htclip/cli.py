@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -354,7 +355,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parse_args
+    keeps nothing of one call for the next."""
     parser = argparse.ArgumentParser(
         prog="htclip", description="Clipped and stabilized SGD under heavy-tailed noise"
     )

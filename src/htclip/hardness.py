@@ -58,21 +58,16 @@ HARD_REGIMES = ("cvx-fano", "cvx-twopoint", "str-fano", "str-twopoint")
 
 SUPPORT_CAP = 2_000_000
 
-# bytes of numpy scratch a many-row draw of xi holds at once (see
-# HardInstance.sample_rows): with its views' Python objects, under 64 KiB
-_DRAW_SCRATCH = 60 << 10
-# entries of uniforms whose codes such a draw takes at a time, and the
-# most bytes the rule's arrays take per entry (HardInstance._nonzero: an
-# index, its column, a uniform and a threshold of 8 bytes, and two of 1)
+# entries of uniforms whose codes a many-row draw of xi takes at a time
+# (HardInstance.sample_rows), so the rule's per-entry arrays stay small
 _RULE_ENTRIES = 512
-_RULE_BYTES = 34
 # bytes of numpy scratch a draw of events holds at once, bar the events
 # (see HardInstance.sample_events)
 _EVENT_SCRATCH = 256 << 10
 
 # the largest d_star a gv codebook is built for: its ceil(exp(48 / 8)) =
-# 404 words take about 0.35 s to pick, and each 8 more multiply the words
-# by e and the O(words^2) scan by about 7 (2.4 s at d_star = 56)
+# 404 words are picked by an O(words^2) scan, and each 8 more multiply
+# the words by e and the scan by about 7
 GV_MAX_D_STAR = 48
 
 @dataclass(frozen=True)
@@ -290,36 +285,24 @@ class HardInstance:
     def sample_rows(self, rngs, n: int, out: np.ndarray) -> np.ndarray:
         """Draw n rows of xi from D_v from each generator in rngs, or
         noise.ChunkStream over one, into out, an (n, len(rngs), d) int8
-        array whose last axis is contiguous: out[:, r] gets the codes
-        (_codes) of rngs[r].random((n, d)), drawn in that order, and out
-        is returned.  It serves GradOracle.draw; the kernel draws
-        hard-instance rows as their nonzero entries (sample_events), by
-        the same rule.
+        array: out[:, r] gets the codes (_codes) of rngs[r].random((n, d)),
+        drawn in that order, and out is returned.  It serves
+        GradOracle.draw; the kernel draws hard-instance rows as their
+        nonzero entries (sample_events), by the same rule.
 
-        Each row's generator fills one (n, d) float scratch, whose codes
-        go into a block of code rows, taken _RULE_ENTRIES entries at a
-        time, so that the rule's per-entry arrays stay small however
-        dense the codes are; once the block is full, one copy stores it
-        into out's strided rows, each row's d codes moved as one cell,
-        which is much faster than a byte at a time.  The scratch, the
-        block and the rule hold at most _DRAW_SCRATCH bytes, or one
-        row's worth if a row is longer.
+        A row at a time, its uniforms fill one (n, d) scratch and its codes
+        one int8 row, taken _RULE_ENTRIES entries at a time, so that the
+        draw's scratch is one row's however many rows it draws and the
+        rule's per-entry arrays stay small however dense the codes are.
         """
-        # a row's uniforms (8 bytes an entry), the rule's arrays, and a
-        # block of rows' codes (1 each)
-        room = _DRAW_SCRATCH - _RULE_BYTES * _RULE_ENTRIES
-        block = max(1, min(len(rngs), room // max(n * self.d, 1) - 8))
         u = np.empty((n, self.d))
-        xi = np.empty((block, *u.shape), dtype=np.int8)
+        xi = np.empty(u.shape, np.int8)
         rule = max(1, _RULE_ENTRIES // self.d)
-        # each row's d codes as one cell
-        cells, dest = (c.view((np.void, self.d))[..., 0] for c in (xi, out))
-        for a in range(0, len(rngs), block):
-            for j, rng in enumerate(rngs[a : a + block]):
-                _fill_uniforms(_generator(rng), u)
-                for s in range(0, n, rule):
-                    self._codes(u[s : s + rule], xi[j, s : s + rule])
-            dest[:, a : a + block] = cells[: j + 1].T
+        for r, rng in enumerate(rngs):
+            _fill_uniforms(_generator(rng), u)
+            for s in range(0, n, rule):
+                self._codes(u[s : s + rule], xi[s : s + rule])
+            out[:, r] = xi
         return out
 
     def sample_events(self, rngs, n: int) -> tuple:

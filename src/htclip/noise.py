@@ -451,8 +451,8 @@ def _skip_doubles(rng: np.random.Generator, k: int) -> None:
     # PCG64's and PCG64DXSM's advance(k) is k draws of one uint64, the
     # word a double takes; Philox.advance counts 256-bit blocks, and SFC64
     # and MT19937 have no advance.  np.random is looked up here, not at
-    # import: numpy loads it lazily, and loading it adds about 3 MB and
-    # 20 ms to every process that imports htclip.
+    # import: numpy loads it lazily, and loading it would add its memory
+    # and import time to every process that imports htclip.
     if type(bg) in (np.random.PCG64, np.random.PCG64DXSM):
         state = bg.state
         bg.advance(k)
@@ -663,12 +663,11 @@ class GradOracle:
         come from rng[r] into out[:, r], and out is returned.  Alpha-stable
         rows are drawn and transformed a row block at a time, on every
         core (see _split), each block in its claimer's scratch; hard-instance
-        rows a row block at a time in one bounded scratch
+        rows a row at a time through one row's scratch
         (HardInstance.sample_rows).  Without out, the states are filled
         straight into the result and transformed there in row blocks, so
-        the draw holds the result and, for alpha-stable states, their
-        exponentials: a 7.6 MiB result (250,000 x 4) has a traced peak of
-        7.7 MiB for Gaussian and 15.8 MiB for stable states.
+        the draw holds no more than the result and, for alpha-stable
+        states, their exponentials.
         """
         d = self.d
         if out is None:  # one generator: its states go straight into the result
@@ -922,9 +921,8 @@ class _SupportWalk:
         partials join the sums before the next window starts.  A run is
         one stacked array so that a claimer makes one numpy call per step
         of a run, not of a block: with a block per call, two claimers
-        took longer than one (0.35 against 0.27 s for 3^12 states at
-        d = 12), handing the interpreter lock to each other at every
-        call."""
+        took longer than one, handing the interpreter lock to each other
+        at every call."""
         rows, d = self.rows, self.d
         window = min(max(_SLOTS // sum(math.prod(s) for s in shapes), 1), self.blocks)
         slots = [np.empty((window, *s)) for s in shapes]
@@ -939,9 +937,8 @@ class _SupportWalk:
 
             _split(blocks, n, rows * d, lambda most: (np.empty((most, rows, d)),))
             # added a block at a time: np.sum leaves its order open, and
-            # np.cumsum over the blocks, which runs each entry's blocks
-            # apart, took 9.4 ms for one 1024 x 1024 slot against 0.9 ms
-            # for the add (2-vCPU Xeon)
+            # np.cumsum over the blocks runs each entry's blocks apart,
+            # which is many times slower than the add
             for i in range(n):
                 if totals is None:
                     totals = [s[i].copy() for s in slots]

@@ -99,7 +99,7 @@ def project(domain: Domain, x: np.ndarray) -> np.ndarray:
 
 def _project(domain: Domain, x: np.ndarray) -> np.ndarray:
     # the prox steps' projection: run_trials silences the overflow
-    # warning once per batch, as np.errstate costs about 1.5 us per entry
+    # warning once per batch rather than entering np.errstate every step
     x = np.asarray(x, dtype=float)
     if isinstance(domain, AllSpace):
         return x
@@ -377,28 +377,17 @@ def _step(eta):
     return eta if isinstance(eta, np.ndarray) else float(eta)
 
 
-def _prox_point(r: Optional[QuadReg], x_t, g, eta, den=None) -> np.ndarray:
-    """prox_step's unconstrained minimizer (x_t/eta + mu c - g) / (1/eta + mu).
-
-    den, when given, is 1/eta + mu computed by the caller, as the kernel
-    does once per step size; the bits are those of the whole expression.
-    """
-    x_t = np.asarray(x_t, dtype=float)
-    g = np.asarray(g, dtype=float)
-    mu = 0.0 if r is None else r.mu
-    return _prox_finish(r, x_t / eta - g, (1.0 / eta + mu) if den is None else den)
-
-
-def _prox_finish(r: Optional[QuadReg], a: np.ndarray, den) -> np.ndarray:
-    """The last two operations of both prox points, in place on a:
-    a + mu c, then / den.  a holds u - g, where u is the point's
-    numerator before its gradient (x_t/eta, or _stabilized_base's), so
-    a caller may form u - g its own way, as the kernel's hard-instance
-    rows do, and keep the bits."""
+def _prox_end(r: Optional[QuadReg], domain: Domain, a: np.ndarray, den) -> np.ndarray:
+    """Every prox step's last operations, in place on a: a + mu c, then
+    / den, then the projection onto domain.  a holds u - g, where u is
+    the point's numerator before its gradient (x_t/eta, or
+    _stabilized_base's) and den its denominator (1/eta + mu, or
+    _stabilized_base's), so each caller forms u - g its own way and the
+    bits are those of the one expression (u - g + mu c) / den."""
     if r is not None:
         a += r.mu * r.center
     a /= den
-    return a
+    return _project(domain, a)
 
 
 def prox_step(
@@ -418,7 +407,10 @@ def prox_step(
     eta = _step(eta)
     if not _all(eta > 0):
         raise ValueError("step size eta must be positive")
-    return _project(domain, _prox_point(r, x_t, g, eta))
+    # one expression, as g may broadcast past x_t
+    x_t = np.asarray(x_t, dtype=float)
+    mu = 0.0 if r is None else r.mu
+    return _prox_end(r, domain, x_t / eta - np.asarray(g, dtype=float), 1.0 / eta + mu)
 
 
 def stabilized_prox_step(
@@ -445,15 +437,16 @@ def stabilized_prox_step(
     eta_next = _step(eta_next)
     if not _all(eta_next > 0) or not _all(eta_next <= eta_t):
         raise ValueError("stabilized step requires 0 < eta_next <= eta_t")
-    return _project(domain, _stabilized_point(r, x_t, x_1, g, eta_t, eta_next))
+    u, den = _stabilized_base(r, x_t, x_1, eta_t, eta_next)
+    return _prox_end(r, domain, u - np.asarray(g, dtype=float), den)
 
 
 def _stabilized_base(r: Optional[QuadReg], x_t, x_1, eta_t, eta_next) -> tuple:
     """(u, den) of stabilized_prox_step's unconstrained minimizer, for
-    checked steps: the point is _prox_finish(r, u - g, den), with
+    checked steps: the step is _prox_end(r, domain, u - g, den), with
     u = x_t/eta_t + s x_1 and den = 1/eta_t + s + mu for the anchor
     weight s = (eta_t/eta_next - 1)/eta_t.  A row whose s is 0 takes
-    _prox_point's x_t/eta_t and 1/eta_t + mu instead, so its bits are
+    prox_step's x_t/eta_t and 1/eta_t + mu instead, so its bits are
     prox_step's."""
     x_t = np.asarray(x_t, dtype=float)
     mu = 0.0 if r is None else r.mu
@@ -467,12 +460,6 @@ def _stabilized_base(r: Optional[QuadReg], x_t, x_1, eta_t, eta_next) -> tuple:
         u = np.where(plain, x_t / eta_t, u)
         den = np.where(plain, 1.0 / eta_t + mu, den)
     return u, den
-
-
-def _stabilized_point(r: Optional[QuadReg], x_t, x_1, g, eta_t, eta_next) -> np.ndarray:
-    """stabilized_prox_step's unconstrained minimizer, for checked steps."""
-    u, den = _stabilized_base(r, x_t, x_1, eta_t, eta_next)
-    return _prox_finish(r, u - np.asarray(g, dtype=float), den)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htclip import hard_params
+from htclip import cli, hard_params
 from htclip.cli import main
 from htclip.clipping import BOUND_NAMES
 from htclip.hardness import GV_MAX_D_STAR
@@ -831,3 +833,52 @@ def _is_number(text: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+# main's calls in one process, with argparse.ArgumentParser counting the
+# command line's parsers built (patched before htclip.cli is imported)
+_CALLS_SCRIPT = """
+import argparse, contextlib, io, json, sys
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    if kwargs.get("prog") == "htclip":
+        built.append(1)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+from htclip.cli import main
+
+calls = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    calls.append([rc, out.getvalue()])
+print(json.dumps({"built": len(built), "calls": calls}))
+"""
+
+
+def test_main_builds_its_parser_once_per_process():
+    # each call of main in a process answers as a fresh process does
+    argvs = [
+        ["deff", "--variant", "iid", "--d", "4", "--p", "2"],
+        ["clip-verify", "--mode", "exact", "--d", "2", "--tau", "3", "--json"],
+        ["deff", "--variant", "iid", "--d", "0", "--p", "2"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def python(*args):
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    proc = python("-c", _CALLS_SCRIPT, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads(proc.stdout)
+    assert got["built"] == 1
+    fresh = [python("-m", "htclip.cli", *argv) for argv in argvs]
+    assert got["calls"] == [[p.returncode, p.stdout] for p in fresh]
+    assert [p.returncode for p in fresh] == [0, 0, 2]

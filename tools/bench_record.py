@@ -18,25 +18,27 @@ end-to-end metric over the runs, with the seed and the pair count, and
 how many pairs the head won on each metric; the machine's fingerprint
 (cores, CPU model, Python and numpy versions); a calibration time, the
 median wall time of np.sin over 1M entries, taken before and after the
-runs, so that rates measured at different times can be compared in
-units of it; and whether PYTHONDONTWRITEBYTECODE was set, which makes every
+runs, so that rates measured at different times can be compared in units
+of it; and whether PYTHONDONTWRITEBYTECODE was set, which makes every
 worker compile the sources on import, so that set-up time and peak RSS
 then move with the length of src/, which it records for each checkout
 (the lines of src/htclip/*.py, as wc -l counts them, and apart from them
-the code lines: those that are not docstring, comment or blank).  For
-each workload it also runs one op in a fresh process in each checkout,
-at the recorded seed and at each of DIGEST_SEEDS (1 and 2), through that
-checkout's perfbench/workloads.py, and records the sha256 digest of the
-op's checked outputs (workloads.setup(...).digest()) by seed;
-"digests_differ" lists the workloads and seeds whose digests differ
-between the checkouts, which it also prints to stderr.  --stages adds a JSON file that tools/kernel_stages.py printed
-in the head checkout, and --base-stages one printed in the base.  With
-both, "ceiling" holds, for each fitted case of the base's named after a
-workload, the base's ceiling (how many times faster its stages would
-run without the kernel's fixed cost per loop step and without seeding),
-the stage totals on each side and their ratio, and the workload's
-work_per_s gain (head median over base median), with the share of the
-ceiling's headroom that gain took: (gain - 1) / (ceiling - 1).
+the code lines, those that are not docstring, comment or blank, and the
+docstring lines).  For each workload it also runs one op in a fresh
+process in each checkout, at the recorded seed and at each of
+DIGEST_SEEDS (1 and 2), through that checkout's perfbench/workloads.py,
+and records the sha256 digest of the op's checked outputs
+(workloads.setup(...).digest()) by seed; "digests_differ" lists the
+workloads and seeds whose digests differ between the checkouts, which it
+also prints to stderr.  --stages adds a JSON file that
+tools/kernel_stages.py printed in the head checkout, and --base-stages
+one printed in the base.  With both, "ceiling" holds, for each fitted
+case of the base's named after a workload, the base's ceiling (how many
+times faster its stages would run without the kernel's fixed cost per
+loop step and without seeding), the stage totals on each side and their
+ratio, and the workload's work_per_s gain (head median over base
+median), with the share of the ceiling's headroom that gain took:
+(gain - 1) / (ceiling - 1).
 numpy only; not part of the tests.
 """
 
@@ -120,6 +122,17 @@ _PROSE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER)
 
 
+def _docstrings(text: str) -> set:
+    """The lines of a Python source's module, class and function docstrings."""
+    lines = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None:
+            doc = node.body[0]
+            lines.update(range(doc.lineno, doc.end_lineno + 1))
+    return lines
+
+
 def code_lines(text: str) -> int:
     """Lines of a Python source that hold a token other than a comment,
     with the lines of module, class and function docstrings left out."""
@@ -127,17 +140,18 @@ def code_lines(text: str) -> int:
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if tok.type not in _PROSE:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    for node in ast.walk(ast.parse(text)):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None:
-            doc = node.body[0]
-            lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
-    return len(lines)
+    return len(lines - _docstrings(text))
 
 
 def src_code_lines(checkout: str) -> int:
     """code_lines of the checkout's src/htclip/*.py files, summed."""
     return sum(code_lines(text) for text in _sources(checkout))
+
+
+def src_doc_lines(checkout: str) -> int:
+    """Docstring lines (the lines code_lines leaves out as docstrings) of
+    the checkout's src/htclip/*.py files, summed."""
+    return sum(len(_docstrings(text)) for text in _sources(checkout))
 
 
 def record_path(checkout: str, workload: str, seed: int) -> str:
@@ -270,6 +284,9 @@ def main(argv=None) -> int:
         "src_lines": {label: src_lines(checkout) for label, checkout in checkouts.items()},
         "src_code_lines": {
             label: src_code_lines(checkout) for label, checkout in checkouts.items()
+        },
+        "src_doc_lines": {
+            label: src_doc_lines(checkout) for label, checkout in checkouts.items()
         },
         "workloads": {},
     }

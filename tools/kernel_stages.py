@@ -123,13 +123,15 @@ RATE_HARD = (4, [256, 512, 1024, 2048, 4096], 200)
 # stage -> names in htclip.algorithms's namespace the step loop calls
 ALGORITHM_CALLS = {
     "clip": ("clip_rows",),
+    # _prox_end is the shared tail; the older names time a parent tree
     "prox": (
         "prox_step",
         "stabilized_prox_step",
+        "_prox_end",
+        "_stabilized_base",
         "_project",
         "_prox_point",
         "_stabilized_point",
-        "_stabilized_base",
         "_prox_finish",
     ),
 }
