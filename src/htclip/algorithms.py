@@ -61,9 +61,11 @@ array beyond its gradient rows.  Rows with a state buffer take g as
 the oracle's grad_rows, clipped.  Hard-instance rows hold no state
 buffer: their states are sparse (the lower-bound regimes take q = 1/T
 or less), so a run of rows of one oracle and count draws a sub-chunk as
-its nonzero entries (HardInstance.sample_events, with the dense draw's
-bits and generator use), and _Events.subtract computes, clips and
-subtracts a gradient row only for the rows with a nonzero state.
+its nonzero entries (HardInstance.sample_events: the dense draw's one
+threshold rule, bits and generator use, in row-major order, which
+_Events groups by row and by step), and _Events.subtract computes,
+clips and subtracts a gradient row only for the rows with a nonzero
+state.
 
 A sub-chunk of hard-instance rows runs event to event when it is
 steady (_Steps.steady): its steps are plain, with mu = 0, and each
@@ -408,10 +410,10 @@ class _Events:
     event rows: a row with a nonzero state entry at a step.  The event
     rows' states come each row's in step order, then a mark: a zero state
     at step used[row], one past the row's last, whose gradient row is the
-    row's zero-state g0 (plan reads them).  For the dense steps, at, rows
-    and parts hold the event rows by step instead, with the parts of
-    their gradient rows that do not depend on x (grad_parts), made once
-    per sub-chunk when first read.  At a step, subtract takes u, the prox
+    row's zero-state g0 (plan reads them).  For the dense steps, _grouped
+    gives the event rows by step instead, with the parts of their
+    gradient rows that do not depend on x (grad_parts), made once per
+    sub-chunk when first read.  At a step, subtract takes u, the prox
     point's numerator before the gradient, to u - g, with g the dense
     gradient row (HardInstance.grad_rows) of every row: an event row's
     is made from its parts at x, clipped if the chunk clips and counted
@@ -503,18 +505,6 @@ class _Events:
             rows = self.row[ev]
             self._by_step = (at, rows, self._parts(self.states[ev], rows))
         return self._by_step
-
-    @property
-    def at(self) -> list:
-        return self._grouped()[0]
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self._grouped()[1]
-
-    @property
-    def parts(self) -> tuple:
-        return self._grouped()[2]
 
     def subtract(self, pos: int, x: np.ndarray, u: np.ndarray, tau, clips) -> None:
         """u - g in place, at step pos of the sub-chunk, for the running

@@ -29,7 +29,6 @@ from typing import Optional
 import numpy as np
 
 from ._util import as_vector, row_norms
-from .algorithms import NOISE_CHUNK
 from .noise import GradOracle, NoiseSpec, _generator, make_oracle
 from .problems import (
     AllSpace,
@@ -209,9 +208,7 @@ class HardInstance:
         for name, value in (
             ("_masses", (p0, pp, pm)),
             ("_thresholds", (p0, p0 + pp)),
-            ("_tiles", (p0[None, :],)),  # lo's tile (see _nonzero)
-            # lo when every coordinate has the same (see sample_events)
-            ("_lo", float(p0[0]) if np.all(p0 == p0[0]) else None),
+            ("_least_lo", float(p0.min(initial=1.0))),  # see _rule
             ("wp", wq * (1.0 + vt) / 2.0),
             ("wm", wq * (1.0 - vt) / 2.0),
         ):
@@ -222,70 +219,46 @@ class HardInstance:
 
     def sample_xi(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n rows of xi from D_v (one uniform per coordinate), as int8
-        outcome codes 0, +1 and -1: the codes (_nonzero, scattered) of
-        rng.random((n, d)), rng a Generator or noise.ChunkStream over one."""
+        outcome codes 0, +1 and -1: the codes (_rule) of rng.random((n, d)),
+        rng a Generator or noise.ChunkStream over one."""
         u = _generator(rng).random((n, self.d))
         xi = np.empty(u.shape, np.int8)
         self._codes(u, xi)
         return xi
 
-    def _nonzero(self, u: np.ndarray, ge: np.ndarray) -> tuple:
-        """The threshold rule: (at, code), the flat indices into uniforms
-        u, a contiguous (..., n, d) array, of the entries whose code is
-        not 0, ascending, and their int8 codes; ge, a bool array of u's
-        shape, is scratch.
+    def _rule(self, at: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The threshold rule: the int8 codes of the uniforms values at
+        flat indices at into a contiguous (..., d) array, so in columns
+        at % d.  Column i maps [0, lo_i) to 0, [lo_i, hi_i) to +1 and
+        [hi_i, 1) to -1, with lo = 1 - q and hi = lo + the +1 mass
+        (1 + v theta) q / 2, so hi >= lo for theta in [0, 1], as
+        make_hard_instance checks.
 
-        Threshold order maps [0, lo) to 0, [lo, hi) to +1 and [hi, 1) to
-        -1, with lo = 1 - q and hi = lo + the +1 mass (1 + v theta) q / 2,
-        so hi >= lo for theta in [0, 1], as make_hard_instance checks.  So u
-        is compared with lo alone, and only the entries at or above it
-        with hi: in the lower-bound regimes q is 1/T or less, so they are
-        few.  u is compared against copies of lo tiled to n rows, not
-        against a length-d vector broadcast along the rows, which is
-        slower at every d.  The tile is kept on the instance, grown to the
-        longest draw yet but never past NOISE_CHUNK rows, so an instance
-        holds at most NOISE_CHUNK * d * 8 bytes of it; a longer draw is
-        compared in slices of NOISE_CHUNK rows.  Threads sharing an
-        instance may race to store the tile; every store is a complete
-        tiling of lo and each draw compares against the tile it read or
-        built itself, so the race changes no result.
+        Every draw compares its uniforms with one scalar, the least lo
+        over the coordinates, and takes the rule only at the entries that
+        reach it, since every code below it is 0: in the lower-bound
+        regimes q is 1/T or less, so they are few.  A draw writes nothing
+        to the instance, so threads may share one.
         """
-        at = self._at_or_above_lo(u, ge)
-        return at, self._code(at, u.reshape(-1)[at])
-
-    def _at_or_above_lo(self, u: np.ndarray, ge: np.ndarray) -> np.ndarray:
-        """_nonzero's at: the flat indices of the entries of u at or
-        above lo, found with ge, contiguous, as scratch."""
-        n = u.shape[-2]
-        (lo,) = self._tiles
-        if len(lo) < min(n, NOISE_CHUNK):
-            lo = np.tile(self._thresholds[0], (min(n, NOISE_CHUNK), 1))
-            object.__setattr__(self, "_tiles", (lo,))
-        for s in range(0, n, NOISE_CHUNK):
-            e = min(s + NOISE_CHUNK, n)
-            np.greater_equal(u[..., s:e, :], lo[: e - s], out=ge[..., s:e, :])
-        return ge.reshape(-1).nonzero()[0]
-
-    def _code(self, at: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """_nonzero's codes of the entries at flat indices at, whose
-        column is at % d, with uniforms values at or above lo: -1 at or
-        above hi, else +1."""
-        code = np.ones(len(at), np.int8)
-        code[values >= self._thresholds[1][at % self.d]] = -1
+        col = at % self.d
+        lo, hi = self._thresholds
+        code = np.where(values < hi[col], np.int8(1), np.int8(-1))
+        code[values < lo[col]] = 0
         return code
 
     def _codes(self, u: np.ndarray, xi: np.ndarray) -> None:
-        """Write the int8 codes of uniforms u, a contiguous (..., n, d)
-        array, into xi, contiguous of its shape: _nonzero's codes,
-        scattered, with xi's bool view as its scratch."""
-        at, code = self._nonzero(u, xi.view(np.bool_))
-        # xi's bytes are now u >= lo, 0 or 1, and 0 is every other code
-        xi.reshape(-1)[at] = code
+        """Write the int8 codes (_rule) of uniforms u, a contiguous
+        (..., d) array, into xi, contiguous of its shape, with xi's bool
+        view as the scratch of the comparison with the least lo."""
+        ge = np.greater_equal(u, self._least_lo, out=xi.view(np.bool_))
+        at = ge.reshape(-1).nonzero()[0]
+        # xi's bytes are now 0 or 1, and 0 is the code of every other entry
+        xi.reshape(-1)[at] = self._rule(at, u.reshape(-1)[at])
 
     def sample_rows(self, rngs, n: int, out: np.ndarray) -> np.ndarray:
         """Draw n rows of xi from D_v from each generator in rngs, or
         noise.ChunkStream over one, into out, an (n, len(rngs), d) int8
-        array: out[:, r] gets the codes (_codes) of rngs[r].random((n, d)),
+        array: out[:, r] gets the codes (_rule) of rngs[r].random((n, d)),
         drawn in that order, and out is returned.  It serves
         GradOracle.draw; the kernel draws hard-instance rows as their
         nonzero entries (sample_events), by the same rule.
@@ -308,19 +281,19 @@ class HardInstance:
     def sample_events(self, rngs, n: int) -> tuple:
         """The nonzero states of n rows of xi from D_v from each
         generator in rngs, or noise.ChunkStream over one, as events:
-        (step, row, col, code) arrays, sorted by step, then row, then
-        coordinate, of the entries whose code is not 0.  Row r's are
-        the codes (_nonzero) of rngs[r].random((n, d)), drawn in that
-        order, so each generator is left where sample_rows leaves it
+        (step, row, col, code) arrays of the entries whose code is not 0,
+        in the order they are drawn, by row, then step, then coordinate.
+        Row r's are the codes (_rule) of rngs[r].random((n, d)), drawn in
+        that order, so each generator is left where sample_rows leaves it
         and the events are exactly the nonzero entries of its out.
 
         The rows are drawn a block at a time, each row's uniforms into
-        its part of one block scratch whose entries at or above lo are
-        found in one call (against lo's one value when every coordinate
-        has the same, else its tile), so a block of rows costs one call of
-        each numpy operation; the codes of all blocks' entries are taken
-        at the end, in one call.  The uniforms and the rule's bool scratch hold at
-        most _EVENT_SCRATCH bytes, or one row's worth if a row is longer.
+        its part of one block scratch whose entries that reach the least
+        lo are found in one call, so a block of rows costs one call of
+        each numpy operation; the rule is taken on all blocks' entries at
+        the end, in one call.  The uniforms and the comparison's bool
+        scratch hold at most _EVENT_SCRATCH bytes, or one row's worth if a
+        row is longer.
         """
         size = n * self.d
         block = max(1, min(len(rngs), _EVENT_SCRATCH // max(9 * size, 1)))
@@ -331,22 +304,16 @@ class HardInstance:
             rows = rngs[a : a + block]
             for j, rng in enumerate(rows):
                 _fill_uniforms(_generator(rng), u[j])
-            if self._lo is None:
-                at = self._at_or_above_lo(u[: len(rows)], ge[: len(rows)])
-            else:
-                # one lo for every coordinate: numpy compares with a
-                # scalar faster than with a tile broadcast along the rows
-                np.greater_equal(u[: len(rows)], self._lo, out=ge[: len(rows)])
-                at = ge[: len(rows)].reshape(-1).nonzero()[0]
+            np.greater_equal(u[: len(rows)], self._least_lo, out=ge[: len(rows)])
+            at = ge[: len(rows)].reshape(-1).nonzero()[0]
             values.append(u.reshape(-1)[at])
             found.append(at + a * size)
         at = np.concatenate(found)
-        code = self._code(at, np.concatenate(values))
-        row, at = np.divmod(at, size)
+        code = self._rule(at, np.concatenate(values))
+        keep = code.nonzero()[0]
+        row, at = np.divmod(at[keep], size)
         step, col = np.divmod(at, self.d)
-        # steps below 2^16 sort by radix
-        order = np.argsort(step.astype(np.uint16) if n <= 1 << 16 else step, kind="stable")
-        return step[order], row[order], col[order], code[order]
+        return step, row, col, code[keep]
 
     def grad_rows(self, X: np.ndarray, Xi: np.ndarray) -> np.ndarray:
         """Gradient rows at X for states Xi, int8 codes or floats:

@@ -807,7 +807,11 @@ def _shard_width(d: int, draw_bytes: int) -> int:
     """Rows per shard: the most multiples of BLOCK_TRIALS whose noise
     draws, a sub-chunk of states of d entries a row at draw_bytes an
     entry (GradOracle.draw_bytes: what a draw makes per entry, which for
-    alpha-stable states is more than it holds), fit NOISE_BUDGET."""
+    alpha-stable states is more than it holds), fit NOISE_BUDGET.  Hard
+    rows are counted at the int8 buffer that a dense hard draw
+    (GradOracle.draw with out) holds, though the kernel's hard rows hold
+    only their events; the widths stay, as the hard rate runs (5 or 7
+    horizons of 200 trials) are one 2,048-row shard either way."""
     rows_bytes = BLOCK_TRIALS * _sub_chunk(d) * d * draw_bytes
     return BLOCK_TRIALS * max(1, NOISE_BUDGET // rows_bytes)
 

@@ -632,7 +632,10 @@ class GradOracle:
         making, which sizes the harness's shards: the state and, for
         alpha-stable states, the uniform and the exponential it is made
         of (16 bytes), though the draw holds those two for one row block
-        per claiming thread only."""
+        per claiming thread only.  Hard-instance states count the int8
+        buffer of a dense draw (draw with out), which duck-typed callers
+        make; the kernel draws hard rows as events (see
+        harness._shard_width)."""
         return self.state_dtype.itemsize + (16 if self.kind == "additive-stable" else 0)
 
     def _fill(self, rng, states: np.ndarray, w: np.ndarray) -> None:

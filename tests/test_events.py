@@ -209,13 +209,14 @@ def test_events_are_the_nonzero_states_of_a_dense_draw():
         want[: used[i], i] = o.instance.sample_xi(ref, used[i])
         assert rngs[i].bit_generator.state == ref.bit_generator.state
     got = np.zeros_like(want)
+    at, grouped, parts = events._grouped()
     for pos in range(100):
-        p, q = events.at[pos], events.at[pos + 1]
-        rows = events.rows[p:q]
+        p, q = at[pos], at[pos + 1]
+        rows = grouped[p:q]
         assert np.all(np.diff(rows) > 0)
         # the parts of a cvx row: code * y (y > 0 where a code may be
         # nonzero) and |code| * M
-        got[pos, rows] = np.sign(events.parts[0][p:q])
+        got[pos, rows] = np.sign(parts[0][p:q])
         assert np.all(np.any(want[pos, rows] != 0, axis=1))
     assert np.array_equal(got, want)
 
@@ -236,9 +237,11 @@ def test_sample_events_are_the_nonzero_entries_of_sample_rows(kind, d):
             gens = [np.random.default_rng(s) for s in seeds]
             streams = [ChunkStream(g, 3) if r % 2 else g for r, g in enumerate(gens)]
             step, row, col, code = inst.sample_events(streams, n)
-            at = np.nonzero(out)
-            assert np.array_equal(step, at[0]) and np.array_equal(row, at[1])
-            assert np.array_equal(col, at[2]) and np.array_equal(code, out[at])
+            # in the order they are drawn: by row, then step, then coordinate
+            by_row = out.transpose(1, 0, 2)
+            at = np.nonzero(by_row)
+            assert np.array_equal(row, at[0]) and np.array_equal(step, at[1])
+            assert np.array_equal(col, at[2]) and np.array_equal(code, by_row[at])
             assert code.dtype == np.int8
             for a, b in zip(dense, gens):
                 assert a.bit_generator.state == b.bit_generator.state

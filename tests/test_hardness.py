@@ -1,6 +1,9 @@
 import itertools
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,7 +203,6 @@ class TestSampleXiCodes:
             got = inst.sample_xi(np.random.default_rng(n), n)
             u = np.random.default_rng(n).random((n, d))
             assert np.array_equal(got, _codes_reference(inst, u))
-        assert all(t.shape == (NOISE_CHUNK, d) for t in inst._tiles)
 
     def test_rng_stream_continues_as_after_a_full_draw(self):
         inst = _cvx_instance(4)
@@ -241,7 +243,7 @@ class TestEventRuleCorners:
     def _check(inst, make_rng, rows, n):
         d = inst.d
         step, row, col, code = inst.sample_events([make_rng(r) for r in range(rows)], n)
-        key = (step * rows + row) * d + col
+        key = (row * n + step) * d + col
         assert np.all(np.diff(key) > 0) and np.all(code != 0)
         got = np.zeros((n, rows, d), np.int8)
         got[step, row, col] = code
@@ -333,6 +335,71 @@ class TestSampleRows:
         finally:
             tracemalloc.stop()
         assert peak <= 64 * 1024
+
+
+class TestOneThresholdRule:
+    """Every draw compares its uniforms with the least lo over the
+    coordinates, then takes the per-column rule where they reach it."""
+
+    @staticmethod
+    def _uneven_instance():
+        """Active coordinates with four different q, and two padding
+        coordinates (q = 0, so lo = hi = 1)."""
+        inst = _cvx_instance(6, v=[1, -1, 1, -1])
+        return replace(inst, q=np.array([0.3, 0.05, 0.6, 0.01, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("n", [7, NOISE_CHUNK + 5])
+    def test_per_coordinate_thresholds(self, n):
+        inst = self._uneven_instance()
+        lo, _ = inst._thresholds
+        assert len(set(lo[:4])) == 4 and np.all(lo[4:] == 1.0)
+        # every threshold and its neighbours, in every column
+        cross = _OnThresholds(inst)
+        cross.cols = np.repeat(np.unique(cross.cols)[:, None], inst.d, axis=1)
+        makers = (
+            lambda r: _Shifted(inst, r),
+            lambda r: cross,
+            lambda r: np.random.default_rng(500 + r),
+        )
+        for make_rng in makers:
+            u = make_rng(0).random((n, inst.d))
+            want = _codes_reference(inst, u)
+            assert np.array_equal(inst.sample_xi(make_rng(0), n), want)
+            out = inst.sample_rows([make_rng(r) for r in range(3)], n, np.empty((n, 3, 6), np.int8))
+            for r in range(3):
+                assert np.array_equal(out[:, r], _codes_reference(inst, make_rng(r).random((n, 6))))
+            TestEventRuleCorners._check(inst, make_rng, 3, n)
+            # some uniforms reach the least lo but not their own column's
+            assert np.any((u >= inst._least_lo) & (want == 0))
+
+    def test_a_draw_writes_nothing_to_its_instance(self):
+        # threads share an instance: a draw may not store on it
+        inst = _cvx_instance(4, v=[1, -1, 1, -1])
+        before = dict(vars(inst))
+        n = NOISE_CHUNK + 5
+
+        def draws(seed):
+            def gens():
+                return [np.random.default_rng(seed + r) for r in range(3)]
+
+            xi = inst.sample_xi(np.random.default_rng(seed), n)
+            out = inst.sample_rows(gens(), n, np.empty((n, 3, 4), np.int8))
+            return (xi, out, *inst.sample_events(gens(), n))
+
+        seeds = [10, 20, 30, 40, 50, 60]
+        # more threads than cores, switched often, so that the draws interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                got = list(pool.map(draws, seeds, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert vars(inst).keys() == before.keys()
+        assert all(vars(inst)[k] is v for k, v in before.items())
+        for seed, arrays in zip(seeds, got):
+            for a, b in zip(arrays, draws(seed)):
+                assert np.array_equal(a, b)
 
 
 def _fano_params_like(inst):
