@@ -38,11 +38,16 @@ different horizons or codewords map gradients with per-row M and y.
 
 Oracle noise comes in fixed chunks of NOISE_CHUNK states per trial,
 which pins each trial's consumption of its own rng stream, and a row
-draws a chunk a sub-chunk of _sub_chunk(d) states at a time.  A row
+draws a chunk a sub-chunk of S states at a time, S a power of two that
+divides NOISE_CHUNK.  S comes from _shard_plan for the batch's rows:
+_sub_chunk(d) for stable and hard-instance rows, and for Gaussian and
+deterministic rows the largest, down to _sub_chunk(d, _LEAST_ENTRIES),
+whose (S, rows, d) buffer fits NOISE_BUDGET; no output bit depends on
+it.  A row
 draws only the states it runs: none past its horizon.  Stable,
-Gaussian and deterministic rows draw into one (sub-chunk, trials, d)
-buffer of the oracle's state dtype, allocated once per run, so a step
-reads its states as one contiguous block.  The rows of one oracle draw
+Gaussian and deterministic rows draw into one (S, trials, d) buffer of
+the oracle's state dtype, allocated once per run, so a step reads its
+states as one contiguous block.  The rows of one oracle draw
 a sub-chunk in one GradOracle.draw call, which draws and transforms
 their alpha-stable states a row block at a time on every core, and a
 noise.ChunkStream per row gives each sub-chunk the bits it has in a
@@ -137,17 +142,59 @@ __all__ = [
 # batch size, or thread count
 NOISE_CHUNK = 1024
 
-# a sub-chunk holds at most this many state entries per row
+# bytes of the noise state buffers that size a run's shards and their
+# sub-chunks (_shard_plan)
+NOISE_BUDGET = 8 << 20
+
+# a row's sub-chunk holds at most this many state entries, and an
+# alpha-stable row's always as many: its fill makes two generator calls
+# and a stream copy, and fewer entries measured slower
 _SUB_CHUNK_ENTRIES = 4096
+# a Gaussian or zero row's holds at least this many
+_LEAST_ENTRIES = 512
 
 
-def _sub_chunk(d: int) -> int:
-    """States a row draws at a time in dimension d: the largest power of
-    two up to NOISE_CHUNK and _SUB_CHUNK_ENTRIES // d (1,024 at d <= 4,
-    64 at d = 64).  It divides NOISE_CHUNK, so chunks start on sub-chunk
-    edges."""
-    most = min(NOISE_CHUNK, max(_SUB_CHUNK_ENTRIES // d, 1))
+def _sub_chunk(d: int, entries: int = _SUB_CHUNK_ENTRIES) -> int:
+    """The largest power of two up to NOISE_CHUNK and entries // d, and
+    at least 1: the most states a row draws at a time in dimension d
+    (1,024 at d <= 4, 64 at d = 64).  It divides NOISE_CHUNK, so chunks
+    start on sub-chunk edges."""
+    most = min(NOISE_CHUNK, max(entries // d, 1))
     return 1 << (most.bit_length() - 1)
+
+
+def _shard_plan(oracle, rows: int, threads: int = 1, budget=None, block: int = 1) -> tuple:
+    """(width, S) for rows rows of oracle's noise: the rows of a shard, a
+    multiple of block, and the states S each of them draws at a time.
+
+    A shard's rows hold one (S, width, d) buffer of oracle's state dtype;
+    hard-instance rows hold only their events, and are counted as their
+    int8 codes, a byte an entry, which keeps a hard shard to 2,048 rows
+    at d <= 4.  The width is that of the fewest shards whose buffers at
+    the kind's least S, with min(threads, shards) of them at once, fit
+    budget (NOISE_BUDGET by default), or block if none do.  S is then the
+    largest power of two up to _sub_chunk(d), and no less than the least,
+    whose buffer at that width fits budget.  Alpha-stable and
+    hard-instance rows keep _sub_chunk(d); Gaussian and zero rows may go
+    down to _sub_chunk(d, _LEAST_ENTRIES), and as a shard's S fits budget
+    on its own, Gaussian shards at once may hold up to min(threads,
+    shards) budgets.  The kernel takes the S of its own rows' plan, which
+    for a shard as wide as a plan's width is that plan's S.
+    """
+    budget = NOISE_BUDGET if budget is None else budget
+    d = oracle.objective.d
+    held = d * oracle.state_dtype.itemsize
+    sub = least = _sub_chunk(d)
+    if getattr(oracle, "kind", None) not in ("additive-stable", "hard-instance"):
+        least = _sub_chunk(d, _LEAST_ENTRIES)
+    blocks = -(-rows // block)
+    for k in range(1, blocks + 1):
+        width = block * -(-blocks // k)
+        if min(threads, -(-rows // width)) * width * least * held <= budget:
+            break
+    while sub > least and width * sub * held > budget:
+        sub //= 2
+    return width, sub
 
 
 @dataclass(frozen=True)
@@ -646,7 +693,7 @@ def _run_kernel(
 
     # the next iterate's buffer (a plain step's) and the averages' scratch
     spare, scratch = np.empty((n, d)), np.empty((n, d))
-    sub = _sub_chunk(d)
+    sub = _shard_plan(oracles[0], n)[1]
     if events is None:
         # every row has the one oracle, as only hard instances may differ
         grad = oracles[0]

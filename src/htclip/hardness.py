@@ -57,9 +57,6 @@ HARD_REGIMES = ("cvx-fano", "cvx-twopoint", "str-fano", "str-twopoint")
 
 SUPPORT_CAP = 2_000_000
 
-# entries of uniforms whose codes a many-row draw of xi takes at a time
-# (HardInstance.sample_rows), so the rule's per-entry arrays stay small
-_RULE_ENTRIES = 512
 # bytes of numpy scratch a draw of events holds at once, bar the events
 # (see HardInstance.sample_events)
 _EVENT_SCRATCH = 256 << 10
@@ -223,7 +220,10 @@ class HardInstance:
         rng a Generator or noise.ChunkStream over one."""
         u = _generator(rng).random((n, self.d))
         xi = np.empty(u.shape, np.int8)
-        self._codes(u, xi)
+        ge = np.greater_equal(u, self._least_lo, out=xi.view(np.bool_))
+        at = ge.reshape(-1).nonzero()[0]
+        # xi's bytes are now 0 or 1, and 0 is the code of every other entry
+        xi.reshape(-1)[at] = self._rule(at, u.reshape(-1)[at])
         return xi
 
     def _rule(self, at: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -246,46 +246,14 @@ class HardInstance:
         code[values < lo[col]] = 0
         return code
 
-    def _codes(self, u: np.ndarray, xi: np.ndarray) -> None:
-        """Write the int8 codes (_rule) of uniforms u, a contiguous
-        (..., d) array, into xi, contiguous of its shape, with xi's bool
-        view as the scratch of the comparison with the least lo."""
-        ge = np.greater_equal(u, self._least_lo, out=xi.view(np.bool_))
-        at = ge.reshape(-1).nonzero()[0]
-        # xi's bytes are now 0 or 1, and 0 is the code of every other entry
-        xi.reshape(-1)[at] = self._rule(at, u.reshape(-1)[at])
-
-    def sample_rows(self, rngs, n: int, out: np.ndarray) -> np.ndarray:
-        """Draw n rows of xi from D_v from each generator in rngs, or
-        noise.ChunkStream over one, into out, an (n, len(rngs), d) int8
-        array: out[:, r] gets the codes (_rule) of rngs[r].random((n, d)),
-        drawn in that order, and out is returned.  It serves
-        GradOracle.draw; the kernel draws hard-instance rows as their
-        nonzero entries (sample_events), by the same rule.
-
-        A row at a time, its uniforms fill one (n, d) scratch and its codes
-        one int8 row, taken _RULE_ENTRIES entries at a time, so that the
-        draw's scratch is one row's however many rows it draws and the
-        rule's per-entry arrays stay small however dense the codes are.
-        """
-        u = np.empty((n, self.d))
-        xi = np.empty(u.shape, np.int8)
-        rule = max(1, _RULE_ENTRIES // self.d)
-        for r, rng in enumerate(rngs):
-            _fill_uniforms(_generator(rng), u)
-            for s in range(0, n, rule):
-                self._codes(u[s : s + rule], xi[s : s + rule])
-            out[:, r] = xi
-        return out
-
     def sample_events(self, rngs, n: int) -> tuple:
         """The nonzero states of n rows of xi from D_v from each
         generator in rngs, or noise.ChunkStream over one, as events:
         (step, row, col, code) arrays of the entries whose code is not 0,
         in the order they are drawn, by row, then step, then coordinate.
         Row r's are the codes (_rule) of rngs[r].random((n, d)), drawn in
-        that order, so each generator is left where sample_rows leaves it
-        and the events are exactly the nonzero entries of its out.
+        that order, so each generator is left where sample_xi leaves it
+        and the events are exactly the nonzero entries of its codes.
 
         The rows are drawn a block at a time, each row's uniforms into
         its part of one block scratch whose entries that reach the least

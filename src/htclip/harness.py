@@ -9,9 +9,10 @@ plus master seed.  Trial j at grid index ti consumes exactly the rng
 seeded with derive_seed(master, j, ti), and under v_mode "cycle" runs
 codeword (j // BLOCK_TRIALS) % size.  Every (ti, j) pair is one row;
 the rows are listed longest horizon first and cut into shards of
-consecutive rows whose width is set by bytes, not by count: as many
-multiples of BLOCK_TRIALS rows as keep the noise the kernel draws per
-row at a time (see _shard_width) within NOISE_BUDGET.  A shard is
+consecutive rows whose width is set by bytes, not by count: the fewest
+shards, each a multiple of BLOCK_TRIALS rows, such that the noise state
+buffers of the min(threads, shards) that run at once fit NOISE_BUDGET
+(algorithms._shard_plan).  A shard is
 one run_trials call, which runs one step loop to the shard's longest
 horizon with each row's own oracle, schedule and horizon, so a shard
 may mix horizons and codewords.  Every shard goes through one
@@ -43,7 +44,7 @@ import numpy as np
 
 from ._version import __version__ as _pkg_version
 from ._util import finite_row_norms
-from .algorithms import _check_start, _sub_chunk, average, run_trials
+from .algorithms import NOISE_BUDGET, _check_start, _shard_plan, average, run_trials
 from .hardness import (
     HARD_REGIMES,
     gv_codebook,
@@ -82,10 +83,6 @@ __all__ = [
 
 # codeword period of v_mode "cycle" and the narrowest shard of rows
 BLOCK_TRIALS = 64
-
-# bytes of noise buffers, a sub-chunk of states of d entries a row, that
-# size a shard: the kernel's per-step Python cost is shared by all its rows
-NOISE_BUDGET = 8 << 20
 
 _MASK64 = (1 << 64) - 1
 
@@ -141,8 +138,8 @@ def _derive_seeds(master: int, trials, tags) -> np.ndarray:
 _REQ = object()
 
 # Caps on the size keys.  Each keeps a run's integers in range and its
-# memory bounded: a trial holds at most 4,096 noise entries (see
-# algorithms._sub_chunk), derive_seed takes trial indices below 2^32
+# memory bounded: a trial holds at most 4,096 noise entries at a time
+# (see algorithms._sub_chunk), derive_seed takes trial indices below 2^32
 # and grid indices below 2^16, and results are kept for every
 # (horizon, trial) row.
 MAX_D = 1 << 12  # problem.d and hardness.d_star
@@ -803,19 +800,6 @@ class ExperimentResult:
     assertions_passed: Optional[bool]
 
 
-def _shard_width(d: int, draw_bytes: int) -> int:
-    """Rows per shard: the most multiples of BLOCK_TRIALS whose noise
-    draws, a sub-chunk of states of d entries a row at draw_bytes an
-    entry (GradOracle.draw_bytes: what a draw makes per entry, which for
-    alpha-stable states is more than it holds), fit NOISE_BUDGET.  Hard
-    rows are counted at the int8 buffer that a dense hard draw
-    (GradOracle.draw with out) holds, though the kernel's hard rows hold
-    only their events; the widths stay, as the hard rate runs (5 or 7
-    horizons of 200 trials) are one 2,048-row shard either way."""
-    rows_bytes = BLOCK_TRIALS * _sub_chunk(d) * d * draw_bytes
-    return BLOCK_TRIALS * max(1, NOISE_BUDGET // rows_bytes)
-
-
 def _run_shard(rows: list, master: int, mode: str, shared: bool) -> tuple:
     """Run one shard; rows are (grid index, trial, setting), longest horizon
     first.  shared: every row runs the first row's oracle."""
@@ -900,8 +884,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         )
 
     shared = config.problem["kind"] != "hard"
-    width = _shard_width(config.problem["d"], first.oracle.draw_bytes)
     n_rows = len(Ts) * trials
+    width = _shard_plan(first.oracle, n_rows, threads, NOISE_BUDGET, BLOCK_TRIALS)[0]
     shards = [range(a, min(a + width, n_rows)) for a in range(0, n_rows, width)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         outs = list(pool.map(run_shard, shards))

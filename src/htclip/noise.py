@@ -626,18 +626,6 @@ class GradOracle:
         """dtype of drawn states: int8 outcome codes for hard instances."""
         return np.dtype(np.int8 if self.kind == "hard-instance" else float)
 
-    @property
-    def draw_bytes(self) -> int:
-        """Bytes per state entry that a draw of many rows is counted as
-        making, which sizes the harness's shards: the state and, for
-        alpha-stable states, the uniform and the exponential it is made
-        of (16 bytes), though the draw holds those two for one row block
-        per claiming thread only.  Hard-instance states count the int8
-        buffer of a dense draw (draw with out), which duck-typed callers
-        make; the kernel draws hard rows as events (see
-        harness._shard_width)."""
-        return self.state_dtype.itemsize + (16 if self.kind == "additive-stable" else 0)
-
     def _fill(self, rng, states: np.ndarray, w: np.ndarray) -> None:
         """Fill states with the random numbers of a stable or Gaussian
         draw from rng, a Generator or ChunkStream, and for stable noise w
@@ -665,12 +653,12 @@ class GradOracle:
         stream per row instead, over distinct generators: row r's states
         come from rng[r] into out[:, r], and out is returned.  Alpha-stable
         rows are drawn and transformed a row block at a time, on every
-        core (see _split), each block in its claimer's scratch; hard-instance
-        rows a row at a time through one row's scratch
-        (HardInstance.sample_rows).  Without out, the states are filled
-        straight into the result and transformed there in row blocks, so
-        the draw holds no more than the result and, for alpha-stable
-        states, their exponentials.
+        core (see _split), each block in its claimer's scratch.  Many
+        hard-instance rows are drawn as their nonzero states only
+        (HardInstance.sample_events), so out is refused for them.  Without
+        out, the states are filled straight into the result and
+        transformed there in row blocks, so the draw holds no more than
+        the result and, for alpha-stable states, their exponentials.
         """
         d = self.d
         if out is None:  # one generator: its states go straight into the result
@@ -682,6 +670,8 @@ class GradOracle:
                 self._fill(rng, states, w)
                 _split(lambda a, b: self._finish(states[a:b], w[a:b], states[a:b]), n, d)
             return states
+        if self.kind == "hard-instance":
+            raise ValueError("draw many hard-instance rows with HardInstance.sample_events")
         streams = rng
         shape = (n, len(streams), d)
         if out.dtype != self.state_dtype or out.shape != shape:
@@ -702,8 +692,6 @@ class GradOracle:
 
             _split(block, len(streams), n * d, scratch)
             return out
-        if self.kind == "hard-instance":
-            return self.instance.sample_rows(streams, n, out)
         if self.kind == "deterministic":
             out[...] = 0.0
             return out

@@ -33,7 +33,7 @@ from htclip.algorithms import _sub_chunk
 
 import oracles
 from test_hardness import _codes_reference
-from test_noise import _BRANCHES, _cms_reference
+from test_noise import _BRANCHES, _cms_reference, _draw_rows
 
 
 class StubSchedule:
@@ -607,7 +607,7 @@ class TestPrefix:
             self.xs, self.gs = [], []
 
         def draw(self, rng, n, out):
-            return self.oracle.draw(rng, n, out=out)
+            return _draw_rows(self.oracle, rng, n, out)
 
         def grad_rows(self, X, states):
             G = self.oracle.grad_rows(X, states)
@@ -691,7 +691,7 @@ class TestSubChunkBits:
             self.states = []
 
         def draw(self, rng, n, out):
-            return self.oracle.draw(rng, n, out=out)
+            return _draw_rows(self.oracle, rng, n, out)
 
         def grad_rows(self, X, states):
             self.states.append(states.copy())

@@ -223,7 +223,7 @@ def test_events_are_the_nonzero_states_of_a_dense_draw():
 
 @pytest.mark.parametrize("d", [1, 4, 12, 64])
 @pytest.mark.parametrize("kind", ["cvx", "str"])
-def test_sample_events_are_the_nonzero_entries_of_sample_rows(kind, d):
+def test_sample_events_are_the_nonzero_entries_of_one_row_draws(kind, d):
     # one threshold rule, in row blocks of the event scratch, past a
     # NOISE_CHUNK of states, over generators and ChunkStreams alike
     from test_hardness import _instance
@@ -233,7 +233,9 @@ def test_sample_events_are_the_nonzero_entries_of_sample_rows(kind, d):
         for n in (0, 1, 255, NOISE_CHUNK, NOISE_CHUNK + 300):
             seeds = [100 * rows + n + r for r in range(rows)]
             dense = [np.random.default_rng(s) for s in seeds]
-            out = inst.sample_rows(dense, n, np.empty((n, rows, d), np.int8))
+            out = np.empty((n, rows, d), np.int8)
+            for r, gen in enumerate(dense):
+                out[:, r] = inst.sample_xi(gen, n)
             gens = [np.random.default_rng(s) for s in seeds]
             streams = [ChunkStream(g, 3) if r % 2 else g for r, g in enumerate(gens)]
             step, row, col, code = inst.sample_events(streams, n)

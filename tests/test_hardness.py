@@ -1,7 +1,6 @@
 import itertools
 import math
 import sys
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -20,7 +19,7 @@ from htclip import (
     sample_dv,
     two_point_codebook,
 )
-from htclip.algorithms import NOISE_CHUNK, _sub_chunk
+from htclip.algorithms import NOISE_CHUNK
 from htclip.hardness import GV_MAX_D_STAR
 
 import oracles
@@ -182,7 +181,8 @@ class TestSampleXiCodes:
     def test_uniforms_on_the_thresholds(self, d):
         inst = _cvx_instance(d, v=[1, -1, -1, 1])
         stub = _OnThresholds(inst)
-        # the tiles grow with the draw, and a shorter draw reads a prefix
+        # draws longer and shorter than the one before: a draw keeps
+        # nothing from the last
         for n in (7, 13, 1024, 13):
             got = inst.sample_xi(stub, n)
             want = _codes_reference(inst, stub.random((n, d)))
@@ -194,7 +194,7 @@ class TestSampleXiCodes:
         assert np.all(codes[1, :4] == -1)
 
     @pytest.mark.parametrize("d", [4, 64])
-    def test_long_draws_compare_in_slices_and_keep_the_tiles_bounded(self, d):
+    def test_draws_past_a_noise_chunk_match_the_reference(self, d):
         inst = _cvx_instance(d, v=[1, -1, 1, -1])
         stub = _OnThresholds(inst)
         for n in (5, 3 * NOISE_CHUNK + 5, NOISE_CHUNK, 2 * NOISE_CHUNK):
@@ -291,9 +291,11 @@ def _instance(kind, d):
     return make_hard_instance(kind, d, d_star, params, v)[1]
 
 
-class TestSampleRows:
-    """A draw of many rows gives each row the codes, and leaves its
-    generator in the state, of a draw of that row alone."""
+class TestManyRows:
+    """Many rows are drawn as their events (sample_events, see
+    test_events): a dense draw of many rows is refused, and a row drawn
+    alone, from a generator or a ChunkStream over one, gives the
+    reference codes and leaves the generator where its uniforms do."""
 
     @pytest.mark.parametrize("d", [1, 4, 12])
     @pytest.mark.parametrize("kind", ["cvx", "str"])
@@ -305,10 +307,13 @@ class TestSampleRows:
                 seeds = [1000 * rows + n + r for r in range(rows)]
                 gens = [np.random.default_rng(s) for s in seeds]
                 out = np.full((n, rows, d), 7, dtype=np.int8)
-                assert inst.sample_rows(gens, n, out) is out
-                # the kernel's path: the oracle's draw over ChunkStreams
+                for r, gen in enumerate(gens):
+                    out[:, r] = inst.sample_xi(gen, n)
+                # the kernel's streams: ChunkStreams
                 streams = [ChunkStream(np.random.default_rng(s), 3) for s in seeds]
-                drawn = oracle.draw(streams, n, out=np.empty_like(out))
+                drawn = np.empty_like(out)
+                for r, stream in enumerate(streams):
+                    drawn[:, r] = inst.sample_xi(stream, n)
                 for r, seed in enumerate(seeds):
                     one = np.random.default_rng(seed)
                     want = inst.sample_xi(one, n)
@@ -320,21 +325,11 @@ class TestSampleRows:
                     assert gens[r].bit_generator.state == state
                     assert streams[r].rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("d", [4, 12, 64])
-    @pytest.mark.parametrize("rows", [8, 512])
-    def test_scratch_stays_under_64_kib(self, d, rows):
-        oracle = _instance("cvx", d)
-        n = _sub_chunk(d)
-        oracle.draw([np.random.default_rng(0)], n, out=np.empty((n, 1, d), np.int8))
-        gens = [np.random.default_rng(s) for s in range(rows)]
-        out = np.empty((n, rows, d), dtype=np.int8)
-        tracemalloc.start()
-        try:
-            oracle.draw(gens, n, out=out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 64 * 1024
+    def test_a_dense_many_row_draw_is_refused(self):
+        oracle = _instance("cvx", 4)
+        gens = [np.random.default_rng(s) for s in range(3)]
+        with pytest.raises(ValueError, match="sample_events"):
+            oracle.draw(gens, 8, out=np.empty((8, 3, 4), np.int8))
 
 
 class TestOneThresholdRule:
@@ -365,9 +360,9 @@ class TestOneThresholdRule:
             u = make_rng(0).random((n, inst.d))
             want = _codes_reference(inst, u)
             assert np.array_equal(inst.sample_xi(make_rng(0), n), want)
-            out = inst.sample_rows([make_rng(r) for r in range(3)], n, np.empty((n, 3, 6), np.int8))
             for r in range(3):
-                assert np.array_equal(out[:, r], _codes_reference(inst, make_rng(r).random((n, 6))))
+                got = inst.sample_xi(make_rng(r), n)
+                assert np.array_equal(got, _codes_reference(inst, make_rng(r).random((n, 6))))
             TestEventRuleCorners._check(inst, make_rng, 3, n)
             # some uniforms reach the least lo but not their own column's
             assert np.any((u >= inst._least_lo) & (want == 0))
@@ -383,7 +378,7 @@ class TestOneThresholdRule:
                 return [np.random.default_rng(seed + r) for r in range(3)]
 
             xi = inst.sample_xi(np.random.default_rng(seed), n)
-            out = inst.sample_rows(gens(), n, np.empty((n, 3, 4), np.int8))
+            out = np.stack([inst.sample_xi(g, n) for g in gens()], axis=1)
             return (xi, out, *inst.sample_events(gens(), n))
 
         seeds = [10, 20, 30, 40, 50, 60]

@@ -29,7 +29,7 @@ from htclip import (
     run_experiment,
     summarize,
 )
-from htclip import algorithms, harness
+from htclip import algorithms, harness, noise
 from htclip.harness import BLOCK_TRIALS, derive_seed
 
 import oracles
@@ -406,6 +406,50 @@ class TestRunExperiment:
                 )
         assert all(o == outputs[0] for o in outputs[1:])
 
+    def test_stable_shards_and_sub_chunks_are_outside_the_outputs(
+        self, tmp_path, monkeypatch
+    ):
+        # a stabilized ball run under alpha-stable noise, whose rows draw
+        # their chunks a sub-chunk at a time through ChunkStreams: its
+        # bytes stay at every thread count (which sets the shard widths),
+        # at a zero budget (BLOCK_TRIALS-row shards) and with every row
+        # drawing 8 states at a time instead of 512
+        d = 8
+        raw = {
+            "problem": {
+                "kind": "euclid-norm", "d": d, "G": 1.0,
+                "domain": {"kind": "ball", "radius": 1.5},
+                "x1_mode": {"kind": "offset", "vector": [0.1] * d},
+            },
+            "noise": {"kind": "additive-stable", "p": 1.5, "scales": 0.05,
+                      "stable": {"alpha": 1.8}},
+            "schedule": {"regime": "cvx-ex-anytime"},
+            "run": {"T_grid": [25, 50, 100], "trials": 2 * BLOCK_TRIALS + 2,
+                    "master_seed": 5},
+        }
+        cfg = parse_config(raw)
+        plan, subs = algorithms._shard_plan, []
+
+        def eight(oracle, rows, *args):
+            subs.append(plan(oracle, rows, *args)[1])
+            return plan(oracle, rows, *args)[0], 8
+
+        runs = [(budget, threads, False)
+                for budget in (0, harness.NOISE_BUDGET) for threads in (1, 2, 3)]
+        outputs = []
+        for budget, threads, forced in runs + [(harness.NOISE_BUDGET, 2, True)]:
+            monkeypatch.setattr(harness, "NOISE_BUDGET", budget)
+            if forced:
+                monkeypatch.setattr(algorithms, "_shard_plan", eight)
+            out = tmp_path / f"{budget}-{threads}-{forced}"
+            persist(run_experiment(cfg, threads=threads), str(out))
+            outputs.append(
+                [(out / name).read_bytes()
+                 for name in ("series.csv", "fit.csv", "manifest.json")]
+            )
+        assert subs and set(subs) == {512}
+        assert all(o == outputs[0] for o in outputs[1:])
+
     def test_manifest_schedule_constants(self):
         raw = _gauss_raw(T_grid=(16, 32), trials=4)
         res = run_experiment(parse_config(raw))
@@ -586,16 +630,29 @@ def _noise_oracle(kind, d):
     return make_oracle(obj, kind, scales=np.full(d, 0.5))
 
 
-def _traced_draw(kind, d, rows):
-    """Bytes of the (sub-chunk, rows, d) state buffer, and the traced peak
-    of allocating it and drawing one sub-chunk into it for rows rows."""
+def _traced_draw(kind, d, rows, sub):
+    """Bytes of the (sub, rows, d) state buffer, and the traced peak of
+    allocating it and drawing the second sub-chunk into it for rows rows
+    (the streams, like their generators, are made before the trace, and
+    the first sub-chunk gives a stable row's ChunkStream its generator
+    copy); the kernel draws hard-instance rows as events, so their int8
+    codes are filled a row at a time with sample_xi."""
     oracle = _noise_oracle(kind, d)
-    sub = algorithms._sub_chunk(d)
     streams = [ChunkStream(np.random.default_rng(i), NOISE_CHUNK * d) for i in range(rows)]
+
+    def draw():
+        buf = np.empty((sub, rows, d), dtype=oracle.state_dtype)
+        if kind == "hard-instance":
+            for r, stream in enumerate(streams):
+                buf[:, r] = oracle.instance.sample_xi(stream, sub)
+        else:
+            algorithms._draw([oracle] * rows, streams, buf, [sub] * rows)
+        return buf
+
+    draw()
     tracemalloc.start()
     try:
-        buf = np.empty((sub, rows, d), dtype=oracle.state_dtype)
-        algorithms._draw([oracle] * rows, streams, buf, [sub] * rows)
+        buf = draw()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -605,33 +662,66 @@ def _traced_draw(kind, d, rows):
 
 @pytest.mark.parametrize("d", [4, 64, 4096])
 @pytest.mark.parametrize("kind", ["additive-gaussian", "additive-stable", "hard-instance"])
-def test_a_shards_noise_buffers_fit_the_budget(kind, d):
-    # a shard of _shard_width rows holds its (sub-chunk, rows, d) state
-    # buffer, float or int8, and while it draws, whatever the draw keeps
-    # per row; all of it, as tracemalloc counts it, fits NOISE_BUDGET.
-    # Not counted: what a draw allocates once, whatever the rows, measured
-    # by a two-row draw less its two rows' buffers (the temporaries of the
-    # row being drawn, a stable draw's row-block scratch, ufunc buffers
-    # for the strided columns and the hard instance's threshold tiles),
-    # and the few Python references a draw keeps per row (a slice of the
-    # stream list), 64 bytes a row
-    width = harness._shard_width(d, _noise_oracle(kind, d).draw_bytes)
-    assert width >= BLOCK_TRIALS
-    held, peak = _traced_draw(kind, d, width)
-    rows, once = _traced_draw(kind, d, 2)
-    assert held <= peak - (once - rows) <= harness.NOISE_BUDGET + 64 * width
+def test_a_shards_noise_buffers_fit_the_budget(monkeypatch, kind, d):
+    # a shard of a plan's width holds its (sub-chunk, rows, d) state
+    # buffer at the plan's S, float or int8, and while it draws, whatever
+    # the draw keeps per row; all of it, as tracemalloc counts it, fits
+    # NOISE_BUDGET, for the narrowest shard (the largest S) and the widest
+    # (the least S).  Not counted: what a draw allocates once, whatever
+    # the rows, measured by a draw of half the rows less their buffer (the
+    # temporaries of the row being drawn, a stable draw's row-block
+    # scratch and transform temporaries, one set per claiming thread, and
+    # ufunc buffers for the strided columns), and the few Python
+    # references a draw keeps per row (a slice of the stream list), 64
+    # bytes a row.  The draws claim their row blocks on one thread, so
+    # both hold one claimer's blocks of the same size
+    monkeypatch.setattr(noise, "_cores", lambda: 1)
+    oracle = _noise_oracle(kind, d)
+    for rows in (BLOCK_TRIALS, 1 << 20):
+        width, sub = algorithms._shard_plan(
+            oracle, rows, 1, harness.NOISE_BUDGET, BLOCK_TRIALS
+        )
+        assert width >= BLOCK_TRIALS
+        held, peak = _traced_draw(kind, d, width, sub)
+        half, once = _traced_draw(kind, d, width // 2, sub)
+        assert held <= peak - (once - half) <= harness.NOISE_BUDGET + 64 * width
 
 
-@pytest.mark.parametrize("kind, widths", [
-    ("additive-stable", [64, 64, 64, 64]),
-    ("additive-gaussian", [256, 320, 256, 256]),
-    ("hard-instance", [2048, 2688, 2048, 2048]),
+_MANY = 1 << 20
+
+
+@pytest.mark.parametrize("kind, d, rows, threads, plan", [
+    # the widest shards, on one thread: a stable row keeps S = _sub_chunk(d),
+    # a Gaussian row goes down to 512 entries, a hard row counts a byte
+    ("additive-stable", 4, _MANY, 1, (256, 1024)),
+    ("additive-stable", 12, _MANY, 1, (320, 256)),
+    ("additive-stable", 64, _MANY, 1, (256, 64)),
+    ("additive-stable", 4096, _MANY, 1, (256, 1)),
+    ("additive-gaussian", 4, _MANY, 1, (2048, 128)),
+    ("additive-gaussian", 12, _MANY, 1, (2688, 32)),
+    ("additive-gaussian", 64, _MANY, 1, (2048, 8)),
+    ("additive-gaussian", 4096, _MANY, 1, (256, 1)),
+    ("hard-instance", 4, _MANY, 1, (2048, 1024)),
+    ("hard-instance", 12, _MANY, 1, (2688, 256)),
+    ("hard-instance", 64, _MANY, 1, (2048, 64)),
+    ("hard-instance", 4096, _MANY, 1, (2048, 1)),
+    # rate-stable-ball: one 128-row shard per horizon, two at once
+    ("additive-stable", 64, 512, 2, (128, 64)),
+    ("additive-stable", 64, 512, 1, (256, 64)),
+    # AC-08: one shard, its S cut to fit
+    ("additive-gaussian", 4, 1400, 4, (1408, 128)),
+    # a narrow run keeps the most S
+    ("additive-gaussian", 4, 200, 2, (256, 1024)),
+    # rate-hard-cvx and AC-06/07: one shard
+    ("hard-instance", 4, 1000, 1, (1024, 1024)),
+    ("hard-instance", 4, 1400, 4, (1408, 1024)),
 ])
-def test_shard_widths_are_pinned(kind, widths):
-    # a stable shard's width still counts the uniform and exponential of
-    # each entry it draws (GradOracle.draw_bytes), though a draw now holds
-    # them one row block at a time: wider stable shards measured faster
-    # but peaked higher, so the widths stay as they were
-    got = [harness._shard_width(d, _noise_oracle(kind, d).draw_bytes)
-           for d in (4, 12, 64, 4096)]
-    assert got == widths
+def test_shard_widths_are_pinned(kind, d, rows, threads, plan):
+    # (width, S): the budget counts the (S, width, d) state buffer the
+    # kernel allocates, 8 bytes a float entry and 1 a hard-instance code,
+    # and the shards that run at once, min(threads, shards), share it at
+    # the least S: the fewest of them that fit, then the largest S
+    got = algorithms._shard_plan(
+        _noise_oracle(kind, d), rows, threads, harness.NOISE_BUDGET, BLOCK_TRIALS
+    )
+    assert got == plan

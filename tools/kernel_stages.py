@@ -42,8 +42,9 @@ Gaussian noise with p = 2, cvx-ex-T, horizons 256..2048) at d = 4.
 These run every row in one shard.  The
 stable-ball case is the rate-stable-ball workload's own shape: d = 64,
 128 trials of horizons 256..2048, which cross a noise chunk edge, cut
-into shards of the width harness._shard_width gives (reported as
-"shards").  Stage times are the median over --repeats runs, divided by
+into shards as algorithms._shard_plan plans them for one thread
+(reported as "shards": each shard's rows and the states S its rows draw
+at a time).  Stage times are the median over --repeats runs, divided by
 the trial-steps the run takes (the sum of its rows' horizons).  Each
 probe adds about 0.3 us per call, which the stage it wraps absorbs.
 "clip_rows_calls" counts a run's clip_rows calls: one per loop step
@@ -347,21 +348,24 @@ def _event_pass(config) -> Optional[dict]:
 @contextmanager
 def _one_shard(width: int):
     """Make run_experiment put every row in one shard of width rows."""
-    saved = harness._shard_width
-    harness._shard_width = lambda d, itemsize: width
+    saved = harness._shard_plan
+    harness._shard_plan = lambda oracle, rows, *args: (width, None)
     try:
         yield
     finally:
-        harness._shard_width = saved
+        harness._shard_plan = saved
 
 
 @contextmanager
 def _shard_widths(widths: list):
-    """Note the rows of each run_trials call run_experiment makes."""
+    """Note the rows of each run_trials call run_experiment makes, with
+    the states S its rows draw at a time."""
     saved = harness.run_trials
 
     def noted(*args, **kwargs):
-        widths.append(len(args[5]))
+        oracle = args[1][0] if isinstance(args[1], list) else args[1]
+        rows = len(args[5])
+        widths.append([rows, algorithms._shard_plan(oracle, rows)[1]])
         return saved(*args, **kwargs)
 
     harness.run_trials = noted
@@ -381,6 +385,7 @@ def run_case(problem: str, d: int, width: int, repeats: int) -> dict:
     own = problem == "stable-ball"
     with _shard_widths(shards) if own else _one_shard(rows):
         harness.run_experiment(config)  # warm caches and lazy set-up
+        planned = list(shards)
         for _ in range(repeats):
             probes = _Probes()
             with probes.installed():
@@ -420,7 +425,7 @@ def run_case(problem: str, d: int, width: int, repeats: int) -> dict:
     if event_pass is not None:
         case["event_pass"] = event_pass
     if own:
-        case["shards"] = shards[: len(shards) // (repeats + 2)]
+        case["shards"] = planned
     return case
 
 
