@@ -39,12 +39,11 @@ different horizons or codewords map gradients with per-row M and y.
 Oracle noise comes in fixed chunks of NOISE_CHUNK states per trial,
 which pins each trial's consumption of its own rng stream, and a row
 draws a chunk a sub-chunk of S states at a time, S a power of two that
-divides NOISE_CHUNK.  S comes from _shard_plan for the batch's rows:
+divides NOISE_CHUNK.  S is _rows_sub_chunk's for the batch's rows:
 _sub_chunk(d) for stable and hard-instance rows, and for Gaussian and
 deterministic rows the largest, down to _sub_chunk(d, _LEAST_ENTRIES),
-whose (S, rows, d) buffer fits NOISE_BUDGET; no output bit depends on
-it.  A row
-draws only the states it runs: none past its horizon.  Stable,
+whose noise (_noise_bytes) fits NOISE_BUDGET; no output bit depends on
+it.  A row draws only the states it runs: none past its horizon.  Stable,
 Gaussian and deterministic rows draw into one (S, trials, d) buffer of
 the oracle's state dtype, allocated once per run, so a step reads its
 states as one contiguous block.  The rows of one oracle draw
@@ -120,7 +119,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._util import clip_rows, finite_row_norms
-from .noise import ChunkStream, GradOracle, _busy_core
+from .noise import ChunkStream, GradOracle, _busy_core, _stable_scratch
 from .problems import CompositeObjective, _prox_end, _stabilized_base, project
 
 # the kernel calls the closed forms above; the checked steps and
@@ -142,15 +141,16 @@ __all__ = [
 # batch size, or thread count
 NOISE_CHUNK = 1024
 
-# bytes of the noise state buffers that size a run's shards and their
-# sub-chunks (_shard_plan)
+# bytes a shard's rows may hold in noise while they draw (_noise_bytes),
+# which bound the harness's shard width and the kernel's sub-chunk
 NOISE_BUDGET = 8 << 20
 
 # a row's sub-chunk holds at most this many state entries, and an
-# alpha-stable row's always as many: its fill makes two generator calls
-# and a stream copy, and fewer entries measured slower
+# alpha-stable or hard-instance row's always as many
 _SUB_CHUNK_ENTRIES = 4096
-# a Gaussian or zero row's holds at least this many
+# and a Gaussian or zero row's at least this many: its fill is one
+# generator call a row, so a small S costs it little and lets a run of
+# many rows (AC-08's) take fewer, wider shards
 _LEAST_ENTRIES = 512
 
 
@@ -163,38 +163,28 @@ def _sub_chunk(d: int, entries: int = _SUB_CHUNK_ENTRIES) -> int:
     return 1 << (most.bit_length() - 1)
 
 
-def _shard_plan(oracle, rows: int, threads: int = 1, budget=None, block: int = 1) -> tuple:
-    """(width, S) for rows rows of oracle's noise: the rows of a shard, a
-    multiple of block, and the states S each of them draws at a time.
+def _noise_bytes(oracle, rows: int, sub: int) -> int:
+    """Bytes that rows rows of oracle's noise hold at most while they
+    draw sub states a row: their (sub, rows, d) state buffer and, for
+    alpha-stable rows, the draw's scratch (noise._stable_scratch).
+    Hard-instance rows hold only their events, and are counted as their
+    int8 codes, a byte an entry."""
+    held = rows * sub * oracle.objective.d * oracle.state_dtype.itemsize
+    return held + (_stable_scratch(rows) if oracle.kind == "additive-stable" else 0)
 
-    A shard's rows hold one (S, width, d) buffer of oracle's state dtype;
-    hard-instance rows hold only their events, and are counted as their
-    int8 codes, a byte an entry, which keeps a hard shard to 2,048 rows
-    at d <= 4.  The width is that of the fewest shards whose buffers at
-    the kind's least S, with min(threads, shards) of them at once, fit
-    budget (NOISE_BUDGET by default), or block if none do.  S is then the
-    largest power of two up to _sub_chunk(d), and no less than the least,
-    whose buffer at that width fits budget.  Alpha-stable and
-    hard-instance rows keep _sub_chunk(d); Gaussian and zero rows may go
-    down to _sub_chunk(d, _LEAST_ENTRIES), and as a shard's S fits budget
-    on its own, Gaussian shards at once may hold up to min(threads,
-    shards) budgets.  The kernel takes the S of its own rows' plan, which
-    for a shard as wide as a plan's width is that plan's S.
-    """
-    budget = NOISE_BUDGET if budget is None else budget
-    d = oracle.objective.d
-    held = d * oracle.state_dtype.itemsize
-    sub = least = _sub_chunk(d)
-    if getattr(oracle, "kind", None) not in ("additive-stable", "hard-instance"):
-        least = _sub_chunk(d, _LEAST_ENTRIES)
-    blocks = -(-rows // block)
-    for k in range(1, blocks + 1):
-        width = block * -(-blocks // k)
-        if min(threads, -(-rows // width)) * width * least * held <= budget:
-            break
-    while sub > least and width * sub * held > budget:
+
+def _rows_sub_chunk(oracle, rows: int) -> int:
+    """S, the states each of rows rows of oracle's noise draws at a time:
+    the largest power of two up to _sub_chunk(d) whose _noise_bytes fit
+    NOISE_BUDGET, and no less than the least, which is _sub_chunk(d,
+    _LEAST_ENTRIES) for Gaussian and zero rows and _sub_chunk(d) for
+    every other oracle."""
+    sub = least = _sub_chunk(oracle.objective.d)
+    if getattr(oracle, "kind", None) in ("additive-gaussian", "deterministic"):
+        least = _sub_chunk(oracle.objective.d, _LEAST_ENTRIES)
+    while sub > least and _noise_bytes(oracle, rows, sub) > NOISE_BUDGET:
         sub //= 2
-    return width, sub
+    return sub
 
 
 @dataclass(frozen=True)
@@ -693,7 +683,7 @@ def _run_kernel(
 
     # the next iterate's buffer (a plain step's) and the averages' scratch
     spare, scratch = np.empty((n, d)), np.empty((n, d))
-    sub = _shard_plan(oracles[0], n)[1]
+    sub = _rows_sub_chunk(oracles[0], n)
     if events is None:
         # every row has the one oracle, as only hard instances may differ
         grad = oracles[0]

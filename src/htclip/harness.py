@@ -9,11 +9,10 @@ plus master seed.  Trial j at grid index ti consumes exactly the rng
 seeded with derive_seed(master, j, ti), and under v_mode "cycle" runs
 codeword (j // BLOCK_TRIALS) % size.  Every (ti, j) pair is one row;
 the rows are listed longest horizon first and cut into shards of
-consecutive rows whose width is set by bytes, not by count: the fewest
-shards, each a multiple of BLOCK_TRIALS rows, such that the noise state
-buffers of the min(threads, shards) that run at once fit NOISE_BUDGET
-(algorithms._shard_plan).  A shard is
-one run_trials call, which runs one step loop to the shard's longest
+consecutive rows whose width is set by bytes, not by count: the most
+multiples of BLOCK_TRIALS rows whose noise, at the sub-chunk the kernel
+draws them at, fits NOISE_BUDGET (see _shard_width).  A shard is one
+run_trials call, which runs one step loop to the shard's longest
 horizon with each row's own oracle, schedule and horizon, so a shard
 may mix horizons and codewords.  Every shard goes through one
 ThreadPoolExecutor(max_workers=threads).map, at any thread count, and
@@ -44,7 +43,8 @@ import numpy as np
 
 from ._version import __version__ as _pkg_version
 from ._util import finite_row_norms
-from .algorithms import NOISE_BUDGET, _check_start, _shard_plan, average, run_trials
+from .algorithms import NOISE_BUDGET, _check_start, _noise_bytes, _rows_sub_chunk
+from .algorithms import average, run_trials
 from .hardness import (
     HARD_REGIMES,
     gv_codebook,
@@ -800,6 +800,19 @@ class ExperimentResult:
     assertions_passed: Optional[bool]
 
 
+def _shard_width(oracle, rows: int) -> int:
+    """Rows per shard of a run of rows rows of oracle's noise: the most
+    multiples of BLOCK_TRIALS, up to the run's rows, whose noise
+    (algorithms._noise_bytes) fits NOISE_BUDGET at the sub-chunk the
+    kernel draws them at (algorithms._rows_sub_chunk: the largest that
+    fits, or the least), or BLOCK_TRIALS if none do.  Each thread runs
+    one shard at a time."""
+    for width in range(BLOCK_TRIALS * -(-rows // BLOCK_TRIALS), BLOCK_TRIALS, -BLOCK_TRIALS):
+        if _noise_bytes(oracle, width, _rows_sub_chunk(oracle, width)) <= NOISE_BUDGET:
+            return width
+    return BLOCK_TRIALS
+
+
 def _run_shard(rows: list, master: int, mode: str, shared: bool) -> tuple:
     """Run one shard; rows are (grid index, trial, setting), longest horizon
     first.  shared: every row runs the first row's oracle."""
@@ -885,7 +898,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
     shared = config.problem["kind"] != "hard"
     n_rows = len(Ts) * trials
-    width = _shard_plan(first.oracle, n_rows, threads, NOISE_BUDGET, BLOCK_TRIALS)[0]
+    width = _shard_width(first.oracle, n_rows)
     shards = [range(a, min(a + width, n_rows)) for a in range(0, n_rows, width)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         outs = list(pool.map(run_shard, shards))

@@ -441,6 +441,16 @@ class ChunkStream:
         return self._copy
 
 
+def _stable_scratch(rows: int) -> int:
+    """Bytes that an alpha-stable draw of rows rows (GradOracle.draw with
+    out) holds beside out, at most: each row's ChunkStream copy of its
+    generator (about 700 bytes, counted as 1 KiB), and for each core
+    that may claim its row blocks (see _split) a block's angles and
+    exponentials, the two block-sized temporaries of _cms and the
+    buffers of the strided store (counted as five blocks)."""
+    return rows * 1024 + _cores() * 5 * 8 * _BLOCK
+
+
 # uniforms drawn and dropped at a time to skip them where advance cannot
 _SKIP_BLOCK = 1 << 14
 
@@ -672,8 +682,7 @@ class GradOracle:
             return states
         if self.kind == "hard-instance":
             raise ValueError("draw many hard-instance rows with HardInstance.sample_events")
-        streams = rng
-        shape = (n, len(streams), d)
+        shape = (n, len(rng), d)
         if out.dtype != self.state_dtype or out.shape != shape:
             raise ValueError(
                 f"out must be a {self.state_dtype} array of shape {shape}, "
@@ -684,19 +693,19 @@ class GradOracle:
 
             def block(a, b, phi, w):
                 for r in range(a, b):
-                    self._fill(streams[r], phi[r - a], w[r - a])
+                    self._fill(rng[r], phi[r - a], w[r - a])
                 self._finish(phi[: b - a], w[: b - a], by_row[a:b])
 
             def scratch(most):
                 return np.empty((most, n, d)), np.empty((most, n, d))
 
-            _split(block, len(streams), n * d, scratch)
+            _split(block, len(rng), n * d, scratch)
             return out
         if self.kind == "deterministic":
             out[...] = 0.0
             return out
         z = np.empty((n, d))
-        for r, stream in enumerate(streams):
+        for r, stream in enumerate(rng):
             self._fill(stream, z, z)
             self._finish(z, z, out[:, r])
         return out

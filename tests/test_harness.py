@@ -411,9 +411,9 @@ class TestRunExperiment:
     ):
         # a stabilized ball run under alpha-stable noise, whose rows draw
         # their chunks a sub-chunk at a time through ChunkStreams: its
-        # bytes stay at every thread count (which sets the shard widths),
-        # at a zero budget (BLOCK_TRIALS-row shards) and with every row
-        # drawing 8 states at a time instead of 512
+        # bytes stay at every thread count, at a zero budget
+        # (BLOCK_TRIALS-row shards) and with every row drawing 8 states at
+        # a time instead of the 512 the kernel gives it
         d = 8
         raw = {
             "problem": {
@@ -428,11 +428,11 @@ class TestRunExperiment:
                     "master_seed": 5},
         }
         cfg = parse_config(raw)
-        plan, subs = algorithms._shard_plan, []
+        rule, subs = algorithms._rows_sub_chunk, []
 
-        def eight(oracle, rows, *args):
-            subs.append(plan(oracle, rows, *args)[1])
-            return plan(oracle, rows, *args)[0], 8
+        def eight(oracle, rows):
+            subs.append(rule(oracle, rows))
+            return 8
 
         runs = [(budget, threads, False)
                 for budget in (0, harness.NOISE_BUDGET) for threads in (1, 2, 3)]
@@ -440,7 +440,7 @@ class TestRunExperiment:
         for budget, threads, forced in runs + [(harness.NOISE_BUDGET, 2, True)]:
             monkeypatch.setattr(harness, "NOISE_BUDGET", budget)
             if forced:
-                monkeypatch.setattr(algorithms, "_shard_plan", eight)
+                monkeypatch.setattr(algorithms, "_rows_sub_chunk", eight)
             out = tmp_path / f"{budget}-{threads}-{forced}"
             persist(run_experiment(cfg, threads=threads), str(out))
             outputs.append(
@@ -632,27 +632,19 @@ def _noise_oracle(kind, d):
 
 def _traced_draw(kind, d, rows, sub):
     """Bytes of the (sub, rows, d) state buffer, and the traced peak of
-    allocating it and drawing the second sub-chunk into it for rows rows
-    (the streams, like their generators, are made before the trace, and
-    the first sub-chunk gives a stable row's ChunkStream its generator
-    copy); the kernel draws hard-instance rows as events, so their int8
-    codes are filled a row at a time with sample_xi."""
+    allocating it and drawing one sub-chunk into it for rows rows; the
+    kernel draws hard-instance rows as events, so their int8 codes are
+    filled a row at a time with sample_xi."""
     oracle = _noise_oracle(kind, d)
     streams = [ChunkStream(np.random.default_rng(i), NOISE_CHUNK * d) for i in range(rows)]
-
-    def draw():
+    tracemalloc.start()
+    try:
         buf = np.empty((sub, rows, d), dtype=oracle.state_dtype)
         if kind == "hard-instance":
             for r, stream in enumerate(streams):
                 buf[:, r] = oracle.instance.sample_xi(stream, sub)
         else:
             algorithms._draw([oracle] * rows, streams, buf, [sub] * rows)
-        return buf
-
-    draw()
-    tracemalloc.start()
-    try:
-        buf = draw()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -662,66 +654,67 @@ def _traced_draw(kind, d, rows, sub):
 
 @pytest.mark.parametrize("d", [4, 64, 4096])
 @pytest.mark.parametrize("kind", ["additive-gaussian", "additive-stable", "hard-instance"])
-def test_a_shards_noise_buffers_fit_the_budget(monkeypatch, kind, d):
-    # a shard of a plan's width holds its (sub-chunk, rows, d) state
-    # buffer at the plan's S, float or int8, and while it draws, whatever
-    # the draw keeps per row; all of it, as tracemalloc counts it, fits
-    # NOISE_BUDGET, for the narrowest shard (the largest S) and the widest
-    # (the least S).  Not counted: what a draw allocates once, whatever
-    # the rows, measured by a draw of half the rows less their buffer (the
-    # temporaries of the row being drawn, a stable draw's row-block
-    # scratch and transform temporaries, one set per claiming thread, and
-    # ufunc buffers for the strided columns), and the few Python
-    # references a draw keeps per row (a slice of the stream list), 64
-    # bytes a row.  The draws claim their row blocks on one thread, so
-    # both hold one claimer's blocks of the same size
-    monkeypatch.setattr(noise, "_cores", lambda: 1)
+def test_a_shards_noise_buffers_fit_the_budget(kind, d):
+    # a shard of _shard_width rows, drawing the sub-chunk the kernel gives
+    # it, holds its (sub-chunk, rows, d) state buffer, float or int8, and
+    # while it draws, whatever the draw keeps per row and per core; all
+    # of it, as tracemalloc counts it, fits NOISE_BUDGET, for the
+    # narrowest shard (the largest sub-chunk) and the widest (the least).
+    # Not counted: what a draw allocates once, whatever the rows, measured
+    # by a two-row draw less its two rows' buffers (the temporaries of the
+    # row being drawn, a two-row block's scratch and ufunc buffers for
+    # the strided columns), and the few Python references a draw keeps
+    # per row (a slice of the stream list), 64 bytes a row
     oracle = _noise_oracle(kind, d)
     for rows in (BLOCK_TRIALS, 1 << 20):
-        width, sub = algorithms._shard_plan(
-            oracle, rows, 1, harness.NOISE_BUDGET, BLOCK_TRIALS
-        )
+        width = harness._shard_width(oracle, rows)
+        sub = algorithms._rows_sub_chunk(oracle, width)
         assert width >= BLOCK_TRIALS
         held, peak = _traced_draw(kind, d, width, sub)
-        half, once = _traced_draw(kind, d, width // 2, sub)
-        assert held <= peak - (once - half) <= harness.NOISE_BUDGET + 64 * width
+        two, once = _traced_draw(kind, d, 2, sub)
+        assert held <= peak - (once - two) <= harness.NOISE_BUDGET + 64 * width
 
 
 _MANY = 1 << 20
 
 
-@pytest.mark.parametrize("kind, d, rows, threads, plan", [
-    # the widest shards, on one thread: a stable row keeps S = _sub_chunk(d),
-    # a Gaussian row goes down to 512 entries, a hard row counts a byte
-    ("additive-stable", 4, _MANY, 1, (256, 1024)),
-    ("additive-stable", 12, _MANY, 1, (320, 256)),
-    ("additive-stable", 64, _MANY, 1, (256, 64)),
-    ("additive-stable", 4096, _MANY, 1, (256, 1)),
-    ("additive-gaussian", 4, _MANY, 1, (2048, 128)),
-    ("additive-gaussian", 12, _MANY, 1, (2688, 32)),
-    ("additive-gaussian", 64, _MANY, 1, (2048, 8)),
-    ("additive-gaussian", 4096, _MANY, 1, (256, 1)),
-    ("hard-instance", 4, _MANY, 1, (2048, 1024)),
-    ("hard-instance", 12, _MANY, 1, (2688, 256)),
-    ("hard-instance", 64, _MANY, 1, (2048, 64)),
-    ("hard-instance", 4096, _MANY, 1, (2048, 1)),
-    # rate-stable-ball: one 128-row shard per horizon, two at once
+@pytest.mark.parametrize("kind, d, rows, cores, plan", [
+    # the widest shards on two cores: a stable row keeps S = _sub_chunk(d)
+    # and counts its generator copy and each core's row-block scratch, a
+    # Gaussian row goes down to 512 entries, a hard row counts a byte
+    ("additive-stable", 4, _MANY, 2, (128, 1024)),
+    ("additive-stable", 12, _MANY, 2, (192, 256)),
+    ("additive-stable", 64, _MANY, 2, (128, 64)),
+    ("additive-stable", 4096, _MANY, 2, (128, 1)),
+    ("additive-gaussian", 4, _MANY, 2, (2048, 128)),
+    ("additive-gaussian", 12, _MANY, 2, (2688, 32)),
+    ("additive-gaussian", 64, _MANY, 2, (2048, 8)),
+    ("additive-gaussian", 4096, _MANY, 2, (256, 1)),
+    ("hard-instance", 4, _MANY, 2, (2048, 1024)),
+    ("hard-instance", 12, _MANY, 2, (2688, 256)),
+    ("hard-instance", 64, _MANY, 2, (2048, 64)),
+    ("hard-instance", 4096, _MANY, 2, (2048, 1)),
+    # rate-stable-ball: one 128-row shard per horizon on two cores; fewer
+    # cores claim less scratch, more claim more
     ("additive-stable", 64, 512, 2, (128, 64)),
-    ("additive-stable", 64, 512, 1, (256, 64)),
+    ("additive-stable", 64, 512, 1, (192, 64)),
+    ("additive-stable", 64, 512, 4, (64, 64)),
     # AC-08: one shard, its S cut to fit
-    ("additive-gaussian", 4, 1400, 4, (1408, 128)),
+    ("additive-gaussian", 4, 1400, 2, (1408, 128)),
     # a narrow run keeps the most S
     ("additive-gaussian", 4, 200, 2, (256, 1024)),
     # rate-hard-cvx and AC-06/07: one shard
-    ("hard-instance", 4, 1000, 1, (1024, 1024)),
-    ("hard-instance", 4, 1400, 4, (1408, 1024)),
+    ("hard-instance", 4, 1000, 2, (1024, 1024)),
+    ("hard-instance", 4, 1400, 2, (1408, 1024)),
 ])
-def test_shard_widths_are_pinned(kind, d, rows, threads, plan):
-    # (width, S): the budget counts the (S, width, d) state buffer the
-    # kernel allocates, 8 bytes a float entry and 1 a hard-instance code,
-    # and the shards that run at once, min(threads, shards), share it at
-    # the least S: the fewest of them that fit, then the largest S
-    got = algorithms._shard_plan(
-        _noise_oracle(kind, d), rows, threads, harness.NOISE_BUDGET, BLOCK_TRIALS
-    )
-    assert got == plan
+def test_shard_widths_are_pinned(monkeypatch, kind, d, rows, cores, plan):
+    # (width, S): the most BLOCK_TRIALS multiples whose noise fits
+    # NOISE_BUDGET at the S the kernel takes for them, the largest that
+    # fits or the kind's least; the budget counts the (S, width, d) state
+    # buffer the kernel allocates, 8 bytes a float entry and 1 a
+    # hard-instance code, and what an alpha-stable draw holds beside it
+    # (noise._stable_scratch)
+    monkeypatch.setattr(noise, "_cores", lambda: cores)
+    oracle = _noise_oracle(kind, d)
+    width = harness._shard_width(oracle, rows)
+    assert (width, algorithms._rows_sub_chunk(oracle, width)) == plan

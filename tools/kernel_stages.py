@@ -42,14 +42,14 @@ Gaussian noise with p = 2, cvx-ex-T, horizons 256..2048) at d = 4.
 These run every row in one shard.  The
 stable-ball case is the rate-stable-ball workload's own shape: d = 64,
 128 trials of horizons 256..2048, which cross a noise chunk edge, cut
-into shards as algorithms._shard_plan plans them for one thread
-(reported as "shards": each shard's rows and the states S its rows draw
-at a time).  Stage times are the median over --repeats runs, divided by
-the trial-steps the run takes (the sum of its rows' horizons).  Each
-probe adds about 0.3 us per call, which the stage it wraps absorbs.
-"clip_rows_calls" counts a run's clip_rows calls: one per loop step
-unless the kernel skips the clip for chunks whose tau bounds every
-gradient row.  "draw_floor" is the time of the bare
+into shards of harness._shard_width rows (reported as "shards": each
+shard's rows and the states S the kernel drew them at, as
+algorithms._rows_sub_chunk gave it).  Stage times are the median over
+--repeats runs, divided by the trial-steps the run takes (the sum of its
+rows' horizons).  Each probe adds about 0.3 us per call, which the
+stage it wraps absorbs.  "clip_rows_calls" counts a run's clip_rows
+calls: one per loop step unless the kernel skips the clip for chunks
+whose tau bounds every gradient row.  "draw_floor" is the time of the bare
 generator calls the draws must make, one per row and draw: random for
 hard-instance states (GradOracle.draw's, or HardInstance.sample_events's
 where the kernel draws events), standard_normal for Gaussian ones, and
@@ -348,31 +348,30 @@ def _event_pass(config) -> Optional[dict]:
 @contextmanager
 def _one_shard(width: int):
     """Make run_experiment put every row in one shard of width rows."""
-    saved = harness._shard_plan
-    harness._shard_plan = lambda oracle, rows, *args: (width, None)
+    saved = harness._shard_width
+    harness._shard_width = lambda oracle, rows: width
     try:
         yield
     finally:
-        harness._shard_plan = saved
+        harness._shard_width = saved
 
 
 @contextmanager
 def _shard_widths(widths: list):
-    """Note the rows of each run_trials call run_experiment makes, with
-    the states S its rows draw at a time."""
-    saved = harness.run_trials
+    """Note the rows of each shard the kernel runs, with the states S it
+    draws them at, as algorithms._rows_sub_chunk gives it."""
+    saved = algorithms._rows_sub_chunk
 
-    def noted(*args, **kwargs):
-        oracle = args[1][0] if isinstance(args[1], list) else args[1]
-        rows = len(args[5])
-        widths.append([rows, algorithms._shard_plan(oracle, rows)[1]])
-        return saved(*args, **kwargs)
+    def noted(oracle, rows):
+        sub = saved(oracle, rows)
+        widths.append([rows, sub])
+        return sub
 
-    harness.run_trials = noted
+    algorithms._rows_sub_chunk = noted
     try:
         yield
     finally:
-        harness.run_trials = saved
+        algorithms._rows_sub_chunk = saved
 
 
 def run_case(problem: str, d: int, width: int, repeats: int) -> dict:
