@@ -168,7 +168,9 @@ def _noise_bytes(oracle, rows: int, sub: int) -> int:
     draw sub states a row: their (sub, rows, d) state buffer and, for
     alpha-stable rows, the draw's scratch (noise._stable_scratch).
     Hard-instance rows hold only their events, and are counted as their
-    int8 codes, a byte an entry."""
+    int8 codes, a byte an entry: that caps a shard's rows, not its
+    events, which a draw (_Events.draw) holds at some 70 bytes each,
+    beside a d-wide int8 mark row per row."""
     held = rows * sub * oracle.objective.d * oracle.state_dtype.itemsize
     return held + (_stable_scratch(rows) if oracle.kind == "additive-stable" else 0)
 
@@ -246,14 +248,6 @@ def _same_prox(a: CompositeObjective, b: CompositeObjective) -> bool:
     )
 
 
-def _values(r: list) -> np.ndarray:
-    """The floats of list r as an array; a known horizon's constant list
-    is filled from its one value."""
-    if r and r.count(r[0]) == len(r):
-        return np.full(len(r), r[0], float)
-    return np.array(r, float)
-
-
 class _Steps:
     """eta_t, eta_{t+1} and tau_t of the running rows, a noise chunk at a time.
 
@@ -302,7 +296,7 @@ class _Steps:
             eta, tau = s.table(t0, stop + extra)
             etas.append(eta)
             taus.append(tau[: stop - t0])
-        eta_a, tau_a = ([_values(r) for r in rows] for rows in (etas, taus))
+        eta_a, tau_a = ([np.array(r, float) for r in rows] for rows in (etas, taus))
         # every eta here is some running row's eta_t or, stabilized, its
         # eta_{t+1}; 0 < min(eta_{t+1}, eta_t) <= eta_t holds iff both are
         # positive, as nan fails every comparison
@@ -411,16 +405,9 @@ _NEG_ZERO = np.iinfo(np.int64).min
 _ROUND_SHARE = 4
 
 
-# a row of d bools read as one unsigned integer, for the d that have one
-_ROW_WORDS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
-
-
 def _rows_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Which rows of the float arrays a and b differ in their bits."""
-    ne = a.view(np.int64) != b.view(np.int64)
-    word = _ROW_WORDS.get(ne.shape[1])
-    # numpy reduces a short row slowly; a row's bools as one word test at once
-    return ne.any(1) if word is None else ne.view(word)[:, 0] != 0
+    return (a.view(np.int64) != b.view(np.int64)).any(1)
 
 
 @dataclass(frozen=True)
@@ -472,18 +459,14 @@ class _Events:
     """
 
     def __init__(self, oracles: list, rngs: Sequence[np.random.Generator]):
-        first = oracles[0]
         # every row maps as the first row's instance does, with its own M and y
-        self.map = first.instance
-        if all(o is first for o in oracles):
-            self.M, self.y = self.map.M, self.map.y
-        else:
-            # each distinct instance's M and y once, then a row of each per row
-            which = {id(o): o for o in oracles}
-            index = {key: i for i, key in enumerate(which)}
-            rows = [index[id(o)] for o in oracles]
-            self.M = np.stack([o.instance.M for o in which.values()])[rows]
-            self.y = np.stack([o.instance.y for o in which.values()])[rows]
+        self.map = oracles[0].instance
+        # each distinct instance's M and y once, and each row's instance
+        which = {id(o): o for o in oracles}
+        index = {key: i for i, key in enumerate(which)}
+        self.which = np.array([index[id(o)] for o in oracles])
+        self.M = np.stack([o.instance.M for o in which.values()])
+        self.y = np.stack([o.instance.y for o in which.values()])
         self.oracles, self.rngs = oracles, rngs
         zero = self.map.grad_parts(np.zeros(self.M.shape, np.int8), self.M, self.y)
         self.nan = not all(np.isfinite(p).all() for p in zero)
@@ -495,10 +478,8 @@ class _Events:
 
     def _parts(self, states: np.ndarray, rows: np.ndarray) -> tuple:
         """grad_parts of the state rows of rows."""
-        one = self.M.ndim == 1
-        return self.map.grad_parts(
-            states, self.M if one else self.M[rows], self.y if one else self.y[rows]
-        )
+        at = self.which[rows]
+        return self.map.grad_parts(states, self.M[at], self.y[at])
 
     def draw(self, used: list) -> None:
         """Draw the next used[i] states of each running row i (used is
@@ -715,9 +696,7 @@ def _run_kernel(
             if s < stop:
                 # the plan's changes at this step; every other row stays put
                 p, q = at[s], at[s + 1]
-                if q - p == 1:
-                    x[rows[p]] = vals[p]
-                elif p < q:
+                if p < q:
                     x[rows[p:q]] = vals[p:q]
             else:
                 # the steps' etas were checked when the chunk's values were filled

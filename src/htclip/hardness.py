@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from ._util import as_vector, row_norms
-from .noise import GradOracle, NoiseSpec, _generator, make_oracle
+from .noise import _BLOCK, GradOracle, NoiseSpec, _generator, make_oracle
 from .problems import (
     AllSpace,
     CompositeObjective,
@@ -56,10 +56,6 @@ __all__ = [
 HARD_REGIMES = ("cvx-fano", "cvx-twopoint", "str-fano", "str-twopoint")
 
 SUPPORT_CAP = 2_000_000
-
-# bytes of numpy scratch a draw of events holds at once, bar the events
-# (see HardInstance.sample_events)
-_EVENT_SCRATCH = 256 << 10
 
 # the largest d_star a gv codebook is built for: its ceil(exp(48 / 8)) =
 # 404 words are picked by an O(words^2) scan, and each 8 more multiply
@@ -260,11 +256,11 @@ class HardInstance:
         lo are found in one call, so a block of rows costs one call of
         each numpy operation; the rule is taken on all blocks' entries at
         the end, in one call.  The uniforms and the comparison's bool
-        scratch hold at most _EVENT_SCRATCH bytes, or one row's worth if a
-        row is longer.
+        scratch hold at most the bytes of noise._BLOCK doubles, or one
+        row's worth if a row is longer.
         """
         size = n * self.d
-        block = max(1, min(len(rngs), _EVENT_SCRATCH // max(9 * size, 1)))
+        block = max(1, min(len(rngs), 8 * _BLOCK // max(9 * size, 1)))
         u = np.empty((block, n, self.d))
         ge = np.empty(u.shape, dtype=np.bool_)
         found, values = [np.zeros(0, np.intp)], [np.zeros(0)]

@@ -226,16 +226,16 @@ def _cms(params: StableParams, phi: np.ndarray, w: np.ndarray, out: np.ndarray) 
     np.multiply(q, gamma, out=out)
 
 
-# A transform of n elements is shared by at most n // _SPLIT_MIN cores, so
-# a core's share has at least _SPLIT_MIN elements: about half a
-# millisecond of work, against some tens of microseconds to hand a block
-# to a thread.
-_SPLIT_MIN = 1 << 13
-# A transform is cut into blocks of about _BLOCK elements or fewer (a few
-# milliseconds of work each), so a block's temporaries stay small whatever
-# the transform's size, and a caller that asks for a chunk drawn ahead
-# mid-transform rarely waits long on a started block.
-_BLOCK = 4 * _SPLIT_MIN
+# A transform of n elements is cut into blocks of about _BLOCK elements or
+# fewer (a few milliseconds of work each, against some tens of
+# microseconds to hand a block to a thread) and shared by at most
+# n // _BLOCK cores, so a block's temporaries stay small whatever the
+# transform's size, a core's share is at least a block, and a caller that
+# asks for a chunk drawn ahead mid-transform rarely waits long on a
+# started block.  _BLOCK doubles (256 KiB) are also the scratch that a
+# skip of uniforms (_skip_doubles) and a draw of hard-instance events
+# (hardness.HardInstance.sample_events) hold at a time.
+_BLOCK = 1 << 15
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_pid: Optional[int] = None
 _pool_lock = threading.Lock()
@@ -380,17 +380,17 @@ def _split(transform, rows: int, row_size: int, scratch=lambda most: ()) -> None
     cover range(rows), each claimer with its own scratch.
 
     Rows hold row_size elements each.  The rows are cut into blocks of
-    at most about _BLOCK elements (but at least one row) and, with
-    enough elements, into at least one block per core not kept busy by
-    another thread (see _busy_core), which the caller and a module
-    thread per other such core claim (see _Job).  most is the rows of
-    the largest block, so the scratch a split holds is bounded by the
-    claimers, not the rows.
+    at most about _BLOCK elements (but at least one row) and into at
+    least one block per core not kept busy by another thread (see
+    _busy_core), up to one core per _BLOCK elements, which the caller
+    and a module thread per other such core claim (see _Job).  most is
+    the rows of the largest block, so the scratch a split holds is
+    bounded by the claimers, not the rows.
     """
     size = rows * row_size
     # a busy caller is one of the _busy threads; an idle caller beside
     # busy ones takes one core too many, a rare and small oversubscription
-    cores = min(_cores() - max(_busy - 1, 0), size // _SPLIT_MIN)
+    cores = min(_cores() - max(_busy - 1, 0), size // _BLOCK)
     blocks = max(cores, -(-size // _BLOCK))
     if blocks < 2:
         transform(0, rows, *scratch(rows))
@@ -451,10 +451,6 @@ def _stable_scratch(rows: int) -> int:
     return rows * 1024 + _cores() * 5 * 8 * _BLOCK
 
 
-# uniforms drawn and dropped at a time to skip them where advance cannot
-_SKIP_BLOCK = 1 << 14
-
-
 def _skip_doubles(rng: np.random.Generator, k: int) -> None:
     """Move rng past k uniform doubles, as rng.random(k) would."""
     bg = rng.bit_generator
@@ -472,8 +468,8 @@ def _skip_doubles(rng: np.random.Generator, k: int) -> None:
             moved.update(has_uint32=1, uinteger=state["uinteger"])
             bg.state = moved
         return
-    for a in range(0, k, _SKIP_BLOCK):
-        rng.random(min(_SKIP_BLOCK, k - a))
+    for a in range(0, k, _BLOCK):
+        rng.random(min(_BLOCK, k - a))
 
 
 def _generator(rng) -> np.random.Generator:

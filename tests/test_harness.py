@@ -675,6 +675,24 @@ def test_a_shards_noise_buffers_fit_the_budget(kind, d):
         assert held <= peak - (once - two) <= harness.NOISE_BUDGET + 64 * width
 
 
+
+@pytest.mark.parametrize("d", [4, 64, 4096])
+@pytest.mark.parametrize("cores", [1, 4, 8])
+def test_stable_shards_fit_the_budget_on_other_core_counts(monkeypatch, cores, d):
+    # test_a_shards_noise_buffers_fit_the_budget for alpha-stable rows on
+    # other core counts: each core that may claim a row block holds its
+    # scratch (noise._stable_scratch), so the width falls as cores grow,
+    # to BLOCK_TRIALS rows from 5 cores on
+    monkeypatch.setattr(noise, "_cores", lambda: cores)
+    oracle = _noise_oracle("additive-stable", d)
+    for rows in (BLOCK_TRIALS, 1 << 20):
+        width = harness._shard_width(oracle, rows)
+        sub = algorithms._rows_sub_chunk(oracle, width)
+        held, peak = _traced_draw("additive-stable", d, width, sub)
+        two, once = _traced_draw("additive-stable", d, 2, sub)
+        assert held <= peak - (once - two) <= harness.NOISE_BUDGET + 64 * width
+
+
 _MANY = 1 << 20
 
 

@@ -159,11 +159,11 @@ class TestStableSplit:
     """The transform gives the same bits for any block cut and core count."""
 
     # rows of 3 elements just below and above the split threshold of
-    # 2 * _SPLIT_MIN elements, and a large chunk
+    # _BLOCK elements, and a large chunk
     ROWS = [
-        2 * noise._SPLIT_MIN // 3 - 1,
-        2 * noise._SPLIT_MIN // 3 + 1,
-        4 * noise._SPLIT_MIN // 3 + 7,
+        noise._BLOCK // 3 - 1,
+        noise._BLOCK // 3 + 1,
+        4 * noise._BLOCK // 3 + 7,
     ]
 
     @pytest.mark.parametrize("params", _BRANCHES)
@@ -202,7 +202,7 @@ class TestStableSplit:
     def test_blocks_are_cut_at_multiples_of_8_elements(self, monkeypatch):
         monkeypatch.setattr(noise, "_cores", lambda: 4)
         cuts = []
-        rows = 4 * noise._SPLIT_MIN // 3 + 7
+        rows = 4 * noise._BLOCK // 3 - 7
         noise._split(lambda a, b: cuts.append((a, b)), rows, 3)
         assert len(cuts) == 4
         assert sorted(cuts)[0][0] == 0 and sorted(cuts)[-1][1] == rows
@@ -225,9 +225,10 @@ class TestStableSplit:
         monkeypatch.setattr(noise, "_cores", lambda: 3)
 
         def blocks():
-            cuts = []
-            noise._split(lambda a, b: cuts.append(a), 4 * noise._SPLIT_MIN, 1)
-            return len(cuts)
+            # the claimers: _split makes one scratch for each
+            claimers = []
+            noise._split(lambda a, b: None, 3 * noise._BLOCK, 1, lambda most: claimers.append(most) or ())
+            return len(claimers)
 
         assert blocks() == 3
         with noise._busy_core():  # the caller's own kernel
@@ -265,7 +266,7 @@ class TestStableSplit:
         # interpreter allows: a block lost or run twice changes the bits
         monkeypatch.setattr(noise, "_cores", lambda: 4)
         params = _BRANCHES[3]
-        size = (4 * noise._SPLIT_MIN // 3 + 5, 3)
+        size = (4 * noise._BLOCK // 3 + 5, 3)
         want = [_cms_reference(params, np.random.default_rng(s), size) for s in range(6)]
         got = [None] * 6
 
@@ -310,7 +311,7 @@ class TestStableSplit:
         # alone takes square roots of negatives, which under the default
         # error state would warn (an error in this test suite)
         monkeypatch.setattr(noise, "_cores", lambda: 2)
-        x = np.random.default_rng(0).uniform(0.0, 1.0, 4 * noise._SPLIT_MIN)
+        x = np.random.default_rng(0).uniform(0.0, 1.0, 2 * noise._BLOCK)
         out = np.empty_like(x)
         caller = threading.get_ident()
         barrier = threading.Barrier(2, timeout=10)
@@ -336,7 +337,7 @@ class TestStableSplit:
         held = [pool.submit(release.wait, 10) for _ in range(pool._max_workers)]
         try:
             done = []
-            rows = 4 * noise._SPLIT_MIN
+            rows = 4 * noise._BLOCK
             noise._split(
                 lambda a, b: done.append((b - a, threading.get_ident())), rows, 1
             )
@@ -403,6 +404,21 @@ def test_draw_into_a_prefix_matches_the_first_rows_of_a_full_draw(kind, n, m):
         assert np.array_equal(rng.random(4), full_rng.random(4))
 
 
+@pytest.mark.parametrize("kind", ["Philox", "SFC64", "MT19937"])
+def test_a_skip_over_several_blocks_ends_where_one_draw_does(kind):
+    # generators with no advance of a double's word drop the skipped
+    # doubles a _BLOCK at a time; a skip over two blocks and a part leaves
+    # the generator where one rng.random(k) does
+    bits = getattr(np.random, kind)
+    rng, ref = np.random.Generator(bits(11)), np.random.Generator(bits(11))
+    rng.random(3), ref.random(3)
+    k = 2 * noise._BLOCK + 5
+    noise._skip_doubles(rng, k)
+    ref.random(k)
+    assert rng.random(6).tobytes() == ref.random(6).tobytes()
+    assert rng.integers(1 << 62, size=3).tobytes() == ref.integers(1 << 62, size=3).tobytes()
+
+
 @pytest.mark.parametrize(
     "kind", ["PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"]
 )
@@ -423,7 +439,9 @@ def test_a_chunk_streams_copy_draws_the_uniforms_of_its_generator(kind):
     assert not isinstance(copy.seed_seq, np.random.SeedSequence)
 
 
-@pytest.mark.parametrize("d, n, rows", [(3, 7, 1000), (64, 64, 20)])
+# each draw holds 2 * _BLOCK elements or more (72,000 and 81,920), so on
+# two idle cores it is split in two blocks or more
+@pytest.mark.parametrize("d, n, rows", [(3, 24, 1000), (64, 64, 20)])
 @pytest.mark.parametrize("split", [True, False])
 def test_a_many_row_stable_draw_is_one_stream_draws_per_row(monkeypatch, d, n, rows, split):
     # the rows of a stable draw are filled and transformed a row block at
