@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import mmap
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -328,20 +329,28 @@ def clip_error_mc(
     estimates the centered moments around that estimate.  Bounds use the
     oracle's declared (p, sigma_s, sigma_l).
 
-    Pass 1 streams its draws in chunks.  Pass 2 writes the centred rows
-    d^u into one preallocated n * d * 8-byte buffer: the projection
-    margin needs each row's projection on the top eigenvector of the
-    full covariance, which is known only after the last chunk, so
-    streaming pass 2 would cost a third pass of draws.  n * d is capped
-    at 8e7 (a 640 MB buffer).
+    Pass 1 streams its draws in chunks and frees them before pass 2
+    starts.  Pass 2 writes the centred rows d^u into one preallocated
+    n * d * 8-byte buffer: the projection margin needs each row's
+    projection on the top eigenvector of the full covariance, which is
+    known only after the last chunk, so streaming pass 2 would cost a
+    third pass of draws.  n * d is capped at 8e7 (a 640 MB buffer).
 
     The chunks come from noise._draw_ahead, which draws stable and
     Gaussian chunks one ahead on the sampler threads while this thread
     clips and sums the one before; the sums stay here, in chunk order,
-    so the report has the bytes of inline draws.  The draws hold three
-    (chunk, d) buffers at most (two states, one exponential scratch);
-    the squared norms of d^u are taken once the draws are done, so that
-    their n * 8 bytes are not live beside those buffers.
+    so the report has the bytes of inline draws.  Pass 1's draws hold
+    three (chunk, d) buffers at most (two states, one exponential
+    scratch).  Pass 2 draws each chunk straight into its slice of the
+    buffer, which its clipped and centred rows then overwrite, so it
+    holds the buffer, the stable scratch and a chunk's gradients and
+    clipped rows; while it works on chunk k it writes to a word of
+    each page of slice k + 2, so that the draw of that slice, which a
+    module thread fills serially, takes no page faults.  After the
+    draws the buffer is read into two n-vectors, the squared norms of
+    d^u and their projections' squares, and freed before their
+    standard deviations are taken: the verifier holds at most the
+    buffer, two n-vectors and about one chunk more.
     """
     x, grad_true, tau, alpha, fn, chi = _report_inputs(
         oracle, x, grad_true, tau, alpha
@@ -364,41 +373,54 @@ def clip_error_mc(
     # the sums may leave the floats only for draws whose squared norms
     # have no finite square, which the check below rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        with contextlib.closing(_draw_ahead(oracle, rng, sizes + sizes)) as draws:
-            # pass 1: mean of the clipped oracle, with per-coordinate variances
-            s1 = np.zeros(d)
-            s1_sq = np.zeros(d)
-            for _, states in zip(sizes, draws):
-                Gc = clip_batch(oracle.grad_rows(x_row, states), tau)
-                s1 += np.add.reduce(Gc, axis=0)
-                s1_sq += np.add.reduce(Gc * Gc, axis=0)
-            mean_c = s1 / n
-            var_c = np.maximum(s1_sq / n - mean_c**2, 0.0)
-            db = float(row_norms(mean_c - grad_true))
-            db_margin = math.sqrt(float(np.add.reduce(var_c)) / n)
+        # pass 1: mean of the clipped oracle, with per-coordinate variances
+        s1 = np.zeros(d)
+        s1_sq = np.zeros(d)
+        with contextlib.closing(_draw_ahead(oracle, rng, sizes)) as draws:
+            for states in draws:
+                G = clip_batch(oracle.grad_rows(x_row, states), tau)
+                s1 += np.add.reduce(G, axis=0)
+                s1_sq += np.add.reduce(G * G, axis=0)
+        del draws, states, G  # the chunk buffers go before du comes
+        mean_c = s1 / n
+        var_c = np.maximum(s1_sq / n - mean_c**2, 0.0)
+        db = float(row_norms(mean_c - grad_true))
+        db_margin = math.sqrt(float(np.add.reduce(var_c)) / n)
 
-            # pass 2: centered moments around the pass-1 mean, each chunk
-            # written into its slice of the one (n, d) buffer
-            du = np.empty((n, d))
-            for a, states in zip(starts, draws):
-                G = oracle.grad_rows(x_row, states)
-                np.subtract(clip_batch(G, tau), mean_c, out=du[a : a + len(states)])
+        # pass 2: centered moments around the pass-1 mean, each chunk
+        # drawn into its slice of the one (n, d) buffer and overwritten
+        # there by its clipped and centred rows
+        du = np.empty((n, d))
+        page = mmap.PAGESIZE // du.itemsize
+        outs = [du[a : a + m] for a, m in zip(starts, sizes)]
+        with contextlib.closing(_draw_ahead(oracle, rng, sizes, outs)) as draws:
+            for k, states in enumerate(draws):
+                if k + 2 < len(outs):  # fault in the slice drawn next but one
+                    outs[k + 2].reshape(-1)[::page] = 0.0
+                np.subtract(
+                    clip_batch(oracle.grad_rows(x_row, states), tau), mean_c,
+                    out=outs[k],
+                )
+        del draws, states, outs
         # squared row norms after the last draw, in the same row slices
         du_norms_sq = np.empty(n)
         for a, m in zip(starts, sizes):
             rows = du[a : a + m]
             du_norms_sq[a : a + m] = np.add.reduce(rows * rows, axis=-1)
+        del rows
     peak = float(np.max(du_norms_sq))
     if not 4.0 * n * peak * peak < math.inf:  # the margins sum n such squares
         raise ValueError(f"the centred clipped draws' largest squared norm {peak:g} "
                          f"is too large to sum n_samples = {n} of its squares")
     du_max = math.sqrt(peak)
     du_sq = float(np.mean(du_norms_sq))
-    du_sq_margin = float(np.std(du_norms_sq, ddof=1)) / math.sqrt(n)
-    del du_norms_sq
     cov = du.T @ du / n
     cov_op, top = _sym_eig_max(cov)
-    proj_sq = (du @ top) ** 2
+    proj_sq = du @ top
+    del du  # the standard deviations below each take an n-vector
+    proj_sq *= proj_sq
+    du_sq_margin = float(np.std(du_norms_sq, ddof=1)) / math.sqrt(n)
+    del du_norms_sq
     cov_margin = float(np.std(proj_sq, ddof=1)) / math.sqrt(n)
 
     spec = oracle.noise

@@ -653,7 +653,9 @@ def _materialize(config: ExperimentConfig, T: int, codebook, word_index: int) ->
         else:
             D = computed_D
         if D <= 0:
-            raise ValueError("x1 coincides with the optimum; D must be positive")
+            raise ValueError(
+                "problem.x1_mode: x1 coincides with the optimum; D must be positive"
+            )
         spec = oracle.noise
         spec.check_bracket(objective.d)
         hp = None

@@ -488,7 +488,7 @@ def _stable_fill(rng, phi: np.ndarray, w: np.ndarray) -> None:
     _generator(rng).standard_exponential(out=w)
 
 
-def _draw_ahead(oracle: GradOracle, rng: np.random.Generator, sizes):
+def _draw_ahead(oracle: GradOracle, rng: np.random.Generator, sizes, outs=None):
     """Yield oracle.draw(rng, m) for each m in sizes, in order, with the
     same bits and leaving rng where those draws would.
 
@@ -496,15 +496,18 @@ def _draw_ahead(oracle: GradOracle, rng: np.random.Generator, sizes):
     works on chunk k, a module thread fills chunk k + 1 and the module
     threads finish its row blocks; the caller joins in on the blocks
     left when it asks for that chunk (see _Job).  The caller allocates
-    the chunks' memory: two (max(sizes), d) state buffers used in turn
-    and, for stable noise, one exponential scratch.
-    A yielded array is valid until the caller asks for the next chunk
-    (its buffer then receives the chunk after that), and rng must not be
-    used elsewhere until the generator is exhausted or closed; close it
-    (contextlib.closing) so that a caller that stops early, or raises,
-    waits for the chunk in flight.  With no idle core beside the caller
-    (see _busy_core) no module thread takes a chunk, and the caller draws
-    each when it asks for it; so do other oracle kinds.
+    the chunks' memory.  With outs, a list of one C-contiguous
+    (sizes[k], d) float array per chunk, chunk k is drawn into outs[k]
+    and yielded as it; without, into two (max(sizes), d) state buffers
+    used in turn, a yielded array being valid until the caller asks for
+    the next chunk (its buffer then receives the chunk after that).
+    Either way stable noise takes one (max(sizes), d) exponential
+    scratch.  rng must not be used elsewhere until the generator is
+    exhausted or closed; close it (contextlib.closing) so that a caller
+    that stops early, or raises, waits for the chunk in flight.  With no
+    idle core beside the caller (see _busy_core) no module thread takes
+    a chunk, and the caller draws each when it asks for it; so do other
+    oracle kinds, which ignore outs.
     """
     sizes = list(sizes)
     if oracle.kind not in ("additive-stable", "additive-gaussian") or not sizes:
@@ -512,11 +515,13 @@ def _draw_ahead(oracle: GradOracle, rng: np.random.Generator, sizes):
             yield oracle.draw(rng, m)
         return
     shape = (max(sizes), oracle.d)
-    bufs = (np.empty(shape), np.empty(shape))
+    if outs is None:
+        bufs = (np.empty(shape), np.empty(shape))
+        outs = [bufs[k % 2][:m] for k, m in enumerate(sizes)]
     scratch = np.empty(shape) if oracle.kind == "additive-stable" else None
 
     def ahead(k) -> _Job:
-        out = bufs[k % 2][: sizes[k]]
+        out = outs[k]
         w = out if scratch is None else scratch[: sizes[k]]  # Gaussian: no w
         cuts = _cuts(sizes[k], oracle.d, max(out.size // _BLOCK, 1))
         # module threads claim every block, even a one-row chunk's, so
@@ -534,7 +539,7 @@ def _draw_ahead(oracle: GradOracle, rng: np.random.Generator, sizes):
             current.finish()
             if k + 1 < len(sizes):
                 job = ahead(k + 1)
-            yield bufs[k % 2][: sizes[k]]
+            yield outs[k]
     finally:
         if job is not None:
             job.cancel()

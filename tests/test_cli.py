@@ -526,6 +526,57 @@ class TestParsing:
         assert "error:" in capsys.readouterr().err
 
 
+class TestStandardProblemConfig:
+    """Config paths of the standard (non-hard) problems: the start, a
+    declared D and declared noise moments."""
+
+    @staticmethod
+    def _run(tmp_path, data):
+        cfg = _write_config(tmp_path, data)
+        out = tmp_path / "o"
+        return main(["run", "--config", cfg, "--out", str(out)]), out
+
+    @pytest.mark.parametrize("kind", ["euclid-norm", "abs-sum"])
+    def test_a_start_at_the_optimum_exits_two_naming_x1_mode(self, tmp_path, capsys, kind):
+        # both kinds have their optimum at 0, the default origin start
+        data = _noiseless_config()
+        data["problem"] = {"kind": kind, "d": 2, "G": 1.0}
+        rc, out = self._run(tmp_path, data)
+        assert rc == 2
+        assert "problem.x1_mode" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_declared_d_that_agrees_with_the_start_runs(self, tmp_path):
+        data = _noiseless_config()
+        data["problem"]["D"] = 1.0  # ||x1 - x*|| for the start (1, 0)
+        rc, out = self._run(tmp_path, data)
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["problem"]["D"] == 1.0
+
+    def test_a_declared_d_that_disagrees_exits_two_naming_it(self, tmp_path, capsys):
+        data = _noiseless_config()
+        data["problem"]["D"] = 2.0
+        rc, out = self._run(tmp_path, data)
+        assert rc == 2
+        assert "problem.D" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_declared_noise_moments_reach_the_manifest(self, tmp_path):
+        data = _noiseless_config(trials=2)
+        data["noise"] = {
+            "kind": "additive-gaussian", "scales": 0.1,
+            "p": 1.5, "sigma_s": 0.2, "sigma_l": 0.25,
+        }
+        rc, out = self._run(tmp_path, data)
+        assert rc == 0
+        declared = json.loads((out / "manifest.json").read_text())["noise_declared"]
+        assert declared["p"] == 1.5
+        assert declared["sigma_s"] == 0.2
+        assert declared["sigma_l"] == 0.25
+        assert declared["d_eff"] == pytest.approx(0.25**2 / 0.2**2)
+
+
 # ---------------------------------------------------------------------------
 # main() fuzz: a small run config with one value replaced
 

@@ -525,7 +525,7 @@ class TestClipErrorMC:
         assert back["n_samples"] == 10_000
 
 
-def _inline_draws(oracle, rng, sizes):
+def _inline_draws(oracle, rng, sizes, outs=None):
     # the chunks drawn one by one on the caller, as before the draw-ahead
     return (oracle.draw(rng, m) for m in sizes)
 
@@ -690,3 +690,23 @@ class TestVerifierMemory:
             )
         )
         assert peak <= 1.5 * n * d * 8
+
+    @pytest.mark.parametrize("kind, d", [("additive-stable", 16), ("additive-gaussian", 8)])
+    def test_mc_holds_its_buffer_two_n_vectors_and_a_chunk(self, kind, d):
+        # pass 1's chunk buffers are freed before pass 2's (n, d) buffer is
+        # made, pass 2 draws into that buffer, and the buffer is freed
+        # before the margins' standard deviations
+        n = 1_000_000
+        obj = CompositeObjective(
+            f=EuclidNorm(1.0, np.zeros(d)), r=None, domain=AllSpace(d),
+            lipschitz_G=1.0,
+        )
+        stable = {"stable": StableParams(1.8), "p": 1.5} if kind == "additive-stable" else {}
+        oracle = make_oracle(obj, kind, scales=np.ones(d), **stable)
+        peak = _traced_peak(
+            lambda: clip_error_mc(
+                oracle, np.full(d, 0.5), 2.0, n_samples=n,
+                rng=np.random.default_rng(5),
+            )
+        )
+        assert peak <= n * d * 8 + 2 * n * 8 + (1 << 15) * d * 8

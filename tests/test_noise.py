@@ -419,6 +419,20 @@ def test_a_skip_over_several_blocks_ends_where_one_draw_does(kind):
     assert rng.integers(1 << 62, size=3).tobytes() == ref.integers(1 << 62, size=3).tobytes()
 
 
+@pytest.mark.parametrize("kind", ["PCG64", "PCG64DXSM"])
+def test_a_skip_keeps_a_buffered_32_bit_half(kind):
+    # a uint32 draw leaves half of a 64-bit word buffered, which advance
+    # drops and doubles never read; a ChunkStream's skip past a chunk's
+    # uniforms leaves rng where rng.random(k) does, the half still there
+    bits = getattr(np.random, kind)
+    rng, ref = np.random.Generator(bits(13)), np.random.Generator(bits(13))
+    rng.integers(1 << 31, dtype=np.uint32), ref.integers(1 << 31, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    stream = ChunkStream(rng, 40)
+    assert stream.uniforms(40).random(40).tobytes() == ref.random(40).tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize(
     "kind", ["PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"]
 )
