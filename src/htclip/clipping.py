@@ -341,7 +341,8 @@ def clip_error_mc(
     clips and sums the one before; the sums stay here, in chunk order,
     so the report has the bytes of inline draws.  Pass 1's draws hold
     three (chunk, d) buffers at most (two states, one exponential
-    scratch).  Pass 2 draws each chunk straight into its slice of the
+    scratch), and it drops a chunk's clipped rows before it takes the
+    next.  Pass 2 draws each chunk straight into its slice of the
     buffer, which its clipped and centred rows then overwrite, so it
     holds the buffer, the stable scratch and a chunk's gradients and
     clipped rows; while it works on chunk k it writes to a word of
@@ -380,8 +381,10 @@ def clip_error_mc(
             for states in draws:
                 G = clip_batch(oracle.grad_rows(x_row, states), tau)
                 s1 += np.add.reduce(G, axis=0)
-                s1_sq += np.add.reduce(G * G, axis=0)
-        del draws, states, G  # the chunk buffers go before du comes
+                G *= G
+                s1_sq += np.add.reduce(G, axis=0)
+                del G  # before the next chunk's rows come
+        del draws, states  # the chunk buffers go before du comes
         mean_c = s1 / n
         var_c = np.maximum(s1_sq / n - mean_c**2, 0.0)
         db = float(row_norms(mean_c - grad_true))

@@ -670,7 +670,7 @@ _JSON_PINS = {
         ["clip-verify", "--mode", "mc", "--noise", "stable", "--d", "4", "--tau", "8",
          "--alpha", "1.8", "--scale", "0.3", "--p", "1.5", "--n-samples", "10000",
          "--seed", "5"],
-        "f795a040782972dbf2fadece0ea3addafb328f3cbde7634989ec7009273ec70a",
+        "4c4c221a741c04a4b6e2db83b1c5b1efc51fd27c8f789e580999a951562542e1",
     ),
     "deff-declared": (
         ["deff", "--variant", "declared", "--sigma-s", "1", "--sigma-l", "2"],

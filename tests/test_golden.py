@@ -9,10 +9,12 @@ first and cycle (with a gv codebook), a ball domain, and eval.averaging
 designated, plain and last.
 
 The run configs use only Gaussian, hard-instance and deterministic
-noise: alpha-stable draws go through SIMD-dispatched sin/cos/pow whose
-bits can differ between CPUs (their thread determinism is covered by
-AC-12).  One verifier case does use stable noise, because the Monte
-Carlo verifier's main workload is stable noise; see its comment.
+noise: alpha-stable draws go through SIMD-dispatched tan and pow (the
+symmetric transform takes its sines and cosines from half-angle
+tangents), whose bits can differ between CPUs (their thread determinism
+is covered by AC-12).  One verifier case does use stable noise, because
+the Monte Carlo verifier's main workload is stable noise; see its
+comment.
 """
 
 import hashlib

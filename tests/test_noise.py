@@ -121,9 +121,19 @@ def _cms_reference(params, rng, size):
     if alpha == 2.0:
         return gamma * (2.0 * np.sqrt(w) * np.sin(phi))
     if beta == 0.0:
-        x = (np.sin(alpha * phi) / np.cos(phi) ** (1.0 / alpha)) * (
-            np.cos((1.0 - alpha) * phi) / w
-        ) ** ((1.0 - alpha) / alpha)
+        # sines and cosines from half-angle tangents: sin x = 2 k / (1 + k^2)
+        # for k = tan(x / 2), and cos theta = sin(pi/2 - |theta|)
+        def sin_of_tan(k):
+            return 2.0 * k / (1.0 + k * k)
+
+        def cos_of_half(h):
+            return sin_of_tan(np.tan((noise._PIO4_HI - np.abs(h)) + noise._PIO4_LO))
+
+        x = (
+            sin_of_tan(np.tan(phi * (0.5 * alpha)))
+            / cos_of_half(phi * 0.5) ** (1.0 / alpha)
+            * (cos_of_half(phi * (0.5 * (1.0 - alpha))) / w) ** ((1.0 - alpha) / alpha)
+        )
         return gamma * x
     if alpha == 1.0:
         half_pi = math.pi / 2.0
@@ -153,6 +163,31 @@ _BRANCHES = [
     StableParams(1.0, -0.6, 1.3),
     StableParams(1.3, 0.5, 2.0),
 ]
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+    reason="long double is no wider than float64 here",
+)
+@pytest.mark.parametrize("alpha, tol", [(0.5, 4e-15), (1.1, 4e-15), (1.5, 4e-15),
+                                        (1.8, 4e-15), (1.99, 2e-14)])
+def test_the_symmetric_transform_is_as_accurate_as_its_textbook_form(alpha, tol):
+    # against the textbook expression in long double at the same (phi, w):
+    # 200,000 draws, phi = -fl(pi/2) and the fill's grid points next to
+    # +-pi/2, where cos(phi) is tiny and the heavy tail comes from
+    rng = np.random.default_rng(29)
+    n, k = 200_000, 64
+    phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
+    edge = np.concatenate([np.arange(k), 2.0**53 - np.arange(1, k + 1)]) * 2.0**-53
+    phi[: 2 * k] = edge * math.pi + -math.pi / 2.0  # as _stable_fill maps a uniform
+    assert phi[0] == -np.float64(math.pi / 2.0)
+    w = rng.standard_exponential(n)
+    got = np.empty(n)
+    noise._cms(StableParams(alpha), phi.copy(), w.copy(), got)
+    p, ww, a = phi.astype(np.longdouble), w.astype(np.longdouble), np.longdouble(alpha)
+    want = np.sin(a * p) / np.cos(p) ** (1 / a) * (np.cos((1 - a) * p) / ww) ** ((1 - a) / a)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want) / np.abs(want)) <= tol
 
 
 class TestStableSplit:
@@ -911,6 +946,38 @@ class TestMakeOracle:
                 stable=StableParams(1.5),
                 p=1.5,
             )
+
+    @pytest.mark.parametrize("p", [1.5, 1.7])
+    def test_a_declared_stable_order_not_below_alpha_is_refused(self, p):
+        with pytest.raises(ValueError, match="not finite for this stability index"):
+            make_oracle(
+                _flat_objective(2), "additive-stable", scales=np.ones(2),
+                stable=StableParams(1.5), declared_noise=NoiseSpec(p, 1.0, 1.2),
+            )
+        # at alpha = 2 the noise is Gaussian, so every declared p <= 2 holds
+        make_oracle(
+            _flat_objective(2), "additive-stable", scales=np.ones(2),
+            stable=StableParams(2.0), declared_noise=NoiseSpec(2.0, 1.0, 1.2),
+        )
+
+    @pytest.mark.parametrize("kind", ["additive-gaussian", "additive-stable", "deterministic"])
+    def test_grad_is_the_row_of_a_one_row_draw(self, kind):
+        obj = CompositeObjective(
+            f=AbsSum(np.array([2.0, 1.0, 0.5]), np.array([0.0, 1.0, -1.0])),
+            r=None,
+            domain=AllSpace(3),
+            lipschitz_G=2.0,
+        )
+        oracle = make_oracle(
+            obj, kind, scales=np.array([0.5, 1.0, 2.0]), stable=StableParams(1.8), p=1.5,
+        )
+        x = np.array([0.3, -1.0, 2.0])
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = oracle.grad(x, rng)
+            want = oracle.grad_rows(x[None], oracle.draw(ref, 1))[0]
+            assert got.shape == (3,) and np.array_equal(got, want)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_deterministic_rejects_declared_noise(self):
         obj = _flat_objective(2)

@@ -16,10 +16,14 @@ sample per workload.
 The file holds, per workload and checkout, the median, q1 and q3 of each
 end-to-end metric over the runs, with the seed and the pair count, and
 how many pairs the head won on each metric; the machine's fingerprint
-(cores, CPU model, Python and numpy versions); a calibration time, the
-median wall time of np.sin over 1M entries, taken before and after the
-runs, so that rates measured at different times can be compared in units
-of it; and whether PYTHONDONTWRITEBYTECODE was set, which makes every
+(cores, CPU model, Python and numpy versions, and numpy's CPU dispatch:
+the SIMD targets it found and did not find, and the target each float64
+sin, cos, tan and power loop runs); calibration times, the median wall
+times of np.sin and of np.tan over 1M entries, taken before and after
+the runs, so that rates measured at different times can be compared in
+units of them (numpy sends float64 sin to libm, and tan, which stable
+draws ride on with power, to a SIMD loop where the CPU has one); and
+whether PYTHONDONTWRITEBYTECODE was set, which makes every
 worker compile the sources on import, so that set-up time and peak RSS
 then move with the length of src/, which it records for each checkout
 (the lines of src/htclip/*.py, as wc -l counts them, and apart from them
@@ -70,16 +74,44 @@ DIGEST_SEEDS = (1, 2)
 PER_HALF = {"exact_states_per_s": True, "mc_samples_per_s": True}
 
 
-def calibration_s(repeats: int = 15) -> float:
-    """Median wall time of np.sin over 1M float64 entries."""
+def calibration_s(ufunc=np.sin, repeats: int = 15) -> float:
+    """Median wall time of ufunc over 1M float64 entries."""
     x = np.linspace(0.0, 100.0, 1 << 20)
     out = np.empty_like(x)
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        np.sin(x, out=out)
+        ufunc(x, out=out)
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
+
+
+def calibrations(when: str) -> dict:
+    return {f"np_{f.__name__}_1M_s_{when}": calibration_s(f) for f in (np.sin, np.tan)}
+
+
+def numpy_dispatch() -> dict:
+    """numpy's CPU dispatch, as numpy.show_runtime reads it, and the
+    target that each float64 loop of sin, cos, tan and power runs.  A
+    loop's target is the build it dispatched to, not proof that it is
+    vectorized: numpy 2.4's float64 sin and cos loops call libm per
+    entry on any target."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    features = getattr(umath, "__cpu_features__", {})
+    dispatch = list(getattr(umath, "__cpu_dispatch__", ()))
+    targets = getattr(umath, "__cpu_targets_info__", {})
+    return {
+        "baseline": list(getattr(umath, "__cpu_baseline__", ())),
+        "found": [f for f in dispatch if features.get(f)],
+        "not_found": [f for f in dispatch if not features.get(f)],
+        "float64_loops": {
+            name: targets.get(name, {}).get(sig, {}).get("current")
+            for name, sig in (("sin", "dd"), ("cos", "dd"), ("tan", "dd"), ("power", "ddd"))
+        },
+    }
 
 
 def fingerprint() -> dict:
@@ -99,6 +131,7 @@ def fingerprint() -> dict:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "numpy_dispatch": numpy_dispatch(),
     }
 
 
@@ -276,7 +309,7 @@ def main(argv=None) -> int:
     report = {
         "machine": fingerprint(),
         "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
-        "calibration": {"np_sin_1M_s_before": calibration_s()},
+        "calibration": calibrations("before"),
         "seed": args.seed,
         "seconds": args.seconds,
         "pairs": args.pairs,
@@ -324,7 +357,7 @@ def main(argv=None) -> int:
     ]
     if report["digests_differ"]:
         print("digests differ: " + ", ".join(report["digests_differ"]), file=sys.stderr)
-    report["calibration"]["np_sin_1M_s_after"] = calibration_s()
+    report["calibration"].update(calibrations("after"))
     for key, path in (("kernel_stages", args.stages), ("kernel_stages_base", args.base_stages)):
         if path:
             with open(path) as fh:

@@ -77,6 +77,10 @@ One more run of each case, untimed and without probes, runs under
 tracemalloc and gives the case's peak traced memory ("peak_traced_mb",
 in units of 2^20 bytes): the most that numpy and Python, on every
 thread, held at once of what they allocated during that run.
+"stable_transform" is the bare alpha-stable transform (noise._cms at
+alpha = 1.8, beta = 0, the stable workloads' noise) on one block of
+noise._BLOCK entries on the calling thread: the median ns per entry over
+20 calls per --repeats, each on fresh angles and exponentials.
 
 The probes wrap whichever of the step's call names the imported htclip
 defines, so the same script times older and newer kernels:
@@ -316,6 +320,26 @@ def _draw_floor_ns(calls: list, repeats: int) -> float:
     return statistics.median(times)
 
 
+def _transform_ns(repeats: int) -> dict:
+    """Median ns per entry of noise._cms at alpha = 1.8, beta = 0 on
+    noise._BLOCK entries, on this thread (see the module docstring)."""
+    rng = np.random.default_rng(0)
+    n = noise._BLOCK
+    phi0 = rng.uniform(-np.pi / 2.0, np.pi / 2.0, n)
+    w0 = rng.standard_exponential(n)
+    phi, w = np.empty(n), np.empty(n)
+    params = noise.StableParams(1.8)
+    times = []
+    for _ in range(20 * max(repeats, 1)):
+        phi[:] = phi0
+        w[:] = w0
+        t0 = time.perf_counter_ns()
+        noise._cms(params, phi, w, phi)
+        times.append(time.perf_counter_ns() - t0)
+    return {"alpha": 1.8, "beta": 0.0, "entries": n,
+            "ns_per_entry": statistics.median(times) / n}
+
+
 def _event_pass(config) -> Optional[dict]:
     """Counts of the _Events.plan calls one run makes (see the module
     docstring), or None where the kernel makes none."""
@@ -491,6 +515,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "repeats": args.repeats,
+        "stable_transform": _transform_ns(args.repeats),
         "cases": cases,
         "fits": [fit(group) for group in groups.values() if len(group) > 1],
     }
