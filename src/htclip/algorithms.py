@@ -89,9 +89,7 @@ checks and horizon ends of the dense step.  Subtracting g0 at every
 zero-state step gives the dense step's +0.0 where x/eta is -0.0, so
 the pass needs no underflow flag.  A sub-chunk that is not steady (an
 anytime or stabilized schedule, a strongly convex row), or whose rows
-have too many events for the pass to pay, takes the dense step; so does
-the rest of a sub-chunk from the step where a pass ran out of rounds, as
-a row that settles slowly makes it do.
+have too many events for the pass to pay, takes the dense step.
 
 Iterates are checked for finiteness at every chunk boundary and at each
 horizon, not at every step: a coordinate that turns non-finite stays
@@ -401,9 +399,6 @@ def _draw(oracles: list, streams: list, buf: np.ndarray, used: list) -> None:
 # -0.0's bits read as an int64: the least int64
 _NEG_ZERO = np.iinfo(np.int64).min
 
-# a pass runs at most one round for every _ROUND_SHARE steps of its sub-chunk
-_ROUND_SHARE = 4
-
 
 def _rows_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Which rows of the float arrays a and b differ in their bits."""
@@ -412,13 +407,11 @@ def _rows_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Plan:
-    """A sub-chunk's iterates as changes (_Events.plan): at each step
-    offset s below stop, the running rows rows[at[s]:at[s + 1]] take the
-    values vals[at[s]:at[s + 1]] and every other row keeps its iterate;
-    from offset stop on, the sub-chunk runs dense steps.  rounds counts
-    the pass's rounds."""
+    """A sub-chunk's iterates as changes (_Events.plan): at step offset
+    s, the running rows rows[at[s]:at[s + 1]] take the values
+    vals[at[s]:at[s + 1]] and every other row keeps its iterate.  rounds
+    counts the pass's rounds."""
 
-    stop: int
     at: list
     rows: np.ndarray
     vals: np.ndarray
@@ -552,7 +545,9 @@ class _Events:
         tau (None when the chunk skips the clip) hold for the whole
         sub-chunk: eta and den as floats or (rows, 1) columns, tau as a
         float or a vector.  Event clips are counted in clips.  None when a
-        row has too many events for the pass to beat the dense steps.
+        row has so many events that the pass cannot beat the dense steps:
+        a row takes about two rounds an event, so half as many events as
+        the sub-chunk has steps take about as many rounds as it has steps.
 
         Each round steps every unfinished row once from its cursor, by
         the dense step's expression: u = x/eta, less the gradient row of
@@ -561,14 +556,12 @@ class _Events:
         row whose step from a zero state leaves its bits as they were is
         at a fixed point of that deterministic map, which it then keeps
         until its next event, so its cursor jumps there.  A row is done
-        at its mark.  After used[0] // _ROUND_SHARE rounds the pass
-        stops: its changes count up to the least cursor of the rows left,
-        and the dense steps take over from there.  A pass that covers the
-        whole sub-chunk lets the events go, as no dense step reads them."""
+        at its mark.  Every round moves every cursor on, so the pass ends
+        within used[0] rounds; it then lets the events go, as no dense
+        step reads them."""
         n = used[0]
-        cap = n // _ROUND_SHARE
         first = np.concatenate(([0], self.mark[:-1] + 1))
-        if 2 * int((self.mark - first).max()) >= cap:
+        if 2 * int((self.mark - first).max()) >= n:
             return None
         step, states = self.step, self.states
         # each unfinished row's index, cursor, next event row, mark and
@@ -577,8 +570,8 @@ class _Events:
         live = np.stack((np.arange(k), np.zeros(k, np.intp), first, self.mark, used), axis=1)
         val = np.empty((k, 3))
         val[:, :1], val[:, 1:2], val[:, 2] = eta, den, np.inf if tau is None else tau
-        xa, records, hits, rounds = x, [], [], 0
-        while rounds < cap and len(xa):
+        xa, records, rounds = x, [], 0
+        while len(xa):
             rounds += 1
             row, cur, nxt, mark, end = live.T
             due = step[nxt]
@@ -588,7 +581,7 @@ class _Events:
             if tau is not None and ev.any():
                 e = ev.nonzero()[0]
                 g[e], over = clip_rows(g[e], val[e, 2])
-                hits.append((row[e[over]], cur[e[over]]))
+                clips[row[e[over]]] += 1
             u = np.divide(xa, val[:, :1])
             u -= g
             xa, was = _prox_end(r, domain, u, val[:, 1:2]), xa
@@ -605,24 +598,14 @@ class _Events:
             if np.count_nonzero(going) < len(going):
                 keep = going.nonzero()[0]
                 live, val, xa = (a.take(keep, axis=0) for a in (live, val, xa))
-        stop = int(live[:, 1].min()) if len(xa) else n
         cur, row, vals = (np.concatenate(c) for c in zip((cur[:0], row[:0], x[:0]), *records))
         records.clear()
-        if stop < n:
-            keep = (cur < stop).nonzero()[0]
-            cur, row, vals = (a.take(keep, axis=0) for a in (cur, row, vals))
         # steps fit in 16 bits, which numpy sorts by radix
         order = np.argsort(cur.astype(np.uint16), kind="stable")
         cur, row, vals = (a.take(order, axis=0) for a in (cur, row, vals))
-        if hits:
-            row_hit, cur_hit = (np.concatenate(c) for c in zip(*hits))
-            np.add.at(clips, row_hit[cur_hit < stop], 1)
-        if stop == n:
-            # no dense step reads these events
-            self.row = self.step = self.states = self.mark = None
+        self.row = self.step = self.states = self.mark = None
         return _Plan(
-            stop=stop,
-            at=np.searchsorted(cur, np.arange(stop + 1)).tolist(),
+            at=np.searchsorted(cur, np.arange(n + 1)).tolist(),
             rows=row,
             vals=vals,
             rounds=rounds,
@@ -682,7 +665,7 @@ def _run_kernel(
         # a row reads no state past its own horizon
         used = [min(sub, h + 1 - t) for h in horizons[:k]]
         # the last sub-chunk's plan is let go before this one's draw
-        stop, at, rows, vals = 0, None, None, None
+        plan = at = rows = vals = None
         if events is None:
             _draw(oracles, streams, buf, used)
         else:
@@ -690,10 +673,10 @@ def _run_kernel(
             steady = plannable and steps.steady(pos, used[0], k)
             plan = steady and events.plan(x, used, *steady, clips, r, domain)
             if plan:
-                stop, at, rows, vals = plan.stop, plan.at, plan.rows, plan.vals
+                at, rows, vals = plan.at, plan.rows, plan.vals
 
         for s in range(used[0]):
-            if s < stop:
+            if plan:
                 # the plan's changes at this step; every other row stays put
                 p, q = at[s], at[s + 1]
                 if p < q:

@@ -213,13 +213,11 @@ class HardInstance:
     def sample_xi(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n rows of xi from D_v (one uniform per coordinate), as int8
         outcome codes 0, +1 and -1: the codes (_rule) of rng.random((n, d)),
-        rng a Generator or noise.ChunkStream over one."""
-        u = _generator(rng).random((n, self.d))
-        xi = np.empty(u.shape, np.int8)
-        ge = np.greater_equal(u, self._least_lo, out=xi.view(np.bool_))
-        at = ge.reshape(-1).nonzero()[0]
-        # xi's bytes are now 0 or 1, and 0 is the code of every other entry
-        xi.reshape(-1)[at] = self._rule(at, u.reshape(-1)[at])
+        rng a Generator or noise.ChunkStream over one, scattered from its
+        events (sample_events)."""
+        step, _, col, code = self.sample_events([rng], n)
+        xi = np.zeros((n, self.d), np.int8)
+        xi[step, col] = code
         return xi
 
     def _rule(self, at: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -247,9 +245,9 @@ class HardInstance:
         generator in rngs, or noise.ChunkStream over one, as events:
         (step, row, col, code) arrays of the entries whose code is not 0,
         in the order they are drawn, by row, then step, then coordinate.
-        Row r's are the codes (_rule) of rngs[r].random((n, d)), drawn in
-        that order, so each generator is left where sample_xi leaves it
-        and the events are exactly the nonzero entries of its codes.
+        Row r's are the nonzero codes (_rule) of rngs[r].random((n, d)),
+        drawn in that order, so each generator is left where that draw
+        leaves it.
 
         The rows are drawn a block at a time, each row's uniforms into
         its part of one block scratch whose entries that reach the least

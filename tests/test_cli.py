@@ -176,6 +176,17 @@ class TestScheduleCommand:
         assert "T=16" in text
         assert "eta_star = " in text
 
+    def test_human_listing_of_a_hard_config(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, GOLDEN_CONFIGS["hard-cvx-fano-cvx-ex-T-gv-cycle"])
+        assert main(["schedule", "--config", cfg, "--T", "64", "--json"]) == 0
+        hard = json.loads(capsys.readouterr().out)["schedules"][0]["hard_params"]
+        assert main(["schedule", "--config", cfg, "--T", "64"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith("  hard.")] == [
+            f"  hard.{k} = {v}" for k, v in sorted(hard.items())
+        ]
+        assert "  hard.d_star = 4" in lines and "hard_params" not in "".join(lines)
+
     @pytest.mark.parametrize("regime", ["cvx-ex-T", "cvx-ex-anytime", "str-ex"])
     @pytest.mark.parametrize("T", ["0", "-3", str(MAX_T + 1)])
     def test_rejects_a_horizon_out_of_range(self, tmp_path, capsys, regime, T):

@@ -107,8 +107,8 @@ def test_steady_rows_equal_a_dense_step_by_step_reference(plans, tau, etas):
     batch = _run(rows, X_1)
     hit = _check_rows(batch, rows, X_1)
     assert hit == {"consecutive": True, "first": True, "last": True}
-    # every sub-chunk ran planned to its end
-    assert len(plans) == 3 and all(p is not None and p.stop == len(p.at) - 1 for p in plans)
+    # every sub-chunk ran planned, its plan covering all of its steps
+    assert [len(p.at) - 1 for p in plans] == [1024, 1024, 52]
     assert (batch.clip_events.sum() > 0) == (tau == 0.3)
     # the -0.0 of -5e-324 / eta became +0.0 in the rows whose eta >= 2
     flipped = ~np.signbit(batch.x_last[:, 3])
@@ -138,23 +138,30 @@ def test_sub_chunks_that_change_eta_run_dense_steps(plans):
     assert len(plans) == 4
 
 
-@pytest.mark.parametrize("share", [None, 32])
-def test_a_slowly_settling_row_equals_the_reference(plans, monkeypatch, share):
+def test_a_slowly_settling_row_equals_the_reference(plans):
     # SLOW_X moves for 90 steps under SLOW_ETA with no event: the pass
-    # runs 90 rounds or, when it may run only 1024 / 32 rounds, hands
-    # the rest of the sub-chunk to the dense steps
-    if share is not None:
-        monkeypatch.setattr(algorithms, "_ROUND_SHARE", share)
+    # runs more than 90 rounds, and its plan still covers the sub-chunk
     a = _oracle(4, 0.6, 0.4, [1, -1, 1], q=0.002)
     rows = [(a, _const(SLOW_ETA, math.inf), 1100, 21), (a, _const(SLOW_ETA, math.inf), 600, 22)]
     x_1 = np.full(4, SLOW_X)
     batch = _run(rows, x_1)
     _check_rows(batch, rows, x_1)
     first = plans[0]
-    if share is None:
-        assert first.stop == 1024 and first.rounds > 90
-    else:
-        assert first.stop < 90 and first.rounds == 1024 // share
+    assert len(first.at) - 1 == 1024 and first.rounds > 90
+
+
+def test_a_row_with_many_events_still_plans(plans):
+    # q = 0.1 at d = 4 gives a row about 270 events in 1024 steps, which
+    # a round cap of 1024 / 4 declined; fewer than 512 events now plan
+    a = _oracle(4, 0.6, 0.4, [1, -1, 1], q=0.1)
+    b = _oracle(4, 0.9, 0.7, [-1, 1, 1], q=0.1)
+    rows = [(a, _const(2.5, 0.3), 1024, 41), (b, _const(0.7, 0.3), 1024, 42)]
+    batch = _run(rows, X_1)
+    _check_rows(batch, rows, X_1)
+    events = [np.count_nonzero(np.any(o.instance.sample_xi(np.random.default_rng(s), 1024), 1))
+              for o, _, _, s in rows]
+    assert 1024 // 4 <= 2 * max(events) < 1024
+    assert len(plans) == 1 and len(plans[0].at) - 1 == 1024
 
 
 def _plan_rows(variant):
@@ -197,7 +204,7 @@ def test_a_plan_replays_the_dense_steps(variant, tau, eta, domain):
         events = algorithms._Events(oracles, [np.random.default_rng(s) for s in seeds])
         events.draw(used)
         plan = events.plan(x, used, eta, den, tau, clips, None, dom)
-        assert plan is not None and plan.stop == n
+        assert plan is not None and len(plan.at) - 1 == n
         got, want = x.copy(), x.copy()
         want_clips = np.zeros(k, np.int64)
         for s in range(n):

@@ -309,7 +309,8 @@ class TestManyRows:
                 out = np.full((n, rows, d), 7, dtype=np.int8)
                 for r, gen in enumerate(gens):
                     out[:, r] = inst.sample_xi(gen, n)
-                # the kernel's streams: ChunkStreams
+                # ChunkStreams over the same generators (the kernel draws
+                # hard rows from plain generators, as events)
                 streams = [ChunkStream(np.random.default_rng(s), 3) for s in seeds]
                 drawn = np.empty_like(out)
                 for r, stream in enumerate(streams):
@@ -617,6 +618,11 @@ class TestCodebooks:
         assert book.size == 2
         assert not book.shortfall
         assert sorted(book.words[:, 0]) == [-1.0, 1.0]
+
+    def test_gv_one_word_is_d_star_apart(self):
+        # one word has no pair: its minimum distance is d_star
+        book = gv_codebook(5, np.random.default_rng(0), target_size=1)
+        assert book.size == 1 and book.min_distance == 5.0
 
     def test_gv_shortfall_flagged(self):
         # an impossible target cannot be met; the builder must stop and say so

@@ -885,6 +885,12 @@ class TestDirectionalBound:
 
 
 class TestMakeOracle:
+    def test_support_of_deterministic_and_gaussian_noise(self):
+        obj = _flat_objective(3)
+        states, probs = make_oracle(obj, "deterministic").support()
+        assert np.array_equal(states, np.zeros((1, 3))) and np.array_equal(probs, np.ones(1))
+        assert make_oracle(obj, "additive-gaussian", scales=np.ones(3)).support() is None
+
     def test_gaussian_declared_bounds(self):
         obj = _flat_objective(4)
         oracle = make_oracle(obj, "additive-gaussian", scales=np.full(4, 1.0))
@@ -1073,6 +1079,9 @@ class TestEffectiveDimensionLowerBounds:
     def test_independent_p_two(self):
         got = d_eff_lower_bound("independent", sigmas=np.array([3.0, 4.0]), p=2.0)
         assert got == pytest.approx(25.0 / 16.0)
+
+    def test_independent_zero_scales(self):
+        assert d_eff_lower_bound("independent", sigmas=[0.0, 0.0], p=1.5) == 0.0
 
     def test_stable_eps_star_value(self):
         d, p = 16, 1.5

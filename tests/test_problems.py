@@ -92,6 +92,12 @@ class TestSubgradients:
         obj = _simple_objective(EuclidNorm(1.0, np.zeros(2)))
         assert subgrad_f(obj, np.zeros(2)) == pytest.approx(np.zeros(2))
 
+    def test_hard_cvx_is_the_mean_gradient(self):
+        obj, oracle = _dv_instance(4, q=0.2, theta=0.5, M=1.5, y=0.3)
+        # at the kinks +-y, between them and outside them
+        x = np.array([0.3, -0.3, 0.1, -2.0])
+        assert subgrad_f(obj, x).tobytes() == oracle.mean_grad(x).tobytes()
+
 
 class TestProjection:
     def test_all_space_identity(self):

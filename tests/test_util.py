@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from htclip._util import row_norms
+from htclip._util import as_vector, row_norms
 
 
 def _reference(a):
@@ -80,3 +80,8 @@ class TestRowNorms:
             ltr += sq[:, j]
         assert not np.array_equal(ltr, np.add.reduce(sq, axis=-1))
         assert np.array_equal(_bits(row_norms(a)), _bits(_reference(a)))
+
+
+def test_as_vector_makes_a_scalar_one_entry():
+    v = as_vector(2.0)
+    assert v.dtype == np.float64 and v.shape == (1,) and v[0] == 2.0

@@ -60,8 +60,7 @@ over --repeats;
 the gap from "draw" to it is what the draw adds to its random numbers.
 "event_pass" counts, over one untimed run of a case whose kernel plans
 sub-chunks, the _Events.plan calls ("plans"), those that declined
-("declined") or handed the end of their sub-chunk to dense steps
-("stopped"), and the rounds and iterate changes the plans made: a
+("declined"), and the rounds and iterate changes the plans made: a
 growing count of rounds per plan means longer settle chains.
 (A stable draw fills its rows on every core, so on several cores its
 "draw" may fall below this sequential floor.)
@@ -348,9 +347,9 @@ def _event_pass(config) -> Optional[dict]:
         return None
     made = []
 
-    def noted(self, x, used, *args):
-        made.append((used[0], plan(self, x, used, *args)))
-        return made[-1][1]
+    def noted(self, *args):
+        made.append(plan(self, *args))
+        return made[-1]
 
     algorithms._Events.plan = noted
     try:
@@ -359,13 +358,12 @@ def _event_pass(config) -> Optional[dict]:
         algorithms._Events.plan = plan
     if not made:
         return None
-    done = [(n, p) for n, p in made if p is not None]
+    done = [p for p in made if p is not None]
     return {
         "plans": len(made),
         "declined": len(made) - len(done),
-        "stopped": sum(p.stop < n for n, p in done),
-        "rounds": sum(p.rounds for _, p in done),
-        "changes": sum(len(p.rows) for _, p in done),
+        "rounds": sum(p.rounds for p in done),
+        "changes": sum(len(p.rows) for p in done),
     }
 
 

@@ -253,7 +253,7 @@ def _folded(name: str):
 
 
 VARIANTS = {}
-for _name in ("NOISE_BUDGET", "_LEAST_ENTRIES", "_ROUND_SHARE", "_BLOCK", "_SLOTS"):
+for _name in ("NOISE_BUDGET", "_LEAST_ENTRIES", "_BLOCK", "_SLOTS"):
     VARIANTS[f"{_name}/4"] = (f"{_name} at 1/4", _scaled(_name, 0.25))
     VARIANTS[f"{_name}*4"] = (f"{_name} at 4x", _scaled(_name, 4))
 VARIANTS["_SUB_CHUNK_ENTRIES/4"] = ("_SUB_CHUNK_ENTRIES at 1/4", _sub_chunk_entries(0.25))
