@@ -33,8 +33,8 @@ from .clipping import BOUND_NAMES, clip_error_exact, clip_error_mc
 from .hardness import HardParams, hard_params, make_hard_instance
 from .harness import (
     _HARDNESS, _NOISE, _POSITIVE, _PROBLEM, _REQ, _RUN, _SCHEDULE, _STABLE,
-    MAX_T, _codebook_for, _int, _make_codebook, _materialize, _one_of, _real,
-    _schedule_entry, _section, _text, _where, parse_config, persist, run_experiment,
+    MAX_T, _int, _make_codebook, _one_of, _phase_materialize, _real, _schedule_entry,
+    _section, _text, _where, parse_config, persist, run_experiment,
 )
 from .noise import StableParams, d_eff_lower_bound, make_oracle
 from .problems import AllSpace, CompositeObjective, EuclidNorm, Optimum
@@ -137,9 +137,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_schedule(args) -> int:
     config = _load_config(args.config, args.seed)
-    Ts = [args.T] if args.T is not None else config.run["T_grid"]
-    codebook = _codebook_for(config)
-    entries = [_schedule_entry(_materialize(config, int(T), codebook, 0)) for T in Ts]
+    # the settings htclip run reports in manifest.json's schedule_constants
+    _, settings = _phase_materialize(
+        config, [args.T] if args.T is not None else config.run["T_grid"]
+    )
+    entries = [_schedule_entry(row[0]) for row in settings]
     payload = {"config_digest": config.digest(), "schedules": entries}
     lines = []
     for entry in entries:

@@ -22,6 +22,14 @@ any output byte.  Nor does the working directory: manifest.json records
 package_version as its only provenance, so all three output files are a
 function of the config plus seed.
 
+run_experiment is four phases in turn: materialize (_phase_materialize:
+the codebook and a setting per horizon and codeword), kernel
+(_phase_kernel: the shard map, one suboptimality, distance and clip-rate
+column each), evaluate (_phase_evaluate: per-T statistics, the fit and
+the slope assertion) and report (_phase_report: the manifest).  htclip
+schedule reads the materialize phase too, so the constants it prints are
+the manifest's schedule_constants.
+
 Each config section and key is declared once, in the spec tables above
 parse_config; a bad value raises a ValueError that names its key.
 """
@@ -37,6 +45,7 @@ import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -578,20 +587,16 @@ def _build_standard_problem(config: ExperimentConfig):
 
 
 def _build_oracle(config: ExperimentConfig, objective: CompositeObjective):
+    """The config's noise oracle.  scales and stable are passed when the
+    config has them; make_oracle reads the arguments its kind takes."""
     noi = config.noise
-    kind = noi["kind"]
     declared = None
     if "sigma_s" in noi:
         declared = NoiseSpec(noi["p"], noi["sigma_s"], noi["sigma_l"])
-    if kind == "deterministic":
-        return make_oracle(objective, kind, declared_noise=declared)
-    scales = np.full(objective.d, noi["scales"], dtype=float)
-    if kind == "additive-gaussian":
-        return make_oracle(objective, kind, scales=scales, declared_noise=declared)
-    st = noi["stable"]
-    stable = StableParams(st["alpha"], st["beta"], st["gamma"])
     return make_oracle(
-        objective, kind, scales=scales, stable=stable,
+        objective, noi["kind"],
+        scales=np.full(objective.d, noi["scales"]) if "scales" in noi else None,
+        stable=StableParams(**noi["stable"]) if "stable" in noi else None,
         declared_noise=declared, p=noi["p"],
     )
 
@@ -607,14 +612,8 @@ def _make_codebook(kind: str, d_star: int, master: int):
         raise ValueError(f"hardness.d_star: {exc}") from None
 
 
-def _codebook_for(config: ExperimentConfig):
-    h = config.hardness
-    if h is None:
-        return None
-    return _make_codebook(h["codebook"], h["d_star"], config.run["master_seed"])
-
-
-def _materialize(config: ExperimentConfig, T: int, codebook, word_index: int) -> _Setting:
+def _setting(config: ExperimentConfig, T: int, codebook, word_index: int) -> _Setting:
+    """The setting of horizon T that runs codeword word_index (wrapped)."""
     prob = config.problem
     sch = config.schedule
     regime = sch["regime"]
@@ -680,6 +679,21 @@ def _materialize(config: ExperimentConfig, T: int, codebook, word_index: int) ->
         stabilized=stabilized,
         hard_params=hp,
     )
+
+
+def _phase_materialize(config: ExperimentConfig, Ts) -> tuple:
+    """The materialize phase: the codebook (None for a standard problem)
+    and settings[ti][wi], the setting of horizon Ts[ti] that runs codeword
+    wi.  Trial j runs settings[ti][j // BLOCK_TRIALS % len(settings[ti])]:
+    under v_mode "cycle" the codewords rotate every BLOCK_TRIALS trials,
+    and otherwise only codeword 0 runs."""
+    h, trials = config.hardness, config.run["trials"]
+    codebook = None
+    if h is not None:
+        codebook = _make_codebook(h["codebook"], h["d_star"], config.run["master_seed"])
+    words = codebook.size if h is not None and h["v_mode"] == "cycle" else 1
+    used = min(words, math.ceil(trials / BLOCK_TRIALS))
+    return codebook, [[_setting(config, T, codebook, wi) for wi in range(used)] for T in Ts]
 
 
 def _schedule_entry(setting: _Setting) -> dict:
@@ -852,98 +866,78 @@ def _run_shard(rows: list, master: int, mode: str, shared: bool) -> tuple:
     return subopt, mu_dist2, clip_rate
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Run the full T sweep; deterministic given the config, for any threads."""
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError("threads must be a positive integer")
-    run = config.run
-    master = run["master_seed"]
-    Ts = run["T_grid"]
-    trials = run["trials"]
-    levels = config.eval["quantile_levels"]
+def _phase_kernel(config: ExperimentConfig, settings: list, threads: int) -> tuple:
+    """The kernel phase: the shard map.  Returns the suboptimality,
+    mu * ||x_last - x*||^2 and clip-rate columns, each (horizons, trials)."""
+    master, trials = config.run["master_seed"], config.run["trials"]
+    first, n, words = settings[0][0], len(settings), len(settings[0])
+    mode = config.eval["averaging"]
+    if mode == "designated":
+        mode = first.schedule.averaging
+    # the rows run longest horizon first, trial by trial; a standard
+    # problem does not depend on T, so its rows share one oracle
+    rows = [
+        (ti, j, settings[ti][j // BLOCK_TRIALS % words])
+        for ti in reversed(range(n)) for j in range(trials)
+    ]
+    width = _shard_width(first.oracle, len(rows))
+    shards = [rows[a:a + width] for a in range(0, len(rows), width)]
+    shared = config.problem["kind"] != "hard"
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        outs = pool.map(_run_shard, shards, repeat(master), repeat(mode), repeat(shared))
+        return tuple(np.concatenate(col).reshape(n, trials)[::-1] for col in zip(*outs))
 
+
+def _phase_evaluate(config: ExperimentConfig, words: int, columns: tuple) -> tuple:
+    """The evaluate phase: per_T from the kernel's columns, the fit and
+    whether the slope lies in eval.assert_slope_range (None without it);
+    words is the number of codewords the trials run."""
+    Ts, trials, ev = config.run["T_grid"], config.run["trials"], config.eval
     delta = config.schedule.get("delta")
     if delta is not None and trials < 10.0 / delta:
         warnings.warn(
             f"trials={trials} is below 10/delta; the {1 - delta:g}-quantile "
             "estimate will be unstable",
-            stacklevel=2,
+            stacklevel=3,
         )
-
-    codebook = _codebook_for(config)
-    cycle = (
-        config.hardness is not None and config.hardness["v_mode"] == "cycle"
-    )
-
-    # codewords rotate every BLOCK_TRIALS trials; settings[ti][wi] runs
-    # codeword wi at grid index ti
-    words = codebook.size if cycle else 1
-    used = min(words, math.ceil(trials / BLOCK_TRIALS))
+    cycle = config.hardness is not None and config.hardness["v_mode"] == "cycle"
     word = np.arange(trials) // BLOCK_TRIALS % words
-    settings = [
-        [_materialize(config, T, codebook, wi) for wi in range(used)] for T in Ts
+    per_T = [
+        PerTStats(
+            T=T,
+            stats=summarize(subopt, ev["quantile_levels"]),
+            mu_dist2_mean=float(np.mean(mu_dist2)),
+            clip_rate=float(np.mean(clip_rate)),
+            codeword_means=(
+                {wi: float(np.mean(subopt[word == wi])) for wi in range(words)}
+                if cycle else None
+            ),
+        )
+        for T, subopt, mu_dist2, clip_rate in zip(Ts, *columns)
     ]
-    first = settings[0][0]
-    mode = config.eval["averaging"]
-    if mode == "designated":
-        mode = first.schedule.averaging
-
-    # row r is trial r % trials at grid index len(Ts) - 1 - r // trials, so
-    # the rows run longest horizon first; a standard problem does not
-    # depend on T, so its rows share one oracle
-    def run_shard(rows: range) -> tuple:
-        at = [(len(Ts) - 1 - r // trials, r % trials) for r in rows]
-        return _run_shard(
-            [(ti, j, settings[ti][word[j]]) for ti, j in at], master, mode, shared
-        )
-
-    shared = config.problem["kind"] != "hard"
-    n_rows = len(Ts) * trials
-    width = _shard_width(first.oracle, n_rows)
-    shards = [range(a, min(a + width, n_rows)) for a in range(0, n_rows, width)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        outs = list(pool.map(run_shard, shards))
-    subopts, mu_dist2s, clip_rates = (
-        np.concatenate(col).reshape(len(Ts), trials)[::-1] for col in zip(*outs)
-    )
-
-    per_T = []
-    for ti, T in enumerate(Ts):
-        subopt = subopts[ti]
-        codeword_means = None
-        if cycle:
-            codeword_means = {
-                wi: float(np.mean(subopt[word == wi])) for wi in range(used)
-            }
-        per_T.append(
-            PerTStats(
-                T=T,
-                stats=summarize(subopt, levels),
-                mu_dist2_mean=float(np.mean(mu_dist2s[ti])),
-                clip_rate=float(np.mean(clip_rates[ti])),
-                codeword_means=codeword_means,
-            )
-        )
 
     fit = None
     means = [row.stats.mean for row in per_T]
     if len(per_T) >= 3 and all(m > 0 for m in means):
-        fit = fit_rate(Ts, means, drop_smallest=config.eval["fit_drop_smallest"])
+        fit = fit_rate(Ts, means, drop_smallest=ev["fit_drop_smallest"])
+    passed = None
+    if "assert_slope_range" in ev:
+        lo, hi = ev["assert_slope_range"]
+        passed = fit is not None and lo <= fit.slope <= hi
+    return per_T, fit, passed
 
-    assertions_passed = None
-    if "assert_slope_range" in config.eval:
-        lo, hi = config.eval["assert_slope_range"]
-        assertions_passed = fit is not None and lo <= fit.slope <= hi
 
+def _phase_report(config: ExperimentConfig, codebook, settings: list, fit, passed) -> dict:
+    """The report phase: manifest.json's content, config.digest() taken once."""
+    first, h = settings[0][0], config.hardness
     spec = first.oracle.noise
     manifest = {
         "config": config.to_dict(),
         "config_digest": config.digest(),
         "package_version": _pkg_version,
-        "master_seed": master,
-        "T_values": list(Ts),
-        "trials": trials,
+        "master_seed": config.run["master_seed"],
+        "T_values": list(config.run["T_grid"]),
+        "trials": config.run["trials"],
         "block_trials": BLOCK_TRIALS,
         "designated_aggregate": first.schedule.averaging,
         "reported_aggregate": config.eval["averaging"],
@@ -957,26 +951,38 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     }
     if codebook is not None:
         manifest["codebook"] = {
-            "kind": config.hardness["codebook"],
+            "kind": h["codebook"],
             "size": codebook.size,
             "d_star": codebook.d_star,
             "min_distance": codebook.min_distance,
             "target_size": codebook.target_size,
             "shortfall": codebook.shortfall,
-            "v_mode": config.hardness["v_mode"],
+            "v_mode": h["v_mode"],
         }
     if fit is not None:
         manifest["fit"] = asdict(fit)
-    if assertions_passed is not None:
-        manifest["assertions_passed"] = assertions_passed
+    if passed is not None:
+        manifest["assertions_passed"] = passed
+    return manifest
 
+
+def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+    """Run the full T sweep as the four phases; deterministic given the
+    config, for any threads."""
+    threads = int(threads)
+    if threads < 1:
+        raise ValueError("threads must be a positive integer")
+    codebook, settings = _phase_materialize(config, config.run["T_grid"])
+    columns = _phase_kernel(config, settings, threads)
+    per_T, fit, passed = _phase_evaluate(config, len(settings[0]), columns)
+    manifest = _phase_report(config, codebook, settings, fit, passed)
     return ExperimentResult(
         config=config,
-        config_digest=config.digest(),
+        config_digest=manifest["config_digest"],
         per_T=per_T,
         fit=fit,
         manifest=manifest,
-        assertions_passed=assertions_passed,
+        assertions_passed=passed,
     )
 
 

@@ -187,6 +187,24 @@ class TestScheduleCommand:
         ]
         assert "  hard.d_star = 4" in lines and "hard_params" not in "".join(lines)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            # 200 trials run both codewords of a 2-word gv codebook
+            "hard-cvx-fano-cvx-ex-T-gv-cycle",
+            "euclid-norm-cvx-ex-anytime-stabilized-ball-weighted",
+        ],
+    )
+    def test_prints_the_constants_the_run_records(self, tmp_path, capsys, name):
+        cfg = _write_config(tmp_path, GOLDEN_CONFIGS[name])
+        assert main(["schedule", "--config", cfg, "--seed", "21", "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", cfg, "--out", out, "--seed", "21", "--json"]) == 0
+        manifest = json.loads(capsys.readouterr().out)
+        assert printed["schedules"] == manifest["schedule_constants"]
+        assert printed["config_digest"] == manifest["config_digest"]
+
     @pytest.mark.parametrize("regime", ["cvx-ex-T", "cvx-ex-anytime", "str-ex"])
     @pytest.mark.parametrize("T", ["0", "-3", str(MAX_T + 1)])
     def test_rejects_a_horizon_out_of_range(self, tmp_path, capsys, regime, T):

@@ -466,6 +466,14 @@ class TestClipErrorMC:
         assert report.measured["db_norm"] == 0.0
         assert report.ok()
 
+    def test_default_generator_is_seeded_zero(self):
+        oracle = self._gaussian_oracle(2)
+        got = clip_error_mc(oracle, np.zeros(2), tau=1.0, n_samples=10_000)
+        want = clip_error_mc(
+            oracle, np.zeros(2), tau=1.0, n_samples=10_000, rng=np.random.default_rng(0)
+        )
+        assert got == want
+
     def test_unclipped_gaussian_moments(self):
         oracle = self._gaussian_oracle(4)
         report = clip_error_mc(

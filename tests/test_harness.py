@@ -344,8 +344,10 @@ class TestRunExperiment:
     def test_warns_when_trials_too_few_for_quantile(self):
         raw = _noiseless_raw([16], trials=4)
         raw["schedule"] = {"regime": "cvx-hp-T", "delta": 0.01}
-        with pytest.warns(UserWarning, match="10/delta"):
+        with pytest.warns(UserWarning, match="10/delta") as caught:
             run_experiment(parse_config(raw))
+        # the warning names run_experiment's caller, not a harness phase
+        assert [w.filename for w in caught if "10/delta" in str(w.message)] == [__file__]
 
     def test_assert_slope_range(self):
         raw = _noiseless_raw([64, 256, 1024])
@@ -569,6 +571,17 @@ class TestPersist:
         with pytest.raises(ValueError):
             persist(broken, str(target))
         assert not target.exists() or not any(target.iterdir())
+
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        res = run_experiment(parse_config(_gauss_raw(T_grid=(16,), trials=2)))
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            persist(res, str(tmp_path / "out"))
+        assert os.listdir(tmp_path / "out") == []
 
 
 # ---------------------------------------------------------------------------

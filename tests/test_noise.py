@@ -488,6 +488,15 @@ def test_a_chunk_streams_copy_draws_the_uniforms_of_its_generator(kind):
     assert not isinstance(copy.seed_seq, np.random.SeedSequence)
 
 
+@pytest.mark.parametrize("count, cores", [(None, 1), (3, 3)])
+def test_cores_fall_back_to_the_cpu_count_without_an_affinity_call(
+    monkeypatch, count, cores
+):
+    monkeypatch.delattr(noise.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(noise.os, "cpu_count", lambda: count)
+    assert noise._cores() == cores
+
+
 # each draw holds 2 * _BLOCK elements or more (72,000 and 81,920), so on
 # two idle cores it is split in two blocks or more
 @pytest.mark.parametrize("d, n, rows", [(3, 24, 1000), (64, 64, 20)])
